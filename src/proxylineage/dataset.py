@@ -122,18 +122,23 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
     contracts = {address: corpus.contracts[address] for address in member_addresses}
 
     source_diagnostics: list[str] = []
-    extracted: dict[tuple[str, str, str], list[FunctionUnit]] = {}
+    # A file shared unchanged across versions is extracted once per run; its
+    # notes are still reported once per (address, file).
+    extracted: dict[tuple[str, str, str], tuple[list[FunctionUnit], list[str]]] = {}
+    reported: set[tuple[str, str, str]] = set()
 
     def functions_of(address: str, file: SourceFile) -> list[FunctionUnit]:
-        cache_key = (address, file.directory, file.filename)
-        if cache_key not in extracted:
+        content_key = (file.directory, file.filename, file.content)
+        if content_key not in extracted:
             notes: list[str] = []
-            units = extract_functions(file, notes)
-            extracted[cache_key] = units
+            extracted[content_key] = (extract_functions(file, notes), notes)
+        units, notes = extracted[content_key]
+        if (address, file.directory, file.filename) not in reported:
+            reported.add((address, file.directory, file.filename))
             source_diagnostics.extend(f"{address} {file.directory}/{file.filename}: {n}"
                                       if file.directory else f"{address} {file.filename}: {n}"
                                       for n in notes)
-        return extracted[cache_key]
+        return units
 
     artifacts: list[PairArtifacts] = []
     for pair in pairs:

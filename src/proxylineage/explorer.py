@@ -18,8 +18,6 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
-import requests
-
 from .corpus import ContractRecord, contract_from_obj, contract_to_obj, normalize_address
 from .errors import FetchError, ValidationError
 
@@ -57,6 +55,8 @@ class RateLimiter:
 
 
 def _requests_transport(url: str, params: dict) -> tuple[int, object]:
+    import requests  # imported here so that offline runs skip its load time
+
     response = requests.get(url, params=params, timeout=30)
     try:
         body = response.json()

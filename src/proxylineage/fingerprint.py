@@ -16,13 +16,14 @@ import json
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .corpus import ContractRecord
 from .errors import ConfigurationError, NotFingerprintableError, UnknownAddressError, ValidationError
 from .solidity import tokenize
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_SIGNATURE_LENGTH = 256
 DEFAULT_SEED = 0
@@ -36,9 +37,8 @@ MEDIUM_THRESHOLD = 0.70
 LOW_THRESHOLD = 0.50
 
 _SENTINEL_SLOT = (1 << 64) - 1
-_U64 = np.uint64
-_MIX_C1 = _U64(0xBF58476D1CE4E5B9)
-_MIX_C2 = _U64(0x94D049BB133111EB)
+_MIX_C1 = 0xBF58476D1CE4E5B9
+_MIX_C2 = 0x94D049BB133111EB
 _GAMMA = 0x9E3779B97F4A7C15
 
 
@@ -91,15 +91,18 @@ def category_for(estimated_jaccard: float) -> SimilarityCategory:
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
-    values = (values ^ (values >> _U64(30))) * _MIX_C1
-    values = (values ^ (values >> _U64(27))) * _MIX_C2
-    return values ^ (values >> _U64(31))
+    # uint64 arithmetic throughout: Python int operands take the array's dtype
+    values = (values ^ (values >> 30)) * _MIX_C1
+    values = (values ^ (values >> 27)) * _MIX_C2
+    return values ^ (values >> 31)
 
 
 def _salts(seed: int, k: int) -> np.ndarray:
+    import numpy as np
+
     # splitmix64 output stream seeded at `seed`: slot i uses mix(seed + (i+1)*gamma)
-    steps = np.arange(1, k + 1, dtype=np.uint64) * _U64(_GAMMA & _SENTINEL_SLOT)
-    return _mix64(_U64(seed & _SENTINEL_SLOT) + steps)
+    steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA & _SENTINEL_SLOT)
+    return _mix64(np.uint64(seed & _SENTINEL_SLOT) + steps)
 
 
 def shingle_hash(shingle: Iterable[str]) -> int:
@@ -118,6 +121,8 @@ def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple
     hashes = sorted(set(shingle_hashes))
     if not hashes:
         return (_SENTINEL_SLOT,) * k
+    import numpy as np  # imported here so that commands which never hash skip its load time
+
     base = np.array(hashes, dtype=np.uint64)
     salts = _salts(seed, k)
     signature = np.empty(k, dtype=np.uint64)

@@ -354,10 +354,8 @@ def lifecycle_stats(
     def pct(numerator: int, denominator: int) -> float | None:
         return 100.0 * numerator / denominator if denominator else None
 
-    patched_without_new = sorted(
-        pf for pf in pair_files_with[LifecycleStatus.DISAPPEARED]
-        if pf not in pair_files_with[LifecycleStatus.INTRODUCED]
-    )
+    patched_without_new = (pair_files_with[LifecycleStatus.DISAPPEARED]
+                           - pair_files_with[LifecycleStatus.INTRODUCED])
     return {
         "mode": mode,
         "tools": list(tools),

@@ -26,10 +26,18 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two sequences.
 
     Bit-parallel row encoding (Allison-Dix); items only need to be hashable,
-    so it serves both character and line sequences.
+    so it serves both character and line sequences. Identical inputs and a
+    common prefix and suffix are settled before the core, which is exact:
+    LCS(p+x+s, p+y+s) = |p| + |s| + LCS(x, y).
     """
+    if a == b:
+        return len(a)
+    head = _common_prefix_length(a, b)
+    a, b = a[head:], b[head:]
+    tail = _common_prefix_length(a[::-1], b[::-1])
+    a, b = a[:len(a) - tail], b[:len(b) - tail]
     if not a or not b:
-        return 0
+        return head + tail
     masks: dict[Hashable, int] = {}
     bit = 1
     for item in a:
@@ -40,4 +48,16 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     for item in b:
         x = row | masks.get(item, 0)
         row = x & ~(x - ((row << 1) | 1)) & full
-    return bin(row).count("1")
+    return head + tail + bin(row).count("1")
+
+
+def _common_prefix_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
+    # binary search over slice comparisons, which run in C for str and list
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        mid = (low + high + 1) // 2
+        if a[low:mid] == b[low:mid]:
+            low = mid
+        else:
+            high = mid - 1
+    return low

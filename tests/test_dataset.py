@@ -14,7 +14,10 @@ from proxylineage import (
     build_bundle,
     compute_stats,
     emit_dataset,
+    extract_functions,
     load_bundle,
+    pair_files,
+    pair_functions,
 )
 from proxylineage.dataset import bundle_to_jsonable, stats_to_csv, stats_to_jsonable
 
@@ -211,6 +214,41 @@ def test_function_pair_reflects_signature_change():
     assert core_pairs[0].predecessor.signature == "f()"
     assert core_pairs[0].successor.signature == "f(uint256)"
     assert core_pairs[0].match_kind.value == "FUZZY_NAME"
+
+
+def test_shared_file_is_diagnosed_per_address_and_pairs_as_if_extracted_alone():
+    # Lib.sol is byte-identical in both versions and never closes the library
+    lib = "library Lib {\n    function a() public {}\n"
+    core_a = "contract Core {\n    function f() public {}\n    function gone() public {}\n}\n"
+    core_b = "contract Core {\n    function f(uint256 n) public {}\n    function added() public {}\n}\n"
+    corpus = Corpus(
+        events=window_events(PROXY, ADDR_A, 0, 10) + window_events(PROXY, ADDR_B, DAY, DAY + 10),
+        contracts={
+            ADDR_A: make_record(ADDR_A, CREATOR_X, [SourceFile("src", "Core.sol", core_a),
+                                                    SourceFile("src", "Lib.sol", lib)]),
+            ADDR_B: make_record(ADDR_B, CREATOR_X, [SourceFile("src", "Core.sol", core_b),
+                                                    SourceFile("src", "Lib.sol", lib)]),
+        },
+    )
+    bundle = build_bundle(corpus)
+
+    lib_notes = [line for line in bundle.source_diagnostics if "Lib.sol" in line]
+    assert [line.split(" ", 1)[0] for line in lib_notes] == [ADDR_A, ADDR_B]
+    assert all("unbalanced braces" in line for line in lib_notes)
+
+    (artifacts,) = bundle.pair_artifacts
+    pred, succ = corpus.contracts[ADDR_A], corpus.contracts[ADDR_B]
+    expected_pairs, expected_unpaired = [], set()
+    for fp in pair_files(pred, succ).pairs:
+        pred_file = next(f for f in pred.files if f.filename == fp.predecessor_filename)
+        succ_file = next(f for f in succ.files if f.filename == fp.successor_filename)
+        pairing = pair_functions(fp, extract_functions(pred_file), extract_functions(succ_file))
+        expected_pairs.extend(pairing.pairs)
+        expected_unpaired |= {("predecessor", u.name, u.signature) for u in pairing.unpaired_predecessor}
+        expected_unpaired |= {("successor", u.name, u.signature) for u in pairing.unpaired_successor}
+    assert artifacts.function_pairs == expected_pairs
+    assert {(u.side, u.name, u.signature) for u in artifacts.unpaired_functions} == expected_unpaired
+    assert expected_unpaired == {("predecessor", "gone", "gone()"), ("successor", "added", "added()")}
 
 
 def test_sources_tree_layout(tmp_path):

@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import proxylineage
 from proxylineage import (
     ConfigurationError,
     Fingerprint,
@@ -220,3 +226,41 @@ def test_estimator_mean_error_small():
         b = set(rng.sample(universe, rng.randint(30, 200)))
         errors.append(abs(estimated(a, b) - oracle_jaccard(a, b)))
     assert sum(errors) / len(errors) <= 0.05
+
+
+IMPORT_PROBE = """
+import json, sys
+import proxylineage, proxylineage.cli
+heavy = ("numpy", "requests")
+loaded_on_import = [name for name in heavy if name in sys.modules]
+from proxylineage import ContractRecord, SourceFile, fingerprint
+record = ContractRecord(
+    address="0x" + "aa" * 20, creator="0x" + "e1" * 20, deploy_timestamp=0,
+    verified=True, open_source=True,
+    files=(SourceFile("src", "Token.sol", "contract Token { function transfer(address to, "
+                      "uint256 v) public returns (bool) { balance[to] += v; return true; } }"),),
+)
+fp = fingerprint(record, k=16, seed=7)
+print(json.dumps({"loaded_on_import": loaded_on_import, "signature": fp.signature,
+                  "shingle_count": fp.shingle_count}))
+"""
+
+
+def test_import_leaves_numpy_and_requests_unloaded():
+    # numpy and requests are imported on first use, so that commands which
+    # never hash or fetch do not pay for loading them
+    src = str(Path(proxylineage.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
+                               capture_output=True, text=True, env=env)
+    assert completed.returncode == 0, completed.stderr
+    probe = json.loads(completed.stdout)
+    assert probe["loaded_on_import"] == []
+    # the signature computed before numpy became a lazy import
+    assert probe["signature"] == [
+        199916367280826819, 520077786208130748, 1740407280880152319, 248144159576574881,
+        104759888297773209, 542819608652911881, 82543907712023416, 295864926636456696,
+        705603570580444074, 460835312658029193, 1108922584796052132, 864466152331111133,
+        824170744466845003, 382753545024663118, 759629706914864263, 521663682788277110,
+    ]
+    assert probe["shingle_count"] == 27

@@ -296,6 +296,18 @@ def test_union_counts_dominate_intersection():
             assert union[field] >= intersection[field]
 
 
+@pytest.mark.parametrize("mode", ["union", "intersection"])
+def test_patched_without_new_counts_files_of_one_pair(mode):
+    # two disappearing files share one pair id, so a sort would have to order
+    # their file identities, which define no order
+    pair = make_pair()
+    file_pairs = [make_file_pair("Core.sol", "Core.sol"), make_file_pair("Vault.sol", "Vault.sol")]
+    pred = [finding(filename="Core.sol"), finding(filename="Vault.sol", vuln_type="tx-origin")]
+    records = diff_pair(pair, file_pairs, pred, [])
+    summary = lifecycle_stats(records, mode=mode)
+    assert summary["patched_without_new_file_count"] == 2
+
+
 def test_hand_computed_three_version_fixture():
     """Hand ledger for a 3-version lineage scanned by two tools.
 

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import random
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
 from proxylineage import (
     MatchKind,
     SourceFile,
@@ -88,6 +91,73 @@ def test_content_similarity_chars():
     assert content_similarity("", "") == 1.0
     assert content_similarity("abc", "") == 0.0
     assert content_similarity("abcd", "abxd") == 0.75
+
+
+# Small alphabets, so that shared prefixes and suffixes, repeats and
+# overlapping ends come up often.
+LINES = ["x = 1;", "y = 2;", "}", ""]
+
+
+def char_strings(min_size=0, max_size=12):
+    return st.text(alphabet="ab}\n", min_size=min_size, max_size=max_size)
+
+
+def line_lists(min_size=0, max_size=12):
+    return st.lists(st.sampled_from(LINES), min_size=min_size, max_size=max_size)
+
+
+def sequences(min_size=0, max_size=12):
+    return char_strings(min_size, max_size) | line_lists(min_size, max_size)
+
+
+@st.composite
+def shared_ends(draw):
+    """Two sequences of one kind around a long shared prefix and a shared suffix."""
+    kind = draw(st.sampled_from([char_strings, line_lists]))
+    prefix, suffix = draw(kind(20, 60)), draw(kind(0, 40))
+    return prefix + draw(kind()) + suffix, prefix + draw(kind()) + suffix
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_ends())
+def test_lcs_exact_with_shared_prefix_and_suffix(pair):
+    a, b = pair
+    assert lcs_length(a, b) == oracle_lcs_length(a, b)
+    assert lcs_length(b, a) == oracle_lcs_length(a, b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(max_size=40))
+def test_lcs_of_identical_inputs_is_their_length(a):
+    assert lcs_length(a, a) == oracle_lcs_length(a, a) == len(a)
+    assert lcs_length(a, a[:]) == len(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequences(max_size=40))
+def test_lcs_with_one_empty_side_is_zero(a):
+    assert lcs_length(a, a[:0]) == lcs_length(a[:0], a) == oracle_lcs_length(a, a[:0]) == 0
+
+
+@settings(max_examples=200, deadline=None)
+@example(unit="a", m=2, n=3)
+@example(unit=["}"], m=2, n=3)
+@given(unit=sequences(min_size=1, max_size=3), m=st.integers(0, 8), n=st.integers(0, 8))
+def test_lcs_exact_when_prefix_and_suffix_overlap(unit, m, n):
+    # in "aa" against "aaa" every item is both a prefix and a suffix match
+    a, b = unit * m, unit * n
+    assert lcs_length(a, b) == oracle_lcs_length(a, b)
+    longer = b + unit[:1]
+    assert lcs_length(a, longer) == oracle_lcs_length(a, longer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_ends())
+def test_similarities_stay_symmetric_with_shared_ends(pair):
+    a, b = ("\n".join(side) if isinstance(side, list) else side for side in pair)
+    assert line_similarity(a, b) == line_similarity(b, a)
+    assert abs(line_similarity(a, b) - oracle_line_similarity(a, b)) < 1e-9
+    assert content_similarity(a, b) == content_similarity(b, a)
 
 
 # --- lexer and extraction -----------------------------------------------------
