@@ -228,9 +228,18 @@ def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
         "all": [ContractScope.ALL],
         "both": [ContractScope.OPEN_SOURCE_ONLY, ContractScope.ALL],
     }[scope]
-    prebuilt = read_fingerprints(fingerprints_path) if fingerprints_path else None
-    evaluator = LineageEvaluator(corpus, lineages, k=k, seed=ctx.obj["seed"],
-                                 fingerprints=prebuilt)
+    seed = ctx.obj["seed"]
+    prebuilt = None
+    if fingerprints_path:
+        prebuilt = read_fingerprints(fingerprints_path)
+        # read_fingerprints has checked that all rows share one k and seed
+        first = next(iter(prebuilt.values()), None)
+        if first is not None and (first.k, first.seed) != (k, seed):
+            raise ConfigurationError(
+                f"{fingerprints_path}: fingerprints have k {first.k}, seed {first.seed}; "
+                f"this run has --k {k}, --seed {seed}"
+            )
+    evaluator = LineageEvaluator(corpus, lineages, k=k, seed=seed, fingerprints=prebuilt)
     results, diagnostics = evaluator.evaluate(thresholds=thresholds, scopes=scopes,
                                               aggregation=aggregation)
     rendered = results_to_csv(results) if output_format == "csv" else results_to_json(results)

@@ -135,10 +135,10 @@ def upgrade_proxies(corpus: Corpus, signatures: Iterable[str] = DEFAULT_UPGRADE_
     return sorted({e.proxy_address for e in corpus.events if e.selector in watched})
 
 
-def _require_int(value: object, where: str, minimum: int = 0) -> int:
+def _require_int(value: object, where: str, minimum: int | None = 0) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValidationError(f"{where} must be an integer, got {value!r}")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise ValidationError(f"{where} must be >= {minimum}, got {value}")
     return value
 
@@ -249,7 +249,12 @@ def _iter_ndjson(path: Path):
 
 
 def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
-    """Load, sort and deduplicate the trace fixture. Returns (events, diagnostics)."""
+    """Load, sort and deduplicate the trace fixture. Returns (events, diagnostics).
+
+    Events repeating a (tx_id, proxy, callee) observation are dropped; two
+    proxies delegating to one implementation in the same transaction are two
+    observations and both are kept.
+    """
     path = Path(path)
     raw_events = []
     for line_number, obj in _iter_ndjson(path):
@@ -264,14 +269,16 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     seen = set()
     duplicates = 0
     for event in raw_events:
-        dedup_key = (event.tx_id, event.callee_address)
+        dedup_key = (event.tx_id, event.proxy_address, event.callee_address)
         if dedup_key in seen:
             duplicates += 1
             continue
         seen.add(dedup_key)
         events.append(event)
     if duplicates:
-        diagnostics.append(f"traces: dropped {duplicates} duplicate event(s) (same tx_id and callee)")
+        diagnostics.append(
+            f"traces: dropped {duplicates} duplicate event(s) (same tx_id, proxy and callee)"
+        )
 
     # Timestamps must move forward with block numbers within one stream.
     prev_block = None
@@ -308,7 +315,7 @@ def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
     """Load both fixtures into a canonical corpus.
 
     Events come out sorted by (block_number, tx_id); duplicated observations
-    (same tx_id and callee) are dropped. Rows that violate the schema raise
+    (same tx_id, proxy and callee) are dropped. Rows that violate the schema raise
     ParseError naming the offending line; cross-row oddities (timestamp
     inversions, callees without metadata) are recorded in diagnostics.
     """

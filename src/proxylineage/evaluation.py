@@ -89,6 +89,8 @@ class LineageEvaluator:
             }
         self.fingerprints = fingerprints
         self.index = LshIndex(fingerprints.values(), bands=bands)
+        # query -> same-creator neighbours as (address, category, open_source)
+        self._neighbours: dict[str, list[tuple[str, SimilarityCategory, bool]]] = {}
         # A contract serving several proxies belongs to each of those
         # lineages; its ground truth is the union of their members.
         self.membership: dict[str, set[str]] = {}
@@ -97,29 +99,43 @@ class LineageEvaluator:
             for address in members:
                 self.membership.setdefault(address, set()).update(members - {address})
 
+    def _same_creator_neighbours(self, query: str) -> list[tuple[str, SimilarityCategory, bool]]:
+        """Every verified LSH candidate sharing the query's creator, retrieved once."""
+        neighbours = self._neighbours.get(query)
+        if neighbours is not None:
+            return neighbours
+        if query not in self.fingerprints:
+            raise UnknownAddressError(f"no fingerprint for query {query}")
+        query_record = self.corpus.contracts.get(query)
+        if query_record is None:
+            raise UnknownAddressError(f"no contract record for query {query}")
+        neighbours = []
+        for address, verdict in query_similar(
+            self.fingerprints, query, min_category=SimilarityCategory.NONE, index=self.index
+        ):
+            record = self.corpus.contracts.get(address)
+            if record is not None and record.creator == query_record.creator:
+                neighbours.append((address, verdict.category, record.open_source))
+        self._neighbours[query] = neighbours
+        return neighbours
+
     def predicted_lineage(
         self,
         query: str,
         threshold: SimilarityCategory,
         scope: ContractScope,
     ) -> set[str]:
-        """Similar contracts sharing the query's creator, per Algorithm-1 filters."""
-        if query not in self.fingerprints:
-            raise UnknownAddressError(f"no fingerprint for query {query}")
-        query_record = self.corpus.contracts.get(query)
-        if query_record is None:
-            raise UnknownAddressError(f"no contract record for query {query}")
-        predicted = set()
-        for address, _verdict in query_similar(
-            self.fingerprints, query, min_category=threshold, index=self.index
-        ):
-            record = self.corpus.contracts.get(address)
-            if record is None or record.creator != query_record.creator:
-                continue
-            if scope is ContractScope.OPEN_SOURCE_ONLY and not record.open_source:
-                continue
-            predicted.add(address)
-        return predicted
+        """Similar contracts sharing the query's creator, per Algorithm-1 filters.
+
+        The candidates are retrieved and verified once per query; each
+        threshold and scope only filters those verdicts.
+        """
+        open_source_only = scope is ContractScope.OPEN_SOURCE_ONLY
+        return {
+            address
+            for address, category, open_source in self._same_creator_neighbours(query)
+            if category >= threshold and (open_source or not open_source_only)
+        }
 
     def evaluate(
         self,

@@ -13,13 +13,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
+import re
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .corpus import ContractRecord
-from .errors import ConfigurationError, NotFingerprintableError, UnknownAddressError, ValidationError
+from .corpus import ContractRecord, _iter_ndjson, _require_fields, _require_int, normalize_address
+from .errors import (
+    ConfigurationError,
+    NotFingerprintableError,
+    ParseError,
+    UnknownAddressError,
+    ValidationError,
+)
 from .solidity import tokenize
 
 if TYPE_CHECKING:
@@ -40,6 +49,14 @@ _SENTINEL_SLOT = (1 << 64) - 1
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 _GAMMA = 0x9E3779B97F4A7C15
+# Shingles hashed per numpy step in minhash_signature. A 64 x 256 uint64
+# block is 128 KiB, which bounds the temporaries whatever the set size; on the
+# lsh-boilerplate inputs 64 rows ran faster than 32 or 128 and kept the
+# fingerprint command's peak RSS below that of the per-slot loop.
+_MINHASH_BLOCK = 64
+
+FINGERPRINT_FIELDS = frozenset({"address", "k", "seed", "shingle_count", "signature"})
+_HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
 
 class SimilarityCategory(IntEnum):
@@ -91,10 +108,14 @@ def category_for(estimated_jaccard: float) -> SimilarityCategory:
 
 
 def _mix64(values: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer, applied in place to a uint64 array and returned."""
     # uint64 arithmetic throughout: Python int operands take the array's dtype
-    values = (values ^ (values >> 30)) * _MIX_C1
-    values = (values ^ (values >> 27)) * _MIX_C2
-    return values ^ (values >> 31)
+    values ^= values >> 30
+    values *= _MIX_C1
+    values ^= values >> 27
+    values *= _MIX_C2
+    values ^= values >> 31
+    return values
 
 
 def _salts(seed: int, k: int) -> np.ndarray:
@@ -118,17 +139,20 @@ def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple
     """
     if k <= 0:
         raise ConfigurationError(f"signature length must be positive, got {k}")
-    hashes = sorted(set(shingle_hashes))
+    hashes = set(shingle_hashes)
     if not hashes:
         return (_SENTINEL_SLOT,) * k
     import numpy as np  # imported here so that commands which never hash skip its load time
 
-    base = np.array(hashes, dtype=np.uint64)
+    # A minimum ignores order, so the set is hashed block by block, all k
+    # slots at once, and each block is folded into the running minima.
+    base = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
     salts = _salts(seed, k)
-    signature = np.empty(k, dtype=np.uint64)
-    for i in range(k):
-        signature[i] = _mix64(base ^ salts[i]).min()
-    return tuple(int(v) for v in signature)
+    signature = np.full(k, _SENTINEL_SLOT, dtype=np.uint64)
+    for start in range(0, len(base), _MINHASH_BLOCK):
+        block = _mix64(base[start:start + _MINHASH_BLOCK, None] ^ salts[None, :])
+        np.minimum(signature, block.min(axis=0), out=signature)
+    return tuple(signature.tolist())
 
 
 def record_shingles(record: ContractRecord) -> set[int]:
@@ -180,7 +204,7 @@ def compare(a: Fingerprint, b: Fingerprint) -> SimilarityVerdict:
         raise ConfigurationError(f"seed mismatch: {a.seed} vs {b.seed}")
     if a.is_sentinel or b.is_sentinel:
         return SimilarityVerdict(a.address, b.address, 0.0, SimilarityCategory.NONE)
-    equal = sum(1 for x, y in zip(a.signature, b.signature) if x == y)
+    equal = sum(map(operator.eq, a.signature, b.signature))
     estimate = equal / a.k
     return SimilarityVerdict(a.address, b.address, estimate, category_for(estimate))
 
@@ -240,40 +264,62 @@ def query_similar(
 
 
 def write_fingerprints(path: str | Path, fingerprints: Iterable[Fingerprint]) -> None:
-    """NDJSON serialization, sorted by address; signatures hex-packed."""
-    rows = []
-    for fp in sorted(fingerprints, key=lambda f: f.address):
-        rows.append(json.dumps({
-            "address": fp.address,
-            "k": fp.k,
-            "seed": fp.seed,
-            "shingle_count": fp.shingle_count,
-            "signature": b"".join(v.to_bytes(8, "big") for v in fp.signature).hex(),
-        }, sort_keys=True, separators=(",", ":")))
-    Path(path).write_text("\n".join(rows) + ("\n" if rows else ""), encoding="utf-8")
+    """NDJSON serialization, sorted by address; signatures hex-packed.
+
+    Rows are written one at a time, so the file is never held in memory.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        for fp in sorted(fingerprints, key=lambda f: f.address):
+            handle.write(json.dumps({
+                "address": fp.address,
+                "k": fp.k,
+                "seed": fp.seed,
+                "shingle_count": fp.shingle_count,
+                "signature": b"".join(v.to_bytes(8, "big") for v in fp.signature).hex(),
+            }, sort_keys=True, separators=(",", ":")) + "\n")
+
+
+def _fingerprint_from_obj(obj: object) -> Fingerprint:
+    if not isinstance(obj, dict):
+        raise ValidationError("fingerprint must be a JSON object")
+    _require_fields(obj, FINGERPRINT_FIELDS, "fingerprint")
+    k = _require_int(obj["k"], "k", minimum=1)
+    signature = obj["signature"]
+    if not isinstance(signature, str) or not _HEX_RE.fullmatch(signature):
+        raise ValidationError(f"signature must be a string of hex digits, got {signature!r:.40}")
+    if len(signature) != 16 * k:
+        raise ValidationError(f"signature has {len(signature)} hex digits, k {k} needs {16 * k}")
+    return Fingerprint(
+        address=normalize_address(obj["address"]),
+        k=k,
+        seed=_require_int(obj["seed"], "seed", minimum=None),
+        signature=struct.unpack(f">{k}Q", bytes.fromhex(signature)),
+        shingle_count=_require_int(obj["shingle_count"], "shingle_count"),
+    )
 
 
 def read_fingerprints(path: str | Path) -> dict[str, Fingerprint]:
+    """Read a file written by `write_fingerprints`, keyed by address.
+
+    A row that is not valid JSON, lacks or adds a field, or holds a bad value
+    raises ParseError naming the file and line. Rows whose k or seed differ
+    from the first row's raise ConfigurationError: their signatures cannot be
+    compared.
+    """
+    path = Path(path)
     fingerprints: dict[str, Fingerprint] = {}
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            raw = bytes.fromhex(obj["signature"])
-            signature = tuple(
-                int.from_bytes(raw[i:i + 8], "big") for i in range(0, len(raw), 8)
+    first: Fingerprint | None = None
+    for line_number, obj in _iter_ndjson(path):
+        try:
+            fp = _fingerprint_from_obj(obj)
+        except ValidationError as exc:
+            raise ParseError(path, line_number, str(exc)) from exc
+        if first is None:
+            first = fp
+        elif (fp.k, fp.seed) != (first.k, first.seed):
+            raise ConfigurationError(
+                f"{path}:{line_number}: fingerprint has k {fp.k}, seed {fp.seed}; "
+                f"earlier rows have k {first.k}, seed {first.seed}"
             )
-            if len(signature) != obj["k"]:
-                raise ValidationError(
-                    f"{path}:{line_number}: signature length {len(signature)} != k {obj['k']}"
-                )
-            fp = Fingerprint(
-                address=obj["address"],
-                k=obj["k"],
-                seed=obj["seed"],
-                signature=signature,
-                shingle_count=obj["shingle_count"],
-            )
-            fingerprints[fp.address] = fp
+        fingerprints[fp.address] = fp
     return fingerprints

@@ -141,6 +141,32 @@ def oracle_jaccard(a: set, b: set) -> float:
     return len(a & b) / len(union)
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _oracle_splitmix64(value: int) -> int:
+    value = ((value ^ (value >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    value = ((value ^ (value >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return value ^ (value >> 31)
+
+
+def oracle_minhash_signature(shingle_hashes, k: int, seed: int) -> tuple[int, ...]:
+    """One slot at a time over the whole set, in Python integers.
+
+    Slot i salts every shingle hash with splitmix64(seed + i * gamma),
+    i = 1..k, mixes it again and keeps the minimum; an empty set gives the
+    all-max sentinel.
+    """
+    hashes = set(shingle_hashes)
+    if not hashes:
+        return (_MASK64,) * k
+    signature = []
+    for i in range(1, k + 1):
+        salt = _oracle_splitmix64((seed + i * 0x9E3779B97F4A7C15) & _MASK64)
+        signature.append(min(_oracle_splitmix64(h ^ salt) for h in hashes))
+    return tuple(signature)
+
+
 # --- rule-based lineage oracle --------------------------------------------------
 
 def oracle_lineages(corpus: Corpus):

@@ -176,6 +176,72 @@ def test_evaluate_lsh_reuses_prebuilt_fingerprints(fixture_paths, tmp_path, caps
     assert fresh.read_bytes() == reused.read_bytes()
 
 
+def _fingerprints_file(fixture_paths, tmp_path, *global_args):
+    traces, contracts = fixture_paths
+    fps = tmp_path / "fps.ndjson"
+    assert main([*global_args, "fingerprint", "--traces", str(traces),
+                 "--contracts", str(contracts), "--out", str(fps)]) == 0
+    return fps
+
+
+def _evaluate_with(fixture_paths, fps, seed: int = 0, k: int = 256):
+    traces, contracts = fixture_paths
+    return main(["--seed", str(seed), "evaluate-lsh", "--traces", str(traces),
+                 "--contracts", str(contracts), "--fingerprints", str(fps), "--k", str(k)])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: "{not json",
+    lambda row: json.dumps({k: v for k, v in json.loads(row).items() if k != "k"}),
+    lambda row: json.dumps({**json.loads(row), "extra": 1}),
+    lambda row: json.dumps({**json.loads(row), "signature": "zz" * 8 * 256}),
+    lambda row: json.dumps({**json.loads(row), "signature": "00" * 8 * 255}),
+    lambda row: json.dumps({**json.loads(row), "k": "256"}),
+    lambda row: json.dumps({**json.loads(row), "seed": 0.5}),
+    lambda row: json.dumps({**json.loads(row), "address": 7}),
+    lambda row: "[1, 2]",
+], ids=["bad-json", "missing-field", "unknown-field", "non-hex-signature",
+        "short-signature", "string-k", "float-seed", "bad-address", "not-an-object"])
+def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path, capsys, edit):
+    fps = _fingerprints_file(fixture_paths, tmp_path)
+    rows = fps.read_text().splitlines()
+    rows[1] = edit(rows[1])
+    fps.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert _evaluate_with(fixture_paths, fps) == 1
+    err = capsys.readouterr().err
+    assert f"{fps}:2:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("seed, k", [(5, 64), (0, 64), (5, 256)])
+def test_fingerprints_with_other_k_or_seed_are_rejected(fixture_paths, tmp_path, capsys, seed, k):
+    fps = _fingerprints_file(fixture_paths, tmp_path)
+    capsys.readouterr()
+    assert _evaluate_with(fixture_paths, fps, seed=seed, k=k) == 1
+    err = capsys.readouterr().err
+    assert str(fps) in err and "k 256, seed 0" in err
+
+
+def test_fingerprints_matching_nondefault_flags_are_accepted(fixture_paths, tmp_path):
+    fps = _fingerprints_file(fixture_paths, tmp_path, "--seed", "5")
+    assert _evaluate_with(fixture_paths, fps, seed=5) == 0
+
+
+def test_fingerprint_rows_disagreeing_on_seed_are_rejected(fixture_paths, tmp_path, capsys):
+    fps = _fingerprints_file(fixture_paths, tmp_path)
+    (tmp_path / "seed5").mkdir()
+    other = _fingerprints_file(fixture_paths, tmp_path / "seed5", "--seed", "5")
+    rows = fps.read_text().splitlines()
+    rows[2] = other.read_text().splitlines()[2]
+    fps.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert _evaluate_with(fixture_paths, fps) == 1
+    err = capsys.readouterr().err
+    assert f"{fps}:3:" in err and "seed 5" in err
+    assert "Traceback" not in err
+
+
 def test_pair_command_writes_tables(fixture_paths, tmp_path):
     traces, contracts = fixture_paths
     out = tmp_path / "pairs"

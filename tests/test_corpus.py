@@ -9,6 +9,7 @@ import pytest
 from proxylineage import (
     ParseError,
     ValidationError,
+    build_lineages,
     compute_selector,
     keccak_256,
     load_corpus,
@@ -107,6 +108,30 @@ def test_load_deduplicates_same_tx_and_callee(tmp_path):
     corpus = load_corpus(traces, contracts)
     assert len(corpus.events) == 2
     assert any("duplicate" in d for d in corpus.diagnostics)
+
+
+def test_two_proxies_sharing_a_callee_in_one_tx_are_both_kept(tmp_path):
+    # Both proxies delegate to one implementation in the same transaction, and
+    # that is the second proxy's only call. Deduplicating on (tx_id, callee)
+    # alone dropped its event, so the proxy vanished from lineages and
+    # exclusions alike.
+    other_proxy = "0x" + "12" * 20
+    traces = tmp_path / "t.ndjson"
+    contracts = tmp_path / "c.ndjson"
+    write_trace_fixture(traces, [
+        event_row(PROXY, CALLEE, 10, 1, "tx1"),
+        event_row(other_proxy, CALLEE, 10, 1, "tx1"),
+        event_row(PROXY, CALLEE, 20, 2, "tx2"),
+    ])
+    write_contract_fixture(contracts, [])
+    corpus = load_corpus(traces, contracts)
+    assert {(e.proxy_address, e.tx_id) for e in corpus.events} == {
+        (PROXY, "tx1"), (other_proxy, "tx1"), (PROXY, "tx2"),
+    }
+    assert not any("duplicate" in d for d in corpus.diagnostics)
+    lineages, diagnostics = build_lineages(corpus)
+    accounted = {l.proxy for l in lineages} | {e.proxy for e in diagnostics.exclusions}
+    assert accounted == {PROXY, other_proxy}
 
 
 def test_load_rejects_short_address(tmp_path):

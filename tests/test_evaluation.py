@@ -10,6 +10,7 @@ from proxylineage import (
     ContractScope,
     Corpus,
     LineageEvaluator,
+    LshIndex,
     SimilarityCategory,
     SourceFile,
     UnknownAddressError,
@@ -175,6 +176,27 @@ def test_recall_monotone_and_scope_refinement_on_random_corpora():
                 os_set = evaluator.predicted_lineage(query, threshold, ContractScope.OPEN_SOURCE_ONLY)
                 all_set = evaluator.predicted_lineage(query, threshold, ContractScope.ALL)
                 assert os_set <= all_set
+
+
+def test_each_query_is_retrieved_once(monkeypatch):
+    # thresholds and scopes filter one verified retrieval per query; none of
+    # the six (scope, threshold) cells goes back to the index
+    corpus = eval_corpus(random.Random(5))
+    lineages, _ = build_lineages(corpus)
+    evaluator = LineageEvaluator(corpus, lineages)
+    queried: list[str] = []
+    original = LshIndex.candidates
+
+    def counting(self, fp):
+        queried.append(fp.address)
+        return original(self, fp)
+
+    monkeypatch.setattr(LshIndex, "candidates", counting)
+    results, _ = evaluator.evaluate(thresholds=THRESHOLDS, scopes=list(ContractScope))
+    assert len(results) == 6
+    queries = [q for q in sorted(evaluator.membership) if q in evaluator.fingerprints]
+    assert queries
+    assert sorted(queried) == queries
 
 
 def test_closed_source_member_skipped_with_diagnostic():

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import proxylineage
 from proxylineage import (
@@ -25,11 +27,11 @@ from proxylineage import (
     minhash_signature,
     query_similar,
 )
-from proxylineage.fingerprint import read_fingerprints, write_fingerprints
+from proxylineage.fingerprint import _MINHASH_BLOCK, read_fingerprints, write_fingerprints
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
 from corpusgen import addr_from_int
-from oracles import oracle_jaccard
+from oracles import oracle_jaccard, oracle_minhash_signature
 
 K = 256
 SEED = 0
@@ -58,6 +60,27 @@ def test_category_threshold_boundaries():
     assert category_for(0.50) is SimilarityCategory.LOW
     assert category_for(0.4999) is SimilarityCategory.NONE
     assert category_for(0.0) is SimilarityCategory.NONE
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    size=st.integers(0, 600),
+    draw_seed=st.integers(0, 2**32),
+    k=st.sampled_from([16, 64, 256]),
+    seed=st.one_of(st.integers(2**63, 2**64 - 1), st.integers(-(2**63), 2**63 - 1)),
+)
+@example(size=_MINHASH_BLOCK, draw_seed=0, k=256, seed=2**64 - 1)
+@example(size=_MINHASH_BLOCK + 1, draw_seed=1, k=16, seed=2**63)
+@example(size=2 * _MINHASH_BLOCK + 1, draw_seed=2, k=64, seed=0)
+@example(size=1, draw_seed=3, k=16, seed=-1)
+def test_minhash_equals_per_slot_oracle(size, draw_seed, k, seed):
+    # the signature is computed in blocks of shingles; the oracle takes one
+    # slot at a time over the whole set, so sizes across the block edges and
+    # repeated hashes must give the same minima
+    rng = random.Random(draw_seed)
+    hashes = [rng.getrandbits(64) for _ in range(size)]
+    hashes += hashes[: size // 10]
+    assert minhash_signature(hashes, k, seed) == oracle_minhash_signature(hashes, k, seed)
 
 
 def test_identical_contracts_identical_signatures():
