@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 validation/usage error, 2 I/O error.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -14,16 +13,20 @@ import click
 from ._version import __version__
 from .corpus import (
     DEFAULT_UPGRADE_SIGNATURES,
+    json_text,
     load_corpus,
     sha256_file,
     upgrade_proxies,
     write_corpus,
+    write_json,
 )
 from .dataset import (
     build_bundle,
     bundle_to_jsonable,
     compute_stats,
     emit_dataset,
+    lineage_diagnostics_obj,
+    lineage_rows,
     load_bundle,
     stats_to_csv,
     stats_to_jsonable,
@@ -38,7 +41,7 @@ from .evaluation import (
     ContractScope,
     LineageEvaluator,
     results_to_csv,
-    results_to_json,
+    results_to_jsonable,
 )
 from .explorer import ExplorerClient, fetch_contracts
 from .fingerprint import (
@@ -58,10 +61,6 @@ from .lifecycle import (
 )
 from .lineage import build_lineages, contract_pairs
 from .pairing import pair_files
-
-
-def _dump_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
 def _corpus_options(command):
@@ -119,7 +118,7 @@ def ingest(traces_path, contracts_path, out_dir, cache_dir, allow_network,
     out.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out / "traces.ndjson", out / "contracts.ndjson")
     signatures = list(upgrade_signatures) or list(DEFAULT_UPGRADE_SIGNATURES)
-    _dump_json(out / "diagnostics.json", {
+    write_json(out / "diagnostics.json", {
         "diagnostics": corpus.diagnostics,
         "upgrade_signatures": signatures,
         "upgrade_proxies": upgrade_proxies(corpus, signatures),
@@ -136,25 +135,8 @@ def build_lineages_command(traces_path, contracts_path, out_dir):
     lineages, diagnostics = build_lineages(corpus)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "lineages.json", [
-        {
-            "proxy": l.proxy,
-            "creator": l.creator,
-            "versions": [
-                {"address": v.address, "first_call": v.window.first_call,
-                 "last_call": v.window.last_call}
-                for v in l.versions
-            ],
-        }
-        for l in lineages
-    ])
-    _dump_json(out / "diagnostics.json", {
-        "corpus": corpus.diagnostics,
-        "lineage_exclusions": [
-            {"proxy": e.proxy, "callee": e.callee, "reason": e.reason.value}
-            for e in diagnostics.exclusions
-        ],
-    })
+    write_json(out / "lineages.json", lineage_rows(lineages))
+    write_json(out / "diagnostics.json", lineage_diagnostics_obj(corpus.diagnostics, diagnostics))
     click.echo(f"built {len(lineages)} lineages "
                f"({len(diagnostics.exclusions)} exclusions) -> {out}")
 
@@ -168,10 +150,8 @@ def pair(traces_path, contracts_path, out_dir):
     tables = bundle_to_jsonable(bundle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _dump_json(out / "contract_pairs.json", tables["contract_pairs"])
-    _dump_json(out / "file_pairs.json", tables["file_pairs"])
-    _dump_json(out / "function_pairs.json", tables["function_pairs"])
-    _dump_json(out / "diagnostics.json", tables["diagnostics"])
+    for table in ("contract_pairs", "file_pairs", "function_pairs", "diagnostics"):
+        write_json(out / f"{table}.json", tables[table])
     click.echo(f"paired {len(bundle.pairs)} contract pairs, "
                f"{len(bundle.file_pairs)} file pairs, "
                f"{len(bundle.function_pairs)} function pairs -> {out}")
@@ -242,7 +222,8 @@ def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
     evaluator = LineageEvaluator(corpus, lineages, k=k, seed=seed, fingerprints=prebuilt)
     results, diagnostics = evaluator.evaluate(thresholds=thresholds, scopes=scopes,
                                               aggregation=aggregation)
-    rendered = results_to_csv(results) if output_format == "csv" else results_to_json(results)
+    rendered = (results_to_csv(results) if output_format == "csv"
+                else json_text(results_to_jsonable(results)))
     if out_path:
         Path(out_path).write_text(rendered, encoding="utf-8")
     click.echo(rendered, nl=False)
@@ -292,7 +273,7 @@ def vuln_lifecycle(traces_path, contracts_path, findings_paths, mode,
 
     category_map = load_category_map(category_map_path) if category_map_path else None
     summary = lifecycle_stats(records, mode=mode, category_map=category_map)
-    _dump_json(Path(out_path), {"summary": summary, "diagnostics": diagnostics})
+    write_json(out_path, {"summary": summary, "diagnostics": diagnostics})
     click.echo(f"classified {summary['findings']['total']} findings across "
                f"{len(pairs)} pairs -> {out_path}")
 
@@ -306,10 +287,7 @@ def stats(bundle_dir, output_format, out_path):
     """Summarize an emitted dataset bundle."""
     bundle = load_bundle(bundle_dir)
     report = compute_stats(bundle)
-    if output_format == "csv":
-        rendered = stats_to_csv(report)
-    else:
-        rendered = json.dumps(stats_to_jsonable(report), sort_keys=True, indent=2) + "\n"
+    rendered = stats_to_csv(report) if output_format == "csv" else json_text(stats_to_jsonable(report))
     if out_path:
         Path(out_path).write_text(rendered, encoding="utf-8")
     click.echo(rendered, nl=False)

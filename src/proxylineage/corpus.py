@@ -236,16 +236,50 @@ def _canonical_event_key(event: TraceEvent):
             event.callee_address, event.selector, event.timestamp)
 
 
-def _iter_ndjson(path: Path):
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
+def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_number = first_line + data.count(b"\n", 0, exc.start)
+        raise ParseError(path, line_number, f"invalid UTF-8: {exc.reason}") from exc
+
+
+def _iter_ndjson(path: Path, parse):
+    """(line number, parse(row)) per non-blank line of an NDJSON file.
+
+    Bad UTF-8, bad JSON or a row that `parse` rejects with a ValidationError
+    raises ParseError naming the file and line.
+    """
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            line = _utf8(raw, path, line_number)
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                parsed = parse(json.loads(line))
             except json.JSONDecodeError as exc:
                 raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
-            yield line_number, obj
+            except ValidationError as exc:
+                raise ParseError(path, line_number, str(exc)) from exc
+            yield line_number, parsed
+
+
+def read_json(path: str | Path):
+    """Parse one JSON document; bad UTF-8 or bad JSON raises ParseError with its line."""
+    text = _utf8(Path(path).read_bytes(), path)
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+
+
+def json_text(obj) -> str:
+    """The pretty form of every JSON report and bundle table: sorted keys, two-space indent."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def write_json(path: str | Path, obj) -> None:
+    Path(path).write_text(json_text(obj), encoding="utf-8")
 
 
 def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
@@ -256,13 +290,8 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     observations and both are kept.
     """
     path = Path(path)
-    raw_events = []
-    for line_number, obj in _iter_ndjson(path):
-        try:
-            raw_events.append(_event_from_obj(obj, "trace event"))
-        except ValidationError as exc:
-            raise ParseError(path, line_number, str(exc)) from exc
-
+    rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event"))
+    raw_events = [event for _, event in rows]
     raw_events.sort(key=_canonical_event_key)
     diagnostics = []
     events = []
@@ -297,18 +326,14 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     return events, diagnostics
 
 
-def load_contract_records(path: str | Path) -> tuple[dict[str, ContractRecord], list[str]]:
+def load_contract_records(path: str | Path) -> dict[str, ContractRecord]:
     path = Path(path)
     contracts: dict[str, ContractRecord] = {}
-    for line_number, obj in _iter_ndjson(path):
-        try:
-            record = contract_from_obj(obj)
-        except ValidationError as exc:
-            raise ParseError(path, line_number, str(exc)) from exc
+    for line_number, record in _iter_ndjson(path, contract_from_obj):
         if record.address in contracts:
             raise ParseError(path, line_number, f"duplicate contract address {record.address}")
         contracts[record.address] = record
-    return contracts, []
+    return contracts
 
 
 def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
@@ -320,8 +345,7 @@ def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
     inversions, callees without metadata) are recorded in diagnostics.
     """
     events, diagnostics = load_trace_events(trace_path)
-    contracts, contract_diags = load_contract_records(contracts_path)
-    diagnostics.extend(contract_diags)
+    contracts = load_contract_records(contracts_path)
     for callee in sorted({e.callee_address for e in events} - set(contracts)):
         diagnostics.append(f"contracts: no metadata for callee {callee}")
     return Corpus(events=events, contracts=contracts, diagnostics=diagnostics)

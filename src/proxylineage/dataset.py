@@ -8,20 +8,24 @@ wall clock, and every collection is emitted in a canonical order.
 
 from __future__ import annotations
 
-import json
+import functools
 import shutil
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
+from enum import EnumMeta
+from operator import attrgetter, itemgetter
 from pathlib import Path
+from typing import get_type_hints
 
 from ._version import __version__
-from .corpus import ContractRecord, Corpus, SourceFile, corpus_digests, validate_directory
-from .errors import IntegrityError
+from .corpus import (ContractRecord, Corpus, SourceFile, _utf8, corpus_digests, read_json,
+                     validate_directory, write_json)
+from .errors import IntegrityError, ParseError, ValidationError
 from .lineage import (
     ActivityWindow,
     ContractPair,
     ExcludedCallee,
-    ExclusionReason,
     Lineage,
     LineageDiagnostics,
     LineageVersion,
@@ -45,7 +49,7 @@ SOURCES_DIR = "sources"
 
 @dataclass
 class Manifest:
-    version: str
+    bundle_version: str
     generated_at: str
     inputs: dict[str, str]
 
@@ -154,14 +158,12 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
             succ_units = functions_of(succ.address, succ_files[(fp.directory, fp.successor_filename)])
             function_pairing = pair_functions(fp, pred_units, succ_units)
             function_pair_list.extend(function_pairing.pairs)
-            for unit in function_pairing.unpaired_predecessor:
-                unpaired_functions.append(UnpairedFunction(
-                    fp.directory, fp.predecessor_filename, fp.successor_filename,
-                    "predecessor", unit.name, unit.signature, unit.start_line, unit.end_line))
-            for unit in function_pairing.unpaired_successor:
-                unpaired_functions.append(UnpairedFunction(
-                    fp.directory, fp.predecessor_filename, fp.successor_filename,
-                    "successor", unit.name, unit.signature, unit.start_line, unit.end_line))
+            for side, units in (("predecessor", function_pairing.unpaired_predecessor),
+                                ("successor", function_pairing.unpaired_successor)):
+                unpaired_functions.extend(
+                    UnpairedFunction(fp.directory, fp.predecessor_filename, fp.successor_filename,
+                                     side, unit.name, unit.signature, unit.start_line, unit.end_line)
+                    for unit in units)
         unpaired_functions.sort(key=lambda u: (u.directory, u.predecessor_filename or "",
                                                u.successor_filename or "", u.side,
                                                u.start_line, u.name))
@@ -173,7 +175,7 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
         ))
 
     manifest = Manifest(
-        version=BUNDLE_VERSION,
+        bundle_version=BUNDLE_VERSION,
         generated_at=derived_timestamp(corpus),
         inputs=dict(sorted((input_digests or corpus_digests(corpus)).items())),
     )
@@ -189,158 +191,160 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
 
 
 # --- serialization -----------------------------------------------------------
+#
+# A record whose dataclass fields are its JSON keys is written by _row and read
+# back by _record; a field holding a record nests that record's row, and an
+# enum field holds the enum's value.
 
-def _window_obj(window: ActivityWindow) -> dict:
-    return {"first_call": window.first_call, "last_call": window.last_call}
+@dataclass
+class _PairKey:
+    """The contract pair that a file-pair, function-pair or pair-diagnostics row belongs to."""
+
+    proxy: str
+    predecessor: str
+    successor: str
 
 
-def _manifest_obj(bundle: DatasetBundle) -> dict:
-    return {
-        "bundle_version": bundle.manifest.version,
-        "tool_version": __version__,
-        "generated_at": bundle.manifest.generated_at,
-        "inputs": bundle.manifest.inputs,
-    }
+@dataclass
+class _FileKey(_PairKey):
+    """The file pair that a function-pair row belongs to."""
+
+    directory: str
+    predecessor_filename: str
+    successor_filename: str
+
+
+# Read back, a key is the tuple of its fields' values.
+_pair_key = itemgetter(*(f.name for f in fields(_PairKey)))
+_file_key = itemgetter(*(f.name for f in fields(_FileKey)))
+
+
+# A file's place in a contract: a SourceFile row without the content.
+_LOCATION = ("directory", "filename")
+_location = itemgetter(*_LOCATION)  # of a row
+_location_of = attrgetter(*_LOCATION)  # of a SourceFile
+# A function row leaves out what its function-pair row already locates.
+_UNIT_CONTEXT = ("body", *_LOCATION)
+
+
+@functools.cache
+def _schema(cls) -> tuple[tuple[str, ...], tuple]:
+    """Field names of a dataclass, and (name, encode, decode) for its record and enum fields."""
+    hints = get_type_hints(cls)
+    converted = []
+    for f in fields(cls):
+        if is_dataclass(hints[f.name]):
+            converted.append((f.name, _row, functools.partial(_record, hints[f.name])))
+        elif isinstance(hints[f.name], EnumMeta):
+            converted.append((f.name, attrgetter("value"), hints[f.name]))
+    return tuple(f.name for f in fields(cls)), tuple(converted)
+
+
+def _row(record, omit=()) -> dict:
+    """The JSON row of a record: one key per dataclass field not in `omit`."""
+    names, converted = _schema(type(record))
+    row = {name: getattr(record, name) for name in names if name not in omit}
+    for name, encode, _ in converted:
+        row[name] = encode(row[name])
+    return row
+
+
+def _record(cls, row: dict, **given):
+    """Inverse of _row: the `cls` a row describes, with its omitted fields `given`."""
+    names, converted = _schema(cls)
+    try:
+        values = {name: row[name] for name in names if name not in given}
+    except KeyError as exc:
+        raise ValidationError(f"row lacks field {exc}") from exc
+    for name, _, decode in converted:
+        values[name] = decode(values[name])
+    return cls(**values, **given)
+
+
+def _location_row(location: tuple[str, str]) -> dict:
+    return dict(zip(_LOCATION, location))
+
+
+def _source_path(root: Path, address: str, directory: str, filename: str) -> Path:
+    return root.joinpath(SOURCES_DIR, address, *directory.split("/"), filename)
 
 
 def _contracts_obj(bundle: DatasetBundle) -> list[dict]:
+    return [
+        _row(record) | {"files": list(map(_location_row, sorted(map(_location_of, record.files))))}
+        for _, record in sorted(bundle.contracts.items())
+    ]
+
+
+def lineage_rows(lineages: list[Lineage]) -> list[dict]:
+    """Rows of lineages.json; a version's row is its address and activity window."""
+    return [
+        _row(lineage) | {"versions": [{"address": v.address, **_row(v.window)}
+                                      for v in lineage.versions]}
+        for lineage in lineages
+    ]
+
+
+def lineage_diagnostics_obj(corpus_diagnostics: list[str], lineage: LineageDiagnostics) -> dict:
+    """The diagnostics of the lineage stage; the bundle's diagnostics.json extends them."""
+    return {
+        "corpus": list(corpus_diagnostics),
+        "lineage_exclusions": [_row(e) for e in lineage.exclusions],
+    }
+
+
+def _file_pairs_obj(bundle: DatasetBundle) -> list[dict]:
+    return [_row(_PairKey(proxy, fp.predecessor, fp.successor)) | _row(fp)
+            for proxy, fp in bundle.file_pairs]
+
+
+def _function_pairs_obj(bundle: DatasetBundle) -> list[dict]:
     rows = []
-    for address in sorted(bundle.contracts):
-        record = bundle.contracts[address]
-        rows.append({
-            "address": record.address,
-            "creator": record.creator,
-            "deploy_timestamp": record.deploy_timestamp,
-            "verified": record.verified,
-            "open_source": record.open_source,
-            "files": [{"directory": f.directory, "filename": f.filename}
-                      for f in sorted(record.files, key=lambda f: (f.directory, f.filename))],
+    for proxy, pair in bundle.function_pairs:
+        fp = pair.file_pair
+        key = _FileKey(proxy, fp.predecessor, fp.successor, fp.directory,
+                       fp.predecessor_filename, fp.successor_filename)
+        rows.append(_row(key) | {
+            "match_kind": pair.match_kind.value,
+            "predecessor_function": _row(pair.predecessor, omit=_UNIT_CONTEXT),
+            "successor_function": _row(pair.successor, omit=_UNIT_CONTEXT),
         })
     return rows
 
 
-def _lineages_obj(bundle: DatasetBundle) -> list[dict]:
-    return [
-        {
-            "proxy": lineage.proxy,
-            "creator": lineage.creator,
-            "versions": [
-                {"address": v.address, **_window_obj(v.window)} for v in lineage.versions
-            ],
-        }
-        for lineage in bundle.lineages
-    ]
-
-
-def _contract_pairs_obj(bundle: DatasetBundle) -> list[dict]:
-    return [
-        {
-            "proxy": pair.proxy,
-            "predecessor": pair.predecessor,
-            "successor": pair.successor,
-            "gap_days": pair.gap_days,
-            "predecessor_window": _window_obj(pair.predecessor_window),
-            "successor_window": _window_obj(pair.successor_window),
-        }
-        for pair in bundle.pairs
-    ]
-
-
-def _file_pairs_obj(bundle: DatasetBundle) -> list[dict]:
-    return [
-        {
-            "proxy": proxy,
-            "predecessor": fp.predecessor,
-            "successor": fp.successor,
-            "directory": fp.directory,
-            "predecessor_filename": fp.predecessor_filename,
-            "successor_filename": fp.successor_filename,
-            "name_distance": fp.name_distance,
-            "line_similarity": fp.line_similarity,
-            "content_similarity": fp.content_similarity,
-        }
-        for proxy, fp in bundle.file_pairs
-    ]
-
-
-def _function_obj(unit: FunctionUnit) -> dict:
-    return {
-        "name": unit.name,
-        "signature": unit.signature,
-        "start_line": unit.start_line,
-        "end_line": unit.end_line,
-    }
-
-
-def _function_pairs_obj(bundle: DatasetBundle) -> list[dict]:
-    return [
-        {
-            "proxy": proxy,
-            "predecessor": pair.file_pair.predecessor,
-            "successor": pair.file_pair.successor,
-            "directory": pair.file_pair.directory,
-            "predecessor_filename": pair.file_pair.predecessor_filename,
-            "successor_filename": pair.file_pair.successor_filename,
-            "match_kind": pair.match_kind.value,
-            "predecessor_function": _function_obj(pair.predecessor),
-            "successor_function": _function_obj(pair.successor),
-        }
-        for proxy, pair in bundle.function_pairs
-    ]
-
-
 def _diagnostics_obj(bundle: DatasetBundle) -> dict:
-    return {
-        "corpus": list(bundle.corpus_diagnostics),
-        "lineage_exclusions": [
-            {"proxy": e.proxy, "callee": e.callee, "reason": e.reason.value}
-            for e in bundle.lineage_diagnostics.exclusions
-        ],
+    return lineage_diagnostics_obj(bundle.corpus_diagnostics, bundle.lineage_diagnostics) | {
         "pairs": [
-            {
-                "proxy": artifacts.pair.proxy,
-                "predecessor": artifacts.pair.predecessor,
-                "successor": artifacts.pair.successor,
-                "flag": artifacts.file_pairing.flag,
-                "unpaired_predecessor_files": [
-                    {"directory": d, "filename": n}
-                    for d, n in artifacts.file_pairing.unpaired_predecessor
-                ],
-                "unpaired_successor_files": [
-                    {"directory": d, "filename": n}
-                    for d, n in artifacts.file_pairing.unpaired_successor
-                ],
-                "unpaired_functions": [
-                    {
-                        "directory": u.directory,
-                        "predecessor_filename": u.predecessor_filename,
-                        "successor_filename": u.successor_filename,
-                        "side": u.side,
-                        "name": u.name,
-                        "signature": u.signature,
-                        "start_line": u.start_line,
-                        "end_line": u.end_line,
-                    }
-                    for u in artifacts.unpaired_functions
-                ],
+            _row(_PairKey(a.pair.proxy, a.pair.predecessor, a.pair.successor)) | {
+                "flag": a.file_pairing.flag,
+                "unpaired_predecessor_files":
+                    list(map(_location_row, a.file_pairing.unpaired_predecessor)),
+                "unpaired_successor_files":
+                    list(map(_location_row, a.file_pairing.unpaired_successor)),
+                "unpaired_functions": [_row(u) for u in a.unpaired_functions],
             }
-            for artifacts in bundle.pair_artifacts
+            for a in bundle.pair_artifacts
         ],
         "sources": list(bundle.source_diagnostics),
     }
 
 
+# Each bundle table and the function that makes its JSON: emit_dataset writes them,
+# bundle_to_jsonable keys them by file stem and load_bundle reads them back.
+BUNDLE_TABLES = {
+    MANIFEST_FILE: lambda bundle: _row(bundle.manifest) | {"tool_version": __version__},
+    CONTRACTS_FILE: _contracts_obj,
+    LINEAGES_FILE: lambda bundle: lineage_rows(bundle.lineages),
+    CONTRACT_PAIRS_FILE: lambda bundle: [_row(pair) for pair in bundle.pairs],
+    FILE_PAIRS_FILE: _file_pairs_obj,
+    FUNCTION_PAIRS_FILE: _function_pairs_obj,
+    DIAGNOSTICS_FILE: _diagnostics_obj,
+}
+
+
 def bundle_to_jsonable(bundle: DatasetBundle) -> dict:
     """Canonical JSON projection of the whole bundle (sans file contents)."""
-    return {
-        "manifest": _manifest_obj(bundle),
-        "contracts": _contracts_obj(bundle),
-        "lineages": _lineages_obj(bundle),
-        "contract_pairs": _contract_pairs_obj(bundle),
-        "file_pairs": _file_pairs_obj(bundle),
-        "function_pairs": _function_pairs_obj(bundle),
-        "diagnostics": _diagnostics_obj(bundle),
-    }
+    return {Path(name).stem: build(bundle) for name, build in BUNDLE_TABLES.items()}
 
 
 def _check_integrity(bundle: DatasetBundle) -> None:
@@ -360,182 +364,125 @@ def _check_integrity(bundle: DatasetBundle) -> None:
                 raise IntegrityError(f"file pair references unknown successor file {fp.successor_filename}")
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:
     """Write the bundle; identical bundles produce byte-identical trees."""
     _check_integrity(bundle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / MANIFEST_FILE, _manifest_obj(bundle))
-    _write_json(out / CONTRACTS_FILE, _contracts_obj(bundle))
-    _write_json(out / LINEAGES_FILE, _lineages_obj(bundle))
-    _write_json(out / CONTRACT_PAIRS_FILE, _contract_pairs_obj(bundle))
-    _write_json(out / FILE_PAIRS_FILE, _file_pairs_obj(bundle))
-    _write_json(out / FUNCTION_PAIRS_FILE, _function_pairs_obj(bundle))
-    _write_json(out / DIAGNOSTICS_FILE, _diagnostics_obj(bundle))
+    for name, build in BUNDLE_TABLES.items():
+        write_json(out / name, build(bundle))
 
     sources_root = out / SOURCES_DIR
     if sources_root.exists():
         shutil.rmtree(sources_root)
     resolved_root = sources_root.resolve()
     for address in sorted(bundle.contracts):
-        record = bundle.contracts[address]
-        for file in sorted(record.files, key=lambda f: (f.directory, f.filename)):
+        for file in sorted(bundle.contracts[address].files, key=_location_of):
             validate_directory(file.directory)
-            target = sources_root / address
-            if file.directory:
-                target = target / Path(*file.directory.split("/"))
-            target = target / file.filename
+            target = _source_path(out, address, file.directory, file.filename)
             if resolved_root not in target.resolve().parents:
                 raise IntegrityError(f"source path escapes bundle: {file.directory}/{file.filename}")
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(file.content, encoding="utf-8")
 
 
+@contextmanager
+def _reading(path: Path):
+    """Report a malformed row of the bundle table at `path` as a ValidationError naming it."""
+    try:
+        yield
+    except ParseError:
+        raise
+    except (LookupError, TypeError, ValueError) as exc:
+        detail = exc if isinstance(exc, ValidationError) else f"malformed row ({exc!r})"
+        raise ValidationError(f"{path}: {detail}") from exc
+
+
 def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
-    """Reload an emitted bundle into the in-memory form."""
+    """Reload an emitted bundle into the in-memory form.
+
+    A table that is not UTF-8 JSON, lacks a field or comes from another
+    BUNDLE_VERSION raises ValidationError naming its file; a missing file
+    raises OSError.
+    """
     root = Path(bundle_dir)
-    manifest_obj = json.loads((root / MANIFEST_FILE).read_text(encoding="utf-8"))
-    contracts_obj = json.loads((root / CONTRACTS_FILE).read_text(encoding="utf-8"))
-    lineages_obj = json.loads((root / LINEAGES_FILE).read_text(encoding="utf-8"))
-    pairs_obj = json.loads((root / CONTRACT_PAIRS_FILE).read_text(encoding="utf-8"))
-    file_pairs_obj = json.loads((root / FILE_PAIRS_FILE).read_text(encoding="utf-8"))
-    function_pairs_obj = json.loads((root / FUNCTION_PAIRS_FILE).read_text(encoding="utf-8"))
-    diagnostics_obj = json.loads((root / DIAGNOSTICS_FILE).read_text(encoding="utf-8"))
+    docs = {name: read_json(root / name) for name in BUNDLE_TABLES}
+
+    with _reading(root / MANIFEST_FILE):
+        manifest = _record(Manifest, docs[MANIFEST_FILE])
+        if manifest.bundle_version != BUNDLE_VERSION:
+            raise ValidationError(f"bundle_version {manifest.bundle_version!r} is not "
+                                  f"the supported {BUNDLE_VERSION!r}")
 
     contracts: dict[str, ContractRecord] = {}
-    for row in contracts_obj:
-        files = []
-        for file_row in row["files"]:
-            directory, filename = file_row["directory"], file_row["filename"]
-            source_path = root / SOURCES_DIR / row["address"]
-            if directory:
-                source_path = source_path / Path(*directory.split("/"))
-            source_path = source_path / filename
-            files.append(SourceFile(directory, filename, source_path.read_text(encoding="utf-8")))
-        contracts[row["address"]] = ContractRecord(
-            address=row["address"],
-            creator=row["creator"],
-            deploy_timestamp=row["deploy_timestamp"],
-            verified=row["verified"],
-            open_source=row["open_source"],
-            files=tuple(sorted(files, key=lambda f: (f.directory, f.filename))),
+    with _reading(root / CONTRACTS_FILE):
+        for row in docs[CONTRACTS_FILE]:
+            files = []
+            for directory, filename in map(_location, row["files"]):
+                path = _source_path(root, row["address"], directory, filename)
+                files.append(SourceFile(directory, filename, _utf8(path.read_bytes(), path)))
+            record = _record(ContractRecord, row, files=tuple(sorted(files, key=_location_of)))
+            contracts[record.address] = record
+
+    with _reading(root / LINEAGES_FILE):
+        lineages = [
+            _record(Lineage, row, versions=tuple(
+                LineageVersion(v["address"], _record(ActivityWindow, v)) for v in row["versions"]))
+            for row in docs[LINEAGES_FILE]
+        ]
+
+    with _reading(root / CONTRACT_PAIRS_FILE):
+        pairs = {_pair_key(row): _record(ContractPair, row)
+                 for row in docs[CONTRACT_PAIRS_FILE]}
+
+    file_pairs: dict[tuple, list[FilePair]] = {pair_id: [] for pair_id in pairs}
+    file_pair_at: dict[tuple, tuple[tuple, FilePair]] = {}
+    with _reading(root / FILE_PAIRS_FILE):
+        for row in docs[FILE_PAIRS_FILE]:
+            pair_id, fp = _pair_key(row), _record(FilePair, row)
+            file_pairs[pair_id].append(fp)
+            file_pair_at[_file_key(row)] = pair_id, fp
+
+    function_pairs: dict[tuple, list[FunctionPair]] = {pair_id: [] for pair_id in pairs}
+    with _reading(root / FUNCTION_PAIRS_FILE):
+        for row in docs[FUNCTION_PAIRS_FILE]:
+            pair_id, fp = file_pair_at[_file_key(row)]
+            function_pairs[pair_id].append(FunctionPair(
+                file_pair=fp,
+                predecessor=_record(FunctionUnit, row["predecessor_function"], body="",
+                                    directory=fp.directory, filename=fp.predecessor_filename),
+                successor=_record(FunctionUnit, row["successor_function"], body="",
+                                  directory=fp.directory, filename=fp.successor_filename),
+                match_kind=MatchKind(row["match_kind"]),
+            ))
+
+    artifacts: dict[tuple, PairArtifacts] = {}
+    with _reading(root / DIAGNOSTICS_FILE):
+        diagnostics = docs[DIAGNOSTICS_FILE]
+        for row in diagnostics["pairs"]:
+            pair_id = _pair_key(row)
+            artifacts[pair_id] = PairArtifacts(
+                pair=pairs[pair_id],
+                file_pairing=FilePairing(
+                    pairs=file_pairs[pair_id],
+                    unpaired_predecessor=list(map(_location, row["unpaired_predecessor_files"])),
+                    unpaired_successor=list(map(_location, row["unpaired_successor_files"])),
+                    flag=row["flag"],
+                ),
+                function_pairs=function_pairs[pair_id],
+                unpaired_functions=[_record(UnpairedFunction, u) for u in row["unpaired_functions"]],
+            )
+        return DatasetBundle(
+            manifest=manifest,
+            contracts=contracts,
+            lineages=lineages,
+            pair_artifacts=[artifacts[pair_id] for pair_id in pairs],
+            corpus_diagnostics=diagnostics["corpus"],
+            lineage_diagnostics=LineageDiagnostics(exclusions=[
+                _record(ExcludedCallee, e) for e in diagnostics["lineage_exclusions"]
+            ]),
+            source_diagnostics=diagnostics["sources"],
         )
-
-    lineages = [
-        Lineage(
-            proxy=row["proxy"],
-            creator=row["creator"],
-            versions=tuple(
-                LineageVersion(v["address"], ActivityWindow(v["first_call"], v["last_call"]))
-                for v in row["versions"]
-            ),
-        )
-        for row in lineages_obj
-    ]
-
-    pairs_by_id: dict[tuple, ContractPair] = {}
-    pair_order: list[tuple] = []
-    for row in pairs_obj:
-        pair = ContractPair(
-            proxy=row["proxy"],
-            predecessor=row["predecessor"],
-            successor=row["successor"],
-            gap_days=row["gap_days"],
-            predecessor_window=ActivityWindow(**row["predecessor_window"]),
-            successor_window=ActivityWindow(**row["successor_window"]),
-        )
-        pair_id = (pair.proxy, pair.predecessor, pair.successor)
-        pairs_by_id[pair_id] = pair
-        pair_order.append(pair_id)
-
-    file_pairs_by_id: dict[tuple, list[FilePair]] = {pid: [] for pid in pair_order}
-    file_pair_lookup: dict[tuple, FilePair] = {}
-    for row in file_pairs_obj:
-        pair_id = (row["proxy"], row["predecessor"], row["successor"])
-        fp = FilePair(
-            predecessor=row["predecessor"],
-            successor=row["successor"],
-            directory=row["directory"],
-            predecessor_filename=row["predecessor_filename"],
-            successor_filename=row["successor_filename"],
-            name_distance=row["name_distance"],
-            line_similarity=row["line_similarity"],
-            content_similarity=row["content_similarity"],
-        )
-        file_pairs_by_id[pair_id].append(fp)
-        file_pair_lookup[(pair_id, fp.directory, fp.predecessor_filename, fp.successor_filename)] = fp
-
-    function_pairs_by_id: dict[tuple, list[FunctionPair]] = {pid: [] for pid in pair_order}
-    for row in function_pairs_obj:
-        pair_id = (row["proxy"], row["predecessor"], row["successor"])
-        fp = file_pair_lookup[(pair_id, row["directory"], row["predecessor_filename"],
-                               row["successor_filename"])]
-        pred_fn = row["predecessor_function"]
-        succ_fn = row["successor_function"]
-        function_pairs_by_id[pair_id].append(FunctionPair(
-            file_pair=fp,
-            predecessor=FunctionUnit(
-                name=pred_fn["name"], signature=pred_fn["signature"], body="",
-                directory=row["directory"], filename=row["predecessor_filename"],
-                start_line=pred_fn["start_line"], end_line=pred_fn["end_line"],
-            ),
-            successor=FunctionUnit(
-                name=succ_fn["name"], signature=succ_fn["signature"], body="",
-                directory=row["directory"], filename=row["successor_filename"],
-                start_line=succ_fn["start_line"], end_line=succ_fn["end_line"],
-            ),
-            match_kind=MatchKind(row["match_kind"]),
-        ))
-
-    artifacts_by_id: dict[tuple, PairArtifacts] = {}
-    for row in diagnostics_obj["pairs"]:
-        pair_id = (row["proxy"], row["predecessor"], row["successor"])
-        artifacts_by_id[pair_id] = PairArtifacts(
-            pair=pairs_by_id[pair_id],
-            file_pairing=FilePairing(
-                pairs=file_pairs_by_id[pair_id],
-                unpaired_predecessor=[(f["directory"], f["filename"])
-                                      for f in row["unpaired_predecessor_files"]],
-                unpaired_successor=[(f["directory"], f["filename"])
-                                    for f in row["unpaired_successor_files"]],
-                flag=row["flag"],
-            ),
-            function_pairs=function_pairs_by_id[pair_id],
-            unpaired_functions=[
-                UnpairedFunction(
-                    directory=u["directory"],
-                    predecessor_filename=u["predecessor_filename"],
-                    successor_filename=u["successor_filename"],
-                    side=u["side"],
-                    name=u["name"],
-                    signature=u["signature"],
-                    start_line=u["start_line"],
-                    end_line=u["end_line"],
-                )
-                for u in row["unpaired_functions"]
-            ],
-        )
-
-    return DatasetBundle(
-        manifest=Manifest(
-            version=manifest_obj["bundle_version"],
-            generated_at=manifest_obj["generated_at"],
-            inputs=manifest_obj["inputs"],
-        ),
-        contracts=contracts,
-        lineages=lineages,
-        pair_artifacts=[artifacts_by_id[pid] for pid in pair_order],
-        corpus_diagnostics=diagnostics_obj["corpus"],
-        lineage_diagnostics=LineageDiagnostics(exclusions=[
-            ExcludedCallee(e["proxy"], e["callee"], ExclusionReason(e["reason"]))
-            for e in diagnostics_obj["lineage_exclusions"]
-        ]),
-        source_diagnostics=diagnostics_obj["sources"],
-    )
 
 
 # --- summary statistics ------------------------------------------------------
@@ -625,23 +572,8 @@ def compute_stats(bundle: DatasetBundle) -> StatsReport:
 
 
 def stats_to_jsonable(report: StatsReport) -> dict:
-    return {
-        "lineage_count": report.lineage_count,
-        "distinct_creator_count": report.distinct_creator_count,
-        "contract_pair_count": report.contract_pair_count,
-        "contract_count": report.contract_count,
-        "open_source_pct": report.open_source_pct,
-        "solidity_file_count": report.solidity_file_count,
-        "updated_file_pct": report.updated_file_pct,
-        "file_pair_count": report.file_pair_count,
-        "average_gap_days": report.average_gap_days,
-        "files_in_pairs_pct": report.files_in_pairs_pct,
-        "average_line_similarity": report.average_line_similarity,
-        "average_content_similarity": report.average_content_similarity,
-        "high_similarity_file_pair_pct": report.high_similarity_file_pair_pct,
-        "function_pair_count": report.function_pair_count,
-        "lineage_size_histogram": {str(k): v for k, v in sorted(report.lineage_size_histogram.items())},
-    }
+    histogram = {str(size): count for size, count in sorted(report.lineage_size_histogram.items())}
+    return asdict(replace(report, lineage_size_histogram=histogram))
 
 
 def stats_to_csv(report: StatsReport) -> str:
@@ -651,10 +583,9 @@ def stats_to_csv(report: StatsReport) -> str:
     buffer = io.StringIO()
     writer = _csv.writer(buffer, lineterminator="\n")
     writer.writerow(["metric", "value"])
-    jsonable = stats_to_jsonable(report)
-    histogram = jsonable.pop("lineage_size_histogram")
-    for key, value in jsonable.items():
-        writer.writerow([key, "" if value is None else value])
-    for size, count in histogram.items():
-        writer.writerow([f"lineage_size_histogram[{size}]", count])
+    for key, value in stats_to_jsonable(report).items():
+        if isinstance(value, dict):
+            writer.writerows([f"{key}[{size}]", count] for size, count in value.items())
+        else:
+            writer.writerow([key, "" if value is None else value])
     return buffer.getvalue()

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -234,7 +233,3 @@ def results_to_csv(results: list[ScenarioResult]) -> str:
             "" if row["recall_pct"] is None else f"{row['recall_pct']:.2f}",
         ])
     return buffer.getvalue()
-
-
-def results_to_json(results: list[ScenarioResult]) -> str:
-    return json.dumps(results_to_jsonable(results), indent=2, sort_keys=True) + "\n"

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
-from .corpus import ContractRecord, contract_from_obj, contract_to_obj, normalize_address
+from .corpus import ContractRecord, contract_from_obj, contract_to_obj, normalize_address, read_json
 from .errors import FetchError, ValidationError
 
 API_KEY_ENV = "EXPLORER_API_KEY"
@@ -144,7 +144,7 @@ def fetch_contract(address: str, cache_dir: str | Path, client: ExplorerClient) 
     address = normalize_address(address)
     cache_file = _cache_path(cache_dir, address)
     if cache_file.exists():
-        return contract_from_obj(json.loads(cache_file.read_text(encoding="utf-8")))
+        return contract_from_obj(read_json(cache_file), where=f"cached record {cache_file}")
     record = client.fetch_record(address)
     cache_file.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=cache_file.parent, prefix=f".{address}.")

@@ -25,7 +25,6 @@ from .corpus import ContractRecord, _iter_ndjson, _require_fields, _require_int,
 from .errors import (
     ConfigurationError,
     NotFingerprintableError,
-    ParseError,
     UnknownAddressError,
     ValidationError,
 )
@@ -309,11 +308,7 @@ def read_fingerprints(path: str | Path) -> dict[str, Fingerprint]:
     path = Path(path)
     fingerprints: dict[str, Fingerprint] = {}
     first: Fingerprint | None = None
-    for line_number, obj in _iter_ndjson(path):
-        try:
-            fp = _fingerprint_from_obj(obj)
-        except ValidationError as exc:
-            raise ParseError(path, line_number, str(exc)) from exc
+    for line_number, fp in _iter_ndjson(path, _fingerprint_from_obj):
         if first is None:
             first = fp
         elif (fp.k, fp.seed) != (first.k, first.seed):

@@ -12,13 +12,12 @@ taxonomies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .corpus import Corpus, normalize_address
-from .errors import ConfigurationError, ParseError, ValidationError
+from .corpus import Corpus, _iter_ndjson, _require_fields, normalize_address, read_json
+from .errors import ConfigurationError, ValidationError
 from .lineage import ContractPair, SECONDS_PER_DAY
 from .pairing import FilePair
 
@@ -112,34 +111,17 @@ def load_findings(
     path = Path(report_path)
     findings: list[Finding] = []
     diagnostics: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
-            try:
-                finding = _finding_from_obj(obj)
-            except ValidationError as exc:
-                raise ParseError(path, line_number, str(exc)) from exc
-            findings.append(finding)
-            if corpus is not None:
-                diagnostics.extend(_cross_check(finding, corpus, line_number))
+    for line_number, finding in _iter_ndjson(path, _finding_from_obj):
+        findings.append(finding)
+        if corpus is not None:
+            diagnostics.extend(_cross_check(finding, corpus, line_number))
     return findings, diagnostics
 
 
 def _finding_from_obj(obj: object) -> Finding:
     if not isinstance(obj, dict):
         raise ValidationError("finding must be a JSON object")
-    keys = set(obj)
-    missing = FINDING_FIELDS - keys
-    if missing:
-        raise ValidationError(f"finding missing fields: {', '.join(sorted(missing))}")
-    extra = keys - FINDING_FIELDS
-    if extra:
-        raise ValidationError(f"finding has unknown fields: {', '.join(sorted(extra))}")
+    _require_fields(obj, FINDING_FIELDS, "finding")
     for field_name in ("tool", "vuln_type", "filename", "message"):
         if not isinstance(obj[field_name], str):
             raise ValidationError(f"{field_name} must be a string")
@@ -153,16 +135,7 @@ def _finding_from_obj(obj: object) -> Finding:
         raise ValidationError(f"start_line {start_line} > end_line {end_line}")
     if not isinstance(obj["directory"], str):
         raise ValidationError("directory must be a string")
-    return Finding(
-        tool=obj["tool"],
-        vuln_type=obj["vuln_type"],
-        contract=normalize_address(obj["contract"], "contract"),
-        directory=obj["directory"],
-        filename=obj["filename"],
-        start_line=start_line,
-        end_line=end_line,
-        message=obj["message"],
-    )
+    return Finding(**{**obj, "contract": normalize_address(obj["contract"], "contract")})
 
 
 def _cross_check(finding: Finding, corpus: Corpus, line_number: int) -> list[str]:
@@ -385,12 +358,13 @@ def lifecycle_stats(
 
 
 def load_category_map(path: str | Path) -> dict[str, dict[str, str]]:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    obj = read_json(path)
     if not isinstance(obj, dict):
-        raise ValidationError("category map must be a JSON object")
+        raise ValidationError(f"{path}: category map must be a JSON object")
     for tool, mapping in obj.items():
         if not isinstance(mapping, dict) or not all(
             isinstance(k, str) and isinstance(v, str) for k, v in mapping.items()
         ):
-            raise ValidationError(f"category map for tool {tool!r} must map strings to strings")
+            raise ValidationError(
+                f"{path}: category map for tool {tool!r} must map strings to strings")
     return obj

@@ -152,6 +152,35 @@ def random_sourced_corpus(rng: random.Random, n_lineages: int = 4,
     return Corpus(events=events, contracts=contracts)
 
 
+def varied_sourced_corpus(rng: random.Random, n_lineages: int = 4) -> Corpus:
+    """random_sourced_corpus with every bundle feature: closed-source members,
+    unpaired files and functions, and excluded callees.
+
+    About half of the open-source versions gain a function no other version
+    has, and a third gain a second file. The first proxy also delegates to a
+    contract of another creator and to one without metadata.
+    """
+    corpus = random_sourced_corpus(rng, n_lineages=n_lineages, open_source_rate=0.6)
+    contracts = {}
+    for address, record in corpus.contracts.items():
+        files = list(record.files)
+        if files and rng.random() < 0.5:
+            (file,) = files
+            content = file.content.rstrip()[:-1] + synth_function(rng, 99, ["extra"]) + "}\n"
+            files = [SourceFile(file.directory, file.filename, content)]
+        if files and rng.random() < 0.3:
+            files.append(SourceFile("lib", "Helper.sol", synth_source(rng, "Helper", ["aux"], 1)))
+        contracts[address] = make_record(address, record.creator, files,
+                                          deploy_timestamp=record.deploy_timestamp)
+    proxy = addr_from_int(0x700000)
+    stranger, unknown = addr_from_int(0x1F000), addr_from_int(0x1F001)
+    contracts[stranger] = make_record(stranger, addr_from_int(0xBEEF))
+    events = (corpus.events
+              + events_for_window(rng, proxy, stranger, 500, 510, tx_prefix="tx-stranger")
+              + events_for_window(rng, proxy, unknown, 520, 530, tx_prefix="tx-unknown"))
+    return Corpus(events=events, contracts=contracts)
+
+
 def soup_source(rng: random.Random, vocab: list[str], n_tokens: int = 220) -> str:
     """Identifier-only token stream; disjoint vocabularies share no shingles."""
     return " ".join(rng.choice(vocab) for _ in range(n_tokens))

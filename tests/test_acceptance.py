@@ -9,8 +9,11 @@ from __future__ import annotations
 import json
 import random
 import time
+from pathlib import Path
 
 import pytest
+
+import proxylineage
 
 from proxylineage import (
     ContractScope,
@@ -488,8 +491,12 @@ def test_end_to_end_determinism(tmp_path):
     corpus = random_sourced_corpus(rng, n_lineages=4)
     traces, contracts = write_corpus_fixtures(corpus, tmp_path / "fixtures")
 
+    # the child must find the package that this test imported
+    src = str(Path(proxylineage.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
     def run_cli(args, hash_seed):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
         completed = subprocess.run(
             [sys.executable, "-m", "proxylineage.cli", *args],
             capture_output=True, text=True, env=env,

@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from proxylineage.cli import main
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY
-from corpusgen import contract_row, event_row, write_contract_fixture, write_trace_fixture
+from corpusgen import (
+    contract_row,
+    event_row,
+    varied_sourced_corpus,
+    write_contract_fixture,
+    write_corpus_fixtures,
+    write_trace_fixture,
+)
 from conftest import make_record
 from proxylineage import SourceFile
 
@@ -200,13 +208,14 @@ def _evaluate_with(fixture_paths, fps, seed: int = 0, k: int = 256):
     lambda row: json.dumps({**json.loads(row), "seed": 0.5}),
     lambda row: json.dumps({**json.loads(row), "address": 7}),
     lambda row: "[1, 2]",
+    lambda row: "\udcff" + row,  # written as a lone 0xff byte
 ], ids=["bad-json", "missing-field", "unknown-field", "non-hex-signature",
-        "short-signature", "string-k", "float-seed", "bad-address", "not-an-object"])
+        "short-signature", "string-k", "float-seed", "bad-address", "not-an-object", "bad-utf8"])
 def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path, capsys, edit):
     fps = _fingerprints_file(fixture_paths, tmp_path)
     rows = fps.read_text().splitlines()
     rows[1] = edit(rows[1])
-    fps.write_text("\n".join(rows) + "\n")
+    fps.write_text("\n".join(rows) + "\n", errors="surrogateescape")
     capsys.readouterr()
     assert _evaluate_with(fixture_paths, fps) == 1
     err = capsys.readouterr().err
@@ -242,6 +251,98 @@ def test_fingerprint_rows_disagreeing_on_seed_are_rejected(fixture_paths, tmp_pa
     assert "Traceback" not in err
 
 
+FINDING = {
+    "tool": "slither", "vuln_type": "reentrancy-eth", "contract": ADDR_A,
+    "directory": "src", "filename": "Core.sol",
+    "start_line": 3, "end_line": 4, "message": "reentrancy",
+}
+
+
+def _vuln_lifecycle(fixture_paths, tmp_path, *extra_args):
+    """vuln-lifecycle over the fixture and tmp_path/findings.ndjson, written with one
+    finding unless the test wrote it first."""
+    traces, contracts = fixture_paths
+    findings = tmp_path / "findings.ndjson"
+    if not findings.exists():
+        findings.write_text(json.dumps(FINDING) + "\n")
+    return main(["vuln-lifecycle", "--traces", str(traces), "--contracts", str(contracts),
+                 "--findings", str(findings), "--out", str(tmp_path / "lifecycle.json"),
+                 *extra_args])
+
+
+@pytest.mark.parametrize("which", ["traces", "contracts", "findings"])
+def test_non_utf8_input_names_file_and_line(fixture_paths, tmp_path, capsys, which):
+    findings = tmp_path / "findings.ndjson"
+    findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
+    path = {"traces": fixture_paths[0], "contracts": fixture_paths[1], "findings": findings}[which]
+    first, second, *rest = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join([first, second[:5] + b"\xff" + second[5:], *rest]))
+    capsys.readouterr()
+    assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:2: invalid UTF-8" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"slither": {"\xff": "x"}}'],
+                         ids=["not-json", "not-utf8"])
+def test_malformed_category_map_is_a_parse_error(fixture_paths, tmp_path, capsys, content):
+    category_map = tmp_path / "categories.json"
+    category_map.write_bytes(content)
+    assert _vuln_lifecycle(fixture_paths, tmp_path, "--category-map", str(category_map)) == 1
+    err = capsys.readouterr().err
+    assert f"{category_map}:1: invalid" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("name, edit, message", [
+    ("manifest.json", lambda text: text.replace('"bundle_version": "1"', '"bundle_version": "9"'),
+     "bundle_version '9' is not the supported '1'"),
+    ("contract_pairs.json",
+     lambda text: json.dumps([{k: v for k, v in row.items() if k != "gap_days"}
+                              for row in json.loads(text)]),
+     "row lacks field 'gap_days'"),
+    ("contract_pairs.json",
+     lambda text: json.dumps([{**row, "successor_window": {"first_call": 1}}
+                              for row in json.loads(text)]),
+     "row lacks field 'last_call'"),
+    ("diagnostics.json",
+     lambda text: json.dumps({**json.loads(text), "lineage_exclusions": [
+         {"proxy": PROXY, "callee": ADDR_C, "reason": "BOGUS"}]}),
+     "malformed row"),
+    ("lineages.json", lambda text: text[:len(text) // 2], "invalid JSON"),
+], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated"])
+def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
+    traces, contracts = fixture_paths
+    bundle = tmp_path / "bundle"
+    assert main(["emit", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(bundle)]) == 0
+    (bundle / name).write_text(edit((bundle / name).read_text()))
+    capsys.readouterr()
+    assert main(["stats", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert str(bundle / name) in err and message in err
+    assert "Traceback" not in err
+
+
+def test_build_lineages_and_pair_write_the_bundle_rows(tmp_path):
+    traces, contracts = write_corpus_fixtures(varied_sourced_corpus(random.Random(500)),
+                                              tmp_path / "in")
+    corpus_args = ["--traces", str(traces), "--contracts", str(contracts)]
+    for command in ("emit", "build-lineages", "pair"):
+        assert main([command, *corpus_args, "--out", str(tmp_path / command)]) == 0
+
+    def table(command, name):
+        return (tmp_path / command / name).read_bytes()
+
+    for command, name in [("build-lineages", "lineages.json"), ("pair", "contract_pairs.json"),
+                          ("pair", "file_pairs.json"), ("pair", "function_pairs.json")]:
+        assert table(command, name) == table("emit", name)
+    exclusions = json.loads(table("emit", "diagnostics.json"))["lineage_exclusions"]
+    assert exclusions
+    assert json.loads(table("build-lineages", "diagnostics.json"))["lineage_exclusions"] == exclusions
+
+
 def test_pair_command_writes_tables(fixture_paths, tmp_path):
     traces, contracts = fixture_paths
     out = tmp_path / "pairs"
@@ -256,17 +357,8 @@ def test_pair_command_writes_tables(fixture_paths, tmp_path):
 
 
 def test_vuln_lifecycle_summary(fixture_paths, tmp_path):
-    traces, contracts = fixture_paths
-    findings = tmp_path / "findings.ndjson"
-    findings.write_text(json.dumps({
-        "tool": "slither", "vuln_type": "reentrancy-eth", "contract": ADDR_A,
-        "directory": "src", "filename": "Core.sol",
-        "start_line": 3, "end_line": 4, "message": "reentrancy",
-    }) + "\n")
-    out_file = tmp_path / "lifecycle.json"
-    assert main(["vuln-lifecycle", "--traces", str(traces), "--contracts", str(contracts),
-                 "--findings", str(findings), "--out", str(out_file)]) == 0
-    payload = json.loads(out_file.read_text())
+    assert _vuln_lifecycle(fixture_paths, tmp_path) == 0
+    payload = json.loads((tmp_path / "lifecycle.json").read_text())
     assert payload["summary"]["findings"] == {
         "total": 1, "introduced": 0, "persisted": 0, "disappeared": 1,
     }

@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxylineage import (
     ParseError,
@@ -17,7 +22,12 @@ from proxylineage import (
     upgrade_proxies,
     write_corpus,
 )
-from proxylineage.corpus import load_trace_events, serialize_contract_records, serialize_trace_events
+from proxylineage.corpus import (
+    load_trace_events,
+    read_json,
+    serialize_contract_records,
+    serialize_trace_events,
+)
 
 from corpusgen import event_row, write_contract_fixture, write_trace_fixture
 from oracles import oracle_selector
@@ -310,3 +320,21 @@ def test_serialize_contract_records_sorted():
     lines = data.decode().strip().split("\n")
     assert "0x" + "aa" * 20 in lines[0]
     assert "0x" + "bb" * 20 in lines[1]
+
+
+EVENT_LINE = json.dumps(event_row(PROXY, CALLEE, 10, 1, "tx1")).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.just(EVENT_LINE), st.just(b""), st.binary(max_size=12)), max_size=6))
+def test_any_bytes_load_or_raise_parse_error_with_its_line(lines):
+    data = b"\n".join(lines)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_bytes(data)
+        for read in (load_trace_events, read_json):
+            try:
+                read(path)
+            except ParseError as exc:
+                assert exc.path == str(path)
+                assert 1 <= exc.line_number <= data.count(b"\n") + 1

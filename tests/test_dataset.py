@@ -20,6 +20,7 @@ from proxylineage import (
     pair_functions,
 )
 from proxylineage.dataset import bundle_to_jsonable, stats_to_csv, stats_to_jsonable
+from proxylineage.pairing import NOT_OPEN_SOURCE
 
 from conftest import (
     ADDR_A,
@@ -33,7 +34,7 @@ from conftest import (
     make_record,
     window_events,
 )
-from corpusgen import random_sourced_corpus
+from corpusgen import random_sourced_corpus, varied_sourced_corpus
 
 DAY = 86400
 
@@ -110,22 +111,36 @@ def test_emit_twice_is_byte_identical(tmp_path):
     assert tree_bytes(out1) == tree_bytes(out2)
 
 
-def test_roundtrip_structural_equality(tmp_path):
-    rng = random.Random(500)
-    corpus = random_sourced_corpus(rng, n_lineages=3)
-    bundle = build_bundle(corpus)
+# Each of these seeds gives closed-source members, unpaired files and
+# functions and excluded callees, so every row kind of the bundle is written.
+VARIED_SEEDS = [500, 502, 503, 505, 506]
+
+
+def varied_bundle(seed: int):
+    bundle = build_bundle(varied_sourced_corpus(random.Random(seed)))
+    artifacts = bundle.pair_artifacts
+    assert any(a.file_pairing.flag == NOT_OPEN_SOURCE for a in artifacts)
+    assert any(a.file_pairing.unpaired_predecessor or a.file_pairing.unpaired_successor
+               for a in artifacts)
+    assert any(a.unpaired_functions for a in artifacts)
+    assert bundle.function_pairs and bundle.lineage_diagnostics.exclusions
+    return bundle
+
+
+@pytest.mark.parametrize("seed", VARIED_SEEDS)
+def test_roundtrip_structural_equality(tmp_path, seed):
+    bundle = varied_bundle(seed)
     out = tmp_path / "bundle"
     emit_dataset(bundle, out)
     loaded = load_bundle(out)
     assert bundle_to_jsonable(loaded) == bundle_to_jsonable(bundle)
 
 
-def test_reemitting_a_loaded_bundle_is_byte_identical(tmp_path):
-    rng = random.Random(503)
-    corpus = random_sourced_corpus(rng, n_lineages=3, open_source_rate=0.8)
+@pytest.mark.parametrize("seed", VARIED_SEEDS)
+def test_reemitting_a_loaded_bundle_is_byte_identical(tmp_path, seed):
     first = tmp_path / "first"
     second = tmp_path / "second"
-    emit_dataset(build_bundle(corpus), first)
+    emit_dataset(varied_bundle(seed), first)
     emit_dataset(load_bundle(first), second)
     assert tree_bytes(first) == tree_bytes(second)
 

@@ -138,3 +138,14 @@ def test_fetch_contracts_aggregates_records_and_failures(tmp_path):
     records, failures = fetch_contracts([ADDRESS, OTHER, ADDRESS], tmp_path, client)
     assert set(records) == {ADDRESS}
     assert set(failures) == {OTHER}
+
+
+def test_corrupt_cache_entry_is_a_failure_and_others_are_fetched(tmp_path):
+    (tmp_path / f"{ADDRESS}.json").write_text("{not json")
+
+    transport = CountingTransport([(200, response_body(address=OTHER))])
+    records, failures = fetch_contracts([ADDRESS, OTHER], tmp_path, make_client(transport))
+    assert set(records) == {OTHER}
+    assert set(failures) == {ADDRESS}
+    assert f"{ADDRESS}.json:1: invalid JSON" in failures[ADDRESS]
+    assert transport.calls == 1  # the cached address is not fetched again
