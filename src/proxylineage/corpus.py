@@ -13,6 +13,8 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -36,7 +38,7 @@ FILE_FIELDS = frozenset({"directory", "filename", "content"})
 DEFAULT_UPGRADE_SIGNATURES = ("upgradeTo(address)", "upgradeToAndCall(address,bytes)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceEvent:
     """One observed delegatecall from a proxy to an implementation."""
 
@@ -169,21 +171,40 @@ def validate_directory(value: object, where: str = "directory") -> str:
     return value
 
 
-def _event_from_obj(obj: object, where: str) -> TraceEvent:
+def _memo_normalize(memo: dict[str, str], value: object, normalize, where: str) -> str:
+    """normalize(value, where), validated once per distinct value in one load.
+
+    Raw spellings of one value (mixed case) map to one shared normalized string.
+    """
+    try:
+        return memo[value]
+    except KeyError:
+        normalized = normalize(value, where)
+        memo[value] = normalized = memo.setdefault(normalized, normalized)
+        return normalized
+    except TypeError:  # unhashable: a list or an object, never valid
+        return normalize(value, where)
+
+
+def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEvent:
+    """Validate one trace row; `memo` holds (addresses, selectors) already normalized."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")
-    _require_fields(obj, TRACE_FIELDS, where)
+    if obj.keys() != TRACE_FIELDS:
+        _require_fields(obj, TRACE_FIELDS, where)
     tx_id = obj["tx_id"]
     if not isinstance(tx_id, str) or not tx_id:
         raise ValidationError(f"{where}: tx_id must be a non-empty string")
-    return TraceEvent(
-        proxy_address=normalize_address(obj["proxy_address"], "proxy_address"),
-        callee_address=normalize_address(obj["callee_address"], "callee_address"),
-        timestamp=_require_int(obj["timestamp"], "timestamp"),
-        block_number=_require_int(obj["block_number"], "block_number"),
-        selector=normalize_selector(obj["selector"]),
-        tx_id=tx_id,
-    )
+    addresses, selectors = memo
+    proxy = _memo_normalize(addresses, obj["proxy_address"], normalize_address, "proxy_address")
+    callee = _memo_normalize(addresses, obj["callee_address"], normalize_address, "callee_address")
+    timestamp, block_number = obj["timestamp"], obj["block_number"]
+    if type(timestamp) is not int or timestamp < 0:
+        timestamp = _require_int(timestamp, "timestamp")
+    if type(block_number) is not int or block_number < 0:
+        block_number = _require_int(block_number, "block_number")
+    selector = _memo_normalize(selectors, obj["selector"], normalize_selector, "selector")
+    return TraceEvent(proxy, callee, timestamp, block_number, selector, tx_id)
 
 
 def contract_from_obj(obj: object, where: str = "contract record") -> ContractRecord:
@@ -231,9 +252,8 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
     )
 
 
-def _canonical_event_key(event: TraceEvent):
-    return (event.block_number, event.tx_id, event.proxy_address,
-            event.callee_address, event.selector, event.timestamp)
+_canonical_event_key = attrgetter("block_number", "tx_id", "proxy_address",
+                                  "callee_address", "selector", "timestamp")
 
 
 def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
@@ -290,7 +310,8 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     observations and both are kept.
     """
     path = Path(path)
-    rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event"))
+    memo: tuple[dict, dict] = ({}, {})
+    rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo))
     raw_events = [event for _, event in rows]
     raw_events.sort(key=_canonical_event_key)
     diagnostics = []
@@ -351,15 +372,17 @@ def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
     return Corpus(events=events, contracts=contracts, diagnostics=diagnostics)
 
 
-def _event_to_obj(event: TraceEvent) -> dict:
-    return {
-        "proxy_address": event.proxy_address,
-        "callee_address": event.callee_address,
-        "timestamp": event.timestamp,
-        "block_number": event.block_number,
-        "selector": event.selector,
-        "tx_id": event.tx_id,
-    }
+def _trace_line(e: TraceEvent) -> str:
+    """One canonical trace row: the bytes of json.dumps(row, sort_keys=True,
+    separators=(",", ":")) on the event's fields, plus the newline."""
+    return (f'{{"block_number":{e.block_number},"callee_address":{_json_str(e.callee_address)},'
+            f'"proxy_address":{_json_str(e.proxy_address)},"selector":{_json_str(e.selector)},'
+            f'"timestamp":{e.timestamp},"tx_id":{_json_str(e.tx_id)}}}\n')
+
+
+def _trace_lines(events: Iterable[TraceEvent]) -> Iterable[str]:
+    """The canonical trace file, one row at a time, in canonical order."""
+    return map(_trace_line, sorted(events, key=_canonical_event_key))
 
 
 def contract_to_obj(record: ContractRecord) -> dict:
@@ -376,29 +399,32 @@ def contract_to_obj(record: ContractRecord) -> dict:
     }
 
 
-def _ndjson_bytes(objs: Iterable[dict]) -> bytes:
-    lines = [json.dumps(obj, sort_keys=True, separators=(",", ":")) for obj in objs]
-    return ("\n".join(lines) + "\n").encode("utf-8") if lines else b""
-
-
 def serialize_trace_events(events: Iterable[TraceEvent]) -> bytes:
-    return _ndjson_bytes(_event_to_obj(e) for e in sorted(events, key=_canonical_event_key))
+    return "".join(_trace_lines(events)).encode("ascii")
 
 
 def serialize_contract_records(contracts: dict[str, ContractRecord]) -> bytes:
-    return _ndjson_bytes(contract_to_obj(contracts[a]) for a in sorted(contracts))
+    return "".join(json.dumps(contract_to_obj(contracts[a]), sort_keys=True, separators=(",", ":"))
+                   + "\n" for a in sorted(contracts)).encode("utf-8")
 
 
 def write_corpus(corpus: Corpus, trace_path: str | Path, contracts_path: str | Path) -> None:
-    """Write the canonical NDJSON serialization (byte-stable for equal corpora)."""
-    Path(trace_path).write_bytes(serialize_trace_events(corpus.events))
+    """Write the canonical NDJSON serialization (byte-stable for equal corpora).
+
+    The trace file is streamed row by row, never held whole in memory.
+    """
+    with open(trace_path, "w", encoding="ascii", newline="") as handle:
+        handle.writelines(_trace_lines(corpus.events))
     Path(contracts_path).write_bytes(serialize_contract_records(corpus.contracts))
 
 
 def corpus_digests(corpus: Corpus) -> dict[str, str]:
     """SHA-256 digests of the canonical serialization, for bundle manifests."""
+    traces = hashlib.sha256()
+    for line in _trace_lines(corpus.events):
+        traces.update(line.encode("ascii"))
     return {
-        "traces": hashlib.sha256(serialize_trace_events(corpus.events)).hexdigest(),
+        "traces": traces.hexdigest(),
         "contracts": hashlib.sha256(serialize_contract_records(corpus.contracts)).hexdigest(),
     }
 

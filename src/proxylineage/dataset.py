@@ -266,7 +266,14 @@ def _location_row(location: tuple[str, str]) -> dict:
 
 
 def _source_path(root: Path, address: str, directory: str, filename: str) -> Path:
-    return root.joinpath(SOURCES_DIR, address, *directory.split("/"), filename)
+    """sources/<address>/<directory>/<filename> in the bundle at `root`.
+
+    Every segment must be a plain name (no '..', '.', empty segment or
+    leading slash), so the path cannot leave sources/; else ValidationError.
+    """
+    relative = "/".join((address, directory, filename) if directory else (address, filename))
+    validate_directory(relative, "source path")
+    return root.joinpath(SOURCES_DIR, *relative.split("/"))
 
 
 def _contracts_obj(bundle: DatasetBundle) -> list[dict]:
@@ -375,13 +382,9 @@ def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:
     sources_root = out / SOURCES_DIR
     if sources_root.exists():
         shutil.rmtree(sources_root)
-    resolved_root = sources_root.resolve()
     for address in sorted(bundle.contracts):
         for file in sorted(bundle.contracts[address].files, key=_location_of):
-            validate_directory(file.directory)
             target = _source_path(out, address, file.directory, file.filename)
-            if resolved_root not in target.resolve().parents:
-                raise IntegrityError(f"source path escapes bundle: {file.directory}/{file.filename}")
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(file.content, encoding="utf-8")
 
@@ -402,8 +405,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     """Reload an emitted bundle into the in-memory form.
 
     A table that is not UTF-8 JSON, lacks a field or comes from another
-    BUNDLE_VERSION raises ValidationError naming its file; a missing file
-    raises OSError.
+    BUNDLE_VERSION, or a contracts.json row whose source path leaves sources/,
+    raises ValidationError naming its file; a missing file raises OSError.
     """
     root = Path(bundle_dir)
     docs = {name: read_json(root / name) for name in BUNDLE_TABLES}

@@ -111,10 +111,11 @@ def load_findings(
     path = Path(report_path)
     findings: list[Finding] = []
     diagnostics: list[str] = []
+    line_counts: dict[str, dict[tuple[str, str], int]] = {}  # per contract, built on first use
     for line_number, finding in _iter_ndjson(path, _finding_from_obj):
         findings.append(finding)
         if corpus is not None:
-            diagnostics.extend(_cross_check(finding, corpus, line_number))
+            diagnostics.extend(_cross_check(finding, corpus, line_number, line_counts))
     return findings, diagnostics
 
 
@@ -138,23 +139,27 @@ def _finding_from_obj(obj: object) -> Finding:
     return Finding(**{**obj, "contract": normalize_address(obj["contract"], "contract")})
 
 
-def _cross_check(finding: Finding, corpus: Corpus, line_number: int) -> list[str]:
-    record = corpus.contracts.get(finding.contract)
-    if record is None:
-        return [f"line {line_number}: finding references unknown contract {finding.contract}"]
-    for file in record.files:
-        if (file.directory, file.filename) == (finding.directory, finding.filename):
-            file_lines = len(file.content.splitlines())
-            if finding.end_line > file_lines:
-                return [
-                    f"line {line_number}: finding lines {finding.start_line}-{finding.end_line} "
-                    f"exceed {finding.filename} length {file_lines}"
-                ]
-            return []
-    return [
-        f"line {line_number}: finding references unknown file "
-        f"{finding.directory!r}/{finding.filename!r} in {finding.contract}"
-    ]
+def _cross_check(finding: Finding, corpus: Corpus, line_number: int,
+                 line_counts: dict[str, dict[tuple[str, str], int]]) -> list[str]:
+    if finding.contract not in line_counts:
+        record = corpus.contracts.get(finding.contract)
+        if record is None:
+            return [f"line {line_number}: finding references unknown contract {finding.contract}"]
+        line_counts[finding.contract] = {
+            (file.directory, file.filename): len(file.content.splitlines()) for file in record.files
+        }
+    file_lines = line_counts[finding.contract].get((finding.directory, finding.filename))
+    if file_lines is None:
+        return [
+            f"line {line_number}: finding references unknown file "
+            f"{finding.directory!r}/{finding.filename!r} in {finding.contract}"
+        ]
+    if finding.end_line > file_lines:
+        return [
+            f"line {line_number}: finding lines {finding.start_line}-{finding.end_line} "
+            f"exceed {finding.filename} length {file_lines}"
+        ]
+    return []
 
 
 def _identity_maps(

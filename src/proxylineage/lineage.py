@@ -73,12 +73,6 @@ class LineageDiagnostics:
 
     exclusions: list[ExcludedCallee]
 
-    def by_proxy(self) -> dict[str, list[ExcludedCallee]]:
-        grouped: dict[str, list[ExcludedCallee]] = {}
-        for exclusion in self.exclusions:
-            grouped.setdefault(exclusion.proxy, []).append(exclusion)
-        return grouped
-
 
 def activity_windows(corpus: Corpus) -> dict[tuple[str, str], ActivityWindow]:
     """Min/max delegatecall timestamp per (proxy, callee) observation."""

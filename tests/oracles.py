@@ -10,6 +10,9 @@ direct recursive construction.
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 from proxylineage import Corpus
 
 
@@ -165,6 +168,21 @@ def oracle_minhash_signature(shingle_hashes, k: int, seed: int) -> tuple[int, ..
         salt = _oracle_splitmix64((seed + i * 0x9E3779B97F4A7C15) & _MASK64)
         signature.append(min(_oracle_splitmix64(h ^ salt) for h in hashes))
     return tuple(signature)
+
+
+# --- canonical trace file oracle ------------------------------------------------
+
+def oracle_trace_ndjson(events) -> bytes:
+    """The canonical trace file through the generic JSON encoder.
+
+    Rows are ordered by (block, tx, proxy, callee, selector, timestamp); each
+    is json.dumps of the event's fields with sorted keys and no spaces, and
+    the rows are joined by newlines with one after the last.
+    """
+    ordered = sorted(events, key=lambda e: (e.block_number, e.tx_id, e.proxy_address,
+                                            e.callee_address, e.selector, e.timestamp))
+    rows = [json.dumps(asdict(e), sort_keys=True, separators=(",", ":")) for e in ordered]
+    return "".join(row + "\n" for row in rows).encode("utf-8")
 
 
 # --- rule-based lineage oracle --------------------------------------------------

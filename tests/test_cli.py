@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +324,34 @@ def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, 
     err = capsys.readouterr().err
     assert str(bundle / name) in err and message in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("directory, filename", [
+    ("../../..", "Core.sol"),
+    ("src", "../../../../Core.sol"),
+    ("", "{outside}"),
+], ids=["dotdot-directory", "dotdot-filename", "absolute-filename"])
+def test_bundle_source_path_outside_the_bundle_is_rejected(fixture_paths, tmp_path, capsys,
+                                                          monkeypatch, directory, filename):
+    traces, contracts = fixture_paths
+    bundle = tmp_path / "bundle"
+    assert main(["emit", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(bundle)]) == 0
+    outside = tmp_path / "Core.sol"
+    outside.write_text("outside the bundle")
+    rows = json.loads((bundle / "contracts.json").read_text())
+    rows[0]["files"] = [{"directory": directory, "filename": filename.format(outside=outside)}]
+    (bundle / "contracts.json").write_text(json.dumps(rows))
+    reads = []
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self.resolve())
+                        or read_bytes(self))
+    capsys.readouterr()
+    assert main(["stats", str(bundle)]) == 1
+    err = capsys.readouterr().err
+    assert str(bundle / "contracts.json") in err and "illegal path segment" in err
+    assert "Traceback" not in err
+    assert bundle / "contracts.json" in reads and outside not in reads
 
 
 def test_build_lineages_and_pair_write_the_bundle_rows(tmp_path):

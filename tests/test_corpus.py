@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import tempfile
@@ -12,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxylineage import (
+    Corpus,
     ParseError,
+    TraceEvent,
     ValidationError,
     build_lineages,
     compute_selector,
@@ -23,6 +26,7 @@ from proxylineage import (
     write_corpus,
 )
 from proxylineage.corpus import (
+    corpus_digests,
     load_trace_events,
     read_json,
     serialize_contract_records,
@@ -30,7 +34,7 @@ from proxylineage.corpus import (
 )
 
 from corpusgen import event_row, write_contract_fixture, write_trace_fixture
-from oracles import oracle_selector
+from oracles import oracle_selector, oracle_trace_ndjson
 
 PROXY = "0x" + "11" * 20
 CALLEE = "0x" + "aa" * 20
@@ -338,3 +342,88 @@ def test_any_bytes_load_or_raise_parse_error_with_its_line(lines):
             except ParseError as exc:
                 assert exc.path == str(path)
                 assert 1 <= exc.line_number <= data.count(b"\n") + 1
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("proxy_address", CALLEE[:-1],
+     f"proxy_address must be 0x + 40 hex chars, got '{CALLEE[:-1]}'"),
+    ("callee_address", "0x3659cfe6", "callee_address must be 0x + 40 hex chars, got '0x3659cfe6'"),
+    ("selector", CALLEE, f"selector must be 0x + 8 hex chars, got '{CALLEE}'"),
+    ("proxy_address", [PROXY], "proxy_address must be a string, got list"),
+    ("callee_address", {"a": CALLEE}, "callee_address must be a string, got dict"),
+    ("selector", ["0x3659cfe6"], "selector must be a string, got list"),
+    ("callee_address", 7, "callee_address must be a string, got int"),
+    ("timestamp", -1, "timestamp must be >= 0, got -1"),
+    ("timestamp", 1.5, "timestamp must be an integer, got 1.5"),
+    ("block_number", True, "block_number must be an integer, got True"),
+    ("block_number", "2", "block_number must be an integer, got '2'"),
+    ("tx_id", "", "trace event: tx_id must be a non-empty string"),
+], ids=["short-proxy", "selector-as-callee", "address-as-selector", "list-proxy",
+        "object-callee", "list-selector", "int-callee", "negative-timestamp",
+        "float-timestamp", "bool-block", "string-block", "empty-tx"])
+def test_bad_trace_value_is_a_parse_error_on_its_own_line(tmp_path, field, value, message):
+    # Row 1 holds every value of the bad row validly, the selector and the
+    # callee among them, so a per-load memo of validated values must not let
+    # the bad row through; loading twice must raise twice.
+    traces = tmp_path / "t.ndjson"
+    good = event_row(PROXY, CALLEE, 10, 1, "tx1")
+    write_trace_fixture(traces, [good, {**good, "tx_id": "tx2", field: value},
+                                 {**good, "tx_id": "tx3"}])
+    for _ in range(2):
+        with pytest.raises(ParseError) as excinfo:
+            load_trace_events(traces)
+        assert excinfo.value.line_number == 2
+        assert str(excinfo.value) == f"{traces}:2: {message}"
+
+
+def test_mixed_case_addresses_share_one_normalized_string(tmp_path):
+    traces = tmp_path / "t.ndjson"
+    write_trace_fixture(traces, [
+        event_row(PROXY, CALLEE, 10, 1, "tx1"),
+        event_row(PROXY, CALLEE.upper().replace("0X", "0x"), 20, 2, "tx2"),
+        event_row(CALLEE, PROXY, 30, 3, "tx3"),
+    ])
+    events, _ = load_trace_events(traces)
+    assert [(e.proxy_address, e.callee_address) for e in events] == [
+        (PROXY, CALLEE), (PROXY, CALLEE), (CALLEE, PROXY)]
+    assert events[0].callee_address is events[1].callee_address is events[2].proxy_address
+
+
+# Quotes, backslashes, control characters, a lone surrogate and non-BMP text
+# besides arbitrary characters: each has its own JSON escape.
+_TEXT = st.text(st.one_of(st.characters(),
+                          st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800\U0001f600é')))
+_U64 = st.integers(min_value=0, max_value=2**64)
+_EVENTS = st.lists(st.builds(TraceEvent, proxy_address=_TEXT, callee_address=_TEXT,
+                             timestamp=_U64, block_number=_U64, selector=_TEXT, tx_id=_TEXT),
+                   max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EVENTS)
+def test_trace_serialization_matches_json_dumps(events):
+    expected = oracle_trace_ndjson(events)
+    assert serialize_trace_events(events) == expected
+    corpus = Corpus(events=events, contracts={})
+    assert corpus_digests(corpus)["traces"] == hashlib.sha256(expected).hexdigest()
+    with tempfile.TemporaryDirectory() as tmp:
+        traces = Path(tmp) / "t.ndjson"
+        write_corpus(corpus, traces, Path(tmp) / "c.ndjson")
+        assert traces.read_bytes() == expected
+
+
+def test_corpus_digests_of_loaded_corpus_match_json_dumps(tmp_path):
+    traces, contracts = tmp_path / "t.ndjson", tmp_path / "c.ndjson"
+    write_trace_fixture(traces, [
+        event_row(PROXY, CALLEE, 20, 2, "tx-\u00e9\"2"),
+        event_row(PROXY, CALLEE, 10, 1, "tx1"),
+    ])
+    write_contract_fixture(contracts, [_contract_row(CALLEE)])
+    corpus = load_corpus(traces, contracts)
+    assert corpus_digests(corpus) == {
+        "traces": hashlib.sha256(oracle_trace_ndjson(corpus.events)).hexdigest(),
+        "contracts": hashlib.sha256(serialize_contract_records(corpus.contracts)).hexdigest(),
+    }
+    # The digest these two rows have always had (json.dumps per row).
+    assert corpus_digests(corpus)["traces"] == (
+        "42dd7c64970d8a7005fa48163884323f2a5bfaf19c9962df86cefaed17c55635")

@@ -127,6 +127,39 @@ def test_line_range_beyond_file_diagnosed(tmp_path):
     assert any("exceed" in d for d in diagnostics)
 
 
+def test_cross_check_diagnostics_text_and_order(tmp_path):
+    import json
+
+    path = tmp_path / "f.ndjson"
+    rows = [
+        finding_row(end_line=3),  # good: the last line of a 3-line file
+        finding_row(contract=ADDR_C),
+        finding_row(filename="Missing.sol"),
+        finding_row(directory="lib"),
+        finding_row(start_line=2, end_line=4),
+        finding_row(contract=ADDR_B, filename="Lib.sol", end_line=1),
+        finding_row(contract=ADDR_C, end_line=5),
+        finding_row(contract=ADDR_B, filename="Lib.sol", end_line=2),
+        finding_row(start_line=3, end_line=3),
+    ]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    corpus = Corpus(events=[], contracts={
+        ADDR_A: make_record(ADDR_A, CREATOR_X, [SourceFile("src", "Core.sol", "a\nb\nc\n"),
+                                                SourceFile("src", "Lib.sol", "x")]),
+        ADDR_B: make_record(ADDR_B, CREATOR_X, [SourceFile("src", "Lib.sol", "x")]),
+    })
+    findings, diagnostics = load_findings(path, corpus)
+    assert len(findings) == len(rows)
+    assert diagnostics == [
+        f"line 2: finding references unknown contract {ADDR_C}",
+        f"line 3: finding references unknown file 'src'/'Missing.sol' in {ADDR_A}",
+        f"line 4: finding references unknown file 'lib'/'Core.sol' in {ADDR_A}",
+        "line 5: finding lines 2-4 exceed Core.sol length 3",
+        f"line 7: finding references unknown contract {ADDR_C}",
+        "line 8: finding lines 1-2 exceed Lib.sol length 1",
+    ]
+
+
 # --- diffing -------------------------------------------------------------------
 
 def test_predecessor_only_finding_disappears():
