@@ -12,23 +12,24 @@ sublinear time; every candidate is then verified by a full comparison.
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 import re
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping
 
-from .corpus import ContractRecord, _iter_ndjson, _require_fields, _require_int, normalize_address
+from .corpus import (ContractRecord, _iter_ndjson, _json_str, _require_fields, _require_int,
+                     normalize_address)
 from .errors import (
     ConfigurationError,
     NotFingerprintableError,
     UnknownAddressError,
     ValidationError,
 )
-from .solidity import tokenize
+from .solidity import token_texts
 
 if TYPE_CHECKING:
     import numpy as np
@@ -155,16 +156,15 @@ def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple
 
 
 def record_shingles(record: ContractRecord) -> set[int]:
-    """Hashed 5-token shingles over all files, in deterministic file order."""
+    """Hashed 5-token shingles over all files, in deterministic file order.
+
+    A shingle that recurs in the record is hashed once.
+    """
     tokens: list[str] = []
     for file in sorted(record.files, key=lambda f: (f.directory, f.filename)):
-        tokens.extend(t.text for t in tokenize(file.content))
-    if len(tokens) < SHINGLE_SIZE:
-        return set()
-    return {
-        shingle_hash(tokens[i:i + SHINGLE_SIZE])
-        for i in range(len(tokens) - SHINGLE_SIZE + 1)
-    }
+        tokens.extend(token_texts(file.content))
+    windows = set(zip(*(islice(tokens, i, None) for i in range(SHINGLE_SIZE))))
+    return set(map(shingle_hash, windows))
 
 
 def fingerprint(
@@ -214,12 +214,17 @@ class LshIndex:
     def __init__(self, fingerprints: Iterable[Fingerprint], bands: int = DEFAULT_BANDS):
         fingerprints = list(fingerprints)
         if fingerprints:
-            k = fingerprints[0].k
-            if k % bands:
-                raise ConfigurationError(f"bands ({bands}) must divide signature length ({k})")
+            first = fingerprints[0]
+            if first.k % bands:
+                raise ConfigurationError(f"bands ({bands}) must divide signature length ({first.k})")
         self.bands = bands
         self._buckets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
         for fp in fingerprints:
+            if (fp.k, fp.seed) != (first.k, first.seed):
+                raise ConfigurationError(
+                    f"fingerprint {fp.address} has k {fp.k}, seed {fp.seed}; "
+                    f"{first.address} has k {first.k}, seed {first.seed}"
+                )
             rows = fp.k // bands
             for band in range(bands):
                 key = (band, fp.signature[band * rows:(band + 1) * rows])
@@ -262,20 +267,21 @@ def query_similar(
     return results
 
 
+def _fingerprint_line(fp: Fingerprint) -> str:
+    """One fingerprint row: the bytes of json.dumps(row, sort_keys=True,
+    separators=(",", ":")) with the signature hex-packed, plus the newline."""
+    signature = struct.pack(f">{len(fp.signature)}Q", *fp.signature).hex()
+    return (f'{{"address":{_json_str(fp.address)},"k":{fp.k},"seed":{fp.seed},'
+            f'"shingle_count":{fp.shingle_count},"signature":"{signature}"}}\n')
+
+
 def write_fingerprints(path: str | Path, fingerprints: Iterable[Fingerprint]) -> None:
     """NDJSON serialization, sorted by address; signatures hex-packed.
 
     Rows are written one at a time, so the file is never held in memory.
     """
     with open(path, "w", encoding="utf-8") as handle:
-        for fp in sorted(fingerprints, key=lambda f: f.address):
-            handle.write(json.dumps({
-                "address": fp.address,
-                "k": fp.k,
-                "seed": fp.seed,
-                "shingle_count": fp.shingle_count,
-                "signature": b"".join(v.to_bytes(8, "big") for v in fp.signature).hex(),
-            }, sort_keys=True, separators=(",", ":")) + "\n")
+        handle.writelines(map(_fingerprint_line, sorted(fingerprints, key=lambda f: f.address)))
 
 
 def _fingerprint_from_obj(obj: object) -> Fingerprint:

@@ -8,6 +8,8 @@ tokens.
 
 from __future__ import annotations
 
+import operator
+import re
 from dataclasses import dataclass
 
 from .corpus import SourceFile
@@ -23,13 +25,33 @@ _NON_NAME_KEYWORDS = frozenset(
     }
 )
 
-_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
-_IDENT_CONT = _IDENT_START | frozenset("0123456789")
-_DIGITS = frozenset("0123456789")
-_NUMBER_CONT = _DIGITS | frozenset("abcdefABCDEFxX._")
+# One scanner serves both token views. Each match skips whitespace and closed
+# comments, then takes one token, an unterminated block comment (which runs to
+# the end of the text) or the empty end of the text. Some branch always
+# matches, so a match never fails and never backtracks into the skipped part.
+# `\s` matches exactly the characters for which str.isspace() is true.
+_SCAN = re.compile(r"""
+    (?: \s+ | //[^\n]* | /\*[\s\S]*?\*/ )*
+    (?: (?P<open_comment>/\*)[\s\S]*
+      | (?P<token>
+            "(?:[^"\\\n]|\\[\s\S]?)*(?P<dq>")?
+          | '(?:[^'\\\n]|\\[\s\S]?)*(?P<sq>')?
+          | [A-Za-z_$][A-Za-z0-9_$]*
+          | [0-9][0-9a-fA-FxX._]*
+          | \S )
+      | \Z )
+""", re.VERBOSE)
+_TOKEN = operator.itemgetter("token")
+# A token's kind follows from its first character; anything else is punct.
+_KIND_OF_FIRST = {
+    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$", "ident"),
+    **dict.fromkeys("0123456789", "number"),
+    '"': "string",
+    "'": "string",
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # ident | number | string | punct
     text: str
@@ -54,73 +76,35 @@ def tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
     """Token stream with comments skipped and string literals blanked.
 
     String tokens always carry the text '""' so that literal contents never
-    influence signatures or fingerprints.
+    influence signatures or fingerprints. A token's line counts every newline
+    before it, including those inside comments and string escapes.
     """
     tokens: list[Token] = []
     line = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            i += 1
+    counted = 0  # newlines before this position are in `line`
+    for match in _SCAN.finditer(text):
+        token = match["token"]
+        if token is None:
+            if match["open_comment"] and diagnostics is not None:
+                line += text.count("\n", counted, match.start("open_comment"))
+                diagnostics.append(f"line {line}: unterminated block comment")
             continue
-        if ch.isspace():
-            i += 1
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "/":
-            end = text.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if ch == "/" and i + 1 < n and text[i + 1] == "*":
-            end = text.find("*/", i + 2)
-            if end == -1:
-                if diagnostics is not None:
-                    diagnostics.append(f"line {line}: unterminated block comment")
-                line += text.count("\n", i)
-                i = n
-                continue
-            line += text.count("\n", i, end)
-            i = end + 2
-            continue
-        if ch in ('"', "'"):
-            start_line = line
-            j = i + 1
-            closed = False
-            while j < n:
-                cj = text[j]
-                if cj == "\\" and j + 1 < n:
-                    j += 2
-                    continue
-                if cj == ch:
-                    closed = True
-                    break
-                if cj == "\n":
-                    break
-                j += 1
-            if not closed and diagnostics is not None:
-                diagnostics.append(f"line {start_line}: unterminated string literal")
-            tokens.append(Token("string", '""', start_line, i))
-            i = j + 1 if closed else j
-            continue
-        if ch in _IDENT_START:
-            j = i + 1
-            while j < n and text[j] in _IDENT_CONT:
-                j += 1
-            tokens.append(Token("ident", text[i:j], line, i))
-            i = j
-            continue
-        if ch in _DIGITS:
-            j = i + 1
-            while j < n and text[j] in _NUMBER_CONT:
-                j += 1
-            tokens.append(Token("number", text[i:j], line, i))
-            i = j
-            continue
-        tokens.append(Token("punct", ch, line, i))
-        i += 1
+        pos = match.start("token")
+        line += text.count("\n", counted, pos)
+        counted = pos
+        kind = _KIND_OF_FIRST.get(token[0], "punct")
+        if kind == "string":
+            if match["dq"] is None and match["sq"] is None and diagnostics is not None:
+                diagnostics.append(f"line {line}: unterminated string literal")
+            token = '""'
+        tokens.append(Token(kind, token, line, pos))
     return tokens
+
+
+def token_texts(text: str) -> list[str]:
+    """The texts of ``tokenize(text)``, without building a Token for each."""
+    return ['""' if token[0] in "\"'" else token
+            for token in map(_TOKEN, _SCAN.finditer(text)) if token]
 
 
 def _split_top_level_commas(tokens: list[Token]) -> list[list[Token]]:
@@ -257,6 +241,10 @@ def _parse_function(
     signature = canonical_signature(name_token.text, param_tokens)
     start_line = tokens[start].line
 
+    def unit(body: str, end_line: int) -> FunctionUnit:
+        return FunctionUnit(name_token.text, signature, body, file.directory, file.filename,
+                            start_line, end_line)
+
     # Skip modifiers/returns clauses up to the body `{` or declaration-only `;`.
     paren_depth = 0
     while j < n:
@@ -267,18 +255,7 @@ def _parse_function(
             elif token.text == ")":
                 paren_depth -= 1
             elif paren_depth == 0 and token.text == ";":
-                return (
-                    FunctionUnit(
-                        name=name_token.text,
-                        signature=signature,
-                        body="",
-                        directory=file.directory,
-                        filename=file.filename,
-                        start_line=start_line,
-                        end_line=token.line,
-                    ),
-                    j + 1,
-                )
+                return unit("", token.line), j + 1
             elif paren_depth == 0 and token.text == "{":
                 brace_depth = 0
                 k = j
@@ -290,51 +267,17 @@ def _parse_function(
                         elif t.text == "}":
                             brace_depth -= 1
                             if brace_depth == 0:
-                                body = text[token.pos:t.pos + 1]
-                                return (
-                                    FunctionUnit(
-                                        name=name_token.text,
-                                        signature=signature,
-                                        body=body,
-                                        directory=file.directory,
-                                        filename=file.filename,
-                                        start_line=start_line,
-                                        end_line=t.line,
-                                    ),
-                                    k + 1,
-                                )
+                                return unit(text[token.pos:t.pos + 1], t.line), k + 1
                     k += 1
                 if diagnostics is not None:
                     diagnostics.append(
                         f"line {start_line}: unbalanced braces at EOF in body of "
                         f"function {name_token.text}"
                     )
-                return (
-                    FunctionUnit(
-                        name=name_token.text,
-                        signature=signature,
-                        body="",
-                        directory=file.directory,
-                        filename=file.filename,
-                        start_line=start_line,
-                        end_line=tokens[-1].line,
-                    ),
-                    n,
-                )
+                return unit("", tokens[-1].line), n
         j += 1
     if diagnostics is not None:
         diagnostics.append(
             f"line {start_line}: function {name_token.text} has no body or terminator"
         )
-    return (
-        FunctionUnit(
-            name=name_token.text,
-            signature=signature,
-            body="",
-            directory=file.directory,
-            filename=file.filename,
-            start_line=start_line,
-            end_line=tokens[-1].line,
-        ),
-        n,
-    )
+    return unit("", tokens[-1].line), n

@@ -14,6 +14,7 @@ import json
 from dataclasses import asdict
 
 from proxylineage import Corpus
+from proxylineage.solidity import Token
 
 
 # --- keccak-256 oracle --------------------------------------------------------
@@ -168,6 +169,77 @@ def oracle_minhash_signature(shingle_hashes, k: int, seed: int) -> tuple[int, ..
         salt = _oracle_splitmix64((seed + i * 0x9E3779B97F4A7C15) & _MASK64)
         signature.append(min(_oracle_splitmix64(h ^ salt) for h in hashes))
     return tuple(signature)
+
+
+# --- Solidity lexer oracle ------------------------------------------------------
+
+def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
+    """The lexer as a loop over characters.
+
+    Whitespace (str.isspace) and `//` and `/* */` comments are skipped; an
+    unterminated block comment runs to the end. A string literal runs to its
+    closing quote, a newline or the end; a backslash escapes the next
+    character, a newline included. Strings become the token '""'. Idents are
+    [A-Za-z_$][A-Za-z0-9_$]*, numbers [0-9][0-9a-fA-FxX._]*, and any other
+    character is one punct token. Lines count every newline before a token.
+    """
+    ident_start = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
+    ident_cont = ident_start | set("0123456789")
+    number_cont = set("0123456789abcdefABCDEFxX._")
+    tokens: list[Token] = []
+    line = 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            i += 1
+        elif ch.isspace():
+            i += 1
+        elif text.startswith("//", i):
+            end = text.find("\n", i)
+            i = n if end == -1 else end
+        elif text.startswith("/*", i):
+            end = text.find("*/", i + 2)
+            if end == -1:
+                if diagnostics is not None:
+                    diagnostics.append(f"line {line}: unterminated block comment")
+                end = n
+            else:
+                end += 2
+            line += text.count("\n", i, end)
+            i = end
+        elif ch in ('"', "'"):
+            j = i + 1
+            closed = False
+            while j < n:
+                if text[j] == "\\" and j + 1 < n:
+                    j += 2
+                elif text[j] == ch:
+                    closed = True
+                    j += 1
+                    break
+                elif text[j] == "\n":
+                    break
+                else:
+                    j += 1
+            if not closed and diagnostics is not None:
+                diagnostics.append(f"line {line}: unterminated string literal")
+            tokens.append(Token("string", '""', line, i))
+            line += text.count("\n", i, j)
+            i = j
+        elif ch in ident_start or ch.isascii() and ch.isdigit():
+            cont = ident_cont if ch in ident_start else number_cont
+            j = i + 1
+            while j < n and text[j] in cont:
+                j += 1
+            tokens.append(Token("ident" if ch in ident_start else "number", text[i:j], line, i))
+            i = j
+        else:
+            tokens.append(Token("punct", ch, line, i))
+            i += 1
+    return tokens
 
 
 # --- canonical trace file oracle ------------------------------------------------

@@ -27,7 +27,12 @@ from proxylineage import (
     minhash_signature,
     query_similar,
 )
-from proxylineage.fingerprint import _MINHASH_BLOCK, read_fingerprints, write_fingerprints
+from proxylineage.fingerprint import (
+    _MINHASH_BLOCK,
+    _fingerprint_line,
+    read_fingerprints,
+    write_fingerprints,
+)
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
 from corpusgen import addr_from_int
@@ -226,6 +231,37 @@ def test_results_sorted_by_estimate_then_address():
 def test_bands_must_divide_signature_length():
     with pytest.raises(ConfigurationError):
         LshIndex([fp_from_set(ADDR_A, {1, 2, 3})], bands=100)
+
+
+@pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])
+def test_index_rejects_fingerprints_of_another_k_or_seed(other):
+    shingles = set(range(80))
+    fps = {ADDR_A: fp_from_set(ADDR_A, shingles), ADDR_B: fp_from_set(ADDR_B, shingles, **other)}
+    for query in fps:
+        with pytest.raises(ConfigurationError, match="has k"):
+            query_similar(fps, query)
+    with pytest.raises(ConfigurationError, match="has k"):
+        LshIndex(reversed(fps.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    address=st.text(),
+    k=st.integers(min_value=1, max_value=2**70),
+    seed=st.integers(min_value=-(2**70), max_value=2**70),
+    shingle_count=st.integers(min_value=0, max_value=2**70),
+    signature=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=6),
+)
+def test_fingerprint_line_matches_json_dumps(address, k, seed, shingle_count, signature):
+    row = {
+        "address": address,
+        "k": k,
+        "seed": seed,
+        "shingle_count": shingle_count,
+        "signature": b"".join(v.to_bytes(8, "big") for v in signature).hex(),
+    }
+    fp = Fingerprint(address, k, seed, tuple(signature), shingle_count)
+    assert _fingerprint_line(fp) == json.dumps(row, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def test_fingerprints_roundtrip_through_ndjson(tmp_path):
