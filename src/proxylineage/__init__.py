@@ -6,150 +6,72 @@ lineages; pair versions at contract, file and function granularity; estimate
 contract similarity with MinHash/LSH fingerprints and score similarity-based
 lineage construction against the rule-based ground truth; and track
 vulnerability-warning lifecycles across version pairs.
+
+The public names below load lazily (PEP 562): importing the package loads
+only ``_version``, and each name imports its submodule on first access.
+``proxylineage.fingerprint`` is the function; the submodule of that name is
+reached with ``from proxylineage.fingerprint import ...`` or
+``importlib.import_module("proxylineage.fingerprint")``.
 """
 
-from ._version import __version__
-from .corpus import (
-    ContractRecord,
-    Corpus,
-    DEFAULT_UPGRADE_SIGNATURES,
-    SourceFile,
-    TraceEvent,
-    compute_selector,
-    load_corpus,
-    monitored_selectors,
-    upgrade_proxies,
-    write_corpus,
-)
-from .dataset import (
-    DatasetBundle,
-    StatsReport,
-    build_bundle,
-    compute_stats,
-    emit_dataset,
-    load_bundle,
-)
-from .errors import (
-    ConfigurationError,
-    FetchError,
-    IntegrityError,
-    NotFingerprintableError,
-    ParseError,
-    UnknownAddressError,
-    ValidationError,
-)
-from .evaluation import ContractScope, LineageEvaluator, ScenarioResult
-from .explorer import ExplorerClient, RateLimiter, fetch_contract, fetch_contracts
-from .fingerprint import (
-    Fingerprint,
-    LshIndex,
-    SimilarityCategory,
-    SimilarityVerdict,
-    compare,
-    fingerprint,
-    minhash_signature,
-    query_similar,
-)
-from .keccak import keccak_256
-from .lifecycle import (
-    Finding,
-    FindingKey,
-    LifecycleRecord,
-    LifecycleStatus,
-    diff_pair,
-    lifecycle_stats,
-    load_findings,
-)
-from .lineage import (
-    ActivityWindow,
-    ContractPair,
-    ExclusionReason,
-    Lineage,
-    LineageDiagnostics,
-    activity_windows,
-    build_lineages,
-    contract_pairs,
-)
-from .pairing import (
-    FilePair,
-    FilePairing,
-    FunctionPair,
-    FunctionPairing,
-    MatchKind,
-    line_similarity,
-    pair_files,
-    pair_functions,
-)
-from .solidity import FunctionUnit, extract_functions, tokenize
-from .textmetrics import lcs_length, levenshtein
+import sys
+from importlib import import_module
+from types import ModuleType
 
-__all__ = [
-    "__version__",
-    "ActivityWindow",
-    "ConfigurationError",
-    "ContractPair",
-    "ContractRecord",
-    "ContractScope",
-    "Corpus",
-    "DatasetBundle",
-    "DEFAULT_UPGRADE_SIGNATURES",
-    "ExclusionReason",
-    "ExplorerClient",
-    "FetchError",
-    "FilePair",
-    "FilePairing",
-    "Finding",
-    "FindingKey",
-    "Fingerprint",
-    "FunctionPair",
-    "FunctionPairing",
-    "FunctionUnit",
-    "IntegrityError",
-    "Lineage",
-    "LineageDiagnostics",
-    "LineageEvaluator",
-    "LifecycleRecord",
-    "LifecycleStatus",
-    "LshIndex",
-    "MatchKind",
-    "NotFingerprintableError",
-    "ParseError",
-    "RateLimiter",
-    "ScenarioResult",
-    "SimilarityCategory",
-    "SimilarityVerdict",
-    "SourceFile",
-    "StatsReport",
-    "TraceEvent",
-    "UnknownAddressError",
-    "ValidationError",
-    "activity_windows",
-    "build_bundle",
-    "build_lineages",
-    "compare",
-    "compute_selector",
-    "compute_stats",
-    "contract_pairs",
-    "diff_pair",
-    "emit_dataset",
-    "extract_functions",
-    "fetch_contract",
-    "fetch_contracts",
-    "fingerprint",
-    "keccak_256",
-    "lcs_length",
-    "levenshtein",
-    "lifecycle_stats",
-    "line_similarity",
-    "load_bundle",
-    "load_corpus",
-    "load_findings",
-    "minhash_signature",
-    "monitored_selectors",
-    "pair_files",
-    "pair_functions",
-    "query_similar",
-    "tokenize",
-    "upgrade_proxies",
-    "write_corpus",
-]
+from ._version import __version__
+
+_EXPORTS = {
+    "corpus": ("ContractRecord", "Corpus", "DEFAULT_UPGRADE_SIGNATURES", "SourceFile",
+               "TraceEvent", "compute_selector", "load_corpus", "monitored_selectors",
+               "upgrade_proxies", "write_corpus"),
+    "dataset": ("DatasetBundle", "StatsReport", "build_bundle", "compute_stats", "emit_dataset",
+                "load_bundle"),
+    "errors": ("ConfigurationError", "FetchError", "IntegrityError", "NotFingerprintableError",
+               "ParseError", "UnknownAddressError", "ValidationError"),
+    "evaluation": ("ContractScope", "LineageEvaluator", "ScenarioResult"),
+    "explorer": ("ExplorerClient", "RateLimiter", "fetch_contract", "fetch_contracts"),
+    "fingerprint": ("Fingerprint", "LshIndex", "SimilarityCategory", "SimilarityVerdict",
+                    "compare", "fingerprint", "minhash_signature", "query_similar"),
+    "keccak": ("keccak_256",),
+    "lifecycle": ("Finding", "FindingKey", "LifecycleRecord", "LifecycleStatus", "diff_pair",
+                  "lifecycle_stats", "load_findings"),
+    "lineage": ("ActivityWindow", "ContractPair", "ExclusionReason", "Lineage",
+                "LineageDiagnostics", "activity_windows", "build_lineages", "contract_pairs"),
+    "pairing": ("FileMatch", "FileMatching", "FilePair", "FilePairing", "FunctionPair",
+                "FunctionPairing", "MatchKind", "line_similarity", "match_files", "pair_files",
+                "pair_functions"),
+    "solidity": ("FunctionUnit", "extract_functions", "tokenize"),
+    "textmetrics": ("lcs_length", "levenshtein"),
+}
+_SUBMODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *sorted(_SUBMODULE_OF)]
+
+
+def __getattr__(name: str):
+    module = _SUBMODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip __getattr__
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})
+
+
+class _Package(ModuleType):
+    """Keeps ``fingerprint`` the function whatever the import order.
+
+    Importing a submodule binds it as an attribute of its package, so loading
+    ``proxylineage.fingerprint`` would otherwise shadow the function of the
+    same name; that one binding is dropped.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if name != "fingerprint" or not isinstance(value, ModuleType):
+            super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

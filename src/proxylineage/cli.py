@@ -11,56 +11,11 @@ from pathlib import Path
 import click
 
 from ._version import __version__
-from .corpus import (
-    DEFAULT_UPGRADE_SIGNATURES,
-    json_text,
-    load_corpus,
-    sha256_file,
-    upgrade_proxies,
-    write_corpus,
-    write_json,
-)
-from .dataset import (
-    build_bundle,
-    bundle_to_jsonable,
-    compute_stats,
-    emit_dataset,
-    lineage_diagnostics_obj,
-    lineage_rows,
-    load_bundle,
-    stats_to_csv,
-    stats_to_jsonable,
-)
-from .errors import (
-    ConfigurationError,
-    FetchError,
-    UnknownAddressError,
-    ValidationError,
-)
-from .evaluation import (
-    ContractScope,
-    LineageEvaluator,
-    results_to_csv,
-    results_to_jsonable,
-)
-from .explorer import ExplorerClient, fetch_contracts
-from .fingerprint import (
-    DEFAULT_SIGNATURE_LENGTH,
-    SimilarityCategory,
-    fingerprint,
-    read_fingerprints,
-    write_fingerprints,
-)
-from .lifecycle import (
-    INTERSECTION,
-    UNION,
-    diff_pair,
-    lifecycle_stats,
-    load_category_map,
-    load_findings,
-)
-from .lineage import build_lineages, contract_pairs
-from .pairing import pair_files
+from .errors import ConfigurationError, FetchError, UnknownAddressError, ValidationError
+
+# Each command imports the modules it uses in its own body, so that a command
+# loads only what it reads. Option choices and defaults are literals for the
+# same reason; tests pin them to the library's constants.
 
 
 def _corpus_options(command):
@@ -99,10 +54,15 @@ def cli(ctx, seed: int):
 def ingest(traces_path, contracts_path, out_dir, cache_dir, allow_network,
            explorer_url, upgrade_signatures):
     """Validate fixtures and write the canonical corpus plus diagnostics."""
+    from .corpus import (DEFAULT_UPGRADE_SIGNATURES, load_corpus, upgrade_proxies, write_corpus,
+                         write_json)
+
     corpus = load_corpus(traces_path, contracts_path)
     if allow_network:
         if not explorer_url or not cache_dir:
             raise ConfigurationError("--allow-network requires --explorer-url and --cache-dir")
+        from .explorer import ExplorerClient, fetch_contracts
+
         missing = sorted({e.callee_address for e in corpus.events} - set(corpus.contracts))
         client = ExplorerClient(explorer_url)
         records, failures = fetch_contracts(missing, cache_dir, client)
@@ -131,6 +91,10 @@ def ingest(traces_path, contracts_path, out_dir, cache_dir, allow_network,
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def build_lineages_command(traces_path, contracts_path, out_dir):
     """Apply the classification rules and write lineages plus diagnostics."""
+    from .corpus import load_corpus, write_json
+    from .dataset import lineage_diagnostics_obj, lineage_rows
+    from .lineage import build_lineages
+
     corpus = load_corpus(traces_path, contracts_path)
     lineages, diagnostics = build_lineages(corpus)
     out = Path(out_dir)
@@ -146,6 +110,9 @@ def build_lineages_command(traces_path, contracts_path, out_dir):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def pair(traces_path, contracts_path, out_dir):
     """Pair contracts, files and functions; write the three pair tables."""
+    from .corpus import write_json
+    from .dataset import bundle_to_jsonable
+
     bundle = _bundle_from(traces_path, contracts_path)
     tables = bundle_to_jsonable(bundle)
     out = Path(out_dir)
@@ -160,11 +127,14 @@ def pair(traces_path, contracts_path, out_dir):
 @cli.command(name="fingerprint")
 @_corpus_options
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False))
-@click.option("--k", "k", type=int, default=DEFAULT_SIGNATURE_LENGTH, show_default=True,
+@click.option("--k", "k", type=int, default=256, show_default=True,
               help="Signature length.")
 @click.pass_context
 def fingerprint_command(ctx, traces_path, contracts_path, out_path, k):
     """Fingerprint every open-source contract into an NDJSON file."""
+    from .corpus import load_corpus
+    from .fingerprint import fingerprint, write_fingerprints
+
     corpus = load_corpus(traces_path, contracts_path)
     seed = ctx.obj["seed"]
     fingerprints = [
@@ -188,7 +158,7 @@ def fingerprint_command(ctx, traces_path, contracts_path, out_path, k):
               default="both", show_default=True)
 @click.option("--aggregation", type=click.Choice(["micro", "macro"]),
               default="micro", show_default=True)
-@click.option("--k", "k", type=int, default=DEFAULT_SIGNATURE_LENGTH, show_default=True)
+@click.option("--k", "k", type=int, default=256, show_default=True)
 @click.option("--fingerprints", "fingerprints_path",
               type=click.Path(exists=True, dir_okay=False),
               help="Reuse fingerprints from a previous `fingerprint` run.")
@@ -196,6 +166,11 @@ def fingerprint_command(ctx, traces_path, contracts_path, out_path, k):
 def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
                  threshold, scope, aggregation, k, fingerprints_path):
     """Score similarity-predicted lineages against the rule-based ground truth."""
+    from .corpus import json_text, load_corpus
+    from .evaluation import ContractScope, LineageEvaluator, results_to_csv, results_to_jsonable
+    from .fingerprint import SimilarityCategory, read_fingerprints
+    from .lineage import build_lineages
+
     corpus = load_corpus(traces_path, contracts_path)
     lineages, _ = build_lineages(corpus)
     thresholds = (
@@ -236,7 +211,7 @@ def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
 @click.option("--findings", "findings_paths", multiple=True, required=True,
               type=click.Path(exists=True, dir_okay=False),
               help="Findings report (repeat for multiple tools).")
-@click.option("--mode", type=click.Choice([UNION, INTERSECTION]), default=UNION,
+@click.option("--mode", type=click.Choice(["union", "intersection"]), default="union",
               show_default=True)
 @click.option("--category-map", "category_map_path", type=click.Path(exists=True, dir_okay=False),
               help="JSON mapping tool -> vuln_type -> shared category.")
@@ -244,6 +219,11 @@ def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
 def vuln_lifecycle(traces_path, contracts_path, findings_paths, mode,
                    category_map_path, out_path):
     """Diff findings across every contract pair and summarize their lifecycles."""
+    from .corpus import load_corpus, write_json
+    from .lifecycle import diff_pair, lifecycle_stats, load_category_map, load_findings
+    from .lineage import build_lineages, contract_pairs
+    from .pairing import match_files
+
     corpus = load_corpus(traces_path, contracts_path)
     lineages, _ = build_lineages(corpus)
     pairs = contract_pairs(lineages)
@@ -263,10 +243,9 @@ def vuln_lifecycle(traces_path, contracts_path, findings_paths, mode,
     for pair_ in pairs:
         pred = corpus.contracts[pair_.predecessor]
         succ = corpus.contracts[pair_.successor]
-        file_pairs = pair_files(pred, succ).pairs
         records.extend(diff_pair(
             pair_,
-            file_pairs,
+            match_files(pred, succ).matches,
             by_contract.get(pair_.predecessor, []),
             by_contract.get(pair_.successor, []),
         ))
@@ -285,6 +264,9 @@ def vuln_lifecycle(traces_path, contracts_path, findings_paths, mode,
 @click.option("--out", "out_path", type=click.Path(dir_okay=False))
 def stats(bundle_dir, output_format, out_path):
     """Summarize an emitted dataset bundle."""
+    from .corpus import json_text
+    from .dataset import compute_stats, load_bundle, stats_to_csv, stats_to_jsonable
+
     bundle = load_bundle(bundle_dir)
     report = compute_stats(bundle)
     rendered = stats_to_csv(report) if output_format == "csv" else json_text(stats_to_jsonable(report))
@@ -298,12 +280,17 @@ def stats(bundle_dir, output_format, out_path):
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 def emit(traces_path, contracts_path, out_dir):
     """Run the full pipeline and emit the dataset bundle."""
+    from .dataset import emit_dataset
+
     bundle = _bundle_from(traces_path, contracts_path)
     emit_dataset(bundle, out_dir)
     click.echo(f"emitted bundle with {len(bundle.lineages)} lineages -> {out_dir}")
 
 
 def _bundle_from(traces_path, contracts_path):
+    from .corpus import load_corpus, sha256_file
+    from .dataset import build_bundle
+
     corpus = load_corpus(traces_path, contracts_path)
     digests = {"traces": sha256_file(traces_path), "contracts": sha256_file(contracts_path)}
     return build_bundle(corpus, input_digests=digests)

@@ -294,8 +294,97 @@ def read_json(path: str | Path):
 
 
 def json_text(obj) -> str:
-    """The pretty form of every JSON report and bundle table: sorted keys, two-space indent."""
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """The pretty form of every JSON report and bundle table: sorted keys, two-space indent.
+
+    The bytes of json.dumps(obj, sort_keys=True, indent=2) plus a newline,
+    without the pure-Python encoder that `indent` selects; an unsupported
+    value raises the same TypeError. A cyclic container is not detected
+    (it ends in RecursionError, not ValueError).
+    """
+    chunks: list[str] = []
+    _pretty_json(obj, "\n", chunks.append)
+    chunks.append("\n")
+    return "".join(chunks)
+
+
+def _float_json(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+_INF = float("inf")
+# JSON text of the scalar types, by exact type
+_SCALAR_JSON = {str: _json_str, int: int.__repr__, float: _float_json,
+                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+
+
+def _scalar_json(value) -> str | None:
+    """JSON text of a str, int, float, bool or None (subclasses too); None otherwise."""
+    text = _SCALAR_JSON.get(type(value))
+    if text is not None:
+        return text(value)
+    if isinstance(value, str):
+        return _json_str(value)
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return _float_json(value)
+    return None
+
+
+def _key_json(key) -> str:
+    """A dict key as json.dumps writes it: always as a JSON string."""
+    if isinstance(key, str):
+        return _json_str(key)
+    text = _scalar_json(key)
+    if text is None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+    return f'"{text}"'
+
+
+def _pretty_json(value, newline: str, emit) -> None:
+    """Emit `value` as it stands after `newline` (a line break plus its indent)."""
+    text = _scalar_json(value)
+    if text is not None:
+        emit(text)
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            key = _json_str(key) if type(key) is str else _key_json(key)
+            text = _SCALAR_JSON.get(type(item))
+            if text is not None:
+                emit(f"{separator}{key}: {text(item)}")
+            else:
+                emit(f"{separator}{key}: ")
+                _pretty_json(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            text = _SCALAR_JSON.get(type(item))
+            if text is not None:
+                emit(separator + text(item))
+            else:
+                emit(separator)
+                _pretty_json(item, inner, emit)
+            separator = "," + inner
+        emit(newline + "]")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def write_json(path: str | Path, obj) -> None:

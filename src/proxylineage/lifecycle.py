@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import Corpus, _iter_ndjson, _require_fields, normalize_address, read_json
 from .errors import ConfigurationError, ValidationError
 from .lineage import ContractPair, SECONDS_PER_DAY
-from .pairing import FilePair
+from .pairing import FileMatch, FilePair
 
 FINDING_FIELDS = frozenset(
     {"tool", "vuln_type", "contract", "directory", "filename", "start_line", "end_line", "message"}
@@ -163,7 +163,7 @@ def _cross_check(finding: Finding, corpus: Corpus, line_number: int,
 
 
 def _identity_maps(
-    file_pairs: list[FilePair],
+    file_pairs: list[FileMatch] | list[FilePair],
 ) -> tuple[dict[tuple[str, str], FileIdentity], dict[tuple[str, str], FileIdentity]]:
     pred_map: dict[tuple[str, str], FileIdentity] = {}
     succ_map: dict[tuple[str, str], FileIdentity] = {}
@@ -176,7 +176,7 @@ def _identity_maps(
 
 def diff_pair(
     pair: ContractPair,
-    file_pairs: list[FilePair],
+    file_pairs: list[FileMatch] | list[FilePair],
     pred_findings: list[Finding],
     succ_findings: list[Finding],
 ) -> list[LifecycleRecord]:
@@ -187,6 +187,8 @@ def diff_pair(
     DISAPPEARED. Disappearances carry the days from the predecessor's first
     activity to the successor's first activity, i.e. how long the vulnerable
     version was the live one before a warning-free successor took over.
+    Only the matched file names of `file_pairs` are read, so the matches of
+    pairing.match_files serve as well as the scored pairs of pair_files.
     """
     pred_map, succ_map = _identity_maps(file_pairs)
 

@@ -21,6 +21,24 @@ NOT_OPEN_SOURCE = "NOT_OPEN_SOURCE"
 
 
 @dataclass(frozen=True)
+class FileMatch:
+    """Matched file versions within one directory, by filename alone."""
+
+    directory: str
+    predecessor_filename: str
+    successor_filename: str
+    name_distance: int
+
+
+@dataclass
+class FileMatching:
+    matches: list[FileMatch]
+    unpaired_predecessor: list[tuple[str, str]]
+    unpaired_successor: list[tuple[str, str]]
+    flag: str | None = None
+
+
+@dataclass(frozen=True)
 class FilePair:
     """Matched file versions plus their similarity rates.
 
@@ -85,8 +103,8 @@ def content_similarity(pred_content: str, succ_content: str) -> float:
     return lcs_length(pred_content, succ_content) / max(len(pred_content), len(succ_content))
 
 
-def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
-    """Match files of two versions within shared directories.
+def match_files(pred: ContractRecord, succ: ContractRecord) -> FileMatching:
+    """Match files of two versions within shared directories, by name alone.
 
     Candidates are ranked by ascending filename edit distance (0, then 1,
     then 2; never beyond), ties broken lexicographically by predecessor then
@@ -94,57 +112,74 @@ def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
     yields an empty result flagged NOT_OPEN_SOURCE.
     """
     if not pred.open_source or not succ.open_source:
-        return FilePairing(pairs=[], unpaired_predecessor=[], unpaired_successor=[],
-                           flag=NOT_OPEN_SOURCE)
+        return FileMatching(matches=[], unpaired_predecessor=[], unpaired_successor=[],
+                            flag=NOT_OPEN_SOURCE)
 
-    pred_by_dir: dict[str, list] = {}
-    succ_by_dir: dict[str, list] = {}
+    pred_by_dir: dict[str, list[str]] = {}
+    succ_by_dir: dict[str, list[str]] = {}
     for f in pred.files:
-        pred_by_dir.setdefault(f.directory, []).append(f)
+        pred_by_dir.setdefault(f.directory, []).append(f.filename)
     for f in succ.files:
-        succ_by_dir.setdefault(f.directory, []).append(f)
+        succ_by_dir.setdefault(f.directory, []).append(f.filename)
 
-    pairs: list[FilePair] = []
+    matches: list[FileMatch] = []
     used_pred: set[tuple[str, str]] = set()
     used_succ: set[tuple[str, str]] = set()
     for directory in sorted(set(pred_by_dir) & set(succ_by_dir)):
         candidates = []
-        for pf in pred_by_dir[directory]:
-            for sf in succ_by_dir[directory]:
-                distance = levenshtein(pf.filename, sf.filename)
+        for pname in pred_by_dir[directory]:
+            for sname in succ_by_dir[directory]:
+                distance = levenshtein(pname, sname)
                 if distance <= MAX_NAME_DISTANCE:
-                    candidates.append((distance, pf.filename, sf.filename, pf, sf))
-        candidates.sort(key=lambda c: c[:3])
-        for distance, _, _, pf, sf in candidates:
-            pkey = (directory, pf.filename)
-            skey = (directory, sf.filename)
+                    candidates.append((distance, pname, sname))
+        candidates.sort()
+        for distance, pname, sname in candidates:
+            pkey = (directory, pname)
+            skey = (directory, sname)
             if pkey in used_pred or skey in used_succ:
                 continue
             used_pred.add(pkey)
             used_succ.add(skey)
-            pairs.append(
-                FilePair(
-                    predecessor=pred.address,
-                    successor=succ.address,
-                    directory=directory,
-                    predecessor_filename=pf.filename,
-                    successor_filename=sf.filename,
-                    name_distance=distance,
-                    line_similarity=line_similarity(pf.content, sf.content),
-                    content_similarity=content_similarity(pf.content, sf.content),
-                )
-            )
+            matches.append(FileMatch(directory, pname, sname, distance))
 
     unpaired_pred = [(f.directory, f.filename) for f in pred.files
                      if (f.directory, f.filename) not in used_pred]
     unpaired_succ = [(f.directory, f.filename) for f in succ.files
                      if (f.directory, f.filename) not in used_succ]
-    pairs.sort(key=lambda p: (p.directory, p.predecessor_filename, p.successor_filename))
-    return FilePairing(
-        pairs=pairs,
+    matches.sort(key=lambda m: (m.directory, m.predecessor_filename, m.successor_filename))
+    return FileMatching(
+        matches=matches,
         unpaired_predecessor=sorted(unpaired_pred),
         unpaired_successor=sorted(unpaired_succ),
     )
+
+
+def _contents(record: ContractRecord) -> dict[tuple[str, str], str]:
+    # the first file of a repeated path wins, as it does in match_files
+    return {(f.directory, f.filename): f.content for f in reversed(record.files)}
+
+
+def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
+    """match_files plus the line and content similarity of each matched pair."""
+    matching = match_files(pred, succ)
+    pred_contents = _contents(pred)
+    succ_contents = _contents(succ)
+    pairs = []
+    for m in matching.matches:
+        a = pred_contents[m.directory, m.predecessor_filename]
+        b = succ_contents[m.directory, m.successor_filename]
+        pairs.append(FilePair(
+            predecessor=pred.address,
+            successor=succ.address,
+            directory=m.directory,
+            predecessor_filename=m.predecessor_filename,
+            successor_filename=m.successor_filename,
+            name_distance=m.name_distance,
+            line_similarity=line_similarity(a, b),
+            content_similarity=content_similarity(a, b),
+        ))
+    return FilePairing(pairs=pairs, unpaired_predecessor=matching.unpaired_predecessor,
+                       unpaired_successor=matching.unpaired_successor, flag=matching.flag)
 
 
 def pair_functions(

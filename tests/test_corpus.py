@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from proxylineage import (
     Corpus,
+    MatchKind,
     ParseError,
+    SimilarityCategory,
     TraceEvent,
     ValidationError,
     build_lineages,
@@ -27,6 +29,7 @@ from proxylineage import (
 )
 from proxylineage.corpus import (
     corpus_digests,
+    json_text,
     load_trace_events,
     read_json,
     serialize_contract_records,
@@ -427,3 +430,55 @@ def test_corpus_digests_of_loaded_corpus_match_json_dumps(tmp_path):
     # The digest these two rows have always had (json.dumps per row).
     assert corpus_digests(corpus)["traces"] == (
         "42dd7c64970d8a7005fa48163884323f2a5bfaf19c9962df86cefaed17c55635")
+
+
+# --- json_text ------------------------------------------------------------------
+
+JSON_SCALARS = (st.none() | st.booleans() | st.text()
+                | st.integers(min_value=-2**100, max_value=2**100) | st.floats())
+# keys of one type per dict: json.dumps cannot sort str against int keys
+JSON_KEYS = (st.text(), st.integers(min_value=-2**70, max_value=2**70), st.floats(),
+             st.booleans(), st.none())
+UNSUPPORTED = (st.builds(set) | st.binary(max_size=2) | st.builds(object)
+               | st.complex_numbers(max_magnitude=1))
+
+
+def json_values(leaves):
+    return st.recursive(leaves, lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.one_of([st.dictionaries(keys, children, max_size=4) for keys in JSON_KEYS])),
+        max_leaves=30)
+
+
+def dumped_or_error(encode, obj):
+    try:
+        return encode(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(json_values(JSON_SCALARS))
+def test_json_text_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values(JSON_SCALARS | UNSUPPORTED)
+       | st.dictionaries(st.frozensets(st.integers(), max_size=1) | st.booleans() | st.none()
+                         | st.floats(), JSON_SCALARS, max_size=3))
+def test_json_text_fails_like_json_dumps(obj):
+    expected = dumped_or_error(lambda o: json.dumps(o, sort_keys=True, indent=2) + "\n", obj)
+    assert dumped_or_error(json_text, obj) == expected
+
+
+def test_json_text_edge_values():
+    obj = {"nested": {"empty_list": [], "empty_dict": {}, "tuple": (1, (2, [])),
+                      "text": "caf\u00e9 \u2603 \U0001f600 \x00\x1f\"\\\n"},
+           "floats": [0.0, -0.0, 1e300, 5e-324, float("nan"), float("inf"), float("-inf")],
+           "ints": [2**64, -(2**80), True, False, None],
+           "subclasses": [MatchKind.FUZZY_NAME, SimilarityCategory.HIGH,
+                          {MatchKind.EXACT_SIGNATURE: SimilarityCategory.LOW}]}
+    assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    assert json_text([]) == "[]\n" and json_text("x") == '"x"\n'

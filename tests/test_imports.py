@@ -1,0 +1,135 @@
+"""Import hygiene: the package loads lazily and each command imports only what it uses.
+
+Every probe runs in a fresh interpreter, since what one test imports stays
+loaded for the next.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import proxylineage
+from proxylineage.cli import cli
+
+from corpusgen import varied_sourced_corpus, write_corpus_fixtures
+
+SRC = str(Path(proxylineage.__file__).resolve().parents[1])
+
+
+def probe(code: str, *args: str):
+    """Run `code` in a fresh interpreter; return what it printed, parsed as JSON."""
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    completed = subprocess.run([sys.executable, "-c", code, *args],
+                               capture_output=True, text=True, env=env)
+    assert completed.returncode == 0, completed.stderr
+    return json.loads(completed.stdout.splitlines()[-1])
+
+
+def run_command(*args: str) -> dict:
+    """Run one CLI command; return its exit code and the modules it left loaded."""
+    return probe("import json, sys\n"
+                 "from proxylineage.cli import main\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))", *args)
+
+
+def test_cli_import_loads_only_cli_errors_and_version():
+    code = ("import json, sys\n"
+            "import proxylineage.cli\n"
+            "print(json.dumps([sorted(m for m in sys.modules if m.startswith('proxylineage')),\n"
+            "                  'concurrent.futures' in sys.modules, 'logging' in sys.modules]))")
+    loaded, futures, logging = probe(code)
+    assert loaded == ["proxylineage", "proxylineage._version", "proxylineage.cli",
+                      "proxylineage.errors"]
+    assert not futures and not logging
+
+
+@pytest.fixture
+def corpus():
+    return varied_sourced_corpus(random.Random(3))
+
+
+@pytest.fixture
+def corpus_args(corpus, tmp_path):
+    traces, contracts = write_corpus_fixtures(corpus, tmp_path)
+    return ["--traces", str(traces), "--contracts", str(contracts)]
+
+
+def test_vuln_lifecycle_loads_no_dataset_fingerprint_evaluation_or_explorer(
+        corpus, corpus_args, tmp_path):
+    findings = tmp_path / "findings.ndjson"
+    findings.write_text("".join(
+        json.dumps({"tool": "slither", "vuln_type": "tx-origin", "contract": record.address,
+                    "directory": file.directory, "filename": file.filename,
+                    "start_line": 1, "end_line": 1, "message": "m"}) + "\n"
+        for record in corpus.contracts.values() for file in record.files))
+    result = run_command("vuln-lifecycle", *corpus_args, "--findings", str(findings),
+                         "--out", str(tmp_path / "lifecycle.json"))
+    assert result["code"] == 0
+    for module in ("dataset", "fingerprint", "evaluation", "explorer"):
+        assert f"proxylineage.{module}" not in result["modules"]
+    assert "proxylineage.pairing" in result["modules"]
+
+
+def test_ingest_without_network_loads_no_explorer(corpus_args, tmp_path):
+    result = run_command("ingest", *corpus_args, "--out", str(tmp_path / "corpus"))
+    assert result["code"] == 0
+    assert "proxylineage.explorer" not in result["modules"]
+    assert "concurrent.futures" not in result["modules"]
+
+
+def test_every_public_name_resolves_and_is_listed():
+    listed = dir(proxylineage)
+    for name in proxylineage.__all__:
+        assert getattr(proxylineage, name) is not None
+        assert name in listed
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        proxylineage.no_such_name  # noqa: B018
+    assert getattr(proxylineage, "_event_from_obj", None) is None
+
+
+FINGERPRINT_IS_FUNCTION = """
+import importlib, inspect, json, sys
+{first}
+import proxylineage
+from proxylineage import fingerprint
+module = importlib.import_module("proxylineage.fingerprint")
+print(json.dumps([inspect.isfunction(fingerprint), fingerprint is module.fingerprint,
+                  proxylineage.fingerprint is module.fingerprint,
+                  inspect.ismodule(module)]))
+"""
+
+
+@pytest.mark.parametrize("first", [
+    "from proxylineage.fingerprint import record_shingles",  # submodule before the name
+    "from proxylineage import fingerprint",  # name before the submodule
+    "import proxylineage.evaluation",  # submodule loaded by another module
+    "import proxylineage.fingerprint",
+])
+def test_fingerprint_is_the_function_whatever_the_import_order(first):
+    assert probe(FINGERPRINT_IS_FUNCTION.format(first=first)) == [True, True, True, True]
+
+
+def test_cli_literals_equal_library_constants():
+    from proxylineage.fingerprint import DEFAULT_SIGNATURE_LENGTH
+    from proxylineage.lifecycle import INTERSECTION, UNION
+
+    def option(command, name):
+        return next(p for p in cli.commands[command].params if p.name == name)
+
+    mode = option("vuln-lifecycle", "mode")
+    assert list(mode.type.choices) == [UNION, INTERSECTION]
+    assert mode.default == UNION
+    for command in ("fingerprint", "evaluate-lsh"):
+        assert option(command, "k").default == DEFAULT_SIGNATURE_LENGTH

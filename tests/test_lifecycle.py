@@ -15,12 +15,17 @@ from proxylineage import (
     SourceFile,
     diff_pair,
     lifecycle_stats,
+    build_lineages,
+    contract_pairs,
     load_findings,
+    match_files,
+    pair_files,
 )
 from proxylineage.lineage import ActivityWindow, ContractPair
 from proxylineage.pairing import FilePair
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, PROXY, make_record
+from corpusgen import varied_sourced_corpus
 
 DAY = 86400
 
@@ -407,3 +412,26 @@ def test_hand_computed_three_version_fixture():
     assert intersection["lineages_touched"] == 1
     assert intersection["mean_days_to_disappear"] == pytest.approx(30.0)
     assert intersection["patched_without_new_file_count"] == 1
+
+
+def random_findings(rng: random.Random, record) -> list[Finding]:
+    """Findings on the record's files, plus some on a file it does not have."""
+    paths = [(f.directory, f.filename) for f in record.files] + [("src", "Gone.sol")]
+    return [finding(tool=rng.choice(["slither", "mythril"]),
+                    vuln_type=rng.choice(["reentrancy-eth", "tx-origin"]),
+                    contract=record.address, directory=directory, filename=filename)
+            for directory, filename in rng.choices(paths, k=rng.randint(0, 6))]
+
+
+def test_diff_pair_reads_only_file_names():
+    for seed in range(6):
+        rng = random.Random(seed)
+        corpus = varied_sourced_corpus(rng)
+        lineages, _ = build_lineages(corpus)
+        for pair in contract_pairs(lineages):
+            pred = corpus.contracts[pair.predecessor]
+            succ = corpus.contracts[pair.successor]
+            pred_findings = random_findings(rng, pred)
+            succ_findings = random_findings(rng, succ)
+            assert (diff_pair(pair, match_files(pred, succ).matches, pred_findings, succ_findings)
+                    == diff_pair(pair, pair_files(pred, succ).pairs, pred_findings, succ_findings))

@@ -14,6 +14,7 @@ from proxylineage import (
     lcs_length,
     levenshtein,
     line_similarity,
+    match_files,
     pair_files,
     pair_functions,
     tokenize,
@@ -21,6 +22,7 @@ from proxylineage import (
 from proxylineage.pairing import FilePair, content_similarity
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
+from corpusgen import varied_sourced_corpus
 from oracles import oracle_lcs_length, oracle_levenshtein, oracle_line_similarity
 
 REGISTRY_V2 = "pragma solidity ^0.8.0;\ncontract LandRegistry { function a() public {} }\n"
@@ -385,6 +387,58 @@ def test_each_file_used_at_most_once():
     succ_used = [p.successor_filename for p in pairing.pairs]
     assert len(pred_used) == len(set(pred_used))
     assert len(succ_used) == len(set(succ_used))
+
+
+def assert_matching_is_pairing_by_name(pred, succ):
+    matching = match_files(pred, succ)
+    pairing = pair_files(pred, succ)
+    assert [(m.directory, m.predecessor_filename, m.successor_filename, m.name_distance)
+            for m in matching.matches] == [
+        (p.directory, p.predecessor_filename, p.successor_filename, p.name_distance)
+        for p in pairing.pairs]
+    assert matching.unpaired_predecessor == pairing.unpaired_predecessor
+    assert matching.unpaired_successor == pairing.unpaired_successor
+    assert matching.flag == pairing.flag
+
+
+def test_match_files_is_pair_files_without_scores_on_generated_corpora():
+    for seed in range(6):
+        corpus = varied_sourced_corpus(random.Random(seed))
+        records = sorted(corpus.contracts.values(), key=lambda r: r.address)
+        for pred in records:
+            for succ in records:
+                assert_matching_is_pairing_by_name(pred, succ)
+
+
+def test_match_files_keeps_not_open_source_flag():
+    pred = make_record(ADDR_A, CREATOR_X, [])
+    succ = make_record(ADDR_B, CREATOR_X, [sf("a", "Token.sol")])
+    for a, b in ((pred, succ), (succ, pred)):
+        matching = match_files(a, b)
+        assert matching.flag == "NOT_OPEN_SOURCE"
+        assert matching.matches == []
+        assert matching.unpaired_predecessor == matching.unpaired_successor == []
+
+
+@st.composite
+def near_named_files(draw):
+    """A small file set: few directories, names within a few edits of each other."""
+    stems = draw(st.lists(st.text("ab", min_size=1, max_size=3), min_size=1, max_size=3))
+    paths = draw(st.lists(
+        st.tuples(st.sampled_from(["src", "lib", ""]), st.sampled_from(stems),
+                  st.text("ab", max_size=3)),
+        max_size=5, unique_by=lambda t: (t[0], t[1] + t[2])))
+    return [sf(directory, stem + tail + ".sol", f"contract C{i} {{}}\n")
+            for i, (directory, stem, tail) in enumerate(paths)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_named_files(), near_named_files())
+@example([sf("a", "Ax.sol"), sf("a", "Ay.sol")], [sf("a", "Az.sol")])
+def test_match_files_is_pair_files_without_scores(pred_files, succ_files):
+    pred = make_record(ADDR_A, CREATOR_X, pred_files)
+    succ = make_record(ADDR_B, CREATOR_X, succ_files)
+    assert_matching_is_pairing_by_name(pred, succ)
 
 
 # --- function pairing -----------------------------------------------------------
