@@ -97,10 +97,12 @@ def build_lineages_command(traces_path, contracts_path, out_dir):
 
     corpus = load_corpus(traces_path, contracts_path)
     lineages, diagnostics = build_lineages(corpus)
+    corpus_diagnostics = corpus.diagnostics
+    del corpus  # free the events before the reports are rendered
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "lineages.json", lineage_rows(lineages))
-    write_json(out / "diagnostics.json", lineage_diagnostics_obj(corpus.diagnostics, diagnostics))
+    write_json(out / "diagnostics.json", lineage_diagnostics_obj(corpus_diagnostics, diagnostics))
     click.echo(f"built {len(lineages)} lineages "
                f"({len(diagnostics.exclusions)} exclusions) -> {out}")
 

@@ -12,11 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .keccak import keccak_256
@@ -38,16 +39,20 @@ FILE_FIELDS = frozenset({"directory", "filename", "content"})
 DEFAULT_UPGRADE_SIGNATURES = ("upgradeTo(address)", "upgradeToAndCall(address,bytes)")
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEvent:
-    """One observed delegatecall from a proxy to an implementation."""
+class TraceEvent(NamedTuple):
+    """One observed delegatecall from a proxy to an implementation.
 
+    The fields are in canonical order, so plain tuple comparison sorts
+    events canonically: by block, transaction, proxy, callee, selector and
+    timestamp.
+    """
+
+    block_number: int
+    tx_id: str
     proxy_address: str
     callee_address: str
-    timestamp: int
-    block_number: int
     selector: str
-    tx_id: str
+    timestamp: int
 
 
 @dataclass(frozen=True)
@@ -204,7 +209,8 @@ def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEv
     if type(block_number) is not int or block_number < 0:
         block_number = _require_int(block_number, "block_number")
     selector = _memo_normalize(selectors, obj["selector"], normalize_selector, "selector")
-    return TraceEvent(proxy, callee, timestamp, block_number, selector, tx_id)
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple: same event, half the cost
+    return tuple.__new__(TraceEvent, (block_number, tx_id, proxy, callee, selector, timestamp))
 
 
 def contract_from_obj(obj: object, where: str = "contract record") -> ContractRecord:
@@ -248,12 +254,11 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         deploy_timestamp=_require_int(obj["deploy_timestamp"], "deploy_timestamp"),
         verified=verified,
         open_source=open_source,
-        files=tuple(sorted(files, key=lambda f: (f.directory, f.filename))),
+        files=tuple(sorted(files, key=_file_path)),
     )
 
 
-_canonical_event_key = attrgetter("block_number", "tx_id", "proxy_address",
-                                  "callee_address", "selector", "timestamp")
+_file_path = attrgetter("directory", "filename")
 
 
 def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
@@ -264,21 +269,38 @@ def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
         raise ParseError(path, line_number, f"invalid UTF-8: {exc.reason}") from exc
 
 
+_scan_json = json.JSONDecoder().scan_once
+_JSON_SPACE = " \t\n\r"
+
+
 def _iter_ndjson(path: Path, parse):
     """(line number, parse(row)) per non-blank line of an NDJSON file.
 
+    A row is what json.loads(line) returns. A line holding one JSON value at
+    its start and only JSON whitespace after it is read by a single call of
+    the decoder's scanner; every other line goes through json.loads, which
+    gives the same value, skips it as blank or raises the same error.
     Bad UTF-8, bad JSON or a row that `parse` rejects with a ValidationError
     raises ParseError naming the file and line.
     """
     with open(path, "rb") as handle:
         for line_number, raw in enumerate(handle, start=1):
             line = _utf8(raw, path, line_number)
-            if not line.strip():
-                continue
             try:
-                parsed = parse(json.loads(line))
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
+                obj, end = _scan_json(line, 0)
+            except (StopIteration, ValueError):
+                end = -1
+            if end < 0 or line[end:].strip(_JSON_SPACE):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
+                except ValueError as exc:
+                    raise _integer_too_long(path, line, line_number) from exc
+            try:
+                parsed = parse(obj)
             except ValidationError as exc:
                 raise ParseError(path, line_number, str(exc)) from exc
             yield line_number, parsed
@@ -291,6 +313,29 @@ def read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:
+        raise _integer_too_long(path, text) from exc
+
+
+# A JSON string, or the digits of a JSON integer (not of a fraction or an exponent)
+_STRING_OR_INTEGER = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![0-9.eE+-])-?([0-9]+)(?![0-9.eE])')
+
+
+def _integer_too_long(path, text: str, first_line: int = 1) -> ParseError:
+    """The ParseError for the one ValueError json.loads raises besides JSONDecodeError:
+    an integer with more digits than int() converts.
+
+    That error carries no position. json.loads converts integers in text
+    order and everything before the failing one was valid JSON, so the line
+    is that of the first integer over the limit.
+    """
+    limit = sys.get_int_max_str_digits()
+    line_number = first_line
+    for match in _STRING_OR_INTEGER.finditer(text):
+        if match[1] is not None and len(match[1]) > limit:
+            line_number += text.count("\n", 0, match.start())
+            break
+    return ParseError(path, line_number, f"invalid JSON: integer longer than {limit} digits")
 
 
 def json_text(obj) -> str:
@@ -318,9 +363,10 @@ def _float_json(x: float) -> str:
 
 
 _INF = float("inf")
+_JSON_BOOL = {True: "true", False: "false"}
 # JSON text of the scalar types, by exact type
 _SCALAR_JSON = {str: _json_str, int: int.__repr__, float: _float_json,
-                bool: {True: "true", False: "false"}.__getitem__, type(None): lambda _: "null"}
+                bool: _JSON_BOOL.__getitem__, type(None): lambda _: "null"}
 
 
 def _scalar_json(value) -> str | None:
@@ -402,13 +448,13 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     memo: tuple[dict, dict] = ({}, {})
     rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo))
     raw_events = [event for _, event in rows]
-    raw_events.sort(key=_canonical_event_key)
+    raw_events.sort()
     diagnostics = []
     events = []
     seen = set()
     duplicates = 0
     for event in raw_events:
-        dedup_key = (event.tx_id, event.proxy_address, event.callee_address)
+        dedup_key = event[1:4]  # (tx_id, proxy_address, callee_address)
         if dedup_key in seen:
             duplicates += 1
             continue
@@ -471,7 +517,7 @@ def _trace_line(e: TraceEvent) -> str:
 
 def _trace_lines(events: Iterable[TraceEvent]) -> Iterable[str]:
     """The canonical trace file, one row at a time, in canonical order."""
-    return map(_trace_line, sorted(events, key=_canonical_event_key))
+    return map(_trace_line, sorted(events))
 
 
 def contract_to_obj(record: ContractRecord) -> dict:
@@ -483,9 +529,20 @@ def contract_to_obj(record: ContractRecord) -> dict:
         "open_source": record.open_source,
         "files": [
             {"directory": f.directory, "filename": f.filename, "content": f.content}
-            for f in sorted(record.files, key=lambda f: (f.directory, f.filename))
+            for f in sorted(record.files, key=_file_path)
         ],
     }
+
+
+def _contract_line(r: ContractRecord) -> str:
+    """One canonical contract row: the bytes of json.dumps(contract_to_obj(r),
+    sort_keys=True, separators=(",", ":")), plus the newline."""
+    files = ",".join(f'{{"content":{_json_str(f.content)},"directory":{_json_str(f.directory)},'
+                     f'"filename":{_json_str(f.filename)}}}'
+                     for f in sorted(r.files, key=_file_path))
+    return (f'{{"address":{_json_str(r.address)},"creator":{_json_str(r.creator)},'
+            f'"deploy_timestamp":{r.deploy_timestamp},"files":[{files}],'
+            f'"open_source":{_JSON_BOOL[r.open_source]},"verified":{_JSON_BOOL[r.verified]}}}\n')
 
 
 def serialize_trace_events(events: Iterable[TraceEvent]) -> bytes:
@@ -493,8 +550,7 @@ def serialize_trace_events(events: Iterable[TraceEvent]) -> bytes:
 
 
 def serialize_contract_records(contracts: dict[str, ContractRecord]) -> bytes:
-    return "".join(json.dumps(contract_to_obj(contracts[a]), sort_keys=True, separators=(",", ":"))
-                   + "\n" for a in sorted(contracts)).encode("utf-8")
+    return "".join(_contract_line(contracts[a]) for a in sorted(contracts)).encode("ascii")
 
 
 def write_corpus(corpus: Corpus, trace_path: str | Path, contracts_path: str | Path) -> None:

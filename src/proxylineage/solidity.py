@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import SourceFile
 
@@ -51,8 +52,7 @@ _KIND_OF_FIRST = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # ident | number | string | punct
     text: str
     line: int

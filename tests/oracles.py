@@ -11,7 +11,6 @@ direct recursive construction.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 
 from proxylineage import Corpus
 from proxylineage.solidity import Token
@@ -253,7 +252,7 @@ def oracle_trace_ndjson(events) -> bytes:
     """
     ordered = sorted(events, key=lambda e: (e.block_number, e.tx_id, e.proxy_address,
                                             e.callee_address, e.selector, e.timestamp))
-    rows = [json.dumps(asdict(e), sort_keys=True, separators=(",", ":")) for e in ordered]
+    rows = [json.dumps(e._asdict(), sort_keys=True, separators=(",", ":")) for e in ordered]
     return "".join(row + "\n" for row in rows).encode("utf-8")
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -210,8 +211,10 @@ def _evaluate_with(fixture_paths, fps, seed: int = 0, k: int = 256):
     lambda row: json.dumps({**json.loads(row), "address": 7}),
     lambda row: "[1, 2]",
     lambda row: "\udcff" + row,  # written as a lone 0xff byte
+    lambda row: json.dumps({**json.loads(row), "k": "K"}).replace('"K"', "2" * 5001),
 ], ids=["bad-json", "missing-field", "unknown-field", "non-hex-signature",
-        "short-signature", "string-k", "float-seed", "bad-address", "not-an-object", "bad-utf8"])
+        "short-signature", "string-k", "float-seed", "bad-address", "not-an-object", "bad-utf8",
+        "overlong-k"])
 def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path, capsys, edit):
     fps = _fingerprints_file(fixture_paths, tmp_path)
     rows = fps.read_text().splitlines()
@@ -296,6 +299,31 @@ def test_malformed_category_map_is_a_parse_error(fixture_paths, tmp_path, capsys
     assert "Traceback" not in err
 
 
+LONG_INTEGER_ERROR = f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits"
+
+
+@pytest.mark.parametrize("which, field", [("traces", "timestamp"), ("contracts", "deploy_timestamp"),
+                                          ("findings", "start_line")])
+def test_overlong_integer_in_a_row_names_file_and_line(fixture_paths, tmp_path, capsys, which,
+                                                       field):
+    findings = tmp_path / "findings.ndjson"
+    findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
+    path = {"traces": fixture_paths[0], "contracts": fixture_paths[1], "findings": findings}[which]
+    first, second, *rest = path.read_text().split("\n")
+    second = json.dumps({**json.loads(second), field: "N"}).replace('"N"', "9" * 5001)
+    path.write_text("\n".join([first, second, *rest]))
+    capsys.readouterr()
+    assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {path}:2: {LONG_INTEGER_ERROR}\n"
+
+
+def test_overlong_integer_in_a_json_document_names_file_and_line(fixture_paths, tmp_path, capsys):
+    category_map = tmp_path / "categories.json"
+    category_map.write_text('{\n  "slither": {\n    "reentrancy-eth": %s\n  }\n}\n' % ("9" * 5001))
+    assert _vuln_lifecycle(fixture_paths, tmp_path, "--category-map", str(category_map)) == 1
+    assert capsys.readouterr().err == f"error: {category_map}:3: {LONG_INTEGER_ERROR}\n"
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("manifest.json", lambda text: text.replace('"bundle_version": "1"', '"bundle_version": "9"'),
      "bundle_version '9' is not the supported '1'"),
@@ -312,7 +340,10 @@ def test_malformed_category_map_is_a_parse_error(fixture_paths, tmp_path, capsys
          {"proxy": PROXY, "callee": ADDR_C, "reason": "BOGUS"}]}),
      "malformed row"),
     ("lineages.json", lambda text: text[:len(text) // 2], "invalid JSON"),
-], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated"])
+    ("lineages.json", lambda text: text.replace('"last_call": 20', '"last_call": ' + "9" * 5001),
+     "invalid JSON: integer longer than"),
+], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
+        "overlong-integer"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import random
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,10 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proxylineage import (
+    ContractRecord,
     Corpus,
     MatchKind,
     ParseError,
     SimilarityCategory,
+    SourceFile,
     TraceEvent,
     ValidationError,
     build_lineages,
@@ -28,6 +32,9 @@ from proxylineage import (
     write_corpus,
 )
 from proxylineage.corpus import (
+    _contract_line,
+    _iter_ndjson,
+    contract_to_obj,
     corpus_digests,
     json_text,
     load_trace_events,
@@ -430,6 +437,123 @@ def test_corpus_digests_of_loaded_corpus_match_json_dumps(tmp_path):
     # The digest these two rows have always had (json.dumps per row).
     assert corpus_digests(corpus)["traces"] == (
         "42dd7c64970d8a7005fa48163884323f2a5bfaf19c9962df86cefaed17c55635")
+
+
+_FEW_INTS = st.integers(min_value=0, max_value=2)
+_FEW_TEXTS = st.sampled_from(["", "a", "b"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(TraceEvent, block_number=_FEW_INTS, tx_id=_FEW_TEXTS,
+                          proxy_address=_FEW_TEXTS, callee_address=_FEW_TEXTS,
+                          selector=_FEW_TEXTS, timestamp=_FEW_INTS), max_size=12))
+def test_sorted_events_follow_the_canonical_key(events):
+    # Small value ranges so that events tie on leading fields and later ones decide.
+    canonical = sorted(events, key=lambda e: (e.block_number, e.tx_id, e.proxy_address,
+                                              e.callee_address, e.selector, e.timestamp))
+    assert sorted(events) == canonical
+
+
+_FILES = st.lists(st.builds(SourceFile, directory=st.sampled_from(["", "a", "b/c"]) | _TEXT,
+                            filename=st.sampled_from(["A.sol", "B.sol"]) | _TEXT,
+                            content=_TEXT), max_size=4).map(tuple)
+_CONTRACTS = st.builds(ContractRecord, address=_TEXT, creator=_TEXT,
+                       deploy_timestamp=st.integers(min_value=-2**70, max_value=2**70),
+                       verified=st.booleans(), open_source=st.booleans(), files=_FILES)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_CONTRACTS, max_size=4))
+def test_contract_serialization_matches_json_dumps(records):
+    for record in records:
+        assert _contract_line(record) == json.dumps(contract_to_obj(record), sort_keys=True,
+                                                    separators=(",", ":")) + "\n"
+    contracts = {r.address: r for r in records}
+    expected = "".join(json.dumps(contract_to_obj(contracts[a]), sort_keys=True,
+                                  separators=(",", ":")) + "\n" for a in sorted(contracts))
+    assert serialize_contract_records(contracts) == expected.encode("utf-8")
+
+
+# --- the NDJSON reader -----------------------------------------------------------
+
+def ndjson_by_json_loads(data: bytes):
+    """json.loads per non-blank line: [(line number, row)], or the ParseError
+    text and line of the first bad line."""
+    rows = []
+    for number, raw in enumerate(io.BytesIO(data), start=1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"invalid UTF-8: {exc.reason}", number
+        if not line.strip():
+            continue
+        try:
+            rows.append((number, json.loads(line)))
+        except json.JSONDecodeError as exc:
+            return f"invalid JSON: {exc.msg}", number
+        except ValueError:
+            return f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits", number
+    return rows
+
+
+_JSON_VALUE = (st.recursive(st.none() | st.booleans() | st.integers() | st.floats()
+                            | st.text(max_size=4),
+                            lambda c: st.lists(c, max_size=3) | st.dictionaries(st.text(max_size=3),
+                                                                               c, max_size=3),
+                            max_leaves=6).map(json.dumps)
+               | st.sampled_from(["NaN", "-Infinity", "1" * 5000, "-" + "2" * 4301,
+                                  '{"timestamp": %s}' % ("9" * 5001), "1." + "3" * 5000,
+                                  "{", '{"a" 1}', "[1,]", "tru", '"open', '"\\ud800"', "0123"]))
+# JSON whitespace, a BOM and spaces that str.strip() removes but JSON does not allow
+_SPACE = st.sampled_from(["", " ", "\t", "\r", "\ufeff", "\u3000", "\x85", "\xa0", "\x1c",
+                          "\u2028", "\x0b\x0c"])
+_TRAILER = _SPACE | st.sampled_from(["x", "]", ",1", "{}", "\x00", " \r\t "])
+_LINE = (st.tuples(_SPACE, _JSON_VALUE, _TRAILER).map(lambda parts: "".join(parts).encode())
+         | st.lists(_SPACE, max_size=3).map(lambda spaces: "".join(spaces).encode())
+         | st.binary(max_size=8))
+
+
+def assert_read_like_json_loads(data: bytes) -> None:
+    expected = ndjson_by_json_loads(data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rows.ndjson"
+        path.write_bytes(data)
+        try:
+            got = list(_iter_ndjson(path, lambda obj: obj))
+        except ParseError as exc:
+            message, line_number = expected
+            assert (str(exc), exc.line_number) == (f"{path}:{line_number}: {message}", line_number)
+        else:
+            assert repr(got) == repr(expected)  # repr: NaN is not equal to itself
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.tuples(_LINE, st.sampled_from([b"\n", b"\r\n"])), max_size=5), _LINE)
+def test_ndjson_reader_matches_json_loads_per_line(lines, last):
+    assert_read_like_json_loads(b"".join(line + end for line, end in lines) + last)
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": 1}', '{"a": 1}\r', ' {"a": 1}', '\ufeff{"a": 1}', '{"a": 1}\ufeff', "NaN", "[NaN]",
+    '{"a": 1} x', '{"a": 1}\x85', '{"a": 1}\u3000', "\u3000\u2003", "\x85", "\x1c \t", "",
+    "1" * 5000, '{"t": %s}' % ("1" * 5001), "1" * 5001 + " x", "\u3000" + "1" * 5001,
+])
+def test_ndjson_reader_edge_lines_match_json_loads(line):
+    assert_read_like_json_loads(b'{"a": 0}\r\n' + line.encode() + b"\n" + b'{"b": 2}')
+
+
+def test_overlong_integer_in_a_json_document_names_its_line(tmp_path):
+    # Digits in a string and in a float's fraction and exponent come first and
+    # convert; the negative integer on line 5 is the first that int() refuses.
+    digits = "7" * 5001
+    path = tmp_path / "doc.json"
+    path.write_text('{\n "text": "%s \\" %s",\n "float": 1.%se%s,\n "small": -12,\n'
+                    ' "big": -%s,\n "bigger": %s\n}\n' % (digits, digits, digits, digits, digits,
+                                                      digits))
+    with pytest.raises(ParseError) as excinfo:
+        read_json(path)
+    limit = sys.get_int_max_str_digits()
+    assert str(excinfo.value) == f"{path}:5: invalid JSON: integer longer than {limit} digits"
 
 
 # --- json_text ------------------------------------------------------------------
