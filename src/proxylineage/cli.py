@@ -169,33 +169,22 @@ def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
                  threshold, scope, aggregation, k, fingerprints_path):
     """Score similarity-predicted lineages against the rule-based ground truth."""
     from .corpus import json_text, load_corpus
-    from .evaluation import ContractScope, LineageEvaluator, results_to_csv, results_to_jsonable
+    from .evaluation import (DEFAULT_SCOPES, DEFAULT_THRESHOLDS, ContractScope, LineageEvaluator,
+                             results_to_csv, results_to_jsonable)
     from .fingerprint import SimilarityCategory, read_fingerprints
     from .lineage import build_lineages
 
     corpus = load_corpus(traces_path, contracts_path)
     lineages, _ = build_lineages(corpus)
-    thresholds = (
-        [SimilarityCategory.from_name(threshold)]
-        if threshold != "all"
-        else [SimilarityCategory.LOW, SimilarityCategory.MEDIUM, SimilarityCategory.HIGH]
-    )
+    thresholds = (DEFAULT_THRESHOLDS if threshold == "all"
+                  else [SimilarityCategory.from_name(threshold)])
     scopes = {
         "open-source": [ContractScope.OPEN_SOURCE_ONLY],
         "all": [ContractScope.ALL],
-        "both": [ContractScope.OPEN_SOURCE_ONLY, ContractScope.ALL],
+        "both": DEFAULT_SCOPES,
     }[scope]
     seed = ctx.obj["seed"]
-    prebuilt = None
-    if fingerprints_path:
-        prebuilt = read_fingerprints(fingerprints_path)
-        # read_fingerprints has checked that all rows share one k and seed
-        first = next(iter(prebuilt.values()), None)
-        if first is not None and (first.k, first.seed) != (k, seed):
-            raise ConfigurationError(
-                f"{fingerprints_path}: fingerprints have k {first.k}, seed {first.seed}; "
-                f"this run has --k {k}, --seed {seed}"
-            )
+    prebuilt = read_fingerprints(fingerprints_path, k, seed) if fingerprints_path else None
     evaluator = LineageEvaluator(corpus, lineages, k=k, seed=seed, fingerprints=prebuilt)
     results, diagnostics = evaluator.evaluate(thresholds=thresholds, scopes=scopes,
                                               aggregation=aggregation)

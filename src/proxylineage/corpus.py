@@ -520,23 +520,10 @@ def _trace_lines(events: Iterable[TraceEvent]) -> Iterable[str]:
     return map(_trace_line, sorted(events))
 
 
-def contract_to_obj(record: ContractRecord) -> dict:
-    return {
-        "address": record.address,
-        "creator": record.creator,
-        "deploy_timestamp": record.deploy_timestamp,
-        "verified": record.verified,
-        "open_source": record.open_source,
-        "files": [
-            {"directory": f.directory, "filename": f.filename, "content": f.content}
-            for f in sorted(record.files, key=_file_path)
-        ],
-    }
-
-
 def _contract_line(r: ContractRecord) -> str:
-    """One canonical contract row: the bytes of json.dumps(contract_to_obj(r),
-    sort_keys=True, separators=(",", ":")), plus the newline."""
+    """One canonical contract row, plus the newline: the bytes of json.dumps
+    with sort_keys=True and separators=(",", ":") of the record's six fields,
+    its files sorted by (directory, filename)."""
     files = ",".join(f'{{"content":{_json_str(f.content)},"directory":{_json_str(f.directory)},'
                      f'"filename":{_json_str(f.filename)}}}'
                      for f in sorted(r.files, key=_file_path))

@@ -18,7 +18,6 @@ from enum import Enum
 from .corpus import Corpus
 from .errors import UnknownAddressError, ValidationError
 from .fingerprint import (
-    DEFAULT_BANDS,
     DEFAULT_SEED,
     DEFAULT_SIGNATURE_LENGTH,
     Fingerprint,
@@ -33,15 +32,6 @@ from .lineage import Lineage
 class ContractScope(str, Enum):
     OPEN_SOURCE_ONLY = "OPEN_SOURCE_ONLY"
     ALL = "ALL"
-
-    @classmethod
-    def from_name(cls, name: str) -> "ContractScope":
-        normalized = name.replace("-", "_").upper()
-        if normalized in ("OPEN_SOURCE", "OPEN_SOURCE_ONLY"):
-            return cls.OPEN_SOURCE_ONLY
-        if normalized == "ALL":
-            return cls.ALL
-        raise ValidationError(f"unknown contract scope: {name!r}")
 
 
 DEFAULT_THRESHOLDS = (SimilarityCategory.LOW, SimilarityCategory.MEDIUM, SimilarityCategory.HIGH)
@@ -75,7 +65,6 @@ class LineageEvaluator:
         lineages: list[Lineage],
         k: int = DEFAULT_SIGNATURE_LENGTH,
         seed: int = DEFAULT_SEED,
-        bands: int = DEFAULT_BANDS,
         fingerprints: dict[str, Fingerprint] | None = None,
     ):
         self.corpus = corpus
@@ -87,7 +76,7 @@ class LineageEvaluator:
                 if record.open_source
             }
         self.fingerprints = fingerprints
-        self.index = LshIndex(fingerprints.values(), bands=bands)
+        self.index = LshIndex(fingerprints.values())
         # query -> same-creator neighbours as (address, category, open_source)
         self._neighbours: dict[str, list[tuple[str, SimilarityCategory, bool]]] = {}
         # A contract serving several proxies belongs to each of those

@@ -39,7 +39,7 @@ DEFAULT_SEED = 0
 SHINGLE_SIZE = 5
 # bands * rows must equal the signature length; 64x4 keeps banding recall at
 # Jaccard 0.6 above 99.9% per pair, which the coarser 32x8 split cannot do.
-DEFAULT_BANDS = 64
+BANDS = 64
 
 HIGH_THRESHOLD = 0.90
 MEDIUM_THRESHOLD = 0.70
@@ -211,13 +211,12 @@ def compare(a: Fingerprint, b: Fingerprint) -> SimilarityVerdict:
 class LshIndex:
     """Banding index: signatures sliced into bands of rows hashed to buckets."""
 
-    def __init__(self, fingerprints: Iterable[Fingerprint], bands: int = DEFAULT_BANDS):
+    def __init__(self, fingerprints: Iterable[Fingerprint]):
         fingerprints = list(fingerprints)
         if fingerprints:
             first = fingerprints[0]
-            if first.k % bands:
-                raise ConfigurationError(f"bands ({bands}) must divide signature length ({first.k})")
-        self.bands = bands
+            if first.k % BANDS:
+                raise ConfigurationError(f"bands ({BANDS}) must divide signature length ({first.k})")
         self._buckets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
         for fp in fingerprints:
             if (fp.k, fp.seed) != (first.k, first.seed):
@@ -225,15 +224,15 @@ class LshIndex:
                     f"fingerprint {fp.address} has k {fp.k}, seed {fp.seed}; "
                     f"{first.address} has k {first.k}, seed {first.seed}"
                 )
-            rows = fp.k // bands
-            for band in range(bands):
+            rows = fp.k // BANDS
+            for band in range(BANDS):
                 key = (band, fp.signature[band * rows:(band + 1) * rows])
                 self._buckets.setdefault(key, []).append(fp.address)
 
     def candidates(self, fp: Fingerprint) -> set[str]:
-        rows = fp.k // self.bands
+        rows = fp.k // BANDS
         found: set[str] = set()
-        for band in range(self.bands):
+        for band in range(BANDS):
             key = (band, fp.signature[band * rows:(band + 1) * rows])
             found.update(self._buckets.get(key, ()))
         found.discard(fp.address)
@@ -245,7 +244,6 @@ def query_similar(
     query: str,
     min_category: SimilarityCategory = SimilarityCategory.LOW,
     index: LshIndex | None = None,
-    bands: int = DEFAULT_BANDS,
 ) -> list[tuple[str, SimilarityVerdict]]:
     """Contracts similar to the query, at or above the given category.
 
@@ -256,7 +254,7 @@ def query_similar(
     if query not in fingerprints:
         raise UnknownAddressError(f"no fingerprint for address {query}")
     if index is None:
-        index = LshIndex(fingerprints.values(), bands=bands)
+        index = LshIndex(fingerprints.values())
     query_fp = fingerprints[query]
     results = []
     for address in index.candidates(query_fp):
@@ -303,24 +301,21 @@ def _fingerprint_from_obj(obj: object) -> Fingerprint:
     )
 
 
-def read_fingerprints(path: str | Path) -> dict[str, Fingerprint]:
+def read_fingerprints(path: str | Path, k: int, seed: int) -> dict[str, Fingerprint]:
     """Read a file written by `write_fingerprints`, keyed by address.
 
     A row that is not valid JSON, lacks or adds a field, or holds a bad value
-    raises ParseError naming the file and line. Rows whose k or seed differ
-    from the first row's raise ConfigurationError: their signatures cannot be
-    compared.
+    raises ParseError naming the file and line. A row whose k or seed differ
+    from the run's `k` and `seed` raises ConfigurationError naming the file
+    and line: its signature cannot be compared with the run's.
     """
     path = Path(path)
     fingerprints: dict[str, Fingerprint] = {}
-    first: Fingerprint | None = None
     for line_number, fp in _iter_ndjson(path, _fingerprint_from_obj):
-        if first is None:
-            first = fp
-        elif (fp.k, fp.seed) != (first.k, first.seed):
+        if (fp.k, fp.seed) != (k, seed):
             raise ConfigurationError(
                 f"{path}:{line_number}: fingerprint has k {fp.k}, seed {fp.seed}; "
-                f"earlier rows have k {first.k}, seed {first.seed}"
+                f"this run has k {k}, seed {seed}"
             )
         fingerprints[fp.address] = fp
     return fingerprints

@@ -248,14 +248,13 @@ def _category_for(tool: str, vuln_type: str, category_map, mode: str,
 def lifecycle_stats(
     records: list[LifecycleRecord],
     mode: str = UNION,
-    tools: list[str] | None = None,
     category_map: dict[str, dict[str, str]] | None = None,
 ) -> dict:
     """Summarize lifecycle records, combining tools by union or intersection.
 
     Findings are projected onto (pair, file, category, status) cells with a
     per-tool count; union takes the max across tools, intersection the min
-    across every configured tool. Intersection requires each observed
+    across every tool that has a record. Intersection requires each observed
     vuln_type to be mapped to a shared category, otherwise a configuration
     error lists the unmapped types. The returned summary reports percentages
     over three denominators (findings, keys, files) since each is a
@@ -265,8 +264,7 @@ def lifecycle_stats(
         raise ConfigurationError(f"mode must be {UNION!r} or {INTERSECTION!r}, got {mode!r}")
     if category_map is None:
         category_map = DEFAULT_CATEGORY_MAP
-    if tools is None:
-        tools = sorted({r.key.tool for r in records})
+    tools = sorted({r.key.tool for r in records})
 
     unmapped: set[tuple[str, str]] = set()
     # cell: (pair id, file identity, category, status) -> {tool: count}
@@ -274,8 +272,6 @@ def lifecycle_stats(
     pair_info: dict[tuple, ContractPair] = {}
     days_by_pair: dict[tuple, float] = {}
     for record in records:
-        if record.key.tool not in tools:
-            continue
         category = _category_for(record.key.tool, record.key.vuln_type, category_map,
                                  mode, unmapped)
         pair_id = (record.pair.proxy, record.pair.predecessor, record.pair.successor)
@@ -303,7 +299,6 @@ def lifecycle_stats(
     keys_with: dict[LifecycleStatus, set[tuple]] = {s: set() for s in LifecycleStatus}
     files_seen: set[FileIdentity] = set()
     files_with: dict[LifecycleStatus, set[FileIdentity]] = {s: set() for s in LifecycleStatus}
-    pair_files_seen: set[tuple] = set()
     pair_files_with: dict[LifecycleStatus, set[tuple]] = {s: set() for s in LifecycleStatus}
     contracts: set[str] = set()
     proxies: set[str] = set()
@@ -316,9 +311,7 @@ def lifecycle_stats(
         keys_with[status].add(key_id)
         files_seen.add(identity)
         files_with[status].add(identity)
-        pair_file = (pair_id, identity)
-        pair_files_seen.add(pair_file)
-        pair_files_with[status].add(pair_file)
+        pair_files_with[status].add((pair_id, identity))
         proxies.add(pair_id[0])
         pair = pair_info[pair_id]
         if status in (LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED):

@@ -79,13 +79,15 @@ def tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
     influence signatures or fingerprints. A token's line counts every newline
     before it, including those inside comments and string escapes.
     """
+    if diagnostics is None:
+        diagnostics = []
     tokens: list[Token] = []
     line = 1
     counted = 0  # newlines before this position are in `line`
     for match in _SCAN.finditer(text):
         token = match["token"]
         if token is None:
-            if match["open_comment"] and diagnostics is not None:
+            if match["open_comment"]:
                 line += text.count("\n", counted, match.start("open_comment"))
                 diagnostics.append(f"line {line}: unterminated block comment")
             continue
@@ -94,7 +96,7 @@ def tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
         counted = pos
         kind = _KIND_OF_FIRST.get(token[0], "punct")
         if kind == "string":
-            if match["dq"] is None and match["sq"] is None and diagnostics is not None:
+            if match["dq"] is None and match["sq"] is None:
                 diagnostics.append(f"line {line}: unterminated string literal")
             token = '""'
         tokens.append(Token(kind, token, line, pos))
@@ -149,6 +151,8 @@ def extract_functions(
     empty when the declaration ends at ``;``. Unbalanced braces at the end of
     the file produce a partial result plus a diagnostic instead of an error.
     """
+    if diagnostics is None:
+        diagnostics = []
     text = file.content
     tokens = tokenize(text, diagnostics)
     units: list[FunctionUnit] = []
@@ -187,7 +191,7 @@ def extract_functions(
                 i = next_i
                 continue
         i += 1
-    if depth != 0 and diagnostics is not None:
+    if depth != 0:
         diagnostics.append(
             f"{file.directory}/{file.filename}: unbalanced braces at end of file"
             if file.directory
@@ -201,7 +205,7 @@ def _parse_function(
     start: int,
     text: str,
     file: SourceFile,
-    diagnostics: list[str] | None,
+    diagnostics: list[str],
 ) -> tuple[FunctionUnit | None, int]:
     n = len(tokens)
     # Declarations look like `function <name> ( ... )`; anything else here is
@@ -231,11 +235,9 @@ def _parse_function(
         param_tokens.append(token)
         j += 1
     if paren_depth:
-        if diagnostics is not None:
-            diagnostics.append(
-                f"line {name_token.line}: unterminated parameter list for "
-                f"function {name_token.text}"
-            )
+        diagnostics.append(
+            f"line {name_token.line}: unterminated parameter list for function {name_token.text}"
+        )
         return None, n
 
     signature = canonical_signature(name_token.text, param_tokens)
@@ -269,15 +271,11 @@ def _parse_function(
                             if brace_depth == 0:
                                 return unit(text[token.pos:t.pos + 1], t.line), k + 1
                     k += 1
-                if diagnostics is not None:
-                    diagnostics.append(
-                        f"line {start_line}: unbalanced braces at EOF in body of "
-                        f"function {name_token.text}"
-                    )
+                diagnostics.append(
+                    f"line {start_line}: unbalanced braces at EOF in body of "
+                    f"function {name_token.text}"
+                )
                 return unit("", tokens[-1].line), n
         j += 1
-    if diagnostics is not None:
-        diagnostics.append(
-            f"line {start_line}: function {name_token.text} has no body or terminator"
-        )
+    diagnostics.append(f"line {start_line}: function {name_token.text} has no body or terminator")
     return unit("", tokens[-1].line), n

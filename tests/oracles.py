@@ -256,6 +256,25 @@ def oracle_trace_ndjson(events) -> bytes:
     return "".join(row + "\n" for row in rows).encode("utf-8")
 
 
+# --- contract row oracle ----------------------------------------------------------
+
+def contract_to_obj(record) -> dict:
+    """A contract record as the JSON object of its canonical row, files in
+    (directory, filename) order; json.dumps of it with sorted keys and no
+    spaces is the row."""
+    return {
+        "address": record.address,
+        "creator": record.creator,
+        "deploy_timestamp": record.deploy_timestamp,
+        "verified": record.verified,
+        "open_source": record.open_source,
+        "files": [
+            {"directory": f.directory, "filename": f.filename, "content": f.content}
+            for f in sorted(record.files, key=lambda f: (f.directory, f.filename))
+        ],
+    }
+
+
 # --- rule-based lineage oracle --------------------------------------------------
 
 def oracle_lineages(corpus: Corpus):

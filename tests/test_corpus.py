@@ -34,7 +34,6 @@ from proxylineage import (
 from proxylineage.corpus import (
     _contract_line,
     _iter_ndjson,
-    contract_to_obj,
     corpus_digests,
     json_text,
     load_trace_events,
@@ -44,7 +43,7 @@ from proxylineage.corpus import (
 )
 
 from corpusgen import event_row, write_contract_fixture, write_trace_fixture
-from oracles import oracle_selector, oracle_trace_ndjson
+from oracles import contract_to_obj, oracle_selector, oracle_trace_ndjson
 
 PROXY = "0x" + "11" * 20
 CALLEE = "0x" + "aa" * 20

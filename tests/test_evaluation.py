@@ -236,3 +236,27 @@ def test_results_jsonable_percentages(planted):
     for row in results_to_jsonable(results):
         assert row["precision_pct"] == 100.0
         assert row["recall_pct"] == 100.0
+
+
+@pytest.mark.parametrize("aggregation", ["micro", "macro"])
+def test_query_whose_truth_is_all_closed_source(aggregation):
+    # Pins current behaviour, which ROADMAP direction 3 will change: v1's
+    # only lineage mate v2 is closed-source, so v1 can never predict it, and
+    # v1 counts one false negative in every scenario, even under open-source
+    # scope and macro aggregation.
+    corpus = planted_corpus(n_lineages=1, versions=2)
+    lineages, _ = build_lineages(corpus)
+    v1, v2 = (v.address for v in lineages[0].versions)
+    patched = dict(corpus.contracts)
+    patched[v2] = make_record(v2, patched[v2].creator, [])
+    corpus = Corpus(events=corpus.events, contracts=patched)
+    lineages, _ = build_lineages(corpus)
+    assert [[v.address for v in lineage.versions] for lineage in lineages] == [[v1, v2]]
+    results, diagnostics = LineageEvaluator(corpus, lineages).evaluate(aggregation=aggregation)
+    assert diagnostics == [f"query {v2} skipped: not fingerprintable"]
+    assert [(r.contract_scope, r.threshold) for r in results] == [
+        (scope, threshold) for scope in ContractScope for threshold in THRESHOLDS]
+    for result in results:
+        assert (result.precision, result.recall) == (None, 0.0)
+        assert (result.tp, result.fp, result.fn) == (0, 0, 1)
+        assert result.aggregation == aggregation

@@ -8,7 +8,8 @@ import time
 import pytest
 
 from proxylineage import FetchError, RateLimiter, fetch_contract, fetch_contracts
-from proxylineage.explorer import ExplorerClient
+from proxylineage.corpus import _contract_line
+from proxylineage.explorer import BACKOFF_BASE, MAX_RETRIES, RATE_LIMIT_RPS, ExplorerClient
 
 ADDRESS = "0x" + "ab" * 20
 OTHER = "0x" + "cd" * 20
@@ -42,7 +43,7 @@ class CountingTransport:
 
 
 def make_client(transport, **kwargs):
-    kwargs.setdefault("rate_limit_rps", 10000.0)
+    # the fake sleep also keeps the rate limiter from waiting
     kwargs.setdefault("sleep", lambda _: None)
     return ExplorerClient("https://explorer.test/api", api_key="k", transport=transport, **kwargs)
 
@@ -54,8 +55,8 @@ def test_fetch_populates_cache_and_warm_cache_is_network_free(tmp_path):
     second = fetch_contract(ADDRESS, tmp_path, client)
     assert first == second
     assert transport.calls == 1
-    cached = json.loads((tmp_path / f"{ADDRESS}.json").read_text())
-    assert cached["address"] == ADDRESS
+    # the cache file holds the record's canonical contracts.ndjson row
+    assert (tmp_path / f"{ADDRESS}.json").read_text() == _contract_line(first)
     # no leftover temp files from the atomic write
     assert [p.name for p in tmp_path.iterdir()] == [f"{ADDRESS}.json"]
 
@@ -85,26 +86,23 @@ def test_rate_limiter_delays_third_call():
 def test_retries_use_exponential_backoff():
     sleeps = []
     transport = CountingTransport([(500, None), (503, None), (200, response_body())])
-    client = ExplorerClient(
-        "https://explorer.test", api_key="k", transport=transport,
-        rate_limit_rps=10000.0, sleep=sleeps.append, backoff_base=1.0,
-    )
+    client = make_client(transport, sleep=sleeps.append)
     record = client.fetch_record(ADDRESS)
     assert record.address == ADDRESS
-    backoffs = [s for s in sleeps if s >= 0.5]
-    assert backoffs == [1.0, 2.0]
+    # over three calls each rate-limiter wait is under two intervals, so
+    # every sleep of at least BACKOFF_BASE is a backoff
+    assert 2 / RATE_LIMIT_RPS < BACKOFF_BASE
+    backoffs = [s for s in sleeps if s >= BACKOFF_BASE]
+    assert backoffs == [BACKOFF_BASE, 2 * BACKOFF_BASE]
 
 
 def test_fetch_error_after_bounded_retries():
-    transport = CountingTransport([(500, None)] * 3)
-    client = ExplorerClient(
-        "https://explorer.test", api_key="k", transport=transport,
-        rate_limit_rps=10000.0, sleep=lambda _: None, max_retries=2,
-    )
+    transport = CountingTransport([(500, None)] * (MAX_RETRIES + 1))
+    client = make_client(transport)
     with pytest.raises(FetchError) as excinfo:
         client.fetch_record(ADDRESS)
     assert excinfo.value.address == ADDRESS
-    assert transport.calls == 3
+    assert transport.calls == MAX_RETRIES + 1
 
 
 def test_unknown_contract_is_not_retried():
@@ -149,3 +147,31 @@ def test_corrupt_cache_entry_is_a_failure_and_others_are_fetched(tmp_path):
     assert set(failures) == {ADDRESS}
     assert f"{ADDRESS}.json:1: invalid JSON" in failures[ADDRESS]
     assert transport.calls == 1  # the cached address is not fetched again
+
+
+def test_cached_record_of_another_address_is_a_failure(tmp_path):
+    (tmp_path / f"{ADDRESS}.json").write_text(json.dumps(response_body(address=OTHER)) + "\n")
+    transport = CountingTransport([])
+    records, failures = fetch_contracts([ADDRESS], tmp_path, make_client(transport))
+    assert records == {}
+    assert failures[ADDRESS] == (f"fetch failed for {ADDRESS}: cache file "
+                                 f"{tmp_path / (ADDRESS + '.json')} returned record for {OTHER}")
+    assert transport.calls == 0
+
+
+def test_fetched_record_of_another_address_is_a_failure_and_not_cached(tmp_path):
+    transport = CountingTransport([(200, response_body(address=OTHER))])
+    records, failures = fetch_contracts([ADDRESS], tmp_path, make_client(transport))
+    assert records == {}
+    assert failures[ADDRESS] == f"fetch failed for {ADDRESS}: explorer returned record for {OTHER}"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_file_in_the_spaced_json_format_still_loads(tmp_path):
+    # caches written before the compact canonical row used json.dump's spacing
+    (tmp_path / f"{ADDRESS}.json").write_text(json.dumps(response_body(), sort_keys=True) + "\n")
+    transport = CountingTransport([])
+    record = fetch_contract(ADDRESS, tmp_path, make_client(transport))
+    assert record.address == ADDRESS
+    assert record.files[0].content == "contract A {}"
+    assert transport.calls == 0

@@ -230,7 +230,7 @@ def test_results_sorted_by_estimate_then_address():
 
 def test_bands_must_divide_signature_length():
     with pytest.raises(ConfigurationError):
-        LshIndex([fp_from_set(ADDR_A, {1, 2, 3})], bands=100)
+        LshIndex([fp_from_set(ADDR_A, {1, 2, 3}, k=100)])
 
 
 @pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])
@@ -272,8 +272,18 @@ def test_fingerprints_roundtrip_through_ndjson(tmp_path):
         fps[address] = fp_from_set(address, {rng.getrandbits(64) for _ in range(30)})
     path = tmp_path / "fps.ndjson"
     write_fingerprints(path, fps.values())
-    loaded = read_fingerprints(path)
+    loaded = read_fingerprints(path, K, SEED)
     assert loaded == fps
+
+
+@pytest.mark.parametrize("run", [{"k": 128, "seed": SEED}, {"k": K, "seed": 1}], ids=["k", "seed"])
+def test_read_fingerprints_rejects_rows_of_another_k_or_seed(tmp_path, run):
+    path = tmp_path / "fps.ndjson"
+    write_fingerprints(path, [fp_from_set(ADDR_A, {1, 2, 3})])
+    with pytest.raises(ConfigurationError) as excinfo:
+        read_fingerprints(path, **run)
+    assert str(excinfo.value) == (f"{path}:1: fingerprint has k {K}, seed {SEED}; "
+                                  f"this run has k {run['k']}, seed {run['seed']}")
 
 
 def test_estimator_mean_error_small():
