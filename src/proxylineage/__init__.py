@@ -37,7 +37,7 @@ _EXPORTS = {
                   "lifecycle_stats", "load_findings"),
     "lineage": ("ActivityWindow", "ContractPair", "ExclusionReason", "Lineage",
                 "LineageDiagnostics", "activity_windows", "build_lineages", "contract_pairs"),
-    "pairing": ("FileMatch", "FileMatching", "FilePair", "FilePairing", "FunctionPair",
+    "pairing": ("FileMatch", "FilePair", "FilePairing", "FunctionPair",
                 "FunctionPairing", "MatchKind", "line_similarity", "match_files", "pair_files",
                 "pair_functions"),
     "solidity": ("FunctionUnit", "extract_functions", "tokenize"),

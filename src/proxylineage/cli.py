@@ -135,15 +135,11 @@ def pair(traces_path, contracts_path, out_dir):
 def fingerprint_command(ctx, traces_path, contracts_path, out_path, k):
     """Fingerprint every open-source contract into an NDJSON file."""
     from .corpus import load_corpus
-    from .fingerprint import fingerprint, write_fingerprints
+    from .fingerprint import check_signature_length, fingerprint_contracts, write_fingerprints
 
+    check_signature_length(k)
     corpus = load_corpus(traces_path, contracts_path)
-    seed = ctx.obj["seed"]
-    fingerprints = [
-        fingerprint(record, k=k, seed=seed)
-        for _, record in sorted(corpus.contracts.items())
-        if record.open_source
-    ]
+    fingerprints = fingerprint_contracts(corpus.contracts, k, ctx.obj["seed"])
     write_fingerprints(out_path, fingerprints)
     click.echo(f"wrote {len(fingerprints)} fingerprints -> {out_path}")
 
@@ -171,9 +167,10 @@ def evaluate_lsh(ctx, traces_path, contracts_path, out_path, output_format,
     from .corpus import json_text, load_corpus
     from .evaluation import (DEFAULT_SCOPES, DEFAULT_THRESHOLDS, ContractScope, LineageEvaluator,
                              results_to_csv, results_to_jsonable)
-    from .fingerprint import SimilarityCategory, read_fingerprints
+    from .fingerprint import SimilarityCategory, check_signature_length, read_fingerprints
     from .lineage import build_lineages
 
+    check_signature_length(k)
     corpus = load_corpus(traces_path, contracts_path)
     lineages, _ = build_lineages(corpus)
     thresholds = (DEFAULT_THRESHOLDS if threshold == "all"
@@ -236,7 +233,7 @@ def vuln_lifecycle(traces_path, contracts_path, findings_paths, mode,
         succ = corpus.contracts[pair_.successor]
         records.extend(diff_pair(
             pair_,
-            match_files(pred, succ).matches,
+            match_files(pred, succ).pairs,
             by_contract.get(pair_.predecessor, []),
             by_contract.get(pair_.successor, []),
         ))

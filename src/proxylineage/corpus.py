@@ -62,6 +62,9 @@ class SourceFile:
     content: str
 
 
+_file_path = attrgetter("directory", "filename")
+
+
 @dataclass(frozen=True)
 class ContractRecord:
     """On-chain contract version: identity, creator and published source."""
@@ -72,6 +75,11 @@ class ContractRecord:
     verified: bool
     open_source: bool
     files: tuple[SourceFile, ...] = ()
+
+    def __post_init__(self) -> None:
+        # Every reader sees a contract's files in (directory, filename) order. The
+        # sort is stable, so files sharing a path keep the order they were given in.
+        object.__setattr__(self, "files", tuple(sorted(self.files, key=_file_path)))
 
 
 @dataclass
@@ -254,11 +262,8 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         deploy_timestamp=_require_int(obj["deploy_timestamp"], "deploy_timestamp"),
         verified=verified,
         open_source=open_source,
-        files=tuple(sorted(files, key=_file_path)),
+        files=tuple(files),
     )
-
-
-_file_path = attrgetter("directory", "filename")
 
 
 def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
@@ -434,7 +439,10 @@ def _pretty_json(value, newline: str, emit) -> None:
 
 
 def write_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json_text(obj), encoding="utf-8")
+    """Write json_text(obj) to `path` chunk by chunk, so the whole text is never held."""
+    with open(path, "w", encoding="utf-8") as handle:
+        _pretty_json(obj, "\n", handle.write)
+        handle.write("\n")
 
 
 def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
@@ -522,11 +530,10 @@ def _trace_lines(events: Iterable[TraceEvent]) -> Iterable[str]:
 
 def _contract_line(r: ContractRecord) -> str:
     """One canonical contract row, plus the newline: the bytes of json.dumps
-    with sort_keys=True and separators=(",", ":") of the record's six fields,
-    its files sorted by (directory, filename)."""
+    with sort_keys=True and separators=(",", ":") of the record's six fields."""
     files = ",".join(f'{{"content":{_json_str(f.content)},"directory":{_json_str(f.directory)},'
                      f'"filename":{_json_str(f.filename)}}}'
-                     for f in sorted(r.files, key=_file_path))
+                     for f in r.files)
     return (f'{{"address":{_json_str(r.address)},"creator":{_json_str(r.creator)},'
             f'"deploy_timestamp":{r.deploy_timestamp},"files":[{files}],'
             f'"open_source":{_JSON_BOOL[r.open_source]},"verified":{_JSON_BOOL[r.verified]}}}\n')

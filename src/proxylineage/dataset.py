@@ -91,17 +91,17 @@ class DatasetBundle:
         return [artifacts.pair for artifacts in self.pair_artifacts]
 
     @property
-    def file_pairs(self) -> list[tuple[str, FilePair]]:
+    def file_pairs(self) -> list[tuple[ContractPair, FilePair]]:
         return [
-            (artifacts.pair.proxy, fp)
+            (artifacts.pair, fp)
             for artifacts in self.pair_artifacts
             for fp in artifacts.file_pairing.pairs
         ]
 
     @property
-    def function_pairs(self) -> list[tuple[str, FunctionPair]]:
+    def function_pairs(self) -> list[tuple[ContractPair, FunctionPair]]:
         return [
-            (artifacts.pair.proxy, fp)
+            (artifacts.pair, fp)
             for artifacts in self.pair_artifacts
             for fp in artifacts.function_pairs
         ]
@@ -126,17 +126,16 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
     contracts = {address: corpus.contracts[address] for address in member_addresses}
 
     source_diagnostics: list[str] = []
-    # A file shared unchanged across versions is extracted once per run; its
-    # notes are still reported once per (address, file).
-    extracted: dict[tuple[str, str, str], tuple[list[FunctionUnit], list[str]]] = {}
+    # A source text shared unchanged across versions, under any path, is
+    # extracted once per run; its notes are still reported once per (address, file).
+    extracted: dict[str, tuple[list[FunctionUnit], list[str]]] = {}
     reported: set[tuple[str, str, str]] = set()
 
     def functions_of(address: str, file: SourceFile) -> list[FunctionUnit]:
-        content_key = (file.directory, file.filename, file.content)
-        if content_key not in extracted:
+        if file.content not in extracted:
             notes: list[str] = []
-            extracted[content_key] = (extract_functions(file, notes), notes)
-        units, notes = extracted[content_key]
+            extracted[file.content] = (extract_functions(file.content, notes), notes)
+        units, notes = extracted[file.content]
         if (address, file.directory, file.filename) not in reported:
             reported.add((address, file.directory, file.filename))
             source_diagnostics.extend(f"{address} {file.directory}/{file.filename}: {n}"
@@ -222,9 +221,8 @@ _file_key = itemgetter(*(f.name for f in fields(_FileKey)))
 # A file's place in a contract: a SourceFile row without the content.
 _LOCATION = ("directory", "filename")
 _location = itemgetter(*_LOCATION)  # of a row
-_location_of = attrgetter(*_LOCATION)  # of a SourceFile
-# A function row leaves out what its function-pair row already locates.
-_UNIT_CONTEXT = ("body", *_LOCATION)
+# A function row leaves out the body, which the bundle's sources/ tree holds.
+_UNIT_CONTEXT = ("body",)
 
 
 @functools.cache
@@ -278,7 +276,7 @@ def _source_path(root: Path, address: str, directory: str, filename: str) -> Pat
 
 def _contracts_obj(bundle: DatasetBundle) -> list[dict]:
     return [
-        _row(record) | {"files": list(map(_location_row, sorted(map(_location_of, record.files))))}
+        _row(record) | {"files": [_row(file, omit=("content",)) for file in record.files]}
         for _, record in sorted(bundle.contracts.items())
     ]
 
@@ -301,20 +299,20 @@ def lineage_diagnostics_obj(corpus_diagnostics: list[str], lineage: LineageDiagn
 
 
 def _file_pairs_obj(bundle: DatasetBundle) -> list[dict]:
-    return [_row(_PairKey(proxy, fp.predecessor, fp.successor)) | _row(fp)
-            for proxy, fp in bundle.file_pairs]
+    return [_row(_PairKey(pair.proxy, pair.predecessor, pair.successor)) | _row(fp)
+            for pair, fp in bundle.file_pairs]
 
 
 def _function_pairs_obj(bundle: DatasetBundle) -> list[dict]:
     rows = []
-    for proxy, pair in bundle.function_pairs:
-        fp = pair.file_pair
-        key = _FileKey(proxy, fp.predecessor, fp.successor, fp.directory,
+    for pair, function_pair in bundle.function_pairs:
+        fp = function_pair.file_pair
+        key = _FileKey(pair.proxy, pair.predecessor, pair.successor, fp.directory,
                        fp.predecessor_filename, fp.successor_filename)
         rows.append(_row(key) | {
-            "match_kind": pair.match_kind.value,
-            "predecessor_function": _row(pair.predecessor, omit=_UNIT_CONTEXT),
-            "successor_function": _row(pair.successor, omit=_UNIT_CONTEXT),
+            "match_kind": function_pair.match_kind.value,
+            "predecessor_function": _row(function_pair.predecessor, omit=_UNIT_CONTEXT),
+            "successor_function": _row(function_pair.successor, omit=_UNIT_CONTEXT),
         })
     return rows
 
@@ -383,7 +381,7 @@ def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:
     if sources_root.exists():
         shutil.rmtree(sources_root)
     for address in sorted(bundle.contracts):
-        for file in sorted(bundle.contracts[address].files, key=_location_of):
+        for file in bundle.contracts[address].files:
             target = _source_path(out, address, file.directory, file.filename)
             target.parent.mkdir(parents=True, exist_ok=True)
             target.write_text(file.content, encoding="utf-8")
@@ -424,7 +422,7 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             for directory, filename in map(_location, row["files"]):
                 path = _source_path(root, row["address"], directory, filename)
                 files.append(SourceFile(directory, filename, _utf8(path.read_bytes(), path)))
-            record = _record(ContractRecord, row, files=tuple(sorted(files, key=_location_of)))
+            record = _record(ContractRecord, row, files=tuple(files))
             contracts[record.address] = record
 
     with _reading(root / LINEAGES_FILE):
@@ -452,10 +450,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             pair_id, fp = file_pair_at[_file_key(row)]
             function_pairs[pair_id].append(FunctionPair(
                 file_pair=fp,
-                predecessor=_record(FunctionUnit, row["predecessor_function"], body="",
-                                    directory=fp.directory, filename=fp.predecessor_filename),
-                successor=_record(FunctionUnit, row["successor_function"], body="",
-                                  directory=fp.directory, filename=fp.successor_filename),
+                predecessor=_record(FunctionUnit, row["predecessor_function"], body=""),
+                successor=_record(FunctionUnit, row["successor_function"], body=""),
                 match_kind=MatchKind(row["match_kind"]),
             ))
 
@@ -544,9 +540,9 @@ def compute_stats(bundle: DatasetBundle) -> StatsReport:
         for file in bundle.contracts[address].files:
             eligible_files.add((address, file.directory, file.filename))
     covered_files: set[tuple[str, str, str]] = set()
-    for _, fp in bundle.file_pairs:
-        covered_files.add((fp.predecessor, fp.directory, fp.predecessor_filename))
-        covered_files.add((fp.successor, fp.directory, fp.successor_filename))
+    for pair, fp in bundle.file_pairs:
+        covered_files.add((pair.predecessor, fp.directory, fp.predecessor_filename))
+        covered_files.add((pair.successor, fp.directory, fp.successor_filename))
     covered_files &= eligible_files
 
     def pct(numerator: int, denominator: int) -> float | None:

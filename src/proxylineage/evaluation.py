@@ -23,7 +23,7 @@ from .fingerprint import (
     Fingerprint,
     LshIndex,
     SimilarityCategory,
-    fingerprint,
+    fingerprint_contracts,
     query_similar,
 )
 from .lineage import Lineage
@@ -68,13 +68,9 @@ class LineageEvaluator:
         fingerprints: dict[str, Fingerprint] | None = None,
     ):
         self.corpus = corpus
-        self.lineages = lineages
         if fingerprints is None:
-            fingerprints = {
-                address: fingerprint(record, k=k, seed=seed)
-                for address, record in sorted(corpus.contracts.items())
-                if record.open_source
-            }
+            fingerprints = {fp.address: fp
+                            for fp in fingerprint_contracts(corpus.contracts, k, seed)}
         self.fingerprints = fingerprints
         self.index = LshIndex(fingerprints.values())
         # query -> same-creator neighbours as (address, category, open_source)

@@ -91,8 +91,6 @@ class Fingerprint:
 
 @dataclass(frozen=True)
 class SimilarityVerdict:
-    address_a: str
-    address_b: str
     estimated_jaccard: float
     category: SimilarityCategory
 
@@ -156,12 +154,12 @@ def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple
 
 
 def record_shingles(record: ContractRecord) -> set[int]:
-    """Hashed 5-token shingles over all files, in deterministic file order.
+    """Hashed 5-token shingles over all files, in the record's file order.
 
     A shingle that recurs in the record is hashed once.
     """
     tokens: list[str] = []
-    for file in sorted(record.files, key=lambda f: (f.directory, f.filename)):
+    for file in record.files:
         tokens.extend(token_texts(file.content))
     windows = set(zip(*(islice(tokens, i, None) for i in range(SHINGLE_SIZE))))
     return set(map(shingle_hash, windows))
@@ -191,6 +189,13 @@ def fingerprint(
     )
 
 
+def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
+                          seed: int) -> list[Fingerprint]:
+    """Fingerprints of the open-source records, in address order; the others have no source."""
+    return [fingerprint(record, k=k, seed=seed)
+            for _, record in sorted(contracts.items()) if record.open_source]
+
+
 def compare(a: Fingerprint, b: Fingerprint) -> SimilarityVerdict:
     """Estimate Jaccard as the fraction of agreeing slots and categorize it.
 
@@ -202,10 +207,17 @@ def compare(a: Fingerprint, b: Fingerprint) -> SimilarityVerdict:
     if a.seed != b.seed:
         raise ConfigurationError(f"seed mismatch: {a.seed} vs {b.seed}")
     if a.is_sentinel or b.is_sentinel:
-        return SimilarityVerdict(a.address, b.address, 0.0, SimilarityCategory.NONE)
+        return SimilarityVerdict(0.0, SimilarityCategory.NONE)
     equal = sum(map(operator.eq, a.signature, b.signature))
     estimate = equal / a.k
-    return SimilarityVerdict(a.address, b.address, estimate, category_for(estimate))
+    return SimilarityVerdict(estimate, category_for(estimate))
+
+
+def check_signature_length(k: int) -> None:
+    """Raise ConfigurationError unless the LSH bands split a k-slot signature evenly."""
+    if k <= 0 or k % BANDS:
+        raise ConfigurationError(
+            f"signature length k must be a positive multiple of {BANDS} (the LSH bands), got {k}")
 
 
 class LshIndex:
@@ -215,8 +227,7 @@ class LshIndex:
         fingerprints = list(fingerprints)
         if fingerprints:
             first = fingerprints[0]
-            if first.k % BANDS:
-                raise ConfigurationError(f"bands ({BANDS}) must divide signature length ({first.k})")
+            check_signature_length(first.k)
         self._buckets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
         for fp in fingerprints:
             if (fp.k, fp.seed) != (first.k, first.seed):

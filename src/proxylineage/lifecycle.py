@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import Corpus, _iter_ndjson, _require_fields, normalize_address, read_json
 from .errors import ConfigurationError, ValidationError
 from .lineage import ContractPair, SECONDS_PER_DAY
-from .pairing import FileMatch, FilePair
+from .pairing import FileMatch
 
 FINDING_FIELDS = frozenset(
     {"tool", "vuln_type", "contract", "directory", "filename", "start_line", "end_line", "message"}
@@ -92,7 +92,6 @@ class FindingKey:
 class LifecycleRecord:
     """One warning's fate across one predecessor/successor pair."""
 
-    proxy: str
     key: FindingKey
     status: LifecycleStatus
     pair: ContractPair
@@ -163,7 +162,7 @@ def _cross_check(finding: Finding, corpus: Corpus, line_number: int,
 
 
 def _identity_maps(
-    file_pairs: list[FileMatch] | list[FilePair],
+    file_pairs: list[FileMatch],
 ) -> tuple[dict[tuple[str, str], FileIdentity], dict[tuple[str, str], FileIdentity]]:
     pred_map: dict[tuple[str, str], FileIdentity] = {}
     succ_map: dict[tuple[str, str], FileIdentity] = {}
@@ -176,7 +175,7 @@ def _identity_maps(
 
 def diff_pair(
     pair: ContractPair,
-    file_pairs: list[FileMatch] | list[FilePair],
+    file_pairs: list[FileMatch],
     pred_findings: list[Finding],
     succ_findings: list[Finding],
 ) -> list[LifecycleRecord]:
@@ -187,7 +186,7 @@ def diff_pair(
     DISAPPEARED. Disappearances carry the days from the predecessor's first
     activity to the successor's first activity, i.e. how long the vulnerable
     version was the live one before a warning-free successor took over.
-    Only the matched file names of `file_pairs` are read, so the matches of
+    Only the matched file names of `file_pairs` are read, so the pairs of
     pairing.match_files serve as well as the scored pairs of pair_files.
     """
     pred_map, succ_map = _identity_maps(file_pairs)
@@ -224,14 +223,14 @@ def diff_pair(
         p = pred_counts.get(key, 0)
         s = succ_counts.get(key, 0)
         for _ in range(min(p, s)):
-            records.append(LifecycleRecord(pair.proxy, key, LifecycleStatus.PERSISTED, pair))
+            records.append(LifecycleRecord(key, LifecycleStatus.PERSISTED, pair))
         for _ in range(max(0, p - s)):
             records.append(
-                LifecycleRecord(pair.proxy, key, LifecycleStatus.DISAPPEARED, pair,
+                LifecycleRecord(key, LifecycleStatus.DISAPPEARED, pair,
                                 days_to_disappear=days_gone)
             )
         for _ in range(max(0, s - p)):
-            records.append(LifecycleRecord(pair.proxy, key, LifecycleStatus.INTRODUCED, pair))
+            records.append(LifecycleRecord(key, LifecycleStatus.INTRODUCED, pair))
     return records
 
 

@@ -30,16 +30,8 @@ class FileMatch:
     name_distance: int
 
 
-@dataclass
-class FileMatching:
-    matches: list[FileMatch]
-    unpaired_predecessor: list[tuple[str, str]]
-    unpaired_successor: list[tuple[str, str]]
-    flag: str | None = None
-
-
 @dataclass(frozen=True)
-class FilePair:
+class FilePair(FileMatch):
     """Matched file versions plus their similarity rates.
 
     line_similarity is |LCS over lines| / max(line counts);
@@ -47,19 +39,16 @@ class FilePair:
     count as identical (1.0).
     """
 
-    predecessor: str
-    successor: str
-    directory: str
-    predecessor_filename: str
-    successor_filename: str
-    name_distance: int
     line_similarity: float
     content_similarity: float
 
 
 @dataclass
 class FilePairing:
-    pairs: list[FilePair]
+    """The file pairs of two versions: FileMatch pairs from match_files,
+    FilePair pairs from pair_files."""
+
+    pairs: list[FileMatch]
     unpaired_predecessor: list[tuple[str, str]]
     unpaired_successor: list[tuple[str, str]]
     flag: str | None = None
@@ -103,7 +92,7 @@ def content_similarity(pred_content: str, succ_content: str) -> float:
     return lcs_length(pred_content, succ_content) / max(len(pred_content), len(succ_content))
 
 
-def match_files(pred: ContractRecord, succ: ContractRecord) -> FileMatching:
+def match_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
     """Match files of two versions within shared directories, by name alone.
 
     Candidates are ranked by ascending filename edit distance (0, then 1,
@@ -112,8 +101,8 @@ def match_files(pred: ContractRecord, succ: ContractRecord) -> FileMatching:
     yields an empty result flagged NOT_OPEN_SOURCE.
     """
     if not pred.open_source or not succ.open_source:
-        return FileMatching(matches=[], unpaired_predecessor=[], unpaired_successor=[],
-                            flag=NOT_OPEN_SOURCE)
+        return FilePairing(pairs=[], unpaired_predecessor=[], unpaired_successor=[],
+                           flag=NOT_OPEN_SOURCE)
 
     pred_by_dir: dict[str, list[str]] = {}
     succ_by_dir: dict[str, list[str]] = {}
@@ -142,15 +131,14 @@ def match_files(pred: ContractRecord, succ: ContractRecord) -> FileMatching:
             used_succ.add(skey)
             matches.append(FileMatch(directory, pname, sname, distance))
 
-    unpaired_pred = [(f.directory, f.filename) for f in pred.files
-                     if (f.directory, f.filename) not in used_pred]
-    unpaired_succ = [(f.directory, f.filename) for f in succ.files
-                     if (f.directory, f.filename) not in used_succ]
     matches.sort(key=lambda m: (m.directory, m.predecessor_filename, m.successor_filename))
-    return FileMatching(
-        matches=matches,
-        unpaired_predecessor=sorted(unpaired_pred),
-        unpaired_successor=sorted(unpaired_succ),
+    # a record's files are in (directory, filename) order, so the unpaired ones are too
+    return FilePairing(
+        pairs=matches,
+        unpaired_predecessor=[(f.directory, f.filename) for f in pred.files
+                              if (f.directory, f.filename) not in used_pred],
+        unpaired_successor=[(f.directory, f.filename) for f in succ.files
+                            if (f.directory, f.filename) not in used_succ],
     )
 
 
@@ -161,16 +149,14 @@ def _contents(record: ContractRecord) -> dict[tuple[str, str], str]:
 
 def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
     """match_files plus the line and content similarity of each matched pair."""
-    matching = match_files(pred, succ)
+    pairing = match_files(pred, succ)
     pred_contents = _contents(pred)
     succ_contents = _contents(succ)
     pairs = []
-    for m in matching.matches:
+    for m in pairing.pairs:
         a = pred_contents[m.directory, m.predecessor_filename]
         b = succ_contents[m.directory, m.successor_filename]
         pairs.append(FilePair(
-            predecessor=pred.address,
-            successor=succ.address,
             directory=m.directory,
             predecessor_filename=m.predecessor_filename,
             successor_filename=m.successor_filename,
@@ -178,8 +164,8 @@ def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
             line_similarity=line_similarity(a, b),
             content_similarity=content_similarity(a, b),
         ))
-    return FilePairing(pairs=pairs, unpaired_predecessor=matching.unpaired_predecessor,
-                       unpaired_successor=matching.unpaired_successor, flag=matching.flag)
+    pairing.pairs = pairs
+    return pairing
 
 
 def pair_functions(

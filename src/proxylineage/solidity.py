@@ -13,8 +13,6 @@ import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .corpus import SourceFile
-
 CONTAINER_KEYWORDS = frozenset({"contract", "library", "interface"})
 LOCATION_KEYWORDS = frozenset({"memory", "calldata", "storage"})
 # Keywords that may trail a parameter's type tokens and are never its name.
@@ -66,8 +64,6 @@ class FunctionUnit:
     name: str
     signature: str
     body: str
-    directory: str
-    filename: str
     start_line: int
     end_line: int
 
@@ -142,18 +138,15 @@ def canonical_signature(name: str, param_tokens: list[Token]) -> str:
     return f"{name}({','.join(canonical_parameter(g) for g in groups)})"
 
 
-def extract_functions(
-    file: SourceFile, diagnostics: list[str] | None = None
-) -> list[FunctionUnit]:
+def extract_functions(text: str, diagnostics: list[str] | None = None) -> list[FunctionUnit]:
     """Extract function declarations at the top level of contract-like bodies.
 
     A declaration's body spans the balanced ``{...}`` (kept verbatim) or is
     empty when the declaration ends at ``;``. Unbalanced braces at the end of
-    the file produce a partial result plus a diagnostic instead of an error.
+    the text produce a partial result plus a diagnostic instead of an error.
     """
     if diagnostics is None:
         diagnostics = []
-    text = file.content
     tokens = tokenize(text, diagnostics)
     units: list[FunctionUnit] = []
     depth = 0
@@ -185,18 +178,14 @@ def extract_functions(
             and container_depth is not None
             and depth == container_depth
         ):
-            unit, next_i = _parse_function(tokens, i, text, file, diagnostics)
+            unit, next_i = _parse_function(tokens, i, text, diagnostics)
             if unit is not None:
                 units.append(unit)
                 i = next_i
                 continue
         i += 1
     if depth != 0:
-        diagnostics.append(
-            f"{file.directory}/{file.filename}: unbalanced braces at end of file"
-            if file.directory
-            else f"{file.filename}: unbalanced braces at end of file"
-        )
+        diagnostics.append("unbalanced braces at end of file")
     return units
 
 
@@ -204,7 +193,6 @@ def _parse_function(
     tokens: list[Token],
     start: int,
     text: str,
-    file: SourceFile,
     diagnostics: list[str],
 ) -> tuple[FunctionUnit | None, int]:
     n = len(tokens)
@@ -244,8 +232,7 @@ def _parse_function(
     start_line = tokens[start].line
 
     def unit(body: str, end_line: int) -> FunctionUnit:
-        return FunctionUnit(name_token.text, signature, body, file.directory, file.filename,
-                            start_line, end_line)
+        return FunctionUnit(name_token.text, signature, body, start_line, end_line)
 
     # Skip modifiers/returns clauses up to the body `{` or declaration-only `;`.
     paren_depth = 0

@@ -311,12 +311,12 @@ def test_file_and_function_pairing_against_hand_labels():
     assert set(pairing.unpaired_successor) == UNPAIRED_SUCC_TRUTH
 
     file_pair = FilePair(
-        predecessor=pred.address, successor=succ.address, directory="contracts",
+        directory="contracts",
         predecessor_filename="Core.sol", successor_filename="Core.sol",
         name_distance=0, line_similarity=1.0, content_similarity=1.0,
     )
-    pred_units = extract_functions(SourceFile("contracts", "Core.sol", FUNCTION_SRC_PRED))
-    succ_units = extract_functions(SourceFile("contracts", "Core.sol", FUNCTION_SRC_SUCC))
+    pred_units = extract_functions(FUNCTION_SRC_PRED)
+    succ_units = extract_functions(FUNCTION_SRC_SUCC)
     function_pairing = pair_functions(file_pair, pred_units, succ_units)
     computed_functions = {
         (p.predecessor.name, p.successor.name, p.match_kind.value)
@@ -436,7 +436,7 @@ def hand_fixture_summary():
 
     pair1 = pair_between(a, b, 0, 20 * DAY)
     pair2 = pair_between(b, c, 20 * DAY, 50 * DAY)
-    fp = FilePair(predecessor=a, successor=b, directory="src",
+    fp = FilePair(directory="src",
                   predecessor_filename="Core.sol", successor_filename="Core.sol",
                   name_distance=0, line_similarity=0.9, content_similarity=0.95)
     records = []

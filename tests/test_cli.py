@@ -159,6 +159,22 @@ def test_fingerprint_command_writes_ndjson(fixture_paths, tmp_path):
     assert all(r["k"] == 256 and r["seed"] == 0 for r in rows)
 
 
+@pytest.mark.parametrize("traces_text", [None, "{not json\n"], ids=["valid", "unparsable"])
+@pytest.mark.parametrize("command", ["fingerprint", "evaluate-lsh"])
+@pytest.mark.parametrize("k", [100, 0])
+def test_k_off_the_lsh_bands_is_rejected_before_input_is_read(fixture_paths, tmp_path, capsys,
+                                                              traces_text, command, k):
+    traces, contracts = fixture_paths
+    if traces_text is not None:
+        traces.write_text(traces_text)
+    out = tmp_path / "out.ndjson"
+    assert main([command, "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out), "--k", str(k)]) == 1
+    message = f"signature length k must be a positive multiple of 64 (the LSH bands), got {k}"
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_changes_fingerprints(fixture_paths, tmp_path):
     traces, contracts = fixture_paths
     one = tmp_path / "one.ndjson"

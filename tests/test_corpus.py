@@ -40,6 +40,7 @@ from proxylineage.corpus import (
     read_json,
     serialize_contract_records,
     serialize_trace_events,
+    write_json,
 )
 
 from corpusgen import event_row, write_contract_fixture, write_trace_fixture
@@ -324,6 +325,15 @@ def test_upgrade_proxies_detects_monitored_selector(tmp_path):
     assert upgrade_proxies(corpus) == [PROXY]
 
 
+def test_contract_record_keeps_its_files_in_path_order():
+    files = [SourceFile("src", "B.sol", "b"), SourceFile("", "Z.sol", "z"),
+             SourceFile("src", "A.sol", "first"), SourceFile("src", "A.sol", "second")]
+    record = ContractRecord("0x" + "aa" * 20, "0x" + "e1" * 20, 0, True, True, files)
+    # a hand-built record may repeat a path; the sort is stable
+    assert record.files == (SourceFile("", "Z.sol", "z"), SourceFile("src", "A.sol", "first"),
+                            SourceFile("src", "A.sol", "second"), SourceFile("src", "B.sol", "b"))
+
+
 def test_serialize_contract_records_sorted():
     from conftest import make_record
 
@@ -594,6 +604,15 @@ def test_json_text_matches_json_dumps(obj):
 def test_json_text_fails_like_json_dumps(obj):
     expected = dumped_or_error(lambda o: json.dumps(o, sort_keys=True, indent=2) + "\n", obj)
     assert dumped_or_error(json_text, obj) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(json_values(JSON_SCALARS))
+def test_write_json_writes_the_bytes_of_json_text(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.json"
+        write_json(path, obj)
+        assert path.read_bytes() == json_text(obj).encode("utf-8")
 
 
 def test_json_text_edge_values():

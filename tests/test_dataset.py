@@ -19,6 +19,7 @@ from proxylineage import (
     pair_files,
     pair_functions,
 )
+from proxylineage import dataset
 from proxylineage.dataset import bundle_to_jsonable, stats_to_csv, stats_to_jsonable
 from proxylineage.pairing import NOT_OPEN_SOURCE
 
@@ -249,7 +250,8 @@ def test_shared_file_is_diagnosed_per_address_and_pairs_as_if_extracted_alone():
 
     lib_notes = [line for line in bundle.source_diagnostics if "Lib.sol" in line]
     assert [line.split(" ", 1)[0] for line in lib_notes] == [ADDR_A, ADDR_B]
-    assert all("unbalanced braces" in line for line in lib_notes)
+    assert lib_notes == [f"{address} src/Lib.sol: unbalanced braces at end of file"
+                         for address in (ADDR_A, ADDR_B)]
 
     (artifacts,) = bundle.pair_artifacts
     pred, succ = corpus.contracts[ADDR_A], corpus.contracts[ADDR_B]
@@ -257,13 +259,41 @@ def test_shared_file_is_diagnosed_per_address_and_pairs_as_if_extracted_alone():
     for fp in pair_files(pred, succ).pairs:
         pred_file = next(f for f in pred.files if f.filename == fp.predecessor_filename)
         succ_file = next(f for f in succ.files if f.filename == fp.successor_filename)
-        pairing = pair_functions(fp, extract_functions(pred_file), extract_functions(succ_file))
+        pairing = pair_functions(fp, extract_functions(pred_file.content),
+                                  extract_functions(succ_file.content))
         expected_pairs.extend(pairing.pairs)
         expected_unpaired |= {("predecessor", u.name, u.signature) for u in pairing.unpaired_predecessor}
         expected_unpaired |= {("successor", u.name, u.signature) for u in pairing.unpaired_successor}
     assert artifacts.function_pairs == expected_pairs
     assert {(u.side, u.name, u.signature) for u in artifacts.unpaired_functions} == expected_unpaired
     assert expected_unpaired == {("predecessor", "gone", "gone()"), ("successor", "added", "added()")}
+
+
+def test_a_file_renamed_unchanged_is_extracted_once(monkeypatch):
+    token = "contract Token {\n    function mint(uint256 n) public {}\n"  # never closed
+    extracted = []
+
+    def counting(text, notes):
+        extracted.append(text)
+        return extract_functions(text, notes)
+
+    monkeypatch.setattr(dataset, "extract_functions", counting)
+    corpus = Corpus(
+        events=window_events(PROXY, ADDR_A, 0, 10) + window_events(PROXY, ADDR_B, DAY, DAY + 10),
+        contracts={
+            ADDR_A: make_record(ADDR_A, CREATOR_X, [SourceFile("src", "TokenV1.sol", token)]),
+            ADDR_B: make_record(ADDR_B, CREATOR_X, [SourceFile("src", "TokenV2.sol", token)]),
+        },
+    )
+    bundle = build_bundle(corpus)
+    assert extracted == [token]
+    (function_pair,) = bundle.pair_artifacts[0].function_pairs
+    assert function_pair.match_kind.value == "EXACT_SIGNATURE"
+    # each file is still diagnosed under its own path
+    assert bundle.source_diagnostics == [
+        f"{ADDR_A} src/TokenV1.sol: unbalanced braces at end of file",
+        f"{ADDR_B} src/TokenV2.sol: unbalanced braces at end of file",
+    ]
 
 
 def test_sources_tree_layout(tmp_path):

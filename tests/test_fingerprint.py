@@ -30,6 +30,8 @@ from proxylineage import (
 from proxylineage.fingerprint import (
     _MINHASH_BLOCK,
     _fingerprint_line,
+    check_signature_length,
+    fingerprint_contracts,
     read_fingerprints,
     write_fingerprints,
 )
@@ -231,6 +233,25 @@ def test_results_sorted_by_estimate_then_address():
 def test_bands_must_divide_signature_length():
     with pytest.raises(ConfigurationError):
         LshIndex([fp_from_set(ADDR_A, {1, 2, 3}, k=100)])
+
+
+@pytest.mark.parametrize("k", [0, -64, 32, 100, 257])
+def test_signature_length_must_be_a_positive_multiple_of_the_bands(k):
+    with pytest.raises(ConfigurationError, match=f"signature length k .* got {k}$"):
+        check_signature_length(k)
+
+
+def test_fingerprint_contracts_takes_open_source_records_in_address_order():
+    source = "contract C { function f() public { uint256 x = 1; } }"
+    contracts = {
+        ADDR_B: make_record(ADDR_B, CREATOR_X, [SourceFile("", "B.sol", source)]),
+        addr_from_int(7): make_record(addr_from_int(7), CREATOR_X),  # closed source
+        ADDR_A: make_record(ADDR_A, CREATOR_X, [SourceFile("", "A.sol", source + " ")]),
+    }
+    assert fingerprint_contracts(contracts, k=64, seed=3) == [
+        fingerprint(contracts[ADDR_A], k=64, seed=3),
+        fingerprint(contracts[ADDR_B], k=64, seed=3),
+    ]
 
 
 @pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])

@@ -51,7 +51,7 @@ def test_regex_whitespace_is_str_isspace():
 def test_escaped_newline_in_a_string_counts_as_a_line():
     assert [(t.text, t.line) for t in tokenize('"a\\\nb" x')] == [('""', 1), ("x", 2)]
     source = 'contract A {\n  string s = "one\\\ntwo";\n  function f() public {\n  }\n}\n'
-    units = extract_functions(SourceFile("", "A.sol", source))
+    units = extract_functions(source)
     assert [(u.name, u.start_line, u.end_line) for u in units] == [("f", 4, 5)]
 
 

@@ -49,7 +49,7 @@ def make_pair(pred=ADDR_A, succ=ADDR_B, pred_first=0, pred_last=10 * DAY,
 
 def make_file_pair(pred_name="Core.sol", succ_name="Core.sol", directory="src") -> FilePair:
     return FilePair(
-        predecessor=ADDR_A, successor=ADDR_B, directory=directory,
+        directory=directory,
         predecessor_filename=pred_name, successor_filename=succ_name,
         name_distance=0 if pred_name == succ_name else 1,
         line_similarity=0.9, content_similarity=0.95,
@@ -433,5 +433,5 @@ def test_diff_pair_reads_only_file_names():
             succ = corpus.contracts[pair.successor]
             pred_findings = random_findings(rng, pred)
             succ_findings = random_findings(rng, succ)
-            assert (diff_pair(pair, match_files(pred, succ).matches, pred_findings, succ_findings)
+            assert (diff_pair(pair, match_files(pred, succ).pairs, pred_findings, succ_findings)
                     == diff_pair(pair, pair_files(pred, succ).pairs, pred_findings, succ_findings))

@@ -181,7 +181,7 @@ def test_tokenize_tracks_lines_through_block_comments():
 
 
 def test_extract_single_function():
-    units = extract_functions(sf("", "A.sol", "contract A { function f(uint256 x) public {} }"))
+    units = extract_functions("contract A { function f(uint256 x) public {} }")
     assert len(units) == 1
     assert units[0].name == "f"
     assert units[0].signature == "f(uint256)"
@@ -189,7 +189,7 @@ def test_extract_single_function():
 
 def test_commented_function_is_ignored():
     source = "contract A { // function g() {}\n function h() public {} }"
-    units = extract_functions(sf("", "A.sol", source))
+    units = extract_functions(source)
     assert [u.name for u in units] == ["h"]
 
 
@@ -222,7 +222,7 @@ library Second {
 
 
 def test_two_contracts_three_functions_each():
-    units = extract_functions(sf("src", "Two.sol", TWO_CONTRACTS))
+    units = extract_functions(TWO_CONTRACTS)
     assert [u.name for u in units] == ["one", "two", "three", "four", "five", "six"]
     by_name = {u.name: u for u in units}
     assert by_name["one"].signature == "one(uint256)"
@@ -250,20 +250,20 @@ def test_function_with_modifier_arguments_and_returns():
         "    }\n"
         "}\n"
     )
-    units = extract_functions(sf("", "A.sol", source))
+    units = extract_functions(source)
     assert [u.signature for u in units] == ["f(uint256)"]
     assert units[0].end_line == 5
 
 
 def test_function_typed_state_variable_is_not_a_declaration():
     source = "contract A { function(uint256) external returns (bool) callback; function g() public {} }"
-    units = extract_functions(sf("", "A.sol", source))
+    units = extract_functions(source)
     assert [u.name for u in units] == ["g"]
 
 
 def test_file_level_function_is_ignored():
     source = "function free() pure returns (uint256) { return 1; }\ncontract A { function f() public {} }"
-    units = extract_functions(sf("", "A.sol", source))
+    units = extract_functions(source)
     assert [u.name for u in units] == ["f"]
 
 
@@ -271,31 +271,31 @@ def test_nested_function_in_body_is_not_extracted():
     # assembly blocks and lambdas do not exist, but a brace-nested `function`
     # token inside a body must not produce a unit
     source = "contract A { function f() public { assembly { function g() {} } } }"
-    units = extract_functions(sf("", "A.sol", source))
+    units = extract_functions(source)
     assert [u.name for u in units] == ["f"]
 
 
 def test_unbalanced_braces_yield_partial_result_and_diagnostic():
     source = "contract A { function f() public { uint256 x = 1;"
     notes: list[str] = []
-    units = extract_functions(sf("", "A.sol", source), notes)
+    units = extract_functions(source, notes)
     assert [u.name for u in units] == ["f"]
     assert any("unbalanced" in n for n in notes)
 
 
 def test_extraction_count_invariant_under_comment_insertion():
-    base = extract_functions(sf("src", "Two.sol", TWO_CONTRACTS))
+    base = extract_functions(TWO_CONTRACTS)
     commented = TWO_CONTRACTS.replace(
         "contract First {", "contract First { // function fake() {}\n /* function f2() public {} */"
     )
-    again = extract_functions(sf("src", "Two.sol", commented))
+    again = extract_functions(commented)
     assert len(again) == len(base)
     assert [u.signature for u in again] == [u.signature for u in base]
 
 
 def test_address_payable_parameter_canonicalization():
     source = "contract A { function f(address payable to, uint256 amount) public {} }"
-    units = extract_functions(sf("", "A.sol", source))
+    units = extract_functions(source)
     assert units[0].signature == "f(addresspayable,uint256)"
 
 
@@ -393,7 +393,7 @@ def assert_matching_is_pairing_by_name(pred, succ):
     matching = match_files(pred, succ)
     pairing = pair_files(pred, succ)
     assert [(m.directory, m.predecessor_filename, m.successor_filename, m.name_distance)
-            for m in matching.matches] == [
+            for m in matching.pairs] == [
         (p.directory, p.predecessor_filename, p.successor_filename, p.name_distance)
         for p in pairing.pairs]
     assert matching.unpaired_predecessor == pairing.unpaired_predecessor
@@ -416,7 +416,7 @@ def test_match_files_keeps_not_open_source_flag():
     for a, b in ((pred, succ), (succ, pred)):
         matching = match_files(a, b)
         assert matching.flag == "NOT_OPEN_SOURCE"
-        assert matching.matches == []
+        assert matching.pairs == []
         assert matching.unpaired_predecessor == matching.unpaired_successor == []
 
 
@@ -445,14 +445,14 @@ def test_match_files_is_pair_files_without_scores(pred_files, succ_files):
 
 def make_file_pair() -> FilePair:
     return FilePair(
-        predecessor=ADDR_A, successor=ADDR_B, directory="a",
+        directory="a",
         predecessor_filename="C.sol", successor_filename="C.sol",
         name_distance=0, line_similarity=1.0, content_similarity=1.0,
     )
 
 
 def units_from(source: str):
-    return extract_functions(sf("a", "C.sol", source))
+    return extract_functions(source)
 
 
 def test_same_signature_is_exact_match():

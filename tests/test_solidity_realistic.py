@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from proxylineage import SourceFile, extract_functions
+from proxylineage import extract_functions
 
 VAULT = """\
 // SPDX-License-Identifier: MIT
@@ -65,7 +65,7 @@ contract Vault is IVault {
 
 def test_realistic_vault_extraction():
     notes: list[str] = []
-    units = extract_functions(SourceFile("contracts", "Vault.sol", VAULT), notes)
+    units = extract_functions(VAULT, notes)
     assert notes == []
     signatures = [u.signature for u in units]
     assert signatures == [
@@ -93,6 +93,6 @@ def test_realistic_vault_extraction():
 
 
 def test_realistic_vault_reextraction_is_stable():
-    units_a = extract_functions(SourceFile("contracts", "Vault.sol", VAULT))
-    units_b = extract_functions(SourceFile("contracts", "Vault.sol", VAULT))
+    units_a = extract_functions(VAULT)
+    units_b = extract_functions(VAULT)
     assert units_a == units_b
