@@ -10,6 +10,7 @@ make no network calls.
 
 from __future__ import annotations
 
+import json
 import os
 import tempfile
 import threading
@@ -53,15 +54,25 @@ class RateLimiter:
         self._sleep(wait)
 
 
-def _requests_transport(url: str, params: dict) -> tuple[int, object]:
-    import requests  # imported here so that offline runs skip its load time
+def _urllib_transport(url: str, params: dict) -> tuple[int, object]:
+    # imported here so that offline runs skip their load time
+    from urllib.error import HTTPError
+    from urllib.parse import urlencode
+    from urllib.request import urlopen
 
-    response = requests.get(url, params=params, timeout=30)
+    if params:
+        url = f"{url}?{urlencode(params)}"
     try:
-        body = response.json()
+        with urlopen(url, timeout=30) as response:
+            status, raw = response.status, response.read()
+    except HTTPError as exc:  # a 4xx or 5xx reply, which fetch_record judges by its status
+        with exc:
+            status, raw = exc.code, exc.read()
+    try:
+        body = json.loads(raw)
     except ValueError:
         body = None
-    return response.status_code, body
+    return status, body
 
 
 class ExplorerClient:
@@ -76,7 +87,7 @@ class ExplorerClient:
     ):
         self.base_url = base_url.rstrip("/")
         self.api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
-        self._transport = transport or _requests_transport
+        self._transport = transport or _urllib_transport
         self._sleep = sleep
         self._limiter = RateLimiter(RATE_LIMIT_RPS, sleep=sleep)
 

@@ -21,7 +21,7 @@ from corpusgen import (
     write_trace_fixture,
 )
 from conftest import make_record
-from proxylineage import SourceFile
+from proxylineage import SourceFile, __version__
 
 SRC = "pragma solidity ^0.8.0;\ncontract Core {\n    function f() public {\n    }\n}\n"
 
@@ -453,7 +453,66 @@ def test_emit_runs_are_byte_identical(fixture_paths, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "proxylineage" in capsys.readouterr().out
+    for command in ("ingest", "build-lineages", "pair", "fingerprint", "evaluate-lsh",
+                    "vuln-lifecycle", "stats", "emit"):
+        assert main([command, "--help"]) == 0
+        assert f"proxylineage {command}" in capsys.readouterr().out
 
 
 def test_unknown_subcommand_exits_one():
     assert main(["frobnicate"]) == 1
+
+
+CORPUS_ARGS = ["--traces", "{traces}", "--contracts", "{contracts}"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["frobnicate"],
+    ["emit", *CORPUS_ARGS],
+    ["emit", "--traces", "{missing}", "--contracts", "{contracts}", "--out", "{out}"],
+    ["emit", "--traces", "{directory}", "--contracts", "{contracts}", "--out", "{out}"],
+    ["stats", "{traces}"],
+    ["vuln-lifecycle", *CORPUS_ARGS, "--out", "{out}"],
+    ["fingerprint", *CORPUS_ARGS, "--out", "{out}", "--k", "abc"],
+    ["evaluate-lsh", *CORPUS_ARGS, "--threshold", "nonsense"],
+], ids=["no-command", "unknown-command", "missing-out", "missing-traces", "directory-traces",
+        "file-bundle", "missing-findings", "non-integer-k", "unknown-threshold"])
+def test_usage_error_exits_one_with_usage_and_error(fixture_paths, tmp_path, capsys, argv):
+    traces, contracts = fixture_paths
+    (tmp_path / "directory").mkdir()
+    places = {"traces": traces, "contracts": contracts, "missing": tmp_path / "missing",
+              "directory": tmp_path / "directory", "out": tmp_path / "out"}
+    assert main([arg.format(**places) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    usage, error = captured.err.split("\nerror: ")
+    assert usage.startswith("usage: proxylineage")
+    assert error.endswith("\n") and "Traceback" not in error
+    assert not (tmp_path / "out").exists()
+
+
+def test_version_prints_the_package_version(capsys):
+    assert main(["--version"]) == 0
+    assert capsys.readouterr().out == f"proxylineage, version {__version__}\n"
+
+
+def test_repeated_flags_keep_their_order(fixture_paths, tmp_path):
+    traces, contracts = fixture_paths
+    signatures = ["upgradeToAndCall(address,bytes)", "setImplementation(address)",
+                  "upgradeTo(address)"]
+    out = tmp_path / "corpus"
+    flags = [arg for signature in signatures for arg in ("--upgrade-signature", signature)]
+    assert main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out), *flags]) == 0
+    assert json.loads((out / "diagnostics.json").read_text())["upgrade_signatures"] == signatures
+
+    # each report names one unknown contract, so each adds one diagnostic prefixed by its path
+    reports = [tmp_path / name for name in ("second.ndjson", "first.ndjson", "third.ndjson")]
+    for report in reports:
+        report.write_text(json.dumps({**FINDING, "contract": "0x" + "99" * 20}) + "\n")
+    assert main(["vuln-lifecycle", "--traces", str(traces), "--contracts", str(contracts),
+                 *(arg for report in reports for arg in ("--findings", str(report))),
+                 "--out", str(tmp_path / "lifecycle.json")]) == 0
+    diagnostics = json.loads((tmp_path / "lifecycle.json").read_text())["diagnostics"]
+    assert [d.split(": ")[0] for d in diagnostics] == [str(report) for report in reports]

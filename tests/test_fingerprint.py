@@ -321,7 +321,7 @@ def test_estimator_mean_error_small():
 IMPORT_PROBE = """
 import json, sys
 import proxylineage, proxylineage.cli
-heavy = ("numpy", "requests")
+heavy = ("numpy", "urllib.request")
 loaded_on_import = [name for name in heavy if name in sys.modules]
 from proxylineage import ContractRecord, SourceFile, fingerprint
 record = ContractRecord(
@@ -336,8 +336,8 @@ print(json.dumps({"loaded_on_import": loaded_on_import, "signature": fp.signatur
 """
 
 
-def test_import_leaves_numpy_and_requests_unloaded():
-    # numpy and requests are imported on first use, so that commands which
+def test_import_leaves_numpy_and_urllib_request_unloaded():
+    # numpy and urllib.request are imported on first use, so that commands which
     # never hash or fetch do not pay for loading them
     src = str(Path(proxylineage.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import proxylineage
-from proxylineage.cli import cli
+from proxylineage.cli import build_parser
 
 from corpusgen import varied_sourced_corpus, write_corpus_fixtures
 
@@ -45,11 +45,12 @@ def test_cli_import_loads_only_cli_errors_and_version():
     code = ("import json, sys\n"
             "import proxylineage.cli\n"
             "print(json.dumps([sorted(m for m in sys.modules if m.startswith('proxylineage')),\n"
-            "                  'concurrent.futures' in sys.modules, 'logging' in sys.modules]))")
-    loaded, futures, logging = probe(code)
+            "                  'concurrent.futures' in sys.modules, 'logging' in sys.modules,\n"
+            "                  'click' in sys.modules]))")
+    loaded, futures, logging, click = probe(code)
     assert loaded == ["proxylineage", "proxylineage._version", "proxylineage.cli",
                       "proxylineage.errors"]
-    assert not futures and not logging
+    assert not futures and not logging and not click
 
 
 @pytest.fixture
@@ -125,11 +126,13 @@ def test_cli_literals_equal_library_constants():
     from proxylineage.fingerprint import DEFAULT_SIGNATURE_LENGTH
     from proxylineage.lifecycle import INTERSECTION, UNION
 
-    def option(command, name):
-        return next(p for p in cli.commands[command].params if p.name == name)
+    commands = next(a for a in build_parser()._actions if a.dest == "command")
+
+    def option(command, dest):
+        return next(a for a in commands.choices[command]._actions if a.dest == dest)
 
     mode = option("vuln-lifecycle", "mode")
-    assert list(mode.type.choices) == [UNION, INTERSECTION]
+    assert list(mode.choices) == [UNION, INTERSECTION]
     assert mode.default == UNION
     for command in ("fingerprint", "evaluate-lsh"):
         assert option(command, "k").default == DEFAULT_SIGNATURE_LENGTH

@@ -9,6 +9,8 @@ import threading
 import pytest
 
 from proxylineage.cli import main
+from proxylineage.errors import FetchError
+from proxylineage.explorer import ExplorerClient
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, PROXY
 from corpusgen import contract_row, event_row, write_contract_fixture, write_trace_fixture
@@ -21,17 +23,25 @@ SRC = "pragma solidity ^0.8.0;\ncontract Fetched { function f() public {} }\n"
 class ExplorerStub(http.server.BaseHTTPRequestHandler):
     records: dict[str, dict] = {}
     hits: list[str] = []
+    queries: list[str] = []
+    # address -> (status, body) replies served, in order, before its record
+    scripted: dict[str, list[tuple[int, bytes]]] = {}
 
     def do_GET(self):
-        address = self.path.split("?")[0].rstrip("/").split("/")[-1]
+        path, mark, query = self.path.partition("?")
+        address = path.rstrip("/").split("/")[-1]
         type(self).hits.append(address)
+        type(self).queries.append(mark + query)
         record = self.records.get(address)
-        if record is None:
+        if self.scripted.get(address):
+            status, body = self.scripted[address].pop(0)
+        elif record is None:
             self.send_response(404)
             self.end_headers()
             return
-        body = json.dumps(record).encode("utf-8")
-        self.send_response(200)
+        else:
+            status, body = 200, json.dumps(record).encode("utf-8")
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -45,6 +55,8 @@ class ExplorerStub(http.server.BaseHTTPRequestHandler):
 def explorer_server():
     ExplorerStub.records = {}
     ExplorerStub.hits = []
+    ExplorerStub.queries = []
+    ExplorerStub.scripted = {}
     server = http.server.ThreadingHTTPServer(("127.0.0.1", 0), ExplorerStub)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -116,3 +128,26 @@ def test_allow_network_requires_url_and_cache(tmp_path):
     code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(tmp_path / "out"), "--allow-network"])
     assert code == 1
+
+
+def test_default_transport_retries_server_errors_and_not_unknown_contracts(explorer_server):
+    _, url = explorer_server
+    row = contract_row(make_record(ADDR_B, CREATOR_X, [SourceFile("src", "Fetched.sol", SRC)]))
+    ExplorerStub.records[ADDR_B] = row
+    ExplorerStub.scripted[ADDR_B] = [(500, b"")]
+    ExplorerStub.scripted[ADDR_A] = [(200, b"<html>not json</html>")]
+    client = ExplorerClient(url, api_key="k&1", sleep=lambda s: None)
+
+    assert contract_row(client.fetch_record(ADDR_B)) == row
+    assert ExplorerStub.hits == [ADDR_B, ADDR_B]
+    assert ExplorerStub.queries == ["?apikey=k%261"] * 2
+
+    with pytest.raises(FetchError, match="malformed explorer response"):
+        client.fetch_record(ADDR_A)
+    with pytest.raises(FetchError, match="explorer does not know this contract"):
+        client.fetch_record(PROXY)
+    assert ExplorerStub.hits == [ADDR_B, ADDR_B, ADDR_A, PROXY]
+
+    ExplorerStub.queries = []
+    ExplorerClient(url, api_key="", sleep=lambda s: None).fetch_record(ADDR_B)
+    assert ExplorerStub.queries == [""]
