@@ -33,8 +33,8 @@ _EXPORTS = {
     "fingerprint": ("Fingerprint", "LshIndex", "SimilarityCategory", "SimilarityVerdict",
                     "compare", "fingerprint", "minhash_signature", "query_similar"),
     "keccak": ("keccak_256",),
-    "lifecycle": ("Finding", "FindingKey", "LifecycleRecord", "LifecycleStatus", "diff_pair",
-                  "lifecycle_stats", "load_findings"),
+    "lifecycle": ("Finding", "FindingKey", "LifecycleStatus", "diff_pair", "lifecycle_stats",
+                  "load_findings"),
     "lineage": ("ActivityWindow", "ContractPair", "ExclusionReason", "Lineage",
                 "LineageDiagnostics", "activity_windows", "build_lineages", "contract_pairs"),
     "pairing": ("FileMatch", "FilePair", "FilePairing", "FunctionPair",

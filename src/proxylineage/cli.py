@@ -152,19 +152,16 @@ def vuln_lifecycle(args):
     for finding in findings:
         by_contract.setdefault(finding.contract, []).append(finding)
 
-    records = []
+    diffs = {}
     for pair_ in pairs:
         pred = corpus.contracts[pair_.predecessor]
         succ = corpus.contracts[pair_.successor]
-        records.extend(diff_pair(
-            pair_,
-            match_files(pred, succ).pairs,
-            by_contract.get(pair_.predecessor, []),
-            by_contract.get(pair_.successor, []),
-        ))
+        diffs[pair_] = diff_pair(match_files(pred, succ).pairs,
+                                 by_contract.get(pair_.predecessor, []),
+                                 by_contract.get(pair_.successor, []))
 
     category_map = load_category_map(args.category_map_path) if args.category_map_path else None
-    summary = lifecycle_stats(records, mode=args.mode, category_map=category_map)
+    summary = lifecycle_stats(diffs, mode=args.mode, category_map=category_map)
     write_json(args.out_path, {"summary": summary, "diagnostics": diagnostics})
     print(f"classified {summary['findings']['total']} findings across "
           f"{len(pairs)} pairs -> {args.out_path}")

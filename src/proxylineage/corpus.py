@@ -22,9 +22,10 @@ from typing import Iterable, NamedTuple
 from .errors import ParseError, ValidationError
 from .keccak import keccak_256
 
-_ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
-_SELECTOR_RE = re.compile(r"^0x[0-9a-f]{8}$")
-_SIGNATURE_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$]*\(.*\)$")
+# used with fullmatch: a `$` anchor would also match before a final newline
+_ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
+_SELECTOR_RE = re.compile(r"0x[0-9a-f]{8}")
+_SIGNATURE_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*\(.*\)")
 
 TRACE_FIELDS = frozenset(
     {"proxy_address", "callee_address", "timestamp", "block_number", "selector", "tx_id"}
@@ -96,7 +97,7 @@ def normalize_address(value: object, where: str = "address") -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
     normalized = value.lower()
-    if not _ADDRESS_RE.match(normalized):
+    if not _ADDRESS_RE.fullmatch(normalized):
         raise ValidationError(f"{where} must be 0x + 40 hex chars, got {value!r}")
     return normalized
 
@@ -105,7 +106,7 @@ def normalize_selector(value: object, where: str = "selector") -> str:
     if not isinstance(value, str):
         raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
     normalized = value.lower()
-    if not _SELECTOR_RE.match(normalized):
+    if not _SELECTOR_RE.fullmatch(normalized):
         raise ValidationError(f"{where} must be 0x + 8 hex chars, got {value!r}")
     return normalized
 
@@ -120,7 +121,7 @@ def compute_selector(signature: str) -> str:
         raise ValidationError("signature must be a string")
     if any(ch.isspace() for ch in signature):
         raise ValidationError(f"signature must not contain spaces: {signature!r}")
-    if not _SIGNATURE_RE.match(signature):
+    if not _SIGNATURE_RE.fullmatch(signature):
         raise ValidationError(f"malformed signature: {signature!r}")
     depth = 0
     for ch in signature:
@@ -537,10 +538,6 @@ def _contract_line(r: ContractRecord) -> str:
     return (f'{{"address":{_json_str(r.address)},"creator":{_json_str(r.creator)},'
             f'"deploy_timestamp":{r.deploy_timestamp},"files":[{files}],'
             f'"open_source":{_JSON_BOOL[r.open_source]},"verified":{_JSON_BOOL[r.verified]}}}\n')
-
-
-def serialize_trace_events(events: Iterable[TraceEvent]) -> bytes:
-    return "".join(_trace_lines(events)).encode("ascii")
 
 
 def serialize_contract_records(contracts: dict[str, ContractRecord]) -> bytes:

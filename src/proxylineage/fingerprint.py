@@ -26,6 +26,7 @@ from .corpus import (ContractRecord, _iter_ndjson, _json_str, _require_fields, _
 from .errors import (
     ConfigurationError,
     NotFingerprintableError,
+    ParseError,
     UnknownAddressError,
     ValidationError,
 )
@@ -315,10 +316,11 @@ def _fingerprint_from_obj(obj: object) -> Fingerprint:
 def read_fingerprints(path: str | Path, k: int, seed: int) -> dict[str, Fingerprint]:
     """Read a file written by `write_fingerprints`, keyed by address.
 
-    A row that is not valid JSON, lacks or adds a field, or holds a bad value
-    raises ParseError naming the file and line. A row whose k or seed differ
-    from the run's `k` and `seed` raises ConfigurationError naming the file
-    and line: its signature cannot be compared with the run's.
+    A row that is not valid JSON, lacks or adds a field, holds a bad value or
+    repeats an earlier row's address raises ParseError naming the file and
+    line. A row whose k or seed differ from the run's `k` and `seed` raises
+    ConfigurationError naming the file and line: its signature cannot be
+    compared with the run's.
     """
     path = Path(path)
     fingerprints: dict[str, Fingerprint] = {}
@@ -328,5 +330,7 @@ def read_fingerprints(path: str | Path, k: int, seed: int) -> dict[str, Fingerpr
                 f"{path}:{line_number}: fingerprint has k {fp.k}, seed {fp.seed}; "
                 f"this run has k {k}, seed {seed}"
             )
+        if fp.address in fingerprints:
+            raise ParseError(path, line_number, f"duplicate fingerprint address {fp.address}")
         fingerprints[fp.address] = fp
     return fingerprints

@@ -88,16 +88,6 @@ class FindingKey:
     file: FileIdentity
 
 
-@dataclass(frozen=True)
-class LifecycleRecord:
-    """One warning's fate across one predecessor/successor pair."""
-
-    key: FindingKey
-    status: LifecycleStatus
-    pair: ContractPair
-    days_to_disappear: float | None = None
-
-
 def load_findings(
     report_path: str | Path, corpus: Corpus | None = None
 ) -> tuple[list[Finding], list[str]]:
@@ -174,18 +164,16 @@ def _identity_maps(
 
 
 def diff_pair(
-    pair: ContractPair,
     file_pairs: list[FileMatch],
     pred_findings: list[Finding],
     succ_findings: list[Finding],
-) -> list[LifecycleRecord]:
-    """Classify each finding identity across one version pair.
+) -> dict[tuple[FindingKey, LifecycleStatus], int]:
+    """Count each finding identity's fates across one version pair.
 
     For an identity seen p times on the predecessor and s times on the
     successor: min(p, s) PERSISTED, s-p extra INTRODUCED, p-s extra
-    DISAPPEARED. Disappearances carry the days from the predecessor's first
-    activity to the successor's first activity, i.e. how long the vulnerable
-    version was the live one before a warning-free successor took over.
+    DISAPPEARED. Identities come in sorted order, each with its statuses in
+    the order PERSISTED, DISAPPEARED, INTRODUCED; zero counts are left out.
     Only the matched file names of `file_pairs` are read, so the pairs of
     pairing.match_files serve as well as the scored pairs of pair_files.
     """
@@ -209,11 +197,7 @@ def diff_pair(
         key = key_for(finding, succ_map, unpaired_pred=False)
         succ_counts[key] = succ_counts.get(key, 0) + 1
 
-    days_gone = (
-        pair.successor_window.first_call - pair.predecessor_window.first_call
-    ) / SECONDS_PER_DAY
-
-    records: list[LifecycleRecord] = []
+    counts: dict[tuple[FindingKey, LifecycleStatus], int] = {}
     all_keys = sorted(
         set(pred_counts) | set(succ_counts),
         key=lambda k: (k.tool, k.vuln_type, k.file.directory,
@@ -222,16 +206,12 @@ def diff_pair(
     for key in all_keys:
         p = pred_counts.get(key, 0)
         s = succ_counts.get(key, 0)
-        for _ in range(min(p, s)):
-            records.append(LifecycleRecord(key, LifecycleStatus.PERSISTED, pair))
-        for _ in range(max(0, p - s)):
-            records.append(
-                LifecycleRecord(key, LifecycleStatus.DISAPPEARED, pair,
-                                days_to_disappear=days_gone)
-            )
-        for _ in range(max(0, s - p)):
-            records.append(LifecycleRecord(key, LifecycleStatus.INTRODUCED, pair))
-    return records
+        for status, count in ((LifecycleStatus.PERSISTED, min(p, s)),
+                              (LifecycleStatus.DISAPPEARED, p - s),
+                              (LifecycleStatus.INTRODUCED, s - p)):
+            if count > 0:
+                counts[(key, status)] = count
+    return counts
 
 
 def _category_for(tool: str, vuln_type: str, category_map, mode: str,
@@ -245,89 +225,85 @@ def _category_for(tool: str, vuln_type: str, category_map, mode: str,
 
 
 def lifecycle_stats(
-    records: list[LifecycleRecord],
+    diffs: dict[ContractPair, dict[tuple[FindingKey, LifecycleStatus], int]],
     mode: str = UNION,
     category_map: dict[str, dict[str, str]] | None = None,
 ) -> dict:
-    """Summarize lifecycle records, combining tools by union or intersection.
+    """Summarize the diff_pair counts of each pair, combining tools by union or intersection.
 
-    Findings are projected onto (pair, file, category, status) cells with a
+    Counts are projected onto (pair, file, category, status) cells with a
     per-tool count; union takes the max across tools, intersection the min
-    across every tool that has a record. Intersection requires each observed
+    across every tool that has a finding. Intersection requires each observed
     vuln_type to be mapped to a shared category, otherwise a configuration
-    error lists the unmapped types. The returned summary reports percentages
-    over three denominators (findings, keys, files) since each is a
-    legitimate reading.
+    error lists the unmapped types. A disappearance is weighted by the days
+    from the predecessor's first activity to the successor's first activity,
+    i.e. how long the vulnerable version was the live one before a
+    warning-free successor took over. The returned summary reports
+    percentages over three denominators (findings, keys, files) since each is
+    a legitimate reading.
     """
     if mode not in (UNION, INTERSECTION):
         raise ConfigurationError(f"mode must be {UNION!r} or {INTERSECTION!r}, got {mode!r}")
     if category_map is None:
         category_map = DEFAULT_CATEGORY_MAP
-    tools = sorted({r.key.tool for r in records})
+    tools = sorted({key.tool for counts in diffs.values() for key, _ in counts})
 
     unmapped: set[tuple[str, str]] = set()
-    # cell: (pair id, file identity, category, status) -> {tool: count}
-    cells: dict[tuple, dict[str, int]] = {}
-    pair_info: dict[tuple, ContractPair] = {}
-    days_by_pair: dict[tuple, float] = {}
-    for record in records:
-        category = _category_for(record.key.tool, record.key.vuln_type, category_map,
-                                 mode, unmapped)
-        pair_id = (record.pair.proxy, record.pair.predecessor, record.pair.successor)
-        cell = (pair_id, record.key.file, category, record.status)
-        counts = cells.setdefault(cell, {})
-        counts[record.key.tool] = counts.get(record.key.tool, 0) + 1
-        pair_info[pair_id] = record.pair
-        if record.days_to_disappear is not None:
-            days_by_pair[pair_id] = record.days_to_disappear
-    if unmapped:
-        listing = ", ".join(f"{tool}/{vt}" for tool, vt in sorted(unmapped))
-        raise ConfigurationError(f"intersection mode requires categories for: {listing}")
-
-    combined: dict[tuple, int] = {}
-    for cell, counts in cells.items():
-        if mode == UNION:
-            value = max(counts.values())
-        else:
-            value = min(counts.get(tool, 0) for tool in tools)
-        if value:
-            combined[cell] = value
-
     status_counts = {status: 0 for status in LifecycleStatus}
     keys_seen: set[tuple] = set()
     keys_with: dict[LifecycleStatus, set[tuple]] = {s: set() for s in LifecycleStatus}
     files_seen: set[FileIdentity] = set()
     files_with: dict[LifecycleStatus, set[FileIdentity]] = {s: set() for s in LifecycleStatus}
-    pair_files_with: dict[LifecycleStatus, set[tuple]] = {s: set() for s in LifecycleStatus}
     contracts: set[str] = set()
     proxies: set[str] = set()
+    patched_without_new = 0
     disappear_weight = 0
     disappear_days = 0.0
-    for (pair_id, identity, category, status), count in combined.items():
-        status_counts[status] += count
-        key_id = (identity, category)
-        keys_seen.add(key_id)
-        keys_with[status].add(key_id)
-        files_seen.add(identity)
-        files_with[status].add(identity)
-        pair_files_with[status].add((pair_id, identity))
-        proxies.add(pair_id[0])
-        pair = pair_info[pair_id]
-        if status in (LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED):
-            contracts.add(pair.predecessor)
-        if status in (LifecycleStatus.PERSISTED, LifecycleStatus.INTRODUCED):
-            contracts.add(pair.successor)
-        if status is LifecycleStatus.DISAPPEARED:
-            disappear_weight += count
-            disappear_days += count * days_by_pair[pair_id]
+    for pair, counts in diffs.items():
+        # cell: (file identity, category, status) -> {tool: count}
+        cells: dict[tuple, dict[str, int]] = {}
+        for (key, status), count in counts.items():
+            category = _category_for(key.tool, key.vuln_type, category_map, mode, unmapped)
+            tool_counts = cells.setdefault((key.file, category, status), {})
+            tool_counts[key.tool] = tool_counts.get(key.tool, 0) + count
+        days_gone = (
+            pair.successor_window.first_call - pair.predecessor_window.first_call
+        ) / SECONDS_PER_DAY
+        pair_files_with: dict[LifecycleStatus, set[FileIdentity]] = {
+            s: set() for s in LifecycleStatus}
+        for (identity, category, status), tool_counts in cells.items():
+            if mode == UNION:
+                value = max(tool_counts.values())
+            else:
+                value = min(tool_counts.get(tool, 0) for tool in tools)
+            if not value:
+                continue
+            status_counts[status] += value
+            key_id = (identity, category)
+            keys_seen.add(key_id)
+            keys_with[status].add(key_id)
+            files_seen.add(identity)
+            files_with[status].add(identity)
+            pair_files_with[status].add(identity)
+            proxies.add(pair.proxy)
+            if status in (LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED):
+                contracts.add(pair.predecessor)
+            if status in (LifecycleStatus.PERSISTED, LifecycleStatus.INTRODUCED):
+                contracts.add(pair.successor)
+            if status is LifecycleStatus.DISAPPEARED:
+                disappear_weight += value
+                disappear_days += value * days_gone
+        patched_without_new += len(pair_files_with[LifecycleStatus.DISAPPEARED]
+                                   - pair_files_with[LifecycleStatus.INTRODUCED])
+    if unmapped:
+        listing = ", ".join(f"{tool}/{vt}" for tool, vt in sorted(unmapped))
+        raise ConfigurationError(f"intersection mode requires categories for: {listing}")
 
     total = sum(status_counts.values())
 
     def pct(numerator: int, denominator: int) -> float | None:
         return 100.0 * numerator / denominator if denominator else None
 
-    patched_without_new = (pair_files_with[LifecycleStatus.DISAPPEARED]
-                           - pair_files_with[LifecycleStatus.INTRODUCED])
     return {
         "mode": mode,
         "tools": list(tools),
@@ -352,7 +328,7 @@ def lifecycle_stats(
             "of_files": pct(len(files_with[LifecycleStatus.DISAPPEARED]), len(files_seen)),
         },
         "mean_days_to_disappear": (disappear_days / disappear_weight) if disappear_weight else None,
-        "patched_without_new_file_count": len(patched_without_new),
+        "patched_without_new_file_count": patched_without_new,
     }
 
 

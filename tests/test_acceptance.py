@@ -350,7 +350,7 @@ def test_lifecycle_conservation():
     for _ in range(25):
         corpus = random_sourced_corpus(rng, n_lineages=rng.randint(1, 4))
         lineages, _ = build_lineages(corpus)
-        all_records = []
+        diffs = {}
         for pair in contract_pairs(lineages):
             pred = corpus.contracts[pair.predecessor]
             succ = corpus.contracts[pair.successor]
@@ -368,14 +368,14 @@ def test_lifecycle_conservation():
 
             pred_findings = random_findings(pred)
             succ_findings = random_findings(succ)
-            records = diff_pair(pair, file_pairs, pred_findings, succ_findings)
-            check_conservation(pair, file_pairs, pred_findings, succ_findings, records)
-            all_records.extend(records)
+            counts = diff_pair(file_pairs, pred_findings, succ_findings)
+            check_conservation(pair, pred_findings, succ_findings, counts)
+            diffs[pair] = counts
             pairs_checked += 1
-        if not all_records:
+        if not any(diffs.values()):
             continue
-        union = lifecycle_stats(all_records, mode="union")
-        intersection = lifecycle_stats(all_records, mode="intersection")
+        union = lifecycle_stats(diffs, mode="union")
+        intersection = lifecycle_stats(diffs, mode="intersection")
         for field in ("total", "introduced", "persisted", "disappeared"):
             assert union["findings"][field] >= intersection["findings"][field]
         for field in ("distinct_keys", "vulnerable_files", "vulnerable_contracts",
@@ -402,24 +402,24 @@ def make_finding(tool, vuln_type, contract, directory, filename, start):
                    start_line=start, end_line=start + 1, message="m")
 
 
-def check_conservation(pair, file_pairs, pred_findings, succ_findings, records):
-    def count_by_key(records_subset, statuses):
-        counts = {}
-        for record in records_subset:
-            if record.status in statuses:
-                counts[record.key] = counts.get(record.key, 0) + 1
-        return counts
+def check_conservation(pair, pred_findings, succ_findings, counts):
+    def count_by_key(statuses):
+        by_key = {}
+        for (key, status), count in counts.items():
+            if status in statuses:
+                by_key[key] = by_key.get(key, 0) + count
+        return by_key
 
-    pred_side = count_by_key(records, {LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED})
-    succ_side = count_by_key(records, {LifecycleStatus.PERSISTED, LifecycleStatus.INTRODUCED})
+    pred_side = count_by_key({LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED})
+    succ_side = count_by_key({LifecycleStatus.PERSISTED, LifecycleStatus.INTRODUCED})
     assert sum(pred_side.values()) == len(pred_findings)
     assert sum(succ_side.values()) == len(succ_findings)
-    for record in records:
-        if record.status is LifecycleStatus.DISAPPEARED:
-            assert record.days_to_disappear is not None
-            assert record.days_to_disappear >= 0
-        else:
-            assert record.days_to_disappear is None
+    days = lifecycle_stats({pair: counts})["mean_days_to_disappear"]
+    if any(status is LifecycleStatus.DISAPPEARED for _, status in counts):
+        assert days is not None
+        assert days >= 0
+    else:
+        assert days is None
 
 
 def hand_fixture_summary():
@@ -439,22 +439,23 @@ def hand_fixture_summary():
     fp = FilePair(directory="src",
                   predecessor_filename="Core.sol", successor_filename="Core.sol",
                   name_distance=0, line_similarity=0.9, content_similarity=0.95)
-    records = []
-    records += diff_pair(pair1, [fp],
+    diffs = {
+        pair1: diff_pair([fp],
                          [make_finding("slither", "reentrancy-eth", a, "src", "Core.sol", 1),
                           make_finding("slither", "reentrancy-eth", a, "src", "Core.sol", 5),
                           make_finding("mythril", "SWC-107", a, "src", "Core.sol", 1)],
                          [make_finding("slither", "reentrancy-eth", b, "src", "Core.sol", 1),
                           make_finding("mythril", "SWC-107", b, "src", "Core.sol", 1),
-                          make_finding("slither", "tx-origin", b, "src", "Core.sol", 2)])
-    records += diff_pair(pair2, [fp],
+                          make_finding("slither", "tx-origin", b, "src", "Core.sol", 2)]),
+        pair2: diff_pair([fp],
                          [make_finding("slither", "reentrancy-eth", b, "src", "Core.sol", 1),
                           make_finding("mythril", "SWC-107", b, "src", "Core.sol", 1),
                           make_finding("slither", "tx-origin", b, "src", "Core.sol", 2)],
-                         [make_finding("slither", "tx-origin", c, "src", "Core.sol", 2)])
+                         [make_finding("slither", "tx-origin", c, "src", "Core.sol", 2)]),
+    }
     return {
-        "union": lifecycle_stats(records, mode="union"),
-        "intersection": lifecycle_stats(records, mode="intersection"),
+        "union": lifecycle_stats(diffs, mode="union"),
+        "intersection": lifecycle_stats(diffs, mode="intersection"),
     }
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import io
 import json
@@ -39,7 +40,6 @@ from proxylineage.corpus import (
     load_trace_events,
     read_json,
     serialize_contract_records,
-    serialize_trace_events,
     write_json,
 )
 
@@ -265,7 +265,11 @@ def test_canonical_sort_and_input_order_independence(tmp_path):
     corpus_b = load_corpus(b_traces, contracts)
     assert corpus_a.events == corpus_b.events
     assert [e.block_number for e in corpus_a.events] == [1, 2, 3]
-    assert serialize_trace_events(corpus_a.events) == serialize_trace_events(corpus_b.events)
+    for corpus, out in ((corpus_a, tmp_path / "a_out"), (corpus_b, tmp_path / "b_out")):
+        out.mkdir()
+        write_corpus(corpus, out / "traces.ndjson", out / "contracts.ndjson")
+    assert ((tmp_path / "a_out" / "traces.ndjson").read_bytes()
+            == (tmp_path / "b_out" / "traces.ndjson").read_bytes())
 
 
 def test_load_serialize_load_roundtrip(tmp_path):
@@ -377,9 +381,13 @@ def test_any_bytes_load_or_raise_parse_error_with_its_line(lines):
     ("block_number", True, "block_number must be an integer, got True"),
     ("block_number", "2", "block_number must be an integer, got '2'"),
     ("tx_id", "", "trace event: tx_id must be a non-empty string"),
+    ("callee_address", CALLEE + "\n",
+     f"callee_address must be 0x + 40 hex chars, got '{CALLEE}\\n'"),
+    ("selector", "0x3659cfe6\n", "selector must be 0x + 8 hex chars, got '0x3659cfe6\\n'"),
 ], ids=["short-proxy", "selector-as-callee", "address-as-selector", "list-proxy",
         "object-callee", "list-selector", "int-callee", "negative-timestamp",
-        "float-timestamp", "bool-block", "string-block", "empty-tx"])
+        "float-timestamp", "bool-block", "string-block", "empty-tx",
+        "newline-after-callee", "newline-after-selector"])
 def test_bad_trace_value_is_a_parse_error_on_its_own_line(tmp_path, field, value, message):
     # Row 1 holds every value of the bad row validly, the selector and the
     # callee among them, so a per-load memo of validated values must not let
@@ -393,6 +401,38 @@ def test_bad_trace_value_is_a_parse_error_on_its_own_line(tmp_path, field, value
             load_trace_events(traces)
         assert excinfo.value.line_number == 2
         assert str(excinfo.value) == f"{traces}:2: {message}"
+
+
+@pytest.mark.parametrize("kind", ["contract", "finding", "fingerprint"])
+def test_address_with_a_trailing_newline_is_a_parse_error(tmp_path, kind):
+    # `$` also matches before a final newline, so an anchored pattern used
+    # with re.match let such an address through, and emit then made a
+    # directory whose name ends in a newline
+    from proxylineage import load_findings
+    from proxylineage.corpus import load_contract_records
+    from proxylineage.fingerprint import read_fingerprints
+
+    bad = CALLEE + "\n"
+    if kind == "contract":
+        rows = [_contract_row(PROXY), _contract_row(bad)]
+        read = load_contract_records
+    elif kind == "finding":
+        finding = {"tool": "slither", "vuln_type": "tx-origin", "contract": PROXY,
+                   "directory": "", "filename": "A.sol", "start_line": 1, "end_line": 1,
+                   "message": "m"}
+        rows = [finding, {**finding, "contract": bad}]
+        read = load_findings
+    else:
+        fingerprint = {"address": PROXY, "k": 1, "seed": 0, "shingle_count": 0,
+                       "signature": "00" * 8}
+        rows = [fingerprint, {**fingerprint, "address": bad}]
+        read = functools.partial(read_fingerprints, k=1, seed=0)
+    path = tmp_path / f"{kind}.ndjson"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ParseError) as excinfo:
+        read(path)
+    assert (excinfo.value.path, excinfo.value.line_number) == (str(path), 2)
+    assert str(excinfo.value).endswith(f"must be 0x + 40 hex chars, got {bad!r}")
 
 
 def test_mixed_case_addresses_share_one_normalized_string(tmp_path):
@@ -422,7 +462,6 @@ _EVENTS = st.lists(st.builds(TraceEvent, proxy_address=_TEXT, callee_address=_TE
 @given(_EVENTS)
 def test_trace_serialization_matches_json_dumps(events):
     expected = oracle_trace_ndjson(events)
-    assert serialize_trace_events(events) == expected
     corpus = Corpus(events=events, contracts={})
     assert corpus_digests(corpus)["traces"] == hashlib.sha256(expected).hexdigest()
     with tempfile.TemporaryDirectory() as tmp:

@@ -19,6 +19,7 @@ from proxylineage import (
     Fingerprint,
     LshIndex,
     NotFingerprintableError,
+    ParseError,
     SimilarityCategory,
     SourceFile,
     UnknownAddressError,
@@ -305,6 +306,16 @@ def test_read_fingerprints_rejects_rows_of_another_k_or_seed(tmp_path, run):
         read_fingerprints(path, **run)
     assert str(excinfo.value) == (f"{path}:1: fingerprint has k {K}, seed {SEED}; "
                                   f"this run has k {run['k']}, seed {run['seed']}")
+
+
+def test_read_fingerprints_rejects_a_repeated_address(tmp_path):
+    path = tmp_path / "fps.ndjson"
+    write_fingerprints(path, [fp_from_set(ADDR_A, {1, 2, 3}), fp_from_set(ADDR_B, {4})])
+    with open(path, "a", encoding="ascii") as handle:
+        handle.write(_fingerprint_line(fp_from_set(ADDR_A, {5})))
+    with pytest.raises(ParseError) as excinfo:
+        read_fingerprints(path, K, SEED)
+    assert str(excinfo.value) == f"{path}:3: duplicate fingerprint address {ADDR_A}"
 
 
 def test_estimator_mean_error_small():

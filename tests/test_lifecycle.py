@@ -10,6 +10,7 @@ from proxylineage import (
     ConfigurationError,
     Corpus,
     Finding,
+    FindingKey,
     LifecycleStatus,
     ParseError,
     SourceFile,
@@ -21,6 +22,7 @@ from proxylineage import (
     match_files,
     pair_files,
 )
+from proxylineage.lifecycle import FileIdentity
 from proxylineage.lineage import ActivityWindow, ContractPair
 from proxylineage.pairing import FilePair
 
@@ -167,63 +169,95 @@ def test_cross_check_diagnostics_text_and_order(tmp_path):
 
 # --- diffing -------------------------------------------------------------------
 
+def by_status(counts) -> dict:
+    """Total count per status of one diff_pair result."""
+    totals: dict = {}
+    for (_, status), count in counts.items():
+        totals[status] = totals.get(status, 0) + count
+    return totals
+
+
 def test_predecessor_only_finding_disappears():
     pair = make_pair()
-    records = diff_pair(pair, [make_file_pair()], [finding()], [])
-    assert [r.status for r in records] == [LifecycleStatus.DISAPPEARED]
-    assert records[0].days_to_disappear == 20.0  # successor first - predecessor first
+    counts = diff_pair([make_file_pair()], [finding()], [])
+    assert by_status(counts) == {LifecycleStatus.DISAPPEARED: 1}
+    # successor first - predecessor first
+    assert lifecycle_stats({pair: counts})["mean_days_to_disappear"] == 20.0
 
 
 def test_successor_only_finding_is_introduced():
     pair = make_pair()
     succ = [finding(tool="mythril", vuln_type="SWC-115", contract=ADDR_B)]
-    records = diff_pair(pair, [make_file_pair()], [], succ)
-    assert [r.status for r in records] == [LifecycleStatus.INTRODUCED]
-    assert records[0].days_to_disappear is None
+    counts = diff_pair([make_file_pair()], [], succ)
+    assert by_status(counts) == {LifecycleStatus.INTRODUCED: 1}
+    assert lifecycle_stats({pair: counts})["mean_days_to_disappear"] is None
 
 
 def test_multiplicity_two_versus_one():
-    pair = make_pair()
     pred = [finding(start=1, end=2), finding(start=10, end=12)]
     succ = [finding(contract=ADDR_B, start=5, end=6)]
-    records = diff_pair(pair, [make_file_pair()], pred, succ)
-    statuses = sorted(r.status.value for r in records)
-    assert statuses == ["DISAPPEARED", "PERSISTED"]
+    counts = diff_pair([make_file_pair()], pred, succ)
+    assert by_status(counts) == {LifecycleStatus.PERSISTED: 1, LifecycleStatus.DISAPPEARED: 1}
 
 
 def test_identical_multisets_only_persist():
-    pair = make_pair()
     pred = [finding(), finding(vuln_type="tx-origin")]
     succ = [finding(contract=ADDR_B), finding(contract=ADDR_B, vuln_type="tx-origin")]
-    records = diff_pair(pair, [make_file_pair()], pred, succ)
-    assert {r.status for r in records} == {LifecycleStatus.PERSISTED}
-    assert len(records) == 2
+    counts = diff_pair([make_file_pair()], pred, succ)
+    assert by_status(counts) == {LifecycleStatus.PERSISTED: 2}
+    assert len(counts) == 2
 
 
 def test_renamed_file_shares_identity_through_pair():
-    pair = make_pair()
     file_pair = make_file_pair("CoreV2.sol", "CoreV3.sol")
     pred = [finding(filename="CoreV2.sol")]
     succ = [finding(contract=ADDR_B, filename="CoreV3.sol")]
-    records = diff_pair(pair, [file_pair], pred, succ)
-    assert [r.status for r in records] == [LifecycleStatus.PERSISTED]
-    identity = records[0].key.file
-    assert identity.predecessor_filename == "CoreV2.sol"
-    assert identity.successor_filename == "CoreV3.sol"
+    counts = diff_pair([file_pair], pred, succ)
+    identity = FileIdentity("src", "CoreV2.sol", "CoreV3.sol")
+    assert counts == {
+        (FindingKey("slither", "reentrancy-eth", identity), LifecycleStatus.PERSISTED): 1}
 
 
 def test_unpaired_files_never_match_across_sides():
-    pair = make_pair()
     pred = [finding(filename="OnlyOld.sol")]
     succ = [finding(contract=ADDR_B, filename="OnlyNew.sol")]
-    records = diff_pair(pair, [], pred, succ)
-    statuses = sorted(r.status.value for r in records)
-    assert statuses == ["DISAPPEARED", "INTRODUCED"]
+    counts = diff_pair([], pred, succ)
+    assert by_status(counts) == {LifecycleStatus.DISAPPEARED: 1, LifecycleStatus.INTRODUCED: 1}
+
+
+def test_diff_pair_orders_keys_and_statuses_and_leaves_out_zero_counts():
+    # identities sort by (tool, vuln_type, directory, predecessor file,
+    # successor file), an unpaired side reading as ""; within one identity the
+    # statuses come PERSISTED, DISAPPEARED, INTRODUCED. lifecycle_stats sums
+    # floats in this order, so it fixes the summary's bytes.
+    P, D, I = LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED, LifecycleStatus.INTRODUCED
+    pred = [finding(vuln_type="tx-origin"),
+            finding(filename="Old.sol"),
+            finding(start=5), finding(start=1),
+            finding(tool="mythril", vuln_type="SWC-107")]
+    succ = [finding(contract=ADDR_B, filename="New.sol"),
+            finding(contract=ADDR_B, tool="mythril", vuln_type="SWC-107", start=3),
+            finding(contract=ADDR_B, vuln_type="tx-origin"),
+            finding(contract=ADDR_B, tool="mythril", vuln_type="SWC-107", start=1),
+            finding(contract=ADDR_B),
+            finding(contract=ADDR_B, tool="mythril", vuln_type="SWC-107", start=2)]
+    core = FileIdentity("src", "Core.sol", "Core.sol")
+    new = FileIdentity("src", None, "New.sol")
+    old = FileIdentity("src", "Old.sol", None)
+    counts = diff_pair([make_file_pair()], pred, succ)
+    assert list(counts.items()) == [
+        ((FindingKey("mythril", "SWC-107", core), P), 1),
+        ((FindingKey("mythril", "SWC-107", core), I), 2),
+        ((FindingKey("slither", "reentrancy-eth", new), I), 1),
+        ((FindingKey("slither", "reentrancy-eth", core), P), 1),
+        ((FindingKey("slither", "reentrancy-eth", core), D), 1),
+        ((FindingKey("slither", "reentrancy-eth", old), D), 1),
+        ((FindingKey("slither", "tx-origin", core), P), 1),
+    ]
 
 
 def test_conservation_on_random_multisets():
     rng = random.Random(15)
-    pair = make_pair()
     file_pair = make_file_pair()
     tools = ["slither", "mythril"]
     types = ["reentrancy-eth", "tx-origin", "unchecked-send"]
@@ -233,10 +267,11 @@ def test_conservation_on_random_multisets():
         succ = [finding(tool=rng.choice(tools), vuln_type=rng.choice(types),
                         contract=ADDR_B, start=rng.randint(1, 9))
                 for _ in range(rng.randint(0, 8))]
-        records = diff_pair(pair, [file_pair], pred, succ)
+        counts = diff_pair([file_pair], pred, succ)
+        assert all(count > 0 for count in counts.values())
         by_key: dict = {}
-        for record in records:
-            by_key.setdefault(record.key, []).append(record.status)
+        for (key, status), count in counts.items():
+            by_key.setdefault(key, {})[status] = count
         pred_counts: dict = {}
         for f in pred:
             key = (f.tool, f.vuln_type)
@@ -245,11 +280,12 @@ def test_conservation_on_random_multisets():
         for f in succ:
             key = (f.tool, f.vuln_type)
             succ_counts[key] = succ_counts.get(key, 0) + 1
+        assert {(key.tool, key.vuln_type) for key in by_key} == set(pred_counts) | set(succ_counts)
         for key, statuses in by_key.items():
             short = (key.tool, key.vuln_type)
-            persisted = statuses.count(LifecycleStatus.PERSISTED)
-            disappeared = statuses.count(LifecycleStatus.DISAPPEARED)
-            introduced = statuses.count(LifecycleStatus.INTRODUCED)
+            persisted = statuses.get(LifecycleStatus.PERSISTED, 0)
+            disappeared = statuses.get(LifecycleStatus.DISAPPEARED, 0)
+            introduced = statuses.get(LifecycleStatus.INTRODUCED, 0)
             assert pred_counts.get(short, 0) == persisted + disappeared
             assert succ_counts.get(short, 0) == persisted + introduced
 
@@ -260,54 +296,44 @@ def test_telescoping_over_a_lineage():
     rng = random.Random(16)
     addresses = [ADDR_A, ADDR_B, ADDR_C]
     counts = [rng.randint(0, 5) for _ in addresses]
-    pairs = [
-        make_pair(pred=addresses[i], succ=addresses[i + 1],
-                  pred_first=i * 30 * DAY, pred_last=(i * 30 + 10) * DAY,
-                  succ_first=((i + 1) * 30) * DAY, succ_last=((i + 1) * 30 + 10) * DAY)
-        for i in range(2)
-    ]
     total = 0
-    for i, pair in enumerate(pairs):
-        pred = [finding(contract=pair.predecessor, start=j + 1) for j in range(counts[i])]
-        succ = [finding(contract=pair.successor, start=j + 1) for j in range(counts[i + 1])]
-        records = diff_pair(pair, [make_file_pair()], pred, succ)
-        introduced = sum(r.status is LifecycleStatus.INTRODUCED for r in records)
-        disappeared = sum(r.status is LifecycleStatus.DISAPPEARED for r in records)
-        total += introduced - disappeared
+    for i in range(2):
+        pred = [finding(contract=addresses[i], start=j + 1) for j in range(counts[i])]
+        succ = [finding(contract=addresses[i + 1], start=j + 1) for j in range(counts[i + 1])]
+        statuses = by_status(diff_pair([make_file_pair()], pred, succ))
+        total += (statuses.get(LifecycleStatus.INTRODUCED, 0)
+                  - statuses.get(LifecycleStatus.DISAPPEARED, 0))
     assert total == counts[-1] - counts[0]
 
 
 # --- summaries -------------------------------------------------------------------
 
 def test_single_tool_union_equals_intersection():
-    pair = make_pair()
-    records = diff_pair(pair, [make_file_pair()],
-                        [finding(), finding(vuln_type="tx-origin")],
-                        [finding(contract=ADDR_B)])
-    union = lifecycle_stats(records, mode="union")
-    intersection = lifecycle_stats(records, mode="intersection")
+    diffs = {make_pair(): diff_pair([make_file_pair()],
+                                    [finding(), finding(vuln_type="tx-origin")],
+                                    [finding(contract=ADDR_B)])}
+    union = lifecycle_stats(diffs, mode="union")
+    intersection = lifecycle_stats(diffs, mode="intersection")
     union.pop("mode")
     intersection.pop("mode")
     assert union == intersection
 
 
 def test_disjoint_categories_intersect_to_zero():
-    pair = make_pair()
     pred = [finding(tool="slither", vuln_type="tx-origin"),
             finding(tool="mythril", vuln_type="SWC-104")]
-    records = diff_pair(pair, [make_file_pair()], pred, [])
-    summary = lifecycle_stats(records, mode="intersection")
+    diffs = {make_pair(): diff_pair([make_file_pair()], pred, [])}
+    summary = lifecycle_stats(diffs, mode="intersection")
     assert summary["findings"]["total"] == 0
     assert summary["vulnerable_files"] == 0
     assert summary["mean_days_to_disappear"] is None
 
 
 def test_intersection_requires_category_mapping():
-    pair = make_pair()
-    records = diff_pair(pair, [make_file_pair()],
-                        [finding(vuln_type="weird-new-check")], [])
+    diffs = {make_pair(): diff_pair([make_file_pair()],
+                                    [finding(vuln_type="weird-new-check")], [])}
     with pytest.raises(ConfigurationError) as excinfo:
-        lifecycle_stats(records, mode="intersection")
+        lifecycle_stats(diffs, mode="intersection")
     assert "weird-new-check" in str(excinfo.value)
 
 
@@ -322,9 +348,9 @@ def test_union_counts_dominate_intersection():
         succ = [finding(tool=t, vuln_type=rng.choice(mapped[t]), contract=ADDR_B,
                         start=rng.randint(1, 9))
                 for t in mapped for _ in range(rng.randint(0, 4))]
-        records = diff_pair(pair, [file_pair], pred, succ)
-        union = lifecycle_stats(records, mode="union")
-        intersection = lifecycle_stats(records, mode="intersection")
+        diffs = {pair: diff_pair([file_pair], pred, succ)}
+        union = lifecycle_stats(diffs, mode="union")
+        intersection = lifecycle_stats(diffs, mode="intersection")
         for field in ("total", "introduced", "persisted", "disappeared"):
             assert union["findings"][field] >= intersection["findings"][field]
         # patched_without_new is excluded: its zero-introductions condition is
@@ -336,13 +362,11 @@ def test_union_counts_dominate_intersection():
 
 @pytest.mark.parametrize("mode", ["union", "intersection"])
 def test_patched_without_new_counts_files_of_one_pair(mode):
-    # two disappearing files share one pair id, so a sort would have to order
+    # two disappearing files share one pair, so a sort would have to order
     # their file identities, which define no order
-    pair = make_pair()
     file_pairs = [make_file_pair("Core.sol", "Core.sol"), make_file_pair("Vault.sol", "Vault.sol")]
     pred = [finding(filename="Core.sol"), finding(filename="Vault.sol", vuln_type="tx-origin")]
-    records = diff_pair(pair, file_pairs, pred, [])
-    summary = lifecycle_stats(records, mode=mode)
+    summary = lifecycle_stats({make_pair(): diff_pair(file_pairs, pred, [])}, mode=mode)
     assert summary["patched_without_new_file_count"] == 2
 
 
@@ -369,20 +393,21 @@ def test_hand_computed_three_version_fixture():
                       succ_first=50 * DAY, succ_last=60 * DAY)
     fp = make_file_pair()
 
-    records = []
-    records += diff_pair(pair1, [fp],
+    diffs = {
+        pair1: diff_pair([fp],
                          [finding(start=1), finding(start=5),
                           finding(tool="mythril", vuln_type="SWC-107")],
                          [finding(contract=ADDR_B),
                           finding(contract=ADDR_B, tool="mythril", vuln_type="SWC-107"),
-                          finding(contract=ADDR_B, vuln_type="tx-origin")])
-    records += diff_pair(pair2, [fp],
+                          finding(contract=ADDR_B, vuln_type="tx-origin")]),
+        pair2: diff_pair([fp],
                          [finding(contract=ADDR_B),
                           finding(contract=ADDR_B, tool="mythril", vuln_type="SWC-107"),
                           finding(contract=ADDR_B, vuln_type="tx-origin")],
-                         [finding(contract=ADDR_C, vuln_type="tx-origin")])
+                         [finding(contract=ADDR_C, vuln_type="tx-origin")]),
+    }
 
-    union = lifecycle_stats(records, mode="union")
+    union = lifecycle_stats(diffs, mode="union")
     # reentrancy cells: pair1 PERSISTED max(1,1)=1, pair1 DISAPPEARED max(1,0)=1,
     # pair2 DISAPPEARED max(1,1)=1; tx-origin: pair1 INTRODUCED 1, pair2 PERSISTED 1
     assert union["findings"] == {
@@ -399,7 +424,7 @@ def test_hand_computed_three_version_fixture():
     assert union["percent_introduced"]["of_findings"] == pytest.approx(20.0)
     assert union["percent_disappeared"]["of_findings"] == pytest.approx(40.0)
 
-    intersection = lifecycle_stats(records, mode="intersection")
+    intersection = lifecycle_stats(diffs, mode="intersection")
     # only reentrancy is reported by both tools: pair1 PERSISTED min(1,1)=1,
     # pair1 DISAPPEARED min(1,0)=0, pair2 DISAPPEARED min(1,1)=1.
     # C drops out: it was only touched by the slither-only tx-origin finding.
@@ -433,5 +458,6 @@ def test_diff_pair_reads_only_file_names():
             succ = corpus.contracts[pair.successor]
             pred_findings = random_findings(rng, pred)
             succ_findings = random_findings(rng, succ)
-            assert (diff_pair(pair, match_files(pred, succ).pairs, pred_findings, succ_findings)
-                    == diff_pair(pair, pair_files(pred, succ).pairs, pred_findings, succ_findings))
+            matched = diff_pair(match_files(pred, succ).pairs, pred_findings, succ_findings)
+            scored = diff_pair(pair_files(pred, succ).pairs, pred_findings, succ_findings)
+            assert list(matched.items()) == list(scored.items())
