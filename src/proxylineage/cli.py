@@ -33,7 +33,7 @@ def ingest(args):
         client = ExplorerClient(args.explorer_url)
         records, failures = fetch_contracts(missing, args.cache_dir, client)
         corpus.contracts.update(records)
-        corpus.diagnostics = [
+        corpus.diagnostics[:] = [
             d for d in corpus.diagnostics if not d.startswith("contracts: no metadata")
         ]
         for callee in sorted({e.callee_address for e in corpus.events} - set(corpus.contracts)):
@@ -55,8 +55,7 @@ def ingest(args):
 def build_lineages_command(args):
     """Apply the classification rules and write lineages plus diagnostics."""
     from .corpus import load_corpus, write_json
-    from .dataset import lineage_diagnostics_obj, lineage_rows
-    from .lineage import build_lineages
+    from .lineage import build_lineages, lineage_diagnostics_obj, lineage_rows
 
     corpus = load_corpus(args.traces_path, args.contracts_path)
     lineages, diagnostics = build_lineages(corpus)

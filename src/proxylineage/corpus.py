@@ -9,18 +9,15 @@ input bytes always produce the same corpus.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import sys
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from .errors import ParseError, ValidationError
-from .keccak import keccak_256
 
 # used with fullmatch: a `$` anchor would also match before a final newline
 _ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
@@ -56,8 +53,7 @@ class TraceEvent(NamedTuple):
     timestamp: int
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     directory: str
     filename: str
     content: str
@@ -66,10 +62,7 @@ class SourceFile:
 _file_path = attrgetter("directory", "filename")
 
 
-@dataclass(frozen=True)
-class ContractRecord:
-    """On-chain contract version: identity, creator and published source."""
-
+class _ContractFields(NamedTuple):
     address: str
     creator: str
     deploy_timestamp: int
@@ -77,19 +70,36 @@ class ContractRecord:
     open_source: bool
     files: tuple[SourceFile, ...] = ()
 
-    def __post_init__(self) -> None:
-        # Every reader sees a contract's files in (directory, filename) order. The
-        # sort is stable, so files sharing a path keep the order they were given in.
-        object.__setattr__(self, "files", tuple(sorted(self.files, key=_file_path)))
+
+class ContractRecord(_ContractFields):
+    """On-chain contract version: identity, creator and published source.
+
+    Every reader sees a contract's files in (directory, filename) order. The
+    sort is stable, so files sharing a path keep the order they were given in.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, address, creator, deploy_timestamp, verified, open_source, files=()):
+        return super().__new__(cls, address, creator, deploy_timestamp, verified, open_source,
+                               tuple(sorted(files, key=_file_path)))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, so both keep the file order too
+        return cls(*iterable)
 
 
-@dataclass
-class Corpus:
-    """Canonical event stream plus contract metadata keyed by address."""
+class Corpus(NamedTuple):
+    """Canonical event stream plus contract metadata keyed by address.
+
+    Without diagnostics a corpus holds an empty tuple, not one list shared
+    by every such corpus.
+    """
 
     events: list[TraceEvent]
     contracts: dict[str, ContractRecord]
-    diagnostics: list[str] = field(default_factory=list, compare=False)
+    diagnostics: list[str] = ()
 
 
 def normalize_address(value: object, where: str = "address") -> str:
@@ -137,6 +147,8 @@ def compute_selector(signature: str) -> str:
         raw = signature.encode("ascii")
     except UnicodeEncodeError as exc:
         raise ValidationError(f"signature must be ASCII: {signature!r}") from exc
+    from .keccak import keccak_256
+
     return "0x" + keccak_256(raw)[:4].hex()
 
 
@@ -556,6 +568,8 @@ def write_corpus(corpus: Corpus, trace_path: str | Path, contracts_path: str | P
 
 def corpus_digests(corpus: Corpus) -> dict[str, str]:
     """SHA-256 digests of the canonical serialization, for bundle manifests."""
+    import hashlib  # imported here: it loads OpenSSL, which only hashing commands need
+
     traces = hashlib.sha256()
     for line in _trace_lines(corpus.events):
         traces.update(line.encode("ascii"))
@@ -566,6 +580,8 @@ def corpus_digests(corpus: Corpus) -> dict[str, str]:
 
 
 def sha256_file(path: str | Path) -> str:
+    import hashlib
+
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for chunk in iter(lambda: handle.read(1 << 20), b""):

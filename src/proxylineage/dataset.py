@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import shutil
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from enum import EnumMeta
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 from ._version import __version__
 from .corpus import (ContractRecord, Corpus, SourceFile, _utf8, corpus_digests, read_json,
@@ -31,6 +30,8 @@ from .lineage import (
     LineageVersion,
     build_lineages,
     contract_pairs,
+    lineage_diagnostics_obj,
+    lineage_rows,
 )
 from .pairing import FilePair, FilePairing, FunctionPair, MatchKind, pair_files, pair_functions
 from .solidity import FunctionUnit, extract_functions
@@ -47,15 +48,13 @@ DIAGNOSTICS_FILE = "diagnostics.json"
 SOURCES_DIR = "sources"
 
 
-@dataclass
-class Manifest:
+class Manifest(NamedTuple):
     bundle_version: str
     generated_at: str
     inputs: dict[str, str]
 
 
-@dataclass(frozen=True)
-class UnpairedFunction:
+class UnpairedFunction(NamedTuple):
     directory: str
     predecessor_filename: str | None
     successor_filename: str | None
@@ -66,8 +65,7 @@ class UnpairedFunction:
     end_line: int
 
 
-@dataclass
-class PairArtifacts:
+class PairArtifacts(NamedTuple):
     """Everything derived from one predecessor/successor contract pair."""
 
     pair: ContractPair
@@ -76,8 +74,7 @@ class PairArtifacts:
     unpaired_functions: list[UnpairedFunction]
 
 
-@dataclass
-class DatasetBundle:
+class DatasetBundle(NamedTuple):
     manifest: Manifest
     contracts: dict[str, ContractRecord]
     lineages: list[Lineage]
@@ -191,12 +188,11 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
 
 # --- serialization -----------------------------------------------------------
 #
-# A record whose dataclass fields are its JSON keys is written by _row and read
-# back by _record; a field holding a record nests that record's row, and an
-# enum field holds the enum's value.
+# A record whose fields are its JSON keys is written by _row and read back by
+# _record; a field holding a record nests that record's row, and an enum field
+# holds the enum's value.
 
-@dataclass
-class _PairKey:
+class _PairKey(NamedTuple):
     """The contract pair that a file-pair, function-pair or pair-diagnostics row belongs to."""
 
     proxy: str
@@ -204,18 +200,20 @@ class _PairKey:
     successor: str
 
 
-@dataclass
-class _FileKey(_PairKey):
-    """The file pair that a function-pair row belongs to."""
+class _FileKey(NamedTuple):
+    """The file pair that a function-pair row belongs to: _PairKey's fields, then three."""
 
+    proxy: str
+    predecessor: str
+    successor: str
     directory: str
     predecessor_filename: str
     successor_filename: str
 
 
 # Read back, a key is the tuple of its fields' values.
-_pair_key = itemgetter(*(f.name for f in fields(_PairKey)))
-_file_key = itemgetter(*(f.name for f in fields(_FileKey)))
+_pair_key = itemgetter(*_PairKey._fields)
+_file_key = itemgetter(*_FileKey._fields)
 
 
 # A file's place in a contract: a SourceFile row without the content.
@@ -227,21 +225,24 @@ _UNIT_CONTEXT = ("body",)
 
 @functools.cache
 def _schema(cls) -> tuple[tuple[str, ...], tuple]:
-    """Field names of a dataclass, and (name, encode, decode) for its record and enum fields."""
+    """Field names of a record, and (name, encode, decode) for its record and enum fields.
+
+    A field whose type has `_fields` holds a record.
+    """
     hints = get_type_hints(cls)
     converted = []
-    for f in fields(cls):
-        if is_dataclass(hints[f.name]):
-            converted.append((f.name, _row, functools.partial(_record, hints[f.name])))
-        elif isinstance(hints[f.name], EnumMeta):
-            converted.append((f.name, attrgetter("value"), hints[f.name]))
-    return tuple(f.name for f in fields(cls)), tuple(converted)
+    for name in cls._fields:
+        if hasattr(hints[name], "_fields"):
+            converted.append((name, _row, functools.partial(_record, hints[name])))
+        elif isinstance(hints[name], EnumMeta):
+            converted.append((name, attrgetter("value"), hints[name]))
+    return cls._fields, tuple(converted)
 
 
 def _row(record, omit=()) -> dict:
-    """The JSON row of a record: one key per dataclass field not in `omit`."""
+    """The JSON row of a record: one key per field not in `omit`."""
     names, converted = _schema(type(record))
-    row = {name: getattr(record, name) for name in names if name not in omit}
+    row = {name: value for name, value in zip(names, record) if name not in omit}
     for name, encode, _ in converted:
         row[name] = encode(row[name])
     return row
@@ -279,23 +280,6 @@ def _contracts_obj(bundle: DatasetBundle) -> list[dict]:
         _row(record) | {"files": [_row(file, omit=("content",)) for file in record.files]}
         for _, record in sorted(bundle.contracts.items())
     ]
-
-
-def lineage_rows(lineages: list[Lineage]) -> list[dict]:
-    """Rows of lineages.json; a version's row is its address and activity window."""
-    return [
-        _row(lineage) | {"versions": [{"address": v.address, **_row(v.window)}
-                                      for v in lineage.versions]}
-        for lineage in lineages
-    ]
-
-
-def lineage_diagnostics_obj(corpus_diagnostics: list[str], lineage: LineageDiagnostics) -> dict:
-    """The diagnostics of the lineage stage; the bundle's diagnostics.json extends them."""
-    return {
-        "corpus": list(corpus_diagnostics),
-        "lineage_exclusions": [_row(e) for e in lineage.exclusions],
-    }
 
 
 def _file_pairs_obj(bundle: DatasetBundle) -> list[dict]:
@@ -486,8 +470,7 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
 
 # --- summary statistics ------------------------------------------------------
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     """Dataset-level summary; ratio fields are None when the denominator is zero."""
 
     lineage_count: int
@@ -572,7 +555,7 @@ def compute_stats(bundle: DatasetBundle) -> StatsReport:
 
 def stats_to_jsonable(report: StatsReport) -> dict:
     histogram = {str(size): count for size, count in sorted(report.lineage_size_histogram.items())}
-    return asdict(replace(report, lineage_size_histogram=histogram))
+    return report._replace(lineage_size_histogram=histogram)._asdict()
 
 
 def stats_to_csv(report: StatsReport) -> str:

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Corpus
 from .errors import UnknownAddressError, ValidationError
@@ -38,8 +38,7 @@ DEFAULT_THRESHOLDS = (SimilarityCategory.LOW, SimilarityCategory.MEDIUM, Similar
 DEFAULT_SCOPES = (ContractScope.OPEN_SOURCE_ONLY, ContractScope.ALL)
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(NamedTuple):
     """Pooled counts and resulting metrics for one (scope, threshold) cell.
 
     precision is None when no predictions were made (tp+fp == 0); recall is

@@ -15,11 +15,10 @@ import hashlib
 import operator
 import re
 import struct
-from dataclasses import dataclass
 from enum import IntEnum
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .corpus import (ContractRecord, _iter_ndjson, _json_str, _require_fields, _require_int,
                      normalize_address)
@@ -77,8 +76,7 @@ class SimilarityCategory(IntEnum):
         return self.name.lower()
 
 
-@dataclass(frozen=True)
-class Fingerprint:
+class Fingerprint(NamedTuple):
     address: str
     k: int
     seed: int
@@ -90,8 +88,7 @@ class Fingerprint:
         return self.shingle_count == 0
 
 
-@dataclass(frozen=True)
-class SimilarityVerdict:
+class SimilarityVerdict(NamedTuple):
     estimated_jaccard: float
     category: SimilarityCategory
 

@@ -12,9 +12,9 @@ taxonomies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import NamedTuple
 
 from .corpus import Corpus, _iter_ndjson, _require_fields, normalize_address, read_json
 from .errors import ConfigurationError, ValidationError
@@ -58,8 +58,7 @@ class LifecycleStatus(str, Enum):
     PERSISTED = "PERSISTED"
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     """One normalized detector warning."""
 
     tool: str
@@ -72,8 +71,7 @@ class Finding:
     message: str
 
 
-@dataclass(frozen=True)
-class FileIdentity:
+class FileIdentity(NamedTuple):
     """The paired-file a finding belongs to; one side is None when unpaired."""
 
     directory: str
@@ -81,8 +79,7 @@ class FileIdentity:
     successor_filename: str | None
 
 
-@dataclass(frozen=True)
-class FindingKey:
+class FindingKey(NamedTuple):
     tool: str
     vuln_type: str
     file: FileIdentity
@@ -111,11 +108,15 @@ def load_findings(
 def _finding_from_obj(obj: object) -> Finding:
     if not isinstance(obj, dict):
         raise ValidationError("finding must be a JSON object")
-    _require_fields(obj, FINDING_FIELDS, "finding")
-    for field_name in ("tool", "vuln_type", "filename", "message"):
-        if not isinstance(obj[field_name], str):
+    if obj.keys() != FINDING_FIELDS:
+        _require_fields(obj, FINDING_FIELDS, "finding")
+    tool, vuln_type, filename, message = (obj["tool"], obj["vuln_type"], obj["filename"],
+                                          obj["message"])
+    for field_name, value in (("tool", tool), ("vuln_type", vuln_type), ("filename", filename),
+                              ("message", message)):
+        if not isinstance(value, str):
             raise ValidationError(f"{field_name} must be a string")
-    if not obj["tool"] or not obj["vuln_type"]:
+    if not tool or not vuln_type:
         raise ValidationError("tool and vuln_type must be non-empty")
     start_line, end_line = obj["start_line"], obj["end_line"]
     for name, value in (("start_line", start_line), ("end_line", end_line)):
@@ -123,9 +124,11 @@ def _finding_from_obj(obj: object) -> Finding:
             raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if start_line > end_line:
         raise ValidationError(f"start_line {start_line} > end_line {end_line}")
-    if not isinstance(obj["directory"], str):
+    directory = obj["directory"]
+    if not isinstance(directory, str):
         raise ValidationError("directory must be a string")
-    return Finding(**{**obj, "contract": normalize_address(obj["contract"], "contract")})
+    contract = normalize_address(obj["contract"], "contract")
+    return Finding(tool, vuln_type, contract, directory, filename, start_line, end_line, message)
 
 
 def _cross_check(finding: Finding, corpus: Corpus, line_number: int,

@@ -12,37 +12,33 @@ with a reason code, so members plus exclusions always account for every
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import Corpus
 
 SECONDS_PER_DAY = 86400.0
 
 
-@dataclass(frozen=True)
-class ActivityWindow:
+class ActivityWindow(NamedTuple):
     """First and last observed delegatecall times for one (proxy, callee)."""
 
     first_call: int
     last_call: int
 
 
-@dataclass(frozen=True)
-class LineageVersion:
+class LineageVersion(NamedTuple):
     address: str
     window: ActivityWindow
 
 
-@dataclass(frozen=True)
-class Lineage:
+class Lineage(NamedTuple):
     proxy: str
     creator: str
     versions: tuple[LineageVersion, ...]
 
 
-@dataclass(frozen=True)
-class ContractPair:
+class ContractPair(NamedTuple):
     """Adjacent predecessor/successor versions within one lineage."""
 
     proxy: str
@@ -60,15 +56,13 @@ class ExclusionReason(str, Enum):
     UNRESOLVED_METADATA = "UNRESOLVED_METADATA"
 
 
-@dataclass(frozen=True)
-class ExcludedCallee:
+class ExcludedCallee(NamedTuple):
     proxy: str
     callee: str
     reason: ExclusionReason
 
 
-@dataclass
-class LineageDiagnostics:
+class LineageDiagnostics(NamedTuple):
     """Audit trail: every excluded (proxy, callee) with its reason."""
 
     exclusions: list[ExcludedCallee]
@@ -167,3 +161,21 @@ def contract_pairs(lineages: list[Lineage]) -> list[ContractPair]:
                 )
             )
     return pairs
+
+
+def lineage_rows(lineages: list[Lineage]) -> list[dict]:
+    """Rows of lineages.json; a version's row is its address and activity window."""
+    return [
+        lineage._asdict() | {"versions": [{"address": v.address, **v.window._asdict()}
+                                          for v in lineage.versions]}
+        for lineage in lineages
+    ]
+
+
+def lineage_diagnostics_obj(corpus_diagnostics: list[str], lineage: LineageDiagnostics) -> dict:
+    """The diagnostics of the lineage stage; the bundle's diagnostics.json extends them."""
+    return {
+        "corpus": list(corpus_diagnostics),
+        "lineage_exclusions": [e._asdict() | {"reason": e.reason.value}
+                               for e in lineage.exclusions],
+    }

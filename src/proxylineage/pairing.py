@@ -9,8 +9,8 @@ Both matchings are greedy, deterministic and one-to-one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .corpus import ContractRecord
 from .solidity import FunctionUnit
@@ -20,8 +20,7 @@ MAX_NAME_DISTANCE = 2
 NOT_OPEN_SOURCE = "NOT_OPEN_SOURCE"
 
 
-@dataclass(frozen=True)
-class FileMatch:
+class FileMatch(NamedTuple):
     """Matched file versions within one directory, by filename alone."""
 
     directory: str
@@ -30,21 +29,23 @@ class FileMatch:
     name_distance: int
 
 
-@dataclass(frozen=True)
-class FilePair(FileMatch):
-    """Matched file versions plus their similarity rates.
+class FilePair(NamedTuple):
+    """Matched file versions plus their similarity rates: FileMatch's fields, then two.
 
     line_similarity is |LCS over lines| / max(line counts);
     content_similarity is the same ratio over characters. Two empty files
     count as identical (1.0).
     """
 
+    directory: str
+    predecessor_filename: str
+    successor_filename: str
+    name_distance: int
     line_similarity: float
     content_similarity: float
 
 
-@dataclass
-class FilePairing:
+class FilePairing(NamedTuple):
     """The file pairs of two versions: FileMatch pairs from match_files,
     FilePair pairs from pair_files."""
 
@@ -59,16 +60,14 @@ class MatchKind(str, Enum):
     FUZZY_NAME = "FUZZY_NAME"
 
 
-@dataclass(frozen=True)
-class FunctionPair:
+class FunctionPair(NamedTuple):
     file_pair: FilePair
     predecessor: FunctionUnit
     successor: FunctionUnit
     match_kind: MatchKind
 
 
-@dataclass
-class FunctionPairing:
+class FunctionPairing(NamedTuple):
     pairs: list[FunctionPair]
     unpaired_predecessor: list[FunctionUnit]
     unpaired_successor: list[FunctionUnit]
@@ -156,16 +155,8 @@ def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
     for m in pairing.pairs:
         a = pred_contents[m.directory, m.predecessor_filename]
         b = succ_contents[m.directory, m.successor_filename]
-        pairs.append(FilePair(
-            directory=m.directory,
-            predecessor_filename=m.predecessor_filename,
-            successor_filename=m.successor_filename,
-            name_distance=m.name_distance,
-            line_similarity=line_similarity(a, b),
-            content_similarity=content_similarity(a, b),
-        ))
-    pairing.pairs = pairs
-    return pairing
+        pairs.append(FilePair(*m, line_similarity(a, b), content_similarity(a, b)))
+    return pairing._replace(pairs=pairs)
 
 
 def pair_functions(

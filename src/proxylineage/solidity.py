@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from typing import NamedTuple
 
 CONTAINER_KEYWORDS = frozenset({"contract", "library", "interface"})
@@ -57,8 +56,7 @@ class Token(NamedTuple):
     pos: int
 
 
-@dataclass(frozen=True)
-class FunctionUnit:
+class FunctionUnit(NamedTuple):
     """One function declaration: identity plus its span in the file."""
 
     name: str

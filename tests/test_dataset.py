@@ -146,6 +146,24 @@ def test_reemitting_a_loaded_bundle_is_byte_identical(tmp_path, seed):
     assert tree_bytes(first) == tree_bytes(second)
 
 
+def test_load_bundle_sorts_each_contracts_files(tmp_path):
+    bundle = varied_bundle(VARIED_SEEDS[0])
+    out = tmp_path / "bundle"
+    emit_dataset(bundle, out)
+    table = out / "contracts.json"
+    rows = json.loads(table.read_text())
+    assert any(len(row["files"]) > 1 for row in rows)
+    for row in rows:
+        row["files"].reverse()
+    table.write_text(json.dumps(rows))
+    assert load_bundle(out).contracts == bundle.contracts
+
+
+def test_key_rows_list_the_pair_key_first():
+    # a function-pair row's file key is its contract-pair key plus the file pair
+    assert dataset._FileKey._fields[:3] == dataset._PairKey._fields
+
+
 def test_stats_idempotent_through_emit_and_load(tmp_path):
     rng = random.Random(501)
     corpus = random_sourced_corpus(rng, n_lineages=4, open_source_rate=0.7)
@@ -305,8 +323,8 @@ def test_sources_tree_layout(tmp_path):
 
 def test_malicious_directory_rejected_at_emit(tmp_path):
     corpus = two_lineage_corpus()
-    evil = make_record(ADDR_A, CREATOR_X, [SourceFile("", "Core.sol", SRC)])
-    object.__setattr__(evil.files[0], "directory", "../escape")
+    # a hand-built record skips contract_from_obj's validation of the directory
+    evil = make_record(ADDR_A, CREATOR_X, [SourceFile("../escape", "Core.sol", SRC)])
     corpus.contracts[ADDR_A] = evil
     bundle = build_bundle(corpus)
     with pytest.raises(ValidationError):

@@ -64,14 +64,19 @@ def corpus_args(corpus, tmp_path):
     return ["--traces", str(traces), "--contracts", str(contracts)]
 
 
-def test_vuln_lifecycle_loads_no_dataset_fingerprint_evaluation_or_explorer(
-        corpus, corpus_args, tmp_path):
-    findings = tmp_path / "findings.ndjson"
-    findings.write_text("".join(
+def write_findings(corpus, path: Path) -> Path:
+    """One finding on line 1 of every source file of the corpus."""
+    path.write_text("".join(
         json.dumps({"tool": "slither", "vuln_type": "tx-origin", "contract": record.address,
                     "directory": file.directory, "filename": file.filename,
                     "start_line": 1, "end_line": 1, "message": "m"}) + "\n"
         for record in corpus.contracts.values() for file in record.files))
+    return path
+
+
+def test_vuln_lifecycle_loads_no_dataset_fingerprint_evaluation_or_explorer(
+        corpus, corpus_args, tmp_path):
+    findings = write_findings(corpus, tmp_path / "findings.ndjson")
     result = run_command("vuln-lifecycle", *corpus_args, "--findings", str(findings),
                          "--out", str(tmp_path / "lifecycle.json"))
     assert result["code"] == 0
@@ -136,3 +141,55 @@ def test_cli_literals_equal_library_constants():
     assert mode.default == UNION
     for command in ("fingerprint", "evaluate-lsh"):
         assert option(command, "k").default == DEFAULT_SIGNATURE_LENGTH
+
+
+@pytest.fixture
+def lineage_run(corpus, corpus_args, tmp_path):
+    """Runs one command on the corpus fixture; the bundle, fingerprints and findings
+    it reads are made first."""
+    from proxylineage.cli import main
+
+    bundle, fingerprints = tmp_path / "bundle", tmp_path / "fingerprints.ndjson"
+    assert main(["emit", *corpus_args, "--out", str(bundle)]) == 0
+    assert main(["fingerprint", *corpus_args, "--out", str(fingerprints)]) == 0
+    findings = write_findings(corpus, tmp_path / "findings.ndjson")
+    commands = {
+        "build-lineages": ["build-lineages", *corpus_args, "--out", str(tmp_path / "lineages")],
+        "vuln-lifecycle": ["vuln-lifecycle", *corpus_args, "--findings", str(findings),
+                           "--out", str(tmp_path / "lifecycle.json")],
+        "stats": ["stats", str(bundle)],
+        "emit": ["emit", *corpus_args, "--out", str(tmp_path / "emitted")],
+        "ingest": ["ingest", *corpus_args, "--out", str(tmp_path / "corpus")],
+        "evaluate-lsh --fingerprints": ["evaluate-lsh", *corpus_args,
+                                        "--fingerprints", str(fingerprints)],
+    }
+
+    def run(command: str) -> list[str]:
+        result = run_command(*commands[command])
+        assert result["code"] == 0
+        return result["modules"]
+
+    return run
+
+
+# Records are NamedTuples: a dataclass costs the import of dataclasses and of
+# inspect, and the build of each class, in every command that loads one.
+@pytest.mark.parametrize("command", ["build-lineages", "vuln-lifecycle", "stats", "emit",
+                                     "ingest", "evaluate-lsh --fingerprints"])
+def test_commands_load_neither_dataclasses_nor_inspect(lineage_run, command):
+    modules = lineage_run(command)
+    assert "dataclasses" not in modules
+    assert "inspect" not in modules
+
+
+# hashlib loads OpenSSL's _hashlib; only the commands that hash need it
+@pytest.mark.parametrize("command", ["build-lineages", "vuln-lifecycle", "stats"])
+def test_commands_that_hash_nothing_load_no_openssl(lineage_run, command):
+    assert "_hashlib" not in lineage_run(command)
+
+
+def test_build_lineages_loads_no_dataset_pairing_or_solidity(lineage_run):
+    modules = lineage_run("build-lineages")
+    assert "proxylineage.lineage" in modules
+    for module in ("dataset", "pairing", "solidity"):
+        assert f"proxylineage.{module}" not in modules

@@ -19,7 +19,7 @@ from proxylineage import (
     pair_functions,
     tokenize,
 )
-from proxylineage.pairing import FilePair, content_similarity
+from proxylineage.pairing import FileMatch, FilePair, content_similarity
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
 from corpusgen import varied_sourced_corpus
@@ -418,6 +418,11 @@ def test_match_files_keeps_not_open_source_flag():
         assert matching.flag == "NOT_OPEN_SOURCE"
         assert matching.pairs == []
         assert matching.unpaired_predecessor == matching.unpaired_successor == []
+
+
+def test_a_file_pair_lists_the_file_match_fields_first():
+    # pair_files builds each FilePair from a FileMatch's values, then its two scores
+    assert FilePair._fields[:4] == FileMatch._fields
 
 
 @st.composite
