@@ -8,23 +8,22 @@ wall clock, and every collection is emitted in a canonical order.
 
 from __future__ import annotations
 
-import functools
 import shutil
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from enum import EnumMeta
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 from ._version import __version__
-from .corpus import (ContractRecord, Corpus, SourceFile, _utf8, corpus_digests, read_json,
-                     validate_directory, write_json)
+from .corpus import (ContractRecord, Corpus, SourceFile, _require_int, _utf8, contract_from_obj,
+                     corpus_digests, normalize_address, read_json, validate_directory, write_json)
 from .errors import IntegrityError, ParseError, ValidationError
 from .lineage import (
     ActivityWindow,
     ContractPair,
     ExcludedCallee,
+    ExclusionReason,
     Lineage,
     LineageDiagnostics,
     LineageVersion,
@@ -188,80 +187,46 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
 
 # --- serialization -----------------------------------------------------------
 #
-# A record whose fields are its JSON keys is written by _row and read back by
-# _record; a field holding a record nests that record's row, and an enum field
-# holds the enum's value.
-
-class _PairKey(NamedTuple):
-    """The contract pair that a file-pair, function-pair or pair-diagnostics row belongs to."""
-
-    proxy: str
-    predecessor: str
-    successor: str
-
-
-class _FileKey(NamedTuple):
-    """The file pair that a function-pair row belongs to: _PairKey's fields, then three."""
-
-    proxy: str
-    predecessor: str
-    successor: str
-    directory: str
-    predecessor_filename: str
-    successor_filename: str
-
-
+# A bundle row is a record's _asdict(), with a nested record as a row of its own
+# and an enum as its value; load_bundle picks the fields back out with _record.
+# The key of a file-pair, function-pair or pair-diagnostics row leads with the
+# contract pair's first three fields, then a function-pair row's with its file pair's.
+_PAIR_KEY = ContractPair._fields[:3]
+_FILE_KEY = _PAIR_KEY + FilePair._fields[:3]
 # Read back, a key is the tuple of its fields' values.
-_pair_key = itemgetter(*_PairKey._fields)
-_file_key = itemgetter(*_FileKey._fields)
-
+_pair_key = itemgetter(*_PAIR_KEY)
+_file_key = itemgetter(*_FILE_KEY)
 
 # A file's place in a contract: a SourceFile row without the content.
-_LOCATION = ("directory", "filename")
+_LOCATION = SourceFile._fields[:2]
 _location = itemgetter(*_LOCATION)  # of a row
-# A function row leaves out the body, which the bundle's sources/ tree holds.
-_UNIT_CONTEXT = ("body",)
-
-
-@functools.cache
-def _schema(cls) -> tuple[tuple[str, ...], tuple]:
-    """Field names of a record, and (name, encode, decode) for its record and enum fields.
-
-    A field whose type has `_fields` holds a record.
-    """
-    hints = get_type_hints(cls)
-    converted = []
-    for name in cls._fields:
-        if hasattr(hints[name], "_fields"):
-            converted.append((name, _row, functools.partial(_record, hints[name])))
-        elif isinstance(hints[name], EnumMeta):
-            converted.append((name, attrgetter("value"), hints[name]))
-    return cls._fields, tuple(converted)
-
-
-def _row(record, omit=()) -> dict:
-    """The JSON row of a record: one key per field not in `omit`."""
-    names, converted = _schema(type(record))
-    row = {name: value for name, value in zip(names, record) if name not in omit}
-    for name, encode, _ in converted:
-        row[name] = encode(row[name])
-    return row
 
 
 def _record(cls, row: dict, **given):
-    """Inverse of _row: the `cls` a row describes, with its omitted fields `given`."""
-    names, converted = _schema(cls)
+    """The `cls` a row describes; a field in `given` takes that value, not the row's."""
     try:
-        values = {name: row[name] for name in names if name not in given}
+        values = {name: row[name] for name in cls._fields if name not in given}
     except KeyError as exc:
         raise ValidationError(f"row lacks field {exc}") from exc
-    for name, _, decode in converted:
-        values[name] = decode(values[name])
     return cls(**values, **given)
 
 
-def _location_row(location: tuple[str, str]) -> dict:
-    return dict(zip(_LOCATION, location))
+def _window(row: dict) -> ActivityWindow:
+    return ActivityWindow._make(map(_require_int, _record(ActivityWindow, row), ActivityWindow._fields))
+
+
+def _require_numbers(record, *names: str):
+    """`record`, once each named field holds a JSON number: an int or a float, not a bool."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
+    return record
+
+
+def _unit_row(unit: FunctionUnit) -> dict:
+    """A function's row: every field but the body, which the bundle's sources/ tree holds."""
+    return {name: value for name, value in unit._asdict().items() if name != "body"}
 
 
 def _source_path(root: Path, address: str, directory: str, filename: str) -> Path:
@@ -276,41 +241,31 @@ def _source_path(root: Path, address: str, directory: str, filename: str) -> Pat
 
 
 def _contracts_obj(bundle: DatasetBundle) -> list[dict]:
-    return [
-        _row(record) | {"files": [_row(file, omit=("content",)) for file in record.files]}
-        for _, record in sorted(bundle.contracts.items())
-    ]
-
-
-def _file_pairs_obj(bundle: DatasetBundle) -> list[dict]:
-    return [_row(_PairKey(pair.proxy, pair.predecessor, pair.successor)) | _row(fp)
-            for pair, fp in bundle.file_pairs]
+    return [record._asdict() | {"files": [dict(zip(_LOCATION, file)) for file in record.files]}
+            for _, record in sorted(bundle.contracts.items())]
 
 
 def _function_pairs_obj(bundle: DatasetBundle) -> list[dict]:
-    rows = []
-    for pair, function_pair in bundle.function_pairs:
-        fp = function_pair.file_pair
-        key = _FileKey(pair.proxy, pair.predecessor, pair.successor, fp.directory,
-                       fp.predecessor_filename, fp.successor_filename)
-        rows.append(_row(key) | {
+    return [
+        dict(zip(_FILE_KEY, pair[:3] + function_pair.file_pair[:3])) | {
             "match_kind": function_pair.match_kind.value,
-            "predecessor_function": _row(function_pair.predecessor, omit=_UNIT_CONTEXT),
-            "successor_function": _row(function_pair.successor, omit=_UNIT_CONTEXT),
-        })
-    return rows
+            "predecessor_function": _unit_row(function_pair.predecessor),
+            "successor_function": _unit_row(function_pair.successor),
+        }
+        for pair, function_pair in bundle.function_pairs
+    ]
 
 
 def _diagnostics_obj(bundle: DatasetBundle) -> dict:
     return lineage_diagnostics_obj(bundle.corpus_diagnostics, bundle.lineage_diagnostics) | {
         "pairs": [
-            _row(_PairKey(a.pair.proxy, a.pair.predecessor, a.pair.successor)) | {
+            dict(zip(_PAIR_KEY, a.pair[:3])) | {
                 "flag": a.file_pairing.flag,
                 "unpaired_predecessor_files":
-                    list(map(_location_row, a.file_pairing.unpaired_predecessor)),
+                    [dict(zip(_LOCATION, place)) for place in a.file_pairing.unpaired_predecessor],
                 "unpaired_successor_files":
-                    list(map(_location_row, a.file_pairing.unpaired_successor)),
-                "unpaired_functions": [_row(u) for u in a.unpaired_functions],
+                    [dict(zip(_LOCATION, place)) for place in a.file_pairing.unpaired_successor],
+                "unpaired_functions": [u._asdict() for u in a.unpaired_functions],
             }
             for a in bundle.pair_artifacts
         ],
@@ -321,11 +276,15 @@ def _diagnostics_obj(bundle: DatasetBundle) -> dict:
 # Each bundle table and the function that makes its JSON: emit_dataset writes them,
 # bundle_to_jsonable keys them by file stem and load_bundle reads them back.
 BUNDLE_TABLES = {
-    MANIFEST_FILE: lambda bundle: _row(bundle.manifest) | {"tool_version": __version__},
+    MANIFEST_FILE: lambda bundle: bundle.manifest._asdict() | {"tool_version": __version__},
     CONTRACTS_FILE: _contracts_obj,
     LINEAGES_FILE: lambda bundle: lineage_rows(bundle.lineages),
-    CONTRACT_PAIRS_FILE: lambda bundle: [_row(pair) for pair in bundle.pairs],
-    FILE_PAIRS_FILE: _file_pairs_obj,
+    CONTRACT_PAIRS_FILE: lambda bundle: [
+        pair._asdict() | {"predecessor_window": pair.predecessor_window._asdict(),
+                          "successor_window": pair.successor_window._asdict()}
+        for pair in bundle.pairs],
+    FILE_PAIRS_FILE: lambda bundle: [dict(zip(_PAIR_KEY, pair[:3])) | fp._asdict()
+                                     for pair, fp in bundle.file_pairs],
     FUNCTION_PAIRS_FILE: _function_pairs_obj,
     DIAGNOSTICS_FILE: _diagnostics_obj,
 }
@@ -336,26 +295,28 @@ def bundle_to_jsonable(bundle: DatasetBundle) -> dict:
     return {Path(name).stem: build(bundle) for name, build in BUNDLE_TABLES.items()}
 
 
-def _check_integrity(bundle: DatasetBundle) -> None:
+def _check_integrity(bundle: DatasetBundle, error) -> None:
+    """Raise error(table, message) for the first reference across tables that does not resolve."""
     members = {v.address for l in bundle.lineages for v in l.versions}
     if set(bundle.contracts) != members:
-        raise IntegrityError("bundle contracts do not match lineage members")
+        raise error(CONTRACTS_FILE, "bundle contracts do not match lineage members")
     for artifacts in bundle.pair_artifacts:
         pair = artifacts.pair
         if pair.predecessor not in bundle.contracts or pair.successor not in bundle.contracts:
-            raise IntegrityError(f"pair {pair.predecessor}->{pair.successor} references unknown contract")
+            raise error(CONTRACT_PAIRS_FILE,
+                        f"pair {pair.predecessor}->{pair.successor} references unknown contract")
         pred_files = {(f.directory, f.filename) for f in bundle.contracts[pair.predecessor].files}
         succ_files = {(f.directory, f.filename) for f in bundle.contracts[pair.successor].files}
         for fp in artifacts.file_pairing.pairs:
             if (fp.directory, fp.predecessor_filename) not in pred_files:
-                raise IntegrityError(f"file pair references unknown predecessor file {fp.predecessor_filename}")
+                raise error(FILE_PAIRS_FILE, f"file pair references unknown predecessor file {fp.predecessor_filename}")
             if (fp.directory, fp.successor_filename) not in succ_files:
-                raise IntegrityError(f"file pair references unknown successor file {fp.successor_filename}")
+                raise error(FILE_PAIRS_FILE, f"file pair references unknown successor file {fp.successor_filename}")
 
 
 def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:
     """Write the bundle; identical bundles produce byte-identical trees."""
-    _check_integrity(bundle)
+    _check_integrity(bundle, lambda table, message: IntegrityError(message))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for name, build in BUNDLE_TABLES.items():
@@ -386,9 +347,9 @@ def _reading(path: Path):
 def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     """Reload an emitted bundle into the in-memory form.
 
-    A table that is not UTF-8 JSON, lacks a field or comes from another
-    BUNDLE_VERSION, or a contracts.json row whose source path leaves sources/,
-    raises ValidationError naming its file; a missing file raises OSError.
+    A table that is not UTF-8 JSON, lacks a field, comes from another
+    BUNDLE_VERSION or holds a value emit could not have written raises
+    ValidationError naming its file; a missing file raises OSError.
     """
     root = Path(bundle_dir)
     docs = {name: read_json(root / name) for name in BUNDLE_TABLES}
@@ -403,28 +364,32 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     with _reading(root / CONTRACTS_FILE):
         for row in docs[CONTRACTS_FILE]:
             files = []
-            for directory, filename in map(_location, row["files"]):
-                path = _source_path(root, row["address"], directory, filename)
-                files.append(SourceFile(directory, filename, _utf8(path.read_bytes(), path)))
-            record = _record(ContractRecord, row, files=tuple(files))
+            for file in row["files"]:
+                path = _source_path(root, row["address"], file["directory"], file["filename"])
+                files.append(file | {"content": _utf8(path.read_bytes(), path)})
+            record = contract_from_obj(row | {"files": files})
             contracts[record.address] = record
 
     with _reading(root / LINEAGES_FILE):
         lineages = [
-            _record(Lineage, row, versions=tuple(
-                LineageVersion(v["address"], _record(ActivityWindow, v)) for v in row["versions"]))
+            _record(Lineage, row, creator=normalize_address(row["creator"], "creator"), versions=tuple(
+                LineageVersion(normalize_address(v["address"]), _window(v)) for v in row["versions"]))
             for row in docs[LINEAGES_FILE]
         ]
 
     with _reading(root / CONTRACT_PAIRS_FILE):
-        pairs = {_pair_key(row): _record(ContractPair, row)
-                 for row in docs[CONTRACT_PAIRS_FILE]}
+        pairs = {}
+        for row in docs[CONTRACT_PAIRS_FILE]:
+            pair = _require_numbers(_record(ContractPair, row), "gap_days")
+            pairs[_pair_key(row)] = pair._replace(predecessor_window=_window(pair.predecessor_window),
+                                                  successor_window=_window(pair.successor_window))
 
     file_pairs: dict[tuple, list[FilePair]] = {pair_id: [] for pair_id in pairs}
     file_pair_at: dict[tuple, tuple[tuple, FilePair]] = {}
     with _reading(root / FILE_PAIRS_FILE):
         for row in docs[FILE_PAIRS_FILE]:
-            pair_id, fp = _pair_key(row), _record(FilePair, row)
+            pair_id = _pair_key(row)
+            fp = _require_numbers(_record(FilePair, row), "line_similarity", "content_similarity")
             file_pairs[pair_id].append(fp)
             file_pair_at[_file_key(row)] = pair_id, fp
 
@@ -455,17 +420,19 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
                 function_pairs=function_pairs[pair_id],
                 unpaired_functions=[_record(UnpairedFunction, u) for u in row["unpaired_functions"]],
             )
-        return DatasetBundle(
+        bundle = DatasetBundle(
             manifest=manifest,
             contracts=contracts,
             lineages=lineages,
             pair_artifacts=[artifacts[pair_id] for pair_id in pairs],
             corpus_diagnostics=diagnostics["corpus"],
             lineage_diagnostics=LineageDiagnostics(exclusions=[
-                _record(ExcludedCallee, e) for e in diagnostics["lineage_exclusions"]
-            ]),
+                _record(ExcludedCallee, e, reason=ExclusionReason(e["reason"]))
+                for e in diagnostics["lineage_exclusions"]]),
             source_diagnostics=diagnostics["sources"],
         )
+    _check_integrity(bundle, lambda table, message: ValidationError(f"{root / table}: {message}"))
+    return bundle
 
 
 # --- summary statistics ------------------------------------------------------

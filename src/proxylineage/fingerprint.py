@@ -11,7 +11,6 @@ sublinear time; every candidate is then verified by a full comparison.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import re
 import struct
@@ -124,8 +123,16 @@ def _salts(seed: int, k: int) -> np.ndarray:
 
 def shingle_hash(shingle: Iterable[str]) -> int:
     """Stable 64-bit hash of one token shingle."""
-    joined = "\x1f".join(shingle).encode("utf-8")
-    return int.from_bytes(hashlib.blake2b(joined, digest_size=8).digest(), "little")
+    return _shingle_hashes([shingle]).pop()
+
+
+def _shingle_hashes(shingles: Iterable[Iterable[str]]) -> set[int]:
+    """shingle_hash of each shingle, with one import of hashlib: it loads OpenSSL, which only
+    the commands that hash need."""
+    from hashlib import blake2b
+
+    digests = (blake2b("\x1f".join(shingle).encode("utf-8"), digest_size=8).digest() for shingle in shingles)
+    return {int.from_bytes(digest, "little") for digest in digests}
 
 
 def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple[int, ...]:
@@ -160,7 +167,7 @@ def record_shingles(record: ContractRecord) -> set[int]:
     for file in record.files:
         tokens.extend(token_texts(file.content))
     windows = set(zip(*(islice(tokens, i, None) for i in range(SHINGLE_SIZE))))
-    return set(map(shingle_hash, windows))
+    return _shingle_hashes(windows)
 
 
 def fingerprint(

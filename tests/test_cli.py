@@ -340,6 +340,11 @@ def test_overlong_integer_in_a_json_document_names_file_and_line(fixture_paths, 
     assert capsys.readouterr().err == f"error: {category_map}:3: {LONG_INTEGER_ERROR}\n"
 
 
+def _edit_rows(text: str, **values) -> str:
+    """A bundle table with `values` set in each of its rows."""
+    return json.dumps([{**row, **values} for row in json.loads(text)])
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("manifest.json", lambda text: text.replace('"bundle_version": "1"', '"bundle_version": "9"'),
      "bundle_version '9' is not the supported '1'"),
@@ -358,8 +363,26 @@ def test_overlong_integer_in_a_json_document_names_file_and_line(fixture_paths, 
     ("lineages.json", lambda text: text[:len(text) // 2], "invalid JSON"),
     ("lineages.json", lambda text: text.replace('"last_call": 20', '"last_call": ' + "9" * 5001),
      "invalid JSON: integer longer than"),
+    # contract rows are checked as contract fixture rows are
+    ("contracts.json", lambda text: _edit_rows(text, open_source="yes"),
+     "verified and open_source must be booleans"),
+    # references across tables resolve
+    ("contracts.json", lambda text: json.dumps(json.loads(text)[1:]),
+     "bundle contracts do not match lineage members"),
+    ("file_pairs.json",
+     lambda text: json.dumps([*(rows := json.loads(text)), {**rows[0], "predecessor_filename": "X.sol"}]),
+     "file pair references unknown predecessor file X.sol"),
+    # what compute_stats computes with has its type
+    ("file_pairs.json", lambda text: _edit_rows(text, line_similarity="high"),
+     "line_similarity must be a number, got 'high'"),
+    ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=None),
+     "gap_days must be a number, got None"),
+    ("lineages.json", lambda text: _edit_rows(text, creator=["x"]),
+     "creator must be a string, got list"),
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
-        "overlong-integer"])
+        "overlong-integer", "open-source-not-boolean", "member-without-contract",
+        "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
+        "creator-not-an-address"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"

@@ -159,9 +159,12 @@ def test_load_bundle_sorts_each_contracts_files(tmp_path):
     assert load_bundle(out).contracts == bundle.contracts
 
 
-def test_key_rows_list_the_pair_key_first():
-    # a function-pair row's file key is its contract-pair key plus the file pair
-    assert dataset._FileKey._fields[:3] == dataset._PairKey._fields
+def test_key_fields_of_the_bundle_rows():
+    # the keys are slices of ContractPair's and FilePair's fields: reordering those
+    # fields would change every key row, and a roundtrip would not notice
+    assert dataset._PAIR_KEY == ("proxy", "predecessor", "successor")
+    assert dataset._FILE_KEY == dataset._PAIR_KEY + ("directory", "predecessor_filename",
+                                                     "successor_filename")
 
 
 def test_stats_idempotent_through_emit_and_load(tmp_path):

@@ -240,7 +240,7 @@ def test_results_jsonable_percentages(planted):
 
 @pytest.mark.parametrize("aggregation", ["micro", "macro"])
 def test_query_whose_truth_is_all_closed_source(aggregation):
-    # Pins current behaviour, which ROADMAP direction 3 will change: v1's
+    # Pins current behaviour, which ROADMAP direction 2 will change: v1's
     # only lineage mate v2 is closed-source, so v1 can never predict it, and
     # v1 counts one false negative in every scenario, even under open-source
     # scope and macro aggregation.

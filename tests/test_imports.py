@@ -183,7 +183,8 @@ def test_commands_load_neither_dataclasses_nor_inspect(lineage_run, command):
 
 
 # hashlib loads OpenSSL's _hashlib; only the commands that hash need it
-@pytest.mark.parametrize("command", ["build-lineages", "vuln-lifecycle", "stats"])
+@pytest.mark.parametrize("command", ["build-lineages", "vuln-lifecycle", "stats",
+                                     "evaluate-lsh --fingerprints"])
 def test_commands_that_hash_nothing_load_no_openssl(lineage_run, command):
     assert "_hashlib" not in lineage_run(command)
 
