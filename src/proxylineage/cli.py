@@ -71,14 +71,14 @@ def build_lineages_command(args):
 def pair(args):
     """Pair contracts, files and functions; write the three pair tables."""
     from .corpus import write_json
-    from .dataset import bundle_to_jsonable
+    from .dataset import (BUNDLE_TABLES, CONTRACT_PAIRS_FILE, DIAGNOSTICS_FILE, FILE_PAIRS_FILE,
+                          FUNCTION_PAIRS_FILE)
 
     bundle = _bundle_from(args.traces_path, args.contracts_path)
-    tables = bundle_to_jsonable(bundle)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for table in ("contract_pairs", "file_pairs", "function_pairs", "diagnostics"):
-        write_json(out / f"{table}.json", tables[table])
+    for name in (CONTRACT_PAIRS_FILE, FILE_PAIRS_FILE, FUNCTION_PAIRS_FILE, DIAGNOSTICS_FILE):
+        write_json(out / name, BUNDLE_TABLES[name](bundle))
     print(f"paired {len(bundle.pairs)} contract pairs, "
           f"{len(bundle.file_pairs)} file pairs, "
           f"{len(bundle.function_pairs)} function pairs -> {out}")

@@ -74,15 +74,19 @@ class _ContractFields(NamedTuple):
 class ContractRecord(_ContractFields):
     """On-chain contract version: identity, creator and published source.
 
-    Every reader sees a contract's files in (directory, filename) order. The
-    sort is stable, so files sharing a path keep the order they were given in.
+    Every reader sees a contract's files in (directory, filename) order, and
+    no two files share a path: a repeated path raises ValidationError.
     """
 
     __slots__ = ()
 
     def __new__(cls, address, creator, deploy_timestamp, verified, open_source, files=()):
-        return super().__new__(cls, address, creator, deploy_timestamp, verified, open_source,
-                               tuple(sorted(files, key=_file_path)))
+        files = tuple(sorted(files, key=_file_path))
+        paths = list(map(_file_path, files))
+        for path, following in zip(paths, paths[1:]):  # sorted, a repeat is its neighbour
+            if path == following:
+                raise ValidationError("duplicate file path %r/%r" % path)
+        return super().__new__(cls, address, creator, deploy_timestamp, verified, open_source, files)
 
     @classmethod
     def _make(cls, iterable):
@@ -247,7 +251,6 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
     if not isinstance(raw_files, list):
         raise ValidationError(f"{where}: files must be a list")
     files = []
-    seen_paths = set()
     for idx, raw in enumerate(raw_files):
         fwhere = f"{where} files[{idx}]"
         if not isinstance(raw, dict):
@@ -260,23 +263,18 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         content = raw["content"]
         if not isinstance(content, str):
             raise ValidationError(f"{fwhere}: content must be a string")
-        path = (directory, filename)
-        if path in seen_paths:
-            raise ValidationError(f"{fwhere}: duplicate file path {directory!r}/{filename!r}")
-        seen_paths.add(path)
         files.append(SourceFile(directory=directory, filename=filename, content=content))
     if open_source and not files:
         raise ValidationError(f"{where}: open_source contract must have files")
     if not open_source and files:
         raise ValidationError(f"{where}: closed-source contract must not have files")
-    return ContractRecord(
-        address=normalize_address(obj["address"], "address"),
-        creator=normalize_address(obj["creator"], "creator"),
-        deploy_timestamp=_require_int(obj["deploy_timestamp"], "deploy_timestamp"),
-        verified=verified,
-        open_source=open_source,
-        files=tuple(files),
-    )
+    address = normalize_address(obj["address"], "address")
+    creator = normalize_address(obj["creator"], "creator")
+    deploy_timestamp = _require_int(obj["deploy_timestamp"], "deploy_timestamp")
+    try:
+        return ContractRecord(address, creator, deploy_timestamp, verified, open_source, files)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
@@ -385,37 +383,14 @@ _JSON_BOOL = {True: "true", False: "false"}
 # JSON text of the scalar types, by exact type
 _SCALAR_JSON = {str: _json_str, int: int.__repr__, float: _float_json,
                 bool: _JSON_BOOL.__getitem__, type(None): lambda _: "null"}
-
-
-def _scalar_json(value) -> str | None:
-    """JSON text of a str, int, float, bool or None (subclasses too); None otherwise."""
-    text = _SCALAR_JSON.get(type(value))
-    if text is not None:
-        return text(value)
-    if isinstance(value, str):
-        return _json_str(value)
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_json(value)
-    return None
-
-
-def _key_json(key) -> str:
-    """A dict key as json.dumps writes it: always as a JSON string."""
-    if isinstance(key, str):
-        return _json_str(key)
-    text = _scalar_json(key)
-    if text is None:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-    return f'"{text}"'
+_encode = json.JSONEncoder().encode  # json.dumps' own encoder, for every other value
 
 
 def _pretty_json(value, newline: str, emit) -> None:
     """Emit `value` as it stands after `newline` (a line break plus its indent)."""
-    text = _scalar_json(value)
+    text = _SCALAR_JSON.get(type(value))
     if text is not None:
-        emit(text)
+        emit(text(value))
     elif isinstance(value, dict):
         if not value:
             emit("{}")
@@ -423,7 +398,8 @@ def _pretty_json(value, newline: str, emit) -> None:
         inner = newline + "  "
         separator = "{" + inner
         for key, item in sorted(value.items()):
-            key = _json_str(key) if type(key) is str else _key_json(key)
+            # json's encoder spells (or rejects) any other key in a one-key object
+            key = _json_str(key) if type(key) is str else _encode({key: None})[1:-7]
             text = _SCALAR_JSON.get(type(item))
             if text is not None:
                 emit(f"{separator}{key}: {text(item)}")
@@ -447,8 +423,8 @@ def _pretty_json(value, newline: str, emit) -> None:
                 _pretty_json(item, inner, emit)
             separator = "," + inner
         emit(newline + "]")
-    else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+    else:  # a str, int or float subclass, or a value that json rejects with its TypeError
+        emit(_encode(value))
 
 
 def write_json(path: str | Path, obj) -> None:

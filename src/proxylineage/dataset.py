@@ -211,6 +211,13 @@ def _record(cls, row: dict, **given):
     return cls(**values, **given)
 
 
+def _add_once(table: dict, key, value, what: str) -> None:
+    """table[key] = value, unless an earlier row of the bundle table holds `key`."""
+    if key in table:
+        raise ValidationError(f"{what} {key!r} is listed twice")
+    table[key] = value
+
+
 def _window(row: dict) -> ActivityWindow:
     return ActivityWindow._make(map(_require_int, _record(ActivityWindow, row), ActivityWindow._fields))
 
@@ -368,21 +375,23 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
                 path = _source_path(root, row["address"], file["directory"], file["filename"])
                 files.append(file | {"content": _utf8(path.read_bytes(), path)})
             record = contract_from_obj(row | {"files": files})
-            contracts[record.address] = record
+            _add_once(contracts, record.address, record, "contract address")
 
+    lineages: dict[str, Lineage] = {}
     with _reading(root / LINEAGES_FILE):
-        lineages = [
-            _record(Lineage, row, creator=normalize_address(row["creator"], "creator"), versions=tuple(
-                LineageVersion(normalize_address(v["address"]), _window(v)) for v in row["versions"]))
-            for row in docs[LINEAGES_FILE]
-        ]
+        for row in docs[LINEAGES_FILE]:
+            lineage = _record(Lineage, row, creator=normalize_address(row["creator"], "creator"),
+                              versions=tuple(LineageVersion(normalize_address(v["address"]), _window(v))
+                                             for v in row["versions"]))
+            _add_once(lineages, lineage.proxy, lineage, "lineage of proxy")
 
     with _reading(root / CONTRACT_PAIRS_FILE):
         pairs = {}
         for row in docs[CONTRACT_PAIRS_FILE]:
             pair = _require_numbers(_record(ContractPair, row), "gap_days")
-            pairs[_pair_key(row)] = pair._replace(predecessor_window=_window(pair.predecessor_window),
-                                                  successor_window=_window(pair.successor_window))
+            _add_once(pairs, _pair_key(row), pair._replace(
+                predecessor_window=_window(pair.predecessor_window),
+                successor_window=_window(pair.successor_window)), "contract pair")
 
     file_pairs: dict[tuple, list[FilePair]] = {pair_id: [] for pair_id in pairs}
     file_pair_at: dict[tuple, tuple[tuple, FilePair]] = {}
@@ -390,26 +399,29 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
         for row in docs[FILE_PAIRS_FILE]:
             pair_id = _pair_key(row)
             fp = _require_numbers(_record(FilePair, row), "line_similarity", "content_similarity")
+            _add_once(file_pair_at, _file_key(row), (pair_id, fp), "file pair")
             file_pairs[pair_id].append(fp)
-            file_pair_at[_file_key(row)] = pair_id, fp
 
     function_pairs: dict[tuple, list[FunctionPair]] = {pair_id: [] for pair_id in pairs}
+    listed: dict[tuple, None] = {}  # (contract pair key, function pair) of each row
     with _reading(root / FUNCTION_PAIRS_FILE):
         for row in docs[FUNCTION_PAIRS_FILE]:
             pair_id, fp = file_pair_at[_file_key(row)]
-            function_pairs[pair_id].append(FunctionPair(
+            function_pair = FunctionPair(
                 file_pair=fp,
                 predecessor=_record(FunctionUnit, row["predecessor_function"], body=""),
                 successor=_record(FunctionUnit, row["successor_function"], body=""),
                 match_kind=MatchKind(row["match_kind"]),
-            ))
+            )
+            _add_once(listed, (pair_id, function_pair), None, "function pair")
+            function_pairs[pair_id].append(function_pair)
 
     artifacts: dict[tuple, PairArtifacts] = {}
     with _reading(root / DIAGNOSTICS_FILE):
         diagnostics = docs[DIAGNOSTICS_FILE]
         for row in diagnostics["pairs"]:
             pair_id = _pair_key(row)
-            artifacts[pair_id] = PairArtifacts(
+            _add_once(artifacts, pair_id, PairArtifacts(
                 pair=pairs[pair_id],
                 file_pairing=FilePairing(
                     pairs=file_pairs[pair_id],
@@ -419,11 +431,11 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
                 ),
                 function_pairs=function_pairs[pair_id],
                 unpaired_functions=[_record(UnpairedFunction, u) for u in row["unpaired_functions"]],
-            )
+            ), "diagnostics row of contract pair")
         bundle = DatasetBundle(
             manifest=manifest,
             contracts=contracts,
-            lineages=lineages,
+            lineages=list(lineages.values()),
             pair_artifacts=[artifacts[pair_id] for pair_id in pairs],
             corpus_diagnostics=diagnostics["corpus"],
             lineage_diagnostics=LineageDiagnostics(exclusions=[

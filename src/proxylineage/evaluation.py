@@ -146,20 +146,13 @@ class LineageEvaluator:
 
         results: list[ScenarioResult] = []
         for scope in scopes:
-            per_query = {
-                query: {
-                    threshold: self.predicted_lineage(query, threshold, scope)
-                    for threshold in thresholds
-                }
-                for query in queries
-            }
             for threshold in thresholds:
                 tp = fp = fn = 0
                 precisions: list[float] = []
                 recalls: list[float] = []
                 for query in queries:
                     truth = self.membership[query]
-                    predicted = per_query[query][threshold]
+                    predicted = self.predicted_lineage(query, threshold, scope)
                     q_tp = len(predicted & truth)
                     q_fp = len(predicted - truth)
                     q_fn = len(truth - predicted)

@@ -122,19 +122,8 @@ class ExplorerClient:
             raise FetchError(address, f"malformed explorer response: {exc}") from exc
         if not record.verified:
             # Unverified source cannot be trusted; keep only the metadata.
-            record = ContractRecord(
-                address=record.address,
-                creator=record.creator,
-                deploy_timestamp=record.deploy_timestamp,
-                verified=False,
-                open_source=False,
-                files=(),
-            )
+            record = record._replace(open_source=False, files=())
         return record
-
-
-def _cache_path(cache_dir: str | Path, address: str) -> Path:
-    return Path(cache_dir) / f"{address}.json"
 
 
 def fetch_contract(address: str, cache_dir: str | Path, client: ExplorerClient) -> ContractRecord:
@@ -146,7 +135,7 @@ def fetch_contract(address: str, cache_dir: str | Path, client: ExplorerClient) 
     one complete file.
     """
     address = normalize_address(address)
-    cache_file = _cache_path(cache_dir, address)
+    cache_file = Path(cache_dir) / f"{address}.json"
     cached = cache_file.exists()
     if cached:
         record = contract_from_obj(read_json(cache_file), where=f"cached record {cache_file}")

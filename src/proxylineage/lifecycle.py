@@ -154,18 +154,6 @@ def _cross_check(finding: Finding, corpus: Corpus, line_number: int,
     return []
 
 
-def _identity_maps(
-    file_pairs: list[FileMatch],
-) -> tuple[dict[tuple[str, str], FileIdentity], dict[tuple[str, str], FileIdentity]]:
-    pred_map: dict[tuple[str, str], FileIdentity] = {}
-    succ_map: dict[tuple[str, str], FileIdentity] = {}
-    for fp in file_pairs:
-        identity = FileIdentity(fp.directory, fp.predecessor_filename, fp.successor_filename)
-        pred_map[(fp.directory, fp.predecessor_filename)] = identity
-        succ_map[(fp.directory, fp.successor_filename)] = identity
-    return pred_map, succ_map
-
-
 def diff_pair(
     file_pairs: list[FileMatch],
     pred_findings: list[Finding],
@@ -180,7 +168,13 @@ def diff_pair(
     Only the matched file names of `file_pairs` are read, so the pairs of
     pairing.match_files serve as well as the scored pairs of pair_files.
     """
-    pred_map, succ_map = _identity_maps(file_pairs)
+    pred_map: dict[tuple[str, str], FileIdentity] = {}
+    succ_map: dict[tuple[str, str], FileIdentity] = {}
+    for fp in file_pairs:
+        # FileMatch and FilePair both lead with a FileIdentity's three fields
+        identity = FileIdentity(*fp[:3])
+        pred_map[fp.directory, fp.predecessor_filename] = identity
+        succ_map[fp.directory, fp.successor_filename] = identity
 
     def key_for(finding: Finding, side_map, unpaired_pred: bool) -> FindingKey:
         identity = side_map.get((finding.directory, finding.filename))

@@ -10,11 +10,13 @@ Both matchings are greedy, deterministic and one-to-one.
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .corpus import ContractRecord
-from .solidity import FunctionUnit
 from .textmetrics import lcs_length, levenshtein
+
+if TYPE_CHECKING:  # vuln-lifecycle matches files only and never loads the extractor
+    from .solidity import FunctionUnit
 
 MAX_NAME_DISTANCE = 2
 NOT_OPEN_SOURCE = "NOT_OPEN_SOURCE"
@@ -142,8 +144,7 @@ def match_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
 
 
 def _contents(record: ContractRecord) -> dict[tuple[str, str], str]:
-    # the first file of a repeated path wins, as it does in match_files
-    return {(f.directory, f.filename): f.content for f in reversed(record.files)}
+    return {(f.directory, f.filename): f.content for f in record.files}
 
 
 def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:

@@ -187,6 +187,23 @@ def extract_functions(text: str, diagnostics: list[str] | None = None) -> list[F
     return units
 
 
+def _closing(tokens: list[Token], start: int, opener: str, closer: str) -> int | None:
+    """Index of the `closer` that balances the `opener` at tokens[start]; None if none does.
+
+    Only a punct token's text can be a bracket, so the kind is not checked.
+    """
+    depth = 0
+    for k in range(start, len(tokens)):
+        text = tokens[k].text
+        if text == opener:
+            depth += 1
+        elif text == closer:
+            depth -= 1
+            if not depth:
+                return k
+    return None
+
+
 def _parse_function(
     tokens: list[Token],
     start: int,
@@ -205,28 +222,14 @@ def _parse_function(
     if open_paren.kind != "punct" or open_paren.text != "(":
         return None, start + 1
 
-    param_tokens: list[Token] = []
-    paren_depth = 1
-    j = start + 3
-    while j < n and paren_depth:
-        token = tokens[j]
-        if token.kind == "punct":
-            if token.text == "(":
-                paren_depth += 1
-            elif token.text == ")":
-                paren_depth -= 1
-                if paren_depth == 0:
-                    j += 1
-                    break
-        param_tokens.append(token)
-        j += 1
-    if paren_depth:
+    close = _closing(tokens, start + 2, "(", ")")
+    if close is None:
         diagnostics.append(
             f"line {name_token.line}: unterminated parameter list for function {name_token.text}"
         )
         return None, n
 
-    signature = canonical_signature(name_token.text, param_tokens)
+    signature = canonical_signature(name_token.text, tokens[start + 3:close])
     start_line = tokens[start].line
 
     def unit(body: str, end_line: int) -> FunctionUnit:
@@ -234,7 +237,7 @@ def _parse_function(
 
     # Skip modifiers/returns clauses up to the body `{` or declaration-only `;`.
     paren_depth = 0
-    while j < n:
+    for j in range(close + 1, n):
         token = tokens[j]
         if token.kind == "punct":
             if token.text == "(":
@@ -244,23 +247,13 @@ def _parse_function(
             elif paren_depth == 0 and token.text == ";":
                 return unit("", token.line), j + 1
             elif paren_depth == 0 and token.text == "{":
-                brace_depth = 0
-                k = j
-                while k < n:
-                    t = tokens[k]
-                    if t.kind == "punct":
-                        if t.text == "{":
-                            brace_depth += 1
-                        elif t.text == "}":
-                            brace_depth -= 1
-                            if brace_depth == 0:
-                                return unit(text[token.pos:t.pos + 1], t.line), k + 1
-                    k += 1
-                diagnostics.append(
-                    f"line {start_line}: unbalanced braces at EOF in body of "
-                    f"function {name_token.text}"
-                )
-                return unit("", tokens[-1].line), n
-        j += 1
+                end = _closing(tokens, j, "{", "}")
+                if end is None:
+                    diagnostics.append(
+                        f"line {start_line}: unbalanced braces at EOF in body of "
+                        f"function {name_token.text}"
+                    )
+                    return unit("", tokens[-1].line), n
+                return unit(text[token.pos:tokens[end].pos + 1], tokens[end].line), end + 1
     diagnostics.append(f"line {start_line}: function {name_token.text} has no body or terminator")
     return unit("", tokens[-1].line), n

@@ -5,7 +5,9 @@ structure than the package code: the keccak oracle derives its round
 constants and rotation offsets from the LFSR/permutation definitions instead
 of hardcoding tables; the LCS and edit-distance oracles are plain
 full-matrix DPs; the lineage oracle applies the classification rules by
-direct recursive construction.
+direct recursive construction. The function extractor oracle follows the
+package's control flow but balances each bracket kind with a depth loop of
+its own, where the package shares one scan; malformed input is its use.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ from __future__ import annotations
 import json
 
 from proxylineage import Corpus
-from proxylineage.solidity import Token
+from proxylineage.solidity import (CONTAINER_KEYWORDS, _NON_NAME_KEYWORDS, FunctionUnit, Token,
+                                   canonical_signature, tokenize)
 
 
 # --- keccak-256 oracle --------------------------------------------------------
@@ -239,6 +242,133 @@ def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[Tok
             tokens.append(Token("punct", ch, line, i))
             i += 1
     return tokens
+
+
+# --- function extractor oracle ---------------------------------------------------
+
+def oracle_extract_functions(text: str, diagnostics: list[str] | None = None) -> list[FunctionUnit]:
+    """The extractor with a hand-written depth loop for each bracket kind.
+
+    Functions at the top level of a contract, library or interface body are
+    units; a body is the balanced `{...}` after the modifiers and returns
+    clauses, or empty when the declaration ends at `;`. Malformed or
+    truncated declarations give the same partial units and notes as the
+    package's extractor.
+    """
+    if diagnostics is None:
+        diagnostics = []
+    tokens = tokenize(text, diagnostics)
+    units: list[FunctionUnit] = []
+    depth = 0
+    container_depth: int | None = None
+    pending_container = False
+    i = 0
+    n = len(tokens)
+    while i < n:
+        token = tokens[i]
+        if token.kind == "punct":
+            if token.text == "{":
+                depth += 1
+                if pending_container and container_depth is None:
+                    container_depth = depth
+                    pending_container = False
+            elif token.text == "}":
+                depth -= 1
+                if container_depth is not None and depth < container_depth:
+                    container_depth = None
+            i += 1
+            continue
+        if token.kind == "ident" and token.text in CONTAINER_KEYWORDS and depth == 0:
+            pending_container = True
+            i += 1
+            continue
+        if (
+            token.kind == "ident"
+            and token.text == "function"
+            and container_depth is not None
+            and depth == container_depth
+        ):
+            unit, next_i = _oracle_parse_function(tokens, i, text, diagnostics)
+            if unit is not None:
+                units.append(unit)
+                i = next_i
+                continue
+        i += 1
+    if depth != 0:
+        diagnostics.append("unbalanced braces at end of file")
+    return units
+
+
+def _oracle_parse_function(tokens: list[Token], start: int, text: str,
+                           diagnostics: list[str]) -> tuple[FunctionUnit | None, int]:
+    n = len(tokens)
+    if start + 2 >= n:
+        return None, start + 1
+    name_token = tokens[start + 1]
+    open_paren = tokens[start + 2]
+    if name_token.kind != "ident" or name_token.text in _NON_NAME_KEYWORDS:
+        return None, start + 1
+    if open_paren.kind != "punct" or open_paren.text != "(":
+        return None, start + 1
+
+    param_tokens: list[Token] = []
+    paren_depth = 1
+    j = start + 3
+    while j < n and paren_depth:
+        token = tokens[j]
+        if token.kind == "punct":
+            if token.text == "(":
+                paren_depth += 1
+            elif token.text == ")":
+                paren_depth -= 1
+                if paren_depth == 0:
+                    j += 1
+                    break
+        param_tokens.append(token)
+        j += 1
+    if paren_depth:
+        diagnostics.append(
+            f"line {name_token.line}: unterminated parameter list for function {name_token.text}"
+        )
+        return None, n
+
+    signature = canonical_signature(name_token.text, param_tokens)
+    start_line = tokens[start].line
+
+    def unit(body: str, end_line: int) -> FunctionUnit:
+        return FunctionUnit(name_token.text, signature, body, start_line, end_line)
+
+    paren_depth = 0
+    while j < n:
+        token = tokens[j]
+        if token.kind == "punct":
+            if token.text == "(":
+                paren_depth += 1
+            elif token.text == ")":
+                paren_depth -= 1
+            elif paren_depth == 0 and token.text == ";":
+                return unit("", token.line), j + 1
+            elif paren_depth == 0 and token.text == "{":
+                brace_depth = 0
+                k = j
+                while k < n:
+                    t = tokens[k]
+                    if t.kind == "punct":
+                        if t.text == "{":
+                            brace_depth += 1
+                        elif t.text == "}":
+                            brace_depth -= 1
+                            if brace_depth == 0:
+                                return unit(text[token.pos:t.pos + 1], t.line), k + 1
+                    k += 1
+                diagnostics.append(
+                    f"line {start_line}: unbalanced braces at EOF in body of "
+                    f"function {name_token.text}"
+                )
+                return unit("", tokens[-1].line), n
+        j += 1
+    diagnostics.append(f"line {start_line}: function {name_token.text} has no body or terminator")
+    return unit("", tokens[-1].line), n
 
 
 # --- canonical trace file oracle ------------------------------------------------

@@ -345,6 +345,12 @@ def _edit_rows(text: str, **values) -> str:
     return json.dumps([{**row, **values} for row in json.loads(text)])
 
 
+def _repeat_first_row(text: str) -> str:
+    """A bundle table with a copy of its first row appended."""
+    rows = json.loads(text)
+    return json.dumps([*rows, rows[0]])
+
+
 @pytest.mark.parametrize("name, edit, message", [
     ("manifest.json", lambda text: text.replace('"bundle_version": "1"', '"bundle_version": "9"'),
      "bundle_version '9' is not the supported '1'"),
@@ -379,10 +385,28 @@ def _edit_rows(text: str, **values) -> str:
      "gap_days must be a number, got None"),
     ("lineages.json", lambda text: _edit_rows(text, creator=["x"]),
      "creator must be a string, got list"),
+    # no row repeats the key of an earlier row of its table
+    ("contracts.json", _repeat_first_row, f"contract address '{ADDR_A}' is listed twice"),
+    ("lineages.json", _repeat_first_row, f"lineage of proxy '{PROXY}' is listed twice"),
+    ("contract_pairs.json", _repeat_first_row,
+     f"contract pair ('{PROXY}', '{ADDR_A}', '{ADDR_B}') is listed twice"),
+    ("file_pairs.json", _repeat_first_row,
+     f"file pair ('{PROXY}', '{ADDR_A}', '{ADDR_B}', 'src', 'Core.sol', 'Core.sol') is listed twice"),
+    ("function_pairs.json", _repeat_first_row,
+     "successor=FunctionUnit(name='f', signature='f()', body='', start_line=3, end_line=4), "
+     "match_kind=<MatchKind.EXACT_SIGNATURE: 'EXACT_SIGNATURE'>)) is listed twice"),
+    ("diagnostics.json",
+     lambda text: json.dumps({**(doc := json.loads(text)), "pairs": doc["pairs"] * 2}),
+     f"diagnostics row of contract pair ('{PROXY}', '{ADDR_A}', '{ADDR_B}') is listed twice"),
+    ("contracts.json", lambda text: json.dumps([{**row, "files": row["files"] * 2}
+                                                for row in json.loads(text)]),
+     "contract record: duplicate file path 'src'/'Core.sol'"),
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
-        "creator-not-an-address"])
+        "creator-not-an-address", "repeated-contract", "repeated-lineage",
+        "repeated-contract-pair", "repeated-file-pair", "repeated-function-pair",
+        "repeated-pair-diagnostics", "repeated-file-path"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"

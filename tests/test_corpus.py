@@ -37,6 +37,7 @@ from proxylineage.corpus import (
     _iter_ndjson,
     corpus_digests,
     json_text,
+    load_contract_records,
     load_trace_events,
     read_json,
     serialize_contract_records,
@@ -332,11 +333,27 @@ def test_upgrade_proxies_detects_monitored_selector(tmp_path):
 
 def test_contract_record_keeps_its_files_in_path_order():
     files = [SourceFile("src", "B.sol", "b"), SourceFile("", "Z.sol", "z"),
-             SourceFile("src", "A.sol", "first"), SourceFile("src", "A.sol", "second")]
+             SourceFile("src", "A.sol", "first")]
     record = ContractRecord("0x" + "aa" * 20, "0x" + "e1" * 20, 0, True, True, files)
-    # a hand-built record may repeat a path; the sort is stable
     assert record.files == (SourceFile("", "Z.sol", "z"), SourceFile("src", "A.sol", "first"),
-                            SourceFile("src", "A.sol", "second"), SourceFile("src", "B.sol", "b"))
+                            SourceFile("src", "B.sol", "b"))
+    # not even a hand-built record may repeat a path
+    with pytest.raises(ValidationError, match="duplicate file path 'src'/'A.sol'"):
+        ContractRecord("0x" + "aa" * 20, "0x" + "e1" * 20, 0, True, True,
+                       [*files, SourceFile("src", "A.sol", "second")])
+    with pytest.raises(ValidationError, match="duplicate file path 'src'/'B.sol'"):
+        record._replace(files=[*files, SourceFile("src", "B.sol", "b")])
+
+
+def test_contract_fixture_row_repeating_a_file_path_names_its_line(tmp_path):
+    contracts = tmp_path / "c.ndjson"
+    files = [{"directory": "src", "filename": name, "content": "x"}
+             for name in ("T.sol", "A.sol", "T.sol")]
+    write_contract_fixture(contracts, [_contract_row(PROXY), _contract_row(CALLEE, files=files)])
+    with pytest.raises(ParseError) as excinfo:
+        load_contract_records(contracts)
+    assert str(excinfo.value) == (f"{contracts}:2: contract record: "
+                                  "duplicate file path 'src'/'T.sol'")
 
 
 _UNSORTED_FILES = (SourceFile("src", "B.sol", "b"), SourceFile("", "Z.sol", "z"),
@@ -524,7 +541,8 @@ def test_sorted_events_follow_the_canonical_key(events):
 
 _FILES = st.lists(st.builds(SourceFile, directory=st.sampled_from(["", "a", "b/c"]) | _TEXT,
                             filename=st.sampled_from(["A.sol", "B.sol"]) | _TEXT,
-                            content=_TEXT), max_size=4).map(tuple)
+                            content=_TEXT),
+                  max_size=4, unique_by=lambda f: (f.directory, f.filename)).map(tuple)  # no repeated path
 _CONTRACTS = st.builds(ContractRecord, address=_TEXT, creator=_TEXT,
                        deploy_timestamp=st.integers(min_value=-2**70, max_value=2**70),
                        verified=st.booleans(), open_source=st.booleans(), files=_FILES)

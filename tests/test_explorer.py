@@ -159,6 +159,16 @@ def test_cached_record_of_another_address_is_a_failure(tmp_path):
     assert transport.calls == 0
 
 
+def test_cached_record_repeating_a_file_path_is_a_failure_naming_the_cache_file(tmp_path):
+    file = {"directory": "src", "filename": "T.sol", "content": "contract T {}"}
+    cache_file = tmp_path / f"{ADDRESS}.json"
+    cache_file.write_text(json.dumps(response_body(files=[file, file])) + "\n")
+    records, failures = fetch_contracts([ADDRESS], tmp_path, make_client(CountingTransport([])))
+    assert records == {}
+    assert failures[ADDRESS] == (f"cached record {cache_file}: "
+                                 "duplicate file path 'src'/'T.sol'")
+
+
 def test_fetched_record_of_another_address_is_a_failure_and_not_cached(tmp_path):
     transport = CountingTransport([(200, response_body(address=OTHER))])
     records, failures = fetch_contracts([ADDRESS], tmp_path, make_client(transport))

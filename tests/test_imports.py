@@ -74,13 +74,13 @@ def write_findings(corpus, path: Path) -> Path:
     return path
 
 
-def test_vuln_lifecycle_loads_no_dataset_fingerprint_evaluation_or_explorer(
+def test_vuln_lifecycle_loads_no_dataset_solidity_fingerprint_evaluation_or_explorer(
         corpus, corpus_args, tmp_path):
     findings = write_findings(corpus, tmp_path / "findings.ndjson")
     result = run_command("vuln-lifecycle", *corpus_args, "--findings", str(findings),
                          "--out", str(tmp_path / "lifecycle.json"))
     assert result["code"] == 0
-    for module in ("dataset", "fingerprint", "evaluation", "explorer"):
+    for module in ("dataset", "solidity", "fingerprint", "evaluation", "explorer"):
         assert f"proxylineage.{module}" not in result["modules"]
     assert "proxylineage.pairing" in result["modules"]
 

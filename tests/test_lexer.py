@@ -1,4 +1,4 @@
-"""The Solidity scanner's two views against the character-loop oracle."""
+"""The Solidity scanner's two views and the function extractor against their oracles."""
 
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from proxylineage.fingerprint import SHINGLE_SIZE, record_shingles, shingle_hash
 from proxylineage.solidity import token_texts
 
 from conftest import ADDR_A, CREATOR_X, make_record
-from oracles import oracle_tokenize
+from oracles import oracle_extract_functions, oracle_tokenize
 
 # Comment and string delimiters, escapes, line ends, Unicode whitespace,
 # non-ASCII letters and digits, and the characters that start or continue
@@ -63,3 +63,34 @@ def test_record_shingles_hash_every_window_of_the_oracle_texts(contents):
     expected = {shingle_hash(texts[i:i + SHINGLE_SIZE])
                 for i in range(len(texts) - SHINGLE_SIZE + 1)}
     assert record_shingles(make_record(ADDR_A, CREATOR_X, files)) == expected
+
+
+# Declarations with each part well formed or not: names that are keywords or
+# brackets, parameter lists and clauses that never close, bodies with
+# unbalanced or quoted braces, or none at all.
+_DECLARATION_PARTS = (
+    ["f", "g", "returns", "memory", "(", "{"],
+    ["", "uint256 x", "uint256 a, bytes memory b", "(", "(uint256", "mapping(address => uint) m"],
+    [")", ")", ""],
+    ["", "public", "returns (uint256)", "returns (", ")", "override(A, B)", "("],
+    [";", "{}", "{ x = (1); }", "{ {", "{ }}", "", "{ /* } */ }", '{ "}" }', "{ if (x) { y; } }"],
+)
+declarations = st.tuples(*map(st.sampled_from, _DECLARATION_PARTS)).map(
+    lambda parts: "function {} ( {} {} {} {}".format(*parts))
+# Stray pieces between the declarations, including ones that swallow the rest.
+_STRAY = ["contract C {", "library L {", "interface I {", "}", "{", "(", ")", ";", ",", "function",
+          "/*", "// x\n", "'", '"}"']
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.sampled_from(["contract C {", "contract C {", ""]),
+       st.lists(declarations | st.sampled_from(_STRAY), max_size=6), st.sampled_from([" ", "\n"]))
+@example("contract C {", ["function f ( uint256 x ) returns (uint256) { {"], " ")
+@example("contract C {", ["function f ( ) ) ( {} ;", "}"], " ")
+@example("contract C {", ["function f ( (uint256 ) public"], "\n")
+def test_extract_functions_equals_the_oracle_on_malformed_declarations(header, pieces, separator):
+    text = separator.join([header, *pieces])
+    diagnostics: list[str] = []
+    oracle_diagnostics: list[str] = []
+    assert extract_functions(text, diagnostics) == oracle_extract_functions(text, oracle_diagnostics)
+    assert diagnostics == oracle_diagnostics
