@@ -368,21 +368,10 @@ def json_text(obj) -> str:
     return "".join(chunks)
 
 
-def _float_json(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-_INF = float("inf")
 _JSON_BOOL = {True: "true", False: "false"}
-# JSON text of the scalar types, by exact type
-_SCALAR_JSON = {str: _json_str, int: int.__repr__, float: _float_json,
-                bool: _JSON_BOOL.__getitem__, type(None): lambda _: "null"}
+# JSON text of str, int, bool and None, by exact type
+_SCALAR_JSON = {str: _json_str, int: int.__repr__, bool: _JSON_BOOL.__getitem__,
+                type(None): lambda _: "null"}
 _encode = json.JSONEncoder().encode  # json.dumps' own encoder, for every other value
 
 
@@ -423,7 +412,7 @@ def _pretty_json(value, newline: str, emit) -> None:
                 _pretty_json(item, inner, emit)
             separator = "," + inner
         emit(newline + "]")
-    else:  # a str, int or float subclass, or a value that json rejects with its TypeError
+    else:  # a float, a str, int or float subclass, or a value that json rejects with its TypeError
         emit(_encode(value))
 
 

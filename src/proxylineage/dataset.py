@@ -8,6 +8,7 @@ wall clock, and every collection is emitted in a canonical order.
 
 from __future__ import annotations
 
+import math
 import shutil
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -222,12 +223,15 @@ def _window(row: dict) -> ActivityWindow:
     return ActivityWindow._make(map(_require_int, _record(ActivityWindow, row), ActivityWindow._fields))
 
 
-def _require_numbers(record, *names: str):
-    """`record`, once each named field holds a JSON number: an int or a float, not a bool."""
+def _require_numbers(record, within, rule: str, *names: str):
+    """`record`, once each named field holds a JSON number (an int or a float, not a bool)
+    for which `within` holds; a chained comparison there also rejects NaN."""
     for name in names:
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{name} must be a number, got {value!r}")
+        if not within(value):
+            raise ValidationError(f"{name} must be {rule}, got {value!r}")
     return record
 
 
@@ -388,7 +392,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     with _reading(root / CONTRACT_PAIRS_FILE):
         pairs = {}
         for row in docs[CONTRACT_PAIRS_FILE]:
-            pair = _require_numbers(_record(ContractPair, row), "gap_days")
+            pair = _require_numbers(_record(ContractPair, row), lambda x: 0 < x < math.inf,
+                                    "positive and finite", "gap_days")
             _add_once(pairs, _pair_key(row), pair._replace(
                 predecessor_window=_window(pair.predecessor_window),
                 successor_window=_window(pair.successor_window)), "contract pair")
@@ -398,7 +403,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     with _reading(root / FILE_PAIRS_FILE):
         for row in docs[FILE_PAIRS_FILE]:
             pair_id = _pair_key(row)
-            fp = _require_numbers(_record(FilePair, row), "line_similarity", "content_similarity")
+            fp = _require_numbers(_record(FilePair, row), lambda x: 0 <= x <= 1, "in [0, 1]",
+                                  "line_similarity", "content_similarity")
             _add_once(file_pair_at, _file_key(row), (pair_id, fp), "file pair")
             file_pairs[pair_id].append(fp)
 

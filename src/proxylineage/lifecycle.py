@@ -12,6 +12,7 @@ taxonomies.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
@@ -176,49 +177,29 @@ def diff_pair(
         pred_map[fp.directory, fp.predecessor_filename] = identity
         succ_map[fp.directory, fp.successor_filename] = identity
 
-    def key_for(finding: Finding, side_map, unpaired_pred: bool) -> FindingKey:
-        identity = side_map.get((finding.directory, finding.filename))
-        if identity is None:
-            if unpaired_pred:
-                identity = FileIdentity(finding.directory, finding.filename, None)
-            else:
-                identity = FileIdentity(finding.directory, None, finding.filename)
-        return FindingKey(finding.tool, finding.vuln_type, identity)
-
-    pred_counts: dict[FindingKey, int] = {}
-    for finding in pred_findings:
-        key = key_for(finding, pred_map, unpaired_pred=True)
-        pred_counts[key] = pred_counts.get(key, 0) + 1
-    succ_counts: dict[FindingKey, int] = {}
-    for finding in succ_findings:
-        key = key_for(finding, succ_map, unpaired_pred=False)
-        succ_counts[key] = succ_counts.get(key, 0) + 1
+    pred_counts = Counter(
+        FindingKey(f.tool, f.vuln_type, pred_map.get((f.directory, f.filename))
+                   or FileIdentity(f.directory, f.filename, None))
+        for f in pred_findings)
+    succ_counts = Counter(
+        FindingKey(f.tool, f.vuln_type, succ_map.get((f.directory, f.filename))
+                   or FileIdentity(f.directory, None, f.filename))
+        for f in succ_findings)
 
     counts: dict[tuple[FindingKey, LifecycleStatus], int] = {}
     all_keys = sorted(
-        set(pred_counts) | set(succ_counts),
+        pred_counts.keys() | succ_counts.keys(),
         key=lambda k: (k.tool, k.vuln_type, k.file.directory,
                        k.file.predecessor_filename or "", k.file.successor_filename or ""),
     )
     for key in all_keys:
-        p = pred_counts.get(key, 0)
-        s = succ_counts.get(key, 0)
+        p, s = pred_counts[key], succ_counts[key]
         for status, count in ((LifecycleStatus.PERSISTED, min(p, s)),
                               (LifecycleStatus.DISAPPEARED, p - s),
                               (LifecycleStatus.INTRODUCED, s - p)):
             if count > 0:
                 counts[(key, status)] = count
     return counts
-
-
-def _category_for(tool: str, vuln_type: str, category_map, mode: str,
-                  unmapped: set[tuple[str, str]]) -> str:
-    mapped = category_map.get(tool, {}).get(vuln_type)
-    if mapped is not None:
-        return mapped
-    if mode == INTERSECTION:
-        unmapped.add((tool, vuln_type))
-    return f"{tool}:{vuln_type}"
 
 
 def lifecycle_stats(
@@ -230,101 +211,84 @@ def lifecycle_stats(
 
     Counts are projected onto (pair, file, category, status) cells with a
     per-tool count; union takes the max across tools, intersection the min
-    across every tool that has a finding. Intersection requires each observed
-    vuln_type to be mapped to a shared category, otherwise a configuration
-    error lists the unmapped types. A disappearance is weighted by the days
-    from the predecessor's first activity to the successor's first activity,
-    i.e. how long the vulnerable version was the live one before a
-    warning-free successor took over. The returned summary reports
-    percentages over three denominators (findings, keys, files) since each is
-    a legitimate reading.
+    across every tool that has a finding. Every figure is read from the
+    non-zero cells. Intersection first requires each observed vuln_type to be
+    mapped to a shared category, otherwise a configuration error lists the
+    unmapped types. A disappearance is weighted by the days from the
+    predecessor's first activity to the successor's first activity, i.e. how
+    long the vulnerable version was the live one before a warning-free
+    successor took over. The returned summary reports percentages over three
+    denominators (findings, keys, files) since each is a legitimate reading.
     """
     if mode not in (UNION, INTERSECTION):
         raise ConfigurationError(f"mode must be {UNION!r} or {INTERSECTION!r}, got {mode!r}")
     if category_map is None:
         category_map = DEFAULT_CATEGORY_MAP
-    tools = sorted({key.tool for counts in diffs.values() for key, _ in counts})
-
-    unmapped: set[tuple[str, str]] = set()
-    status_counts = {status: 0 for status in LifecycleStatus}
-    keys_seen: set[tuple] = set()
-    keys_with: dict[LifecycleStatus, set[tuple]] = {s: set() for s in LifecycleStatus}
-    files_seen: set[FileIdentity] = set()
-    files_with: dict[LifecycleStatus, set[FileIdentity]] = {s: set() for s in LifecycleStatus}
-    contracts: set[str] = set()
-    proxies: set[str] = set()
-    patched_without_new = 0
-    disappear_weight = 0
-    disappear_days = 0.0
-    for pair, counts in diffs.items():
-        # cell: (file identity, category, status) -> {tool: count}
-        cells: dict[tuple, dict[str, int]] = {}
-        for (key, status), count in counts.items():
-            category = _category_for(key.tool, key.vuln_type, category_map, mode, unmapped)
-            tool_counts = cells.setdefault((key.file, category, status), {})
-            tool_counts[key.tool] = tool_counts.get(key.tool, 0) + count
-        days_gone = (
-            pair.successor_window.first_call - pair.predecessor_window.first_call
-        ) / SECONDS_PER_DAY
-        pair_files_with: dict[LifecycleStatus, set[FileIdentity]] = {
-            s: set() for s in LifecycleStatus}
-        for (identity, category, status), tool_counts in cells.items():
-            if mode == UNION:
-                value = max(tool_counts.values())
-            else:
-                value = min(tool_counts.get(tool, 0) for tool in tools)
-            if not value:
-                continue
-            status_counts[status] += value
-            key_id = (identity, category)
-            keys_seen.add(key_id)
-            keys_with[status].add(key_id)
-            files_seen.add(identity)
-            files_with[status].add(identity)
-            pair_files_with[status].add(identity)
-            proxies.add(pair.proxy)
-            if status in (LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED):
-                contracts.add(pair.predecessor)
-            if status in (LifecycleStatus.PERSISTED, LifecycleStatus.INTRODUCED):
-                contracts.add(pair.successor)
-            if status is LifecycleStatus.DISAPPEARED:
-                disappear_weight += value
-                disappear_days += value * days_gone
-        patched_without_new += len(pair_files_with[LifecycleStatus.DISAPPEARED]
-                                   - pair_files_with[LifecycleStatus.INTRODUCED])
-    if unmapped:
-        listing = ", ".join(f"{tool}/{vt}" for tool, vt in sorted(unmapped))
+    kinds = {(key.tool, key.vuln_type) for counts in diffs.values() for key, _ in counts}
+    tools = sorted({tool for tool, _ in kinds})
+    category_of = {kind: category_map.get(kind[0], {}).get(kind[1]) for kind in kinds}
+    unmapped = sorted(kind for kind, category in category_of.items() if category is None)
+    if unmapped and mode == INTERSECTION:
+        listing = ", ".join(f"{tool}/{vt}" for tool, vt in unmapped)
         raise ConfigurationError(f"intersection mode requires categories for: {listing}")
+    category_of.update((kind, f"{kind[0]}:{kind[1]}") for kind in unmapped)
 
-    total = sum(status_counts.values())
+    # (pair index, file identity, category, status) -> {tool: count}, over every pair
+    pairs = list(diffs)
+    table: dict[tuple, dict[str, int]] = {}
+    for index, counts in enumerate(diffs.values()):
+        for (key, status), count in counts.items():
+            tool_counts = table.setdefault(
+                (index, key.file, category_of[key.tool, key.vuln_type], status), {})
+            tool_counts[key.tool] = tool_counts.get(key.tool, 0) + count
+    # per status, the non-zero cells as (pair index, file identity, category, value), in table order
+    cells: dict[LifecycleStatus, list[tuple]] = {status: [] for status in LifecycleStatus}
+    for (index, identity, category, status), tool_counts in table.items():
+        value = (max(tool_counts.values()) if mode == UNION
+                 else min(tool_counts.get(tool, 0) for tool in tools))
+        if value:
+            cells[status].append((index, identity, category, value))
 
-    def pct(numerator: int, denominator: int) -> float | None:
-        return 100.0 * numerator / denominator if denominator else None
+    I, D, P = LifecycleStatus.INTRODUCED, LifecycleStatus.DISAPPEARED, LifecycleStatus.PERSISTED
+    findings = {status: sum(value for _, _, _, value in rows) for status, rows in cells.items()}
+    keys_with = {status: {(identity, category) for _, identity, category, _ in rows}
+                 for status, rows in cells.items()}
+    files_with = {status: {identity for _, identity, _, _ in rows}
+                  for status, rows in cells.items()}
+    pairs_with = {status: {index for index, _, _, _ in rows} for status, rows in cells.items()}
+    keys = set().union(*keys_with.values())
+    files = set().union(*files_with.values())
+    contracts = ({pairs[index].predecessor for index in pairs_with[P] | pairs_with[D]}
+                 | {pairs[index].successor for index in pairs_with[P] | pairs_with[I]})
+    proxies = {pairs[index].proxy for index in set().union(*pairs_with.values())}
+    patched_without_new = len({(index, identity) for index, identity, _, _ in cells[D]}
+                              - {(index, identity) for index, identity, _, _ in cells[I]})
+    days_gone = [(pair.successor_window.first_call - pair.predecessor_window.first_call)
+                 / SECONDS_PER_DAY for pair in pairs]
+    disappear_days = 0.0  # summed in pair-then-cell order, which fixes the float's last bits
+    for index, _, _, value in cells[D]:
+        disappear_days += value * days_gone[index]
+    total = sum(findings.values())
+
+    def percents(status: LifecycleStatus) -> dict[str, float | None]:
+        shares = {"of_findings": (findings[status], total),
+                  "of_keys": (len(keys_with[status]), len(keys)),
+                  "of_files": (len(files_with[status]), len(files))}
+        return {name: 100.0 * part / whole if whole else None
+                for name, (part, whole) in shares.items()}
 
     return {
         "mode": mode,
-        "tools": list(tools),
-        "findings": {
-            "total": total,
-            "introduced": status_counts[LifecycleStatus.INTRODUCED],
-            "persisted": status_counts[LifecycleStatus.PERSISTED],
-            "disappeared": status_counts[LifecycleStatus.DISAPPEARED],
-        },
-        "distinct_keys": len(keys_seen),
-        "vulnerable_files": len(files_seen),
+        "tools": tools,
+        "findings": {"total": total, "introduced": findings[I], "persisted": findings[P],
+                     "disappeared": findings[D]},
+        "distinct_keys": len(keys),
+        "vulnerable_files": len(files),
         "vulnerable_contracts": len(contracts),
         "lineages_touched": len(proxies),
-        "percent_introduced": {
-            "of_findings": pct(status_counts[LifecycleStatus.INTRODUCED], total),
-            "of_keys": pct(len(keys_with[LifecycleStatus.INTRODUCED]), len(keys_seen)),
-            "of_files": pct(len(files_with[LifecycleStatus.INTRODUCED]), len(files_seen)),
-        },
-        "percent_disappeared": {
-            "of_findings": pct(status_counts[LifecycleStatus.DISAPPEARED], total),
-            "of_keys": pct(len(keys_with[LifecycleStatus.DISAPPEARED]), len(keys_seen)),
-            "of_files": pct(len(files_with[LifecycleStatus.DISAPPEARED]), len(files_seen)),
-        },
-        "mean_days_to_disappear": (disappear_days / disappear_weight) if disappear_weight else None,
+        "percent_introduced": percents(I),
+        "percent_disappeared": percents(D),
+        "mean_days_to_disappear": disappear_days / findings[D] if findings[D] else None,
         "patched_without_new_file_count": patched_without_new,
     }
 

@@ -8,6 +8,8 @@ full-matrix DPs; the lineage oracle applies the classification rules by
 direct recursive construction. The function extractor oracle follows the
 package's control flow but balances each bracket kind with a depth loop of
 its own, where the package shares one scan; malformed input is its use.
+The lifecycle oracles count into running accumulators pair by pair, where
+the package reads every summary figure from one table of cells.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ from __future__ import annotations
 import json
 
 from proxylineage import Corpus
+from proxylineage.errors import ConfigurationError
+from proxylineage.lifecycle import (DEFAULT_CATEGORY_MAP, INTERSECTION, UNION, FileIdentity, Finding,
+                                    FindingKey, LifecycleStatus)
+from proxylineage.lineage import SECONDS_PER_DAY, ContractPair
+from proxylineage.pairing import FileMatch
 from proxylineage.solidity import (CONTAINER_KEYWORDS, _NON_NAME_KEYWORDS, FunctionUnit, Token,
                                    canonical_signature, tokenize)
 
@@ -402,6 +409,183 @@ def contract_to_obj(record) -> dict:
             {"directory": f.directory, "filename": f.filename, "content": f.content}
             for f in sorted(record.files, key=lambda f: (f.directory, f.filename))
         ],
+    }
+
+
+# --- lifecycle oracles ------------------------------------------------------------
+
+def oracle_diff_pair(
+    file_pairs: list[FileMatch],
+    pred_findings: list[Finding],
+    succ_findings: list[Finding],
+) -> dict[tuple[FindingKey, LifecycleStatus], int]:
+    """Count each finding identity's fates across one version pair.
+
+    For an identity seen p times on the predecessor and s times on the
+    successor: min(p, s) PERSISTED, s-p extra INTRODUCED, p-s extra
+    DISAPPEARED. Identities come in sorted order, each with its statuses in
+    the order PERSISTED, DISAPPEARED, INTRODUCED; zero counts are left out.
+    Only the matched file names of `file_pairs` are read, so the pairs of
+    pairing.match_files serve as well as the scored pairs of pair_files.
+    """
+    pred_map: dict[tuple[str, str], FileIdentity] = {}
+    succ_map: dict[tuple[str, str], FileIdentity] = {}
+    for fp in file_pairs:
+        # FileMatch and FilePair both lead with a FileIdentity's three fields
+        identity = FileIdentity(*fp[:3])
+        pred_map[fp.directory, fp.predecessor_filename] = identity
+        succ_map[fp.directory, fp.successor_filename] = identity
+
+    def key_for(finding: Finding, side_map, unpaired_pred: bool) -> FindingKey:
+        identity = side_map.get((finding.directory, finding.filename))
+        if identity is None:
+            if unpaired_pred:
+                identity = FileIdentity(finding.directory, finding.filename, None)
+            else:
+                identity = FileIdentity(finding.directory, None, finding.filename)
+        return FindingKey(finding.tool, finding.vuln_type, identity)
+
+    pred_counts: dict[FindingKey, int] = {}
+    for finding in pred_findings:
+        key = key_for(finding, pred_map, unpaired_pred=True)
+        pred_counts[key] = pred_counts.get(key, 0) + 1
+    succ_counts: dict[FindingKey, int] = {}
+    for finding in succ_findings:
+        key = key_for(finding, succ_map, unpaired_pred=False)
+        succ_counts[key] = succ_counts.get(key, 0) + 1
+
+    counts: dict[tuple[FindingKey, LifecycleStatus], int] = {}
+    all_keys = sorted(
+        set(pred_counts) | set(succ_counts),
+        key=lambda k: (k.tool, k.vuln_type, k.file.directory,
+                       k.file.predecessor_filename or "", k.file.successor_filename or ""),
+    )
+    for key in all_keys:
+        p = pred_counts.get(key, 0)
+        s = succ_counts.get(key, 0)
+        for status, count in ((LifecycleStatus.PERSISTED, min(p, s)),
+                              (LifecycleStatus.DISAPPEARED, p - s),
+                              (LifecycleStatus.INTRODUCED, s - p)):
+            if count > 0:
+                counts[(key, status)] = count
+    return counts
+
+
+def _oracle_category_for(tool: str, vuln_type: str, category_map, mode: str,
+                  unmapped: set[tuple[str, str]]) -> str:
+    mapped = category_map.get(tool, {}).get(vuln_type)
+    if mapped is not None:
+        return mapped
+    if mode == INTERSECTION:
+        unmapped.add((tool, vuln_type))
+    return f"{tool}:{vuln_type}"
+
+
+def oracle_lifecycle_stats(
+    diffs: dict[ContractPair, dict[tuple[FindingKey, LifecycleStatus], int]],
+    mode: str = UNION,
+    category_map: dict[str, dict[str, str]] | None = None,
+) -> dict:
+    """Summarize the diff_pair counts of each pair, combining tools by union or intersection.
+
+    Counts are projected onto (pair, file, category, status) cells with a
+    per-tool count; union takes the max across tools, intersection the min
+    across every tool that has a finding. Intersection requires each observed
+    vuln_type to be mapped to a shared category, otherwise a configuration
+    error lists the unmapped types. A disappearance is weighted by the days
+    from the predecessor's first activity to the successor's first activity,
+    i.e. how long the vulnerable version was the live one before a
+    warning-free successor took over. The returned summary reports
+    percentages over three denominators (findings, keys, files) since each is
+    a legitimate reading.
+    """
+    if mode not in (UNION, INTERSECTION):
+        raise ConfigurationError(f"mode must be {UNION!r} or {INTERSECTION!r}, got {mode!r}")
+    if category_map is None:
+        category_map = DEFAULT_CATEGORY_MAP
+    tools = sorted({key.tool for counts in diffs.values() for key, _ in counts})
+
+    unmapped: set[tuple[str, str]] = set()
+    status_counts = {status: 0 for status in LifecycleStatus}
+    keys_seen: set[tuple] = set()
+    keys_with: dict[LifecycleStatus, set[tuple]] = {s: set() for s in LifecycleStatus}
+    files_seen: set[FileIdentity] = set()
+    files_with: dict[LifecycleStatus, set[FileIdentity]] = {s: set() for s in LifecycleStatus}
+    contracts: set[str] = set()
+    proxies: set[str] = set()
+    patched_without_new = 0
+    disappear_weight = 0
+    disappear_days = 0.0
+    for pair, counts in diffs.items():
+        # cell: (file identity, category, status) -> {tool: count}
+        cells: dict[tuple, dict[str, int]] = {}
+        for (key, status), count in counts.items():
+            category = _oracle_category_for(key.tool, key.vuln_type, category_map, mode, unmapped)
+            tool_counts = cells.setdefault((key.file, category, status), {})
+            tool_counts[key.tool] = tool_counts.get(key.tool, 0) + count
+        days_gone = (
+            pair.successor_window.first_call - pair.predecessor_window.first_call
+        ) / SECONDS_PER_DAY
+        pair_files_with: dict[LifecycleStatus, set[FileIdentity]] = {
+            s: set() for s in LifecycleStatus}
+        for (identity, category, status), tool_counts in cells.items():
+            if mode == UNION:
+                value = max(tool_counts.values())
+            else:
+                value = min(tool_counts.get(tool, 0) for tool in tools)
+            if not value:
+                continue
+            status_counts[status] += value
+            key_id = (identity, category)
+            keys_seen.add(key_id)
+            keys_with[status].add(key_id)
+            files_seen.add(identity)
+            files_with[status].add(identity)
+            pair_files_with[status].add(identity)
+            proxies.add(pair.proxy)
+            if status in (LifecycleStatus.PERSISTED, LifecycleStatus.DISAPPEARED):
+                contracts.add(pair.predecessor)
+            if status in (LifecycleStatus.PERSISTED, LifecycleStatus.INTRODUCED):
+                contracts.add(pair.successor)
+            if status is LifecycleStatus.DISAPPEARED:
+                disappear_weight += value
+                disappear_days += value * days_gone
+        patched_without_new += len(pair_files_with[LifecycleStatus.DISAPPEARED]
+                                   - pair_files_with[LifecycleStatus.INTRODUCED])
+    if unmapped:
+        listing = ", ".join(f"{tool}/{vt}" for tool, vt in sorted(unmapped))
+        raise ConfigurationError(f"intersection mode requires categories for: {listing}")
+
+    total = sum(status_counts.values())
+
+    def pct(numerator: int, denominator: int) -> float | None:
+        return 100.0 * numerator / denominator if denominator else None
+
+    return {
+        "mode": mode,
+        "tools": list(tools),
+        "findings": {
+            "total": total,
+            "introduced": status_counts[LifecycleStatus.INTRODUCED],
+            "persisted": status_counts[LifecycleStatus.PERSISTED],
+            "disappeared": status_counts[LifecycleStatus.DISAPPEARED],
+        },
+        "distinct_keys": len(keys_seen),
+        "vulnerable_files": len(files_seen),
+        "vulnerable_contracts": len(contracts),
+        "lineages_touched": len(proxies),
+        "percent_introduced": {
+            "of_findings": pct(status_counts[LifecycleStatus.INTRODUCED], total),
+            "of_keys": pct(len(keys_with[LifecycleStatus.INTRODUCED]), len(keys_seen)),
+            "of_files": pct(len(files_with[LifecycleStatus.INTRODUCED]), len(files_seen)),
+        },
+        "percent_disappeared": {
+            "of_findings": pct(status_counts[LifecycleStatus.DISAPPEARED], total),
+            "of_keys": pct(len(keys_with[LifecycleStatus.DISAPPEARED]), len(keys_seen)),
+            "of_files": pct(len(files_with[LifecycleStatus.DISAPPEARED]), len(files_seen)),
+        },
+        "mean_days_to_disappear": (disappear_days / disappear_weight) if disappear_weight else None,
+        "patched_without_new_file_count": patched_without_new,
     }
 
 

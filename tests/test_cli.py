@@ -383,6 +383,17 @@ def _repeat_first_row(text: str) -> str:
      "line_similarity must be a number, got 'high'"),
     ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=None),
      "gap_days must be a number, got None"),
+    # a rate lies in [0, 1] and a gap is positive and finite; NaN is neither
+    ("file_pairs.json", lambda text: _edit_rows(text, line_similarity=float("nan")),
+     "line_similarity must be in [0, 1], got nan"),
+    ("file_pairs.json", lambda text: _edit_rows(text, content_similarity=3.0),
+     "content_similarity must be in [0, 1], got 3.0"),
+    ("file_pairs.json", lambda text: _edit_rows(text, line_similarity=-7.5),
+     "line_similarity must be in [0, 1], got -7.5"),
+    ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=float("inf")),
+     "gap_days must be positive and finite, got inf"),
+    ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=0),
+     "gap_days must be positive and finite, got 0"),
     ("lineages.json", lambda text: _edit_rows(text, creator=["x"]),
      "creator must be a string, got list"),
     # no row repeats the key of an earlier row of its table
@@ -404,6 +415,7 @@ def _repeat_first_row(text: str) -> str:
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
+        "similarity-nan", "similarity-above-one", "similarity-below-zero", "gap-infinite", "gap-zero",
         "creator-not-an-address", "repeated-contract", "repeated-lineage",
         "repeated-contract-pair", "repeated-file-pair", "repeated-function-pair",
         "repeated-pair-diagnostics", "repeated-file-path"])

@@ -9,6 +9,7 @@ import pytest
 
 from proxylineage import (
     Corpus,
+    IntegrityError,
     SourceFile,
     ValidationError,
     build_bundle,
@@ -332,6 +333,16 @@ def test_malicious_directory_rejected_at_emit(tmp_path):
     bundle = build_bundle(corpus)
     with pytest.raises(ValidationError):
         emit_dataset(bundle, tmp_path / "bundle")
+
+
+def test_file_pair_of_a_file_its_contract_lacks_is_rejected_at_emit(tmp_path):
+    bundle = build_bundle(two_lineage_corpus())
+    renamed = bundle.contracts[ADDR_B]._replace(files=(SourceFile("src", "Other.sol", SRC_CHANGED),))
+    bundle = bundle._replace(contracts={**bundle.contracts, ADDR_B: renamed})
+    out = tmp_path / "bundle"
+    with pytest.raises(IntegrityError, match="unknown successor file Core.sol"):
+        emit_dataset(bundle, out)
+    assert not out.exists()
 
 
 def test_stats_csv_lists_every_metric():

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proxylineage import (
     ConfigurationError,
@@ -22,12 +24,14 @@ from proxylineage import (
     match_files,
     pair_files,
 )
+from proxylineage.corpus import json_text
 from proxylineage.lifecycle import FileIdentity
 from proxylineage.lineage import ActivityWindow, ContractPair
-from proxylineage.pairing import FilePair
+from proxylineage.pairing import FileMatch, FilePair
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, PROXY, make_record
 from corpusgen import varied_sourced_corpus
+from oracles import oracle_diff_pair, oracle_lifecycle_stats
 
 DAY = 86400
 
@@ -461,3 +465,79 @@ def test_diff_pair_reads_only_file_names():
             matched = diff_pair(match_files(pred, succ).pairs, pred_findings, succ_findings)
             scored = diff_pair(pair_files(pred, succ).pairs, pred_findings, succ_findings)
             assert list(matched.items()) == list(scored.items())
+
+
+# --- the one-table summary against the accumulating oracle --------------------------
+
+_TOOLS = ["slither", "mythril", "conkas"]
+_TYPES = ["reentrancy-eth", "reentrancy-no-eth", "tx-origin", "SWC-107", "Reentrancy", "odd-check"]
+_PLACES = [("src", "Core.sol"), ("src", "Vault.sol"), ("src", "Old.sol"), ("", "Main.sol")]
+_ADDRESSES = [ADDR_A, ADDR_B, ADDR_C, "0x" + "d" * 40]
+
+
+@st.composite
+def _file_matches(draw) -> list[FileMatch]:
+    """Matches that use each file at most once per side; the files left out are unpaired."""
+    matches, pred_used, succ_used = [], set(), set()
+    for directory, pred_name in draw(st.lists(st.sampled_from(_PLACES), max_size=3)):
+        succ_name = draw(st.sampled_from([name for d, name in _PLACES if d == directory]))
+        if (directory, pred_name) not in pred_used and (directory, succ_name) not in succ_used:
+            pred_used.add((directory, pred_name))
+            succ_used.add((directory, succ_name))
+            matches.append(FileMatch(directory, pred_name, succ_name, int(pred_name != succ_name)))
+    return matches
+
+
+def _findings(contract: str, tools: list[str], types: list[str]):
+    return st.lists(st.builds(
+        lambda tool, vuln_type, place, start: finding(tool=tool, vuln_type=vuln_type, contract=contract,
+                                                      directory=place[0], filename=place[1], start=start),
+        st.sampled_from(tools), st.sampled_from(types), st.sampled_from(_PLACES),
+        st.integers(1, 3)), max_size=12)
+
+
+@st.composite
+def _study(draw) -> list[tuple[ContractPair, list[FileMatch], list[Finding], list[Finding]]]:
+    # few tools and types per study, so that intersections are often mapped and non-empty
+    tools = draw(st.lists(st.sampled_from(_TOOLS), min_size=1, unique=True))
+    types = draw(st.lists(st.sampled_from(_TYPES), min_size=1, max_size=3, unique=True))
+    study = []
+    for index in range(draw(st.integers(0, 3))):
+        pred, succ = draw(st.lists(st.sampled_from(_ADDRESSES), min_size=2, max_size=2, unique=True))
+        pred_first = draw(st.integers(0, 50 * DAY))
+        succ_first = pred_first + draw(st.integers(1, 400 * DAY))
+        pair = ContractPair(proxy=draw(st.sampled_from([PROXY, "0x" + "e" * 40])), predecessor=pred,
+                            successor=succ, gap_days=1.0 + index,
+                            predecessor_window=ActivityWindow(pred_first, pred_first + 1),
+                            successor_window=ActivityWindow(succ_first, succ_first + 1))
+        study.append((pair, draw(_file_matches()), draw(_findings(pred, tools, types)),
+                      draw(_findings(succ, tools, types))))
+    return study
+
+
+_CATEGORIES = st.sampled_from(["reentrancy", "tx-origin", "other"])
+_FULL_MAP = st.fixed_dictionaries(
+    {tool: st.fixed_dictionaries({vuln_type: _CATEGORIES for vuln_type in _TYPES}) for tool in _TOOLS})
+_PARTIAL_MAP = st.dictionaries(st.sampled_from(_TOOLS),
+                               st.dictionaries(st.sampled_from(_TYPES), _CATEGORIES), max_size=3)
+
+
+def _summary_or_error(stats, diffs, mode, category_map) -> str:
+    try:
+        return json_text(stats(diffs, mode=mode, category_map=category_map))
+    except ConfigurationError as exc:
+        return f"ConfigurationError: {exc}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(_study(), st.one_of(st.none(), _FULL_MAP, _PARTIAL_MAP))  # None: the default map
+def test_lifecycle_equals_the_oracle(study, category_map):
+    diffs = {}
+    for pair, matches, pred_findings, succ_findings in study:
+        counts = diff_pair(matches, pred_findings, succ_findings)
+        assert list(counts.items()) == list(oracle_diff_pair(matches, pred_findings,
+                                                             succ_findings).items())
+        diffs[pair] = counts
+    for mode in ("union", "intersection"):
+        assert (_summary_or_error(lifecycle_stats, diffs, mode, category_map)
+                == _summary_or_error(oracle_lifecycle_stats, diffs, mode, category_map))
