@@ -220,20 +220,28 @@ def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEv
     """Validate one trace row; `memo` holds (addresses, selectors) already normalized."""
     if not isinstance(obj, dict):
         raise ValidationError(f"{where} must be a JSON object")
-    if obj.keys() != TRACE_FIELDS:
+    try:
+        if len(obj) != len(TRACE_FIELDS):
+            raise KeyError
+        tx_id, raw_proxy, raw_callee = obj["tx_id"], obj["proxy_address"], obj["callee_address"]
+        timestamp, block_number, raw_selector = obj["timestamp"], obj["block_number"], obj["selector"]
+    except KeyError:  # a field is missing or another key is present: _require_fields says which
         _require_fields(obj, TRACE_FIELDS, where)
-    tx_id = obj["tx_id"]
     if not isinstance(tx_id, str) or not tx_id:
         raise ValidationError(f"{where}: tx_id must be a non-empty string")
     addresses, selectors = memo
-    proxy = _memo_normalize(addresses, obj["proxy_address"], normalize_address, "proxy_address")
-    callee = _memo_normalize(addresses, obj["callee_address"], normalize_address, "callee_address")
-    timestamp, block_number = obj["timestamp"], obj["block_number"]
+    try:
+        proxy, callee, selector = addresses[raw_proxy], addresses[raw_callee], selectors[raw_selector]
+    except (KeyError, TypeError):  # a value not seen yet in this load, or an unhashable one
+        proxy = _memo_normalize(addresses, raw_proxy, normalize_address, "proxy_address")
+        callee = _memo_normalize(addresses, raw_callee, normalize_address, "callee_address")
+        selector = None
     if type(timestamp) is not int or timestamp < 0:
         timestamp = _require_int(timestamp, "timestamp")
     if type(block_number) is not int or block_number < 0:
         block_number = _require_int(block_number, "block_number")
-    selector = _memo_normalize(selectors, obj["selector"], normalize_selector, "selector")
+    if selector is None:
+        selector = _memo_normalize(selectors, raw_selector, normalize_selector, "selector")
     # tuple.__new__ skips the Python-level __new__ of a NamedTuple: same event, half the cost
     return tuple.__new__(TraceEvent, (block_number, tx_id, proxy, callee, selector, timestamp))
 
@@ -435,36 +443,36 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo))
     raw_events = [event for _, event in rows]
     raw_events.sort()
-    diagnostics = []
     events = []
     seen = set()
     duplicates = 0
+    non_monotonic = []
+    # Timestamps must move forward with block numbers within one stream;
+    # validated blocks and timestamps are >= 0, so -1 precedes them all.
+    prev_block = prev_max_ts = -1
     for event in raw_events:
-        dedup_key = event[1:4]  # (tx_id, proxy_address, callee_address)
+        block_number, tx_id, proxy, callee, _, timestamp = event
+        dedup_key = (tx_id, proxy, callee)
         if dedup_key in seen:
             duplicates += 1
             continue
         seen.add(dedup_key)
         events.append(event)
+        if block_number > prev_block:
+            if timestamp <= prev_max_ts:
+                non_monotonic.append(
+                    f"traces: non-monotonic timestamp {timestamp} at block "
+                    f"{block_number} (tx {tx_id}); earlier block had {prev_max_ts}"
+                )
+            prev_block, prev_max_ts = block_number, timestamp
+        elif timestamp > prev_max_ts:
+            prev_max_ts = timestamp
+    diagnostics = []
     if duplicates:
         diagnostics.append(
             f"traces: dropped {duplicates} duplicate event(s) (same tx_id, proxy and callee)"
         )
-
-    # Timestamps must move forward with block numbers within one stream.
-    prev_block = None
-    prev_max_ts = None
-    for event in events:
-        if prev_block is not None and event.block_number > prev_block and event.timestamp <= prev_max_ts:
-            diagnostics.append(
-                f"traces: non-monotonic timestamp {event.timestamp} at block "
-                f"{event.block_number} (tx {event.tx_id}); earlier block had {prev_max_ts}"
-            )
-        if prev_block is None or event.block_number > prev_block:
-            prev_block = event.block_number
-            prev_max_ts = event.timestamp
-        else:
-            prev_max_ts = max(prev_max_ts, event.timestamp)
+    diagnostics.extend(non_monotonic)
     return events, diagnostics
 
 

@@ -30,6 +30,7 @@ from .lineage import (
     LineageVersion,
     build_lineages,
     contract_pairs,
+    days_between,
     lineage_diagnostics_obj,
     lineage_rows,
 )
@@ -307,15 +308,32 @@ def bundle_to_jsonable(bundle: DatasetBundle) -> dict:
 
 
 def _check_integrity(bundle: DatasetBundle, error) -> None:
-    """Raise error(table, message) for the first reference across tables that does not resolve."""
+    """Raise error(table, message) for the first reference across tables that does not resolve,
+    the first activity window that ends before it starts, or the first gap its windows disagree with."""
     members = {v.address for l in bundle.lineages for v in l.versions}
     if set(bundle.contracts) != members:
         raise error(CONTRACTS_FILE, "bundle contracts do not match lineage members")
+    for lineage in bundle.lineages:
+        for version in lineage.versions:
+            if version.window.first_call > version.window.last_call:
+                raise error(LINEAGES_FILE, f"version {version.address} of proxy {lineage.proxy}: "
+                                           f"{_reversed(version.window)}")
     for artifacts in bundle.pair_artifacts:
         pair = artifacts.pair
+        name = f"pair {pair.predecessor}->{pair.successor}"
         if pair.predecessor not in bundle.contracts or pair.successor not in bundle.contracts:
+            raise error(CONTRACT_PAIRS_FILE, f"{name} references unknown contract")
+        for side in ("predecessor_window", "successor_window"):
+            window = getattr(pair, side)
+            if window.first_call > window.last_call:
+                raise error(CONTRACT_PAIRS_FILE, f"{name} {side}: {_reversed(window)}")
+        try:  # exact: emit wrote this expression's float, which JSON reads back unchanged
+            agrees = pair.gap_days == days_between(pair.predecessor_window, pair.successor_window)
+        except OverflowError:  # windows too far apart for a float gap: emit could not pair them
+            agrees = False
+        if not agrees:
             raise error(CONTRACT_PAIRS_FILE,
-                        f"pair {pair.predecessor}->{pair.successor} references unknown contract")
+                        f"{name} gap_days {pair.gap_days!r} disagrees with its windows")
         pred_files = {(f.directory, f.filename) for f in bundle.contracts[pair.predecessor].files}
         succ_files = {(f.directory, f.filename) for f in bundle.contracts[pair.successor].files}
         for fp in artifacts.file_pairing.pairs:
@@ -323,6 +341,10 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
                 raise error(FILE_PAIRS_FILE, f"file pair references unknown predecessor file {fp.predecessor_filename}")
             if (fp.directory, fp.successor_filename) not in succ_files:
                 raise error(FILE_PAIRS_FILE, f"file pair references unknown successor file {fp.successor_filename}")
+
+
+def _reversed(window: ActivityWindow) -> str:
+    return f"first_call {window.first_call} is after last_call {window.last_call}"
 
 
 def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:

@@ -72,6 +72,12 @@ class LineageEvaluator:
                             for fp in fingerprint_contracts(corpus.contracts, k, seed)}
         self.fingerprints = fingerprints
         self.index = LshIndex(fingerprints.values())
+        # creator -> that creator's fingerprints: the only candidates a query can keep
+        self._by_creator: dict[str, dict[str, Fingerprint]] = {}
+        for address, fp in fingerprints.items():
+            record = corpus.contracts.get(address)
+            if record is not None:
+                self._by_creator.setdefault(record.creator, {})[address] = fp
         # query -> same-creator neighbours as (address, category, open_source)
         self._neighbours: dict[str, list[tuple[str, SimilarityCategory, bool]]] = {}
         # A contract serving several proxies belongs to each of those
@@ -83,7 +89,11 @@ class LineageEvaluator:
                 self.membership.setdefault(address, set()).update(members - {address})
 
     def _same_creator_neighbours(self, query: str) -> list[tuple[str, SimilarityCategory, bool]]:
-        """Every verified LSH candidate sharing the query's creator, retrieved once."""
+        """Every LSH candidate sharing the query's creator, retrieved and verified once.
+
+        The index proposes candidates of every creator; only the query
+        creator's reach the slot-by-slot comparison.
+        """
         neighbours = self._neighbours.get(query)
         if neighbours is not None:
             return neighbours
@@ -92,13 +102,13 @@ class LineageEvaluator:
         query_record = self.corpus.contracts.get(query)
         if query_record is None:
             raise UnknownAddressError(f"no contract record for query {query}")
-        neighbours = []
-        for address, verdict in query_similar(
-            self.fingerprints, query, min_category=SimilarityCategory.NONE, index=self.index
-        ):
-            record = self.corpus.contracts.get(address)
-            if record is not None and record.creator == query_record.creator:
-                neighbours.append((address, verdict.category, record.open_source))
+        contracts = self.corpus.contracts
+        neighbours = [
+            (address, verdict.category, contracts[address].open_source)
+            for address, verdict in query_similar(
+                self._by_creator[query_record.creator], query,
+                min_category=SimilarityCategory.NONE, index=self.index)
+        ]
         self._neighbours[query] = neighbours
         return neighbours
 

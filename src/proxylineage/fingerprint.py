@@ -196,9 +196,22 @@ def fingerprint(
 
 def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
                           seed: int) -> list[Fingerprint]:
-    """Fingerprints of the open-source records, in address order; the others have no source."""
-    return [fingerprint(record, k=k, seed=seed)
-            for _, record in sorted(contracts.items()) if record.open_source]
+    """Fingerprints of the open-source records, in address order; the others have no source.
+
+    Records whose files hold the same contents in the same path order read
+    the same token stream, so each distinct source is fingerprinted once.
+    """
+    done: dict[tuple[str, ...], Fingerprint] = {}
+    fingerprints = []
+    for _, record in sorted(contracts.items()):
+        if not record.open_source:
+            continue
+        source = tuple(file.content for file in record.files)
+        known = done.get(source)
+        if known is None:
+            done[source] = known = fingerprint(record, k=k, seed=seed)
+        fingerprints.append(known._replace(address=record.address))
+    return fingerprints
 
 
 def compare(a: Fingerprint, b: Fingerprint) -> SimilarityVerdict:
@@ -266,6 +279,10 @@ def query_similar(
     Banding proposes candidates; each is verified with a full signature
     comparison. The query itself is never returned. Results are ordered by
     descending estimated Jaccard, then address.
+
+    `index` may cover more fingerprints than `fingerprints` holds: a
+    proposed address missing from the mapping is skipped unverified, so a
+    caller restricts the results by passing a smaller mapping.
     """
     if query not in fingerprints:
         raise UnknownAddressError(f"no fingerprint for address {query}")
@@ -274,7 +291,10 @@ def query_similar(
     query_fp = fingerprints[query]
     results = []
     for address in index.candidates(query_fp):
-        verdict = compare(query_fp, fingerprints[address])
+        candidate = fingerprints.get(address)
+        if candidate is None:
+            continue
+        verdict = compare(query_fp, candidate)
         if verdict.category >= min_category:
             results.append((address, verdict))
     results.sort(key=lambda item: (-item[1].estimated_jaccard, item[0]))

@@ -71,13 +71,15 @@ class LineageDiagnostics(NamedTuple):
 def activity_windows(corpus: Corpus) -> dict[tuple[str, str], ActivityWindow]:
     """Min/max delegatecall timestamp per (proxy, callee) observation."""
     bounds: dict[tuple[str, str], tuple[int, int]] = {}
-    for event in corpus.events:
-        key = (event.proxy_address, event.callee_address)
-        if key in bounds:
-            first, last = bounds[key]
-            bounds[key] = (min(first, event.timestamp), max(last, event.timestamp))
-        else:
-            bounds[key] = (event.timestamp, event.timestamp)
+    for _, _, proxy, callee, _, timestamp in corpus.events:
+        key = (proxy, callee)
+        window = bounds.get(key)
+        if window is None:
+            bounds[key] = (timestamp, timestamp)
+        elif timestamp > window[1]:
+            bounds[key] = (window[0], timestamp)
+        elif timestamp < window[0]:
+            bounds[key] = (timestamp, window[1])
     return {key: ActivityWindow(first, last) for key, (first, last) in bounds.items()}
 
 
@@ -145,6 +147,11 @@ def build_lineages(corpus: Corpus) -> tuple[list[Lineage], LineageDiagnostics]:
     return lineages, LineageDiagnostics(exclusions=exclusions)
 
 
+def days_between(earlier: ActivityWindow, later: ActivityWindow) -> float:
+    """The gap of a contract pair: days from the earlier window's last call to the later's first."""
+    return (later.first_call - earlier.last_call) / SECONDS_PER_DAY
+
+
 def contract_pairs(lineages: list[Lineage]) -> list[ContractPair]:
     """Adjacent version pairs; a lineage of length n yields exactly n-1 pairs."""
     pairs: list[ContractPair] = []
@@ -155,7 +162,7 @@ def contract_pairs(lineages: list[Lineage]) -> list[ContractPair]:
                     proxy=lineage.proxy,
                     predecessor=earlier.address,
                     successor=later.address,
-                    gap_days=(later.window.first_call - earlier.window.last_call) / SECONDS_PER_DAY,
+                    gap_days=days_between(earlier.window, later.window),
                     predecessor_window=earlier.window,
                     successor_window=later.window,
                 )

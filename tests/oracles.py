@@ -9,15 +9,24 @@ direct recursive construction. The function extractor oracle follows the
 package's control flow but balances each bracket kind with a depth loop of
 its own, where the package shares one scan; malformed input is its use.
 The lifecycle oracles count into running accumulators pair by pair, where
-the package reads every summary figure from one table of cells.
+the package reads every summary figure from one table of cells. The trace
+loader oracle validates each row through its key set and named fields and
+deduplicates before it checks timestamps, in two passes, where the package
+indexes each row once and makes one pass. The evaluator oracle verifies
+every LSH candidate before it filters by creator; the package verifies only
+the query creator's candidates.
 """
 
 from __future__ import annotations
 
 import json
 
-from proxylineage import Corpus
-from proxylineage.errors import ConfigurationError
+from pathlib import Path
+
+from proxylineage import Corpus, LineageEvaluator, SimilarityCategory, TraceEvent, query_similar
+from proxylineage.corpus import (TRACE_FIELDS, _iter_ndjson, _memo_normalize, _require_fields,
+                                 _require_int, normalize_address, normalize_selector)
+from proxylineage.errors import ConfigurationError, UnknownAddressError, ValidationError
 from proxylineage.lifecycle import (DEFAULT_CATEGORY_MAP, INTERSECTION, UNION, FileIdentity, Finding,
                                     FindingKey, LifecycleStatus)
 from proxylineage.lineage import SECONDS_PER_DAY, ContractPair
@@ -391,6 +400,93 @@ def oracle_trace_ndjson(events) -> bytes:
                                             e.callee_address, e.selector, e.timestamp))
     rows = [json.dumps(e._asdict(), sort_keys=True, separators=(",", ":")) for e in ordered]
     return "".join(row + "\n" for row in rows).encode("utf-8")
+
+
+# --- trace loader oracle ----------------------------------------------------------
+
+def oracle_event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEvent:
+    """One validated trace row: its key set first, then each field by name in a fixed order."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{where} must be a JSON object")
+    if obj.keys() != TRACE_FIELDS:
+        _require_fields(obj, TRACE_FIELDS, where)
+    tx_id = obj["tx_id"]
+    if not isinstance(tx_id, str) or not tx_id:
+        raise ValidationError(f"{where}: tx_id must be a non-empty string")
+    addresses, selectors = memo
+    proxy = _memo_normalize(addresses, obj["proxy_address"], normalize_address, "proxy_address")
+    callee = _memo_normalize(addresses, obj["callee_address"], normalize_address, "callee_address")
+    timestamp, block_number = obj["timestamp"], obj["block_number"]
+    if type(timestamp) is not int or timestamp < 0:
+        timestamp = _require_int(timestamp, "timestamp")
+    if type(block_number) is not int or block_number < 0:
+        block_number = _require_int(block_number, "block_number")
+    selector = _memo_normalize(selectors, obj["selector"], normalize_selector, "selector")
+    return TraceEvent(block_number, tx_id, proxy, callee, selector, timestamp)
+
+
+def oracle_load_trace_events(path) -> tuple[list[TraceEvent], list[str]]:
+    """Sorted events without repeated (tx_id, proxy, callee) observations, then a
+    second pass over the kept events for timestamps that do not move forward."""
+    path = Path(path)
+    memo: tuple[dict, dict] = ({}, {})
+    rows = _iter_ndjson(path, lambda obj: oracle_event_from_obj(obj, "trace event", memo))
+    raw_events = sorted(event for _, event in rows)
+    diagnostics = []
+    events = []
+    seen = set()
+    duplicates = 0
+    for event in raw_events:
+        dedup_key = (event.tx_id, event.proxy_address, event.callee_address)
+        if dedup_key in seen:
+            duplicates += 1
+            continue
+        seen.add(dedup_key)
+        events.append(event)
+    if duplicates:
+        diagnostics.append(
+            f"traces: dropped {duplicates} duplicate event(s) (same tx_id, proxy and callee)"
+        )
+    prev_block = None
+    prev_max_ts = None
+    for event in events:
+        if prev_block is not None and event.block_number > prev_block and event.timestamp <= prev_max_ts:
+            diagnostics.append(
+                f"traces: non-monotonic timestamp {event.timestamp} at block "
+                f"{event.block_number} (tx {event.tx_id}); earlier block had {prev_max_ts}"
+            )
+        if prev_block is None or event.block_number > prev_block:
+            prev_block = event.block_number
+            prev_max_ts = event.timestamp
+        else:
+            prev_max_ts = max(prev_max_ts, event.timestamp)
+    return events, diagnostics
+
+
+# --- evaluator oracle -------------------------------------------------------------
+
+class OracleEvaluator(LineageEvaluator):
+    """A LineageEvaluator that verifies every LSH candidate, of any creator,
+    and only then keeps those sharing the query's creator."""
+
+    def _same_creator_neighbours(self, query: str):
+        neighbours = self._neighbours.get(query)
+        if neighbours is not None:
+            return neighbours
+        if query not in self.fingerprints:
+            raise UnknownAddressError(f"no fingerprint for query {query}")
+        query_record = self.corpus.contracts.get(query)
+        if query_record is None:
+            raise UnknownAddressError(f"no contract record for query {query}")
+        neighbours = []
+        for address, verdict in query_similar(
+            self.fingerprints, query, min_category=SimilarityCategory.NONE, index=self.index
+        ):
+            record = self.corpus.contracts.get(address)
+            if record is not None and record.creator == query_record.creator:
+                neighbours.append((address, verdict.category, record.open_source))
+        self._neighbours[query] = neighbours
+        return neighbours
 
 
 # --- contract row oracle ----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import random
 import sys
@@ -9,12 +10,15 @@ from pathlib import Path
 
 import pytest
 
+from proxylineage import Corpus, cli
 from proxylineage.cli import main
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY
 from corpusgen import (
+    addr_from_int,
     contract_row,
     event_row,
+    random_rule_corpus,
     varied_sourced_corpus,
     write_contract_fixture,
     write_corpus_fixtures,
@@ -396,6 +400,20 @@ def _repeat_first_row(text: str) -> str:
      "gap_days must be positive and finite, got 0"),
     ("lineages.json", lambda text: _edit_rows(text, creator=["x"]),
      "creator must be a string, got list"),
+    # a window ends no earlier than it starts, and a gap is the one its windows give
+    ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=1e308),
+     f"pair {ADDR_A}->{ADDR_B} gap_days 1e+308 disagrees with its windows"),
+    ("contract_pairs.json",
+     lambda text: _edit_rows(text, predecessor_window={"first_call": 10, "last_call": 1},
+                             gap_days=12345.0),
+     f"pair {ADDR_A}->{ADDR_B} predecessor_window: first_call 10 is after last_call 1"),
+    ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=12345.0),
+     "gap_days 12345.0 disagrees with its windows"),
+    ("contract_pairs.json",
+     lambda text: _edit_rows(text, successor_window={"first_call": 10**400, "last_call": 10**400}),
+     "gap_days 1.1574074074074073e-05 disagrees with its windows"),
+    ("lineages.json", lambda text: text.replace('"first_call": 11', '"first_call": 30'),
+     f"version {ADDR_B} of proxy {PROXY}: first_call 30 is after last_call 20"),
     # no row repeats the key of an earlier row of its table
     ("contracts.json", _repeat_first_row, f"contract address '{ADDR_A}' is listed twice"),
     ("lineages.json", _repeat_first_row, f"lineage of proxy '{PROXY}' is listed twice"),
@@ -416,7 +434,8 @@ def _repeat_first_row(text: str) -> str:
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
         "similarity-nan", "similarity-above-one", "similarity-below-zero", "gap-infinite", "gap-zero",
-        "creator-not-an-address", "repeated-contract", "repeated-lineage",
+        "creator-not-an-address", "gap-huge", "pair-window-reversed", "gap-disagrees-with-windows",
+        "gap-overflows-a-float", "lineage-window-reversed", "repeated-contract", "repeated-lineage",
         "repeated-contract-pair", "repeated-file-pair", "repeated-function-pair",
         "repeated-pair-diagnostics", "repeated-file-path"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
@@ -554,6 +573,67 @@ def test_usage_error_exits_one_with_usage_and_error(fixture_paths, tmp_path, cap
 def test_version_prints_the_package_version(capsys):
     assert main(["--version"]) == 0
     assert capsys.readouterr().out == f"proxylineage, version {__version__}\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["build-lineages", *CORPUS_ARGS, "--out", "{out}"], 0),
+    (["frobnicate"], 1),
+    (["build-lineages", "--traces", "{bad}", "--contracts", "{contracts}", "--out", "{out}"], 1),
+    (["stats", "{directory}"], 2),
+    (["--version"], 0),
+], ids=["success", "usage-error", "validation-error", "io-error", "version"])
+@pytest.mark.parametrize("collecting", [True, False], ids=["collector-on", "collector-off"])
+def test_main_leaves_the_cyclic_collector_as_it_found_it(fixture_paths, tmp_path, capsys, argv,
+                                                        code, collecting):
+    traces, contracts = fixture_paths
+    (tmp_path / "directory").mkdir()
+    (tmp_path / "bad.ndjson").write_text("not json\n")
+    places = {"traces": traces, "contracts": contracts, "bad": tmp_path / "bad.ndjson",
+              "directory": tmp_path / "directory", "out": tmp_path / "out"}
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert main([arg.format(**places) for arg in argv]) == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if was else gc.disable)()
+
+
+def test_a_command_runs_with_the_cyclic_collector_paused(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "stats", lambda args: seen.append(gc.isenabled()))
+    assert main(["stats", "."]) == 0
+    assert seen == [False]
+
+
+def _proxy_copies(corpus: Corpus, copies: int) -> Corpus:
+    """`copies` disjoint copies of the corpus's proxies and transactions over its contracts."""
+    return Corpus(events=[
+        e._replace(proxy_address=addr_from_int(int(e.proxy_address, 16) + (copy << 64)),
+                   tx_id=f"{e.tx_id}-{copy}")
+        for copy in range(copies) for e in corpus.events], contracts=corpus.contracts)
+
+
+def test_a_paused_collector_leaves_garbage_independent_of_input_size(tmp_path, capsys):
+    # The records hold no reference cycles, so what a command leaves for the
+    # collector is its own fixed set of objects, whatever the input size.
+    small = random_rule_corpus(random.Random(3), max_proxies=24)
+    inputs = {"small": small, "large": _proxy_copies(small, 4)}
+    assert len(inputs["large"].events) == 4 * len(small.events)
+
+    def garbage(name: str) -> int:
+        traces, contracts = write_corpus_fixtures(inputs[name], tmp_path / name)
+        assert main(["build-lineages", "--traces", str(traces), "--contracts", str(contracts),
+                     "--out", str(tmp_path / f"{name}-out")]) == 0
+        return gc.collect()
+
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        garbage("small")  # the first run also imports the modules the command uses
+        assert garbage("small") == garbage("large") > 0
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_repeated_flags_keep_their_order(fixture_paths, tmp_path):

@@ -45,7 +45,8 @@ from proxylineage.corpus import (
 )
 
 from corpusgen import event_row, write_contract_fixture, write_trace_fixture
-from oracles import contract_to_obj, oracle_selector, oracle_trace_ndjson
+from oracles import (contract_to_obj, oracle_load_trace_events, oracle_selector,
+                     oracle_trace_ndjson)
 
 PROXY = "0x" + "11" * 20
 CALLEE = "0x" + "aa" * 20
@@ -402,6 +403,67 @@ def test_any_bytes_load_or_raise_parse_error_with_its_line(lines):
             except ParseError as exc:
                 assert exc.path == str(path)
                 assert 1 <= exc.line_number <= data.count(b"\n") + 1
+
+
+_GOOD_ROWS = st.builds(
+    event_row,
+    proxy=st.sampled_from([PROXY, PROXY.upper(), "0x" + "1A" * 20]),
+    callee=st.sampled_from([CALLEE, CALLEE.upper(), "0x" + "aA" * 20, "0x" + "bb" * 20]),
+    timestamp=st.integers(0, 6),  # drawn apart from the block, so timestamps often go back
+    block=st.integers(0, 4),  # few blocks: equal blocks are common
+    tx_id=st.sampled_from(["t1", "t2", "t3"]),  # few transactions: duplicates are common
+    selector=st.sampled_from(["0x3659cfe6", "0x3659CFE6", "0x4f1ef286"]),
+)
+_BAD_VALUES = {
+    "tx_id": ["", 5],
+    "timestamp": [True, 1.5, -3, "7"],
+    "block_number": [False, 2.0, -1],
+    "proxy_address": [[PROXY], "0x12", None],
+    "callee_address": [{"a": CALLEE}, CALLEE + "\n"],
+    "selector": ["0x3659", "0xzzzzzzzz", ["0x3659cfe6"]],
+}
+
+
+@st.composite
+def _bad_rows(draw):
+    row = draw(_GOOD_ROWS)
+    kind = draw(st.sampled_from(["missing", "extra", "not-an-object", "value"]))
+    if kind == "missing":
+        del row[draw(st.sampled_from(sorted(row)))]
+    elif kind == "extra":
+        row["extra"] = 1
+    elif kind == "not-an-object":
+        return draw(st.sampled_from([[row], "row", 7, None]))
+    else:  # with several bad values, the first one checked names the error
+        for field in draw(st.lists(st.sampled_from(sorted(_BAD_VALUES)), min_size=1, unique=True)):
+            row[field] = draw(st.sampled_from(_BAD_VALUES[field]))
+    return row
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except ParseError as exc:
+        return str(exc), exc.line_number
+
+
+@st.composite
+def _trace_rows(draw):
+    """Valid rows with, half the time, one or two malformed rows among them."""
+    rows = draw(st.lists(_GOOD_ROWS, max_size=14))
+    for bad in draw(st.lists(_bad_rows(), max_size=2)):
+        rows.insert(draw(st.integers(0, len(rows))), bad)
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(_trace_rows())
+def test_trace_loading_matches_the_two_pass_oracle(rows):
+    # equal events and diagnostics in order, or an equal ParseError on an equal line
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.ndjson"
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert _outcome(load_trace_events, path) == _outcome(oracle_load_trace_events, path)
 
 
 @pytest.mark.parametrize("field, value, message", [

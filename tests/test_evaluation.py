@@ -21,6 +21,7 @@ from proxylineage.evaluation import results_to_csv, results_to_jsonable
 
 from conftest import make_record, window_events
 from corpusgen import addr_from_int, eval_corpus, planted_eval_corpus, soup_source
+from oracles import OracleEvaluator
 
 THRESHOLDS = (SimilarityCategory.LOW, SimilarityCategory.MEDIUM, SimilarityCategory.HIGH)
 
@@ -197,6 +198,43 @@ def test_each_query_is_retrieved_once(monkeypatch):
     queries = [q for q in sorted(evaluator.membership) if q in evaluator.fingerprints]
     assert queries
     assert sorted(queried) == queries
+
+
+def shared_creator_corpus(rng: random.Random) -> Corpus:
+    """An eval_corpus whose creators are merged into one to three, so that a
+    creator's contracts span several lineages and the noise."""
+    corpus = eval_corpus(rng)
+    pool = [addr_from_int(0xE000 + i) for i in range(rng.randint(1, 3))]
+    merged = {creator: rng.choice(pool)
+              for creator in sorted({r.creator for r in corpus.contracts.values()})}
+    return Corpus(events=corpus.events, contracts={
+        address: record._replace(creator=merged[record.creator])
+        for address, record in corpus.contracts.items()})
+
+
+@pytest.mark.parametrize("aggregation", ["micro", "macro"])
+def test_verifying_only_same_creator_candidates_changes_no_result(aggregation):
+    # The oracle verifies every LSH candidate and then filters by creator.
+    # A fingerprint without a contract record (one read from a file, say)
+    # is proposed like any other and kept by neither.
+    rng = random.Random(17)
+    other_creator_proposals = 0
+    for _ in range(6):
+        corpus = shared_creator_corpus(rng)
+        lineages, _ = build_lineages(corpus)
+        evaluator = LineageEvaluator(corpus, lineages)
+        fingerprints = dict(evaluator.fingerprints)
+        stray = addr_from_int(0xFFFF)
+        fingerprints[stray] = fingerprints[min(fingerprints)]._replace(address=stray)
+        fast = LineageEvaluator(corpus, lineages, fingerprints=fingerprints)
+        assert fast.evaluate(aggregation=aggregation) == OracleEvaluator(
+            corpus, lineages, fingerprints=fingerprints).evaluate(aggregation=aggregation)
+        creator = {a: r.creator for a, r in corpus.contracts.items()}
+        other_creator_proposals += sum(
+            creator.get(candidate) != creator[query]
+            for query in evaluator.membership if query in fingerprints
+            for candidate in fast.index.candidates(fingerprints[query]))
+    assert other_creator_proposals
 
 
 def test_closed_source_member_skipped_with_diagnostic():

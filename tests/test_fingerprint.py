@@ -38,7 +38,7 @@ from proxylineage.fingerprint import (
 )
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
-from corpusgen import addr_from_int
+from corpusgen import addr_from_int, eval_corpus
 from oracles import oracle_jaccard, oracle_minhash_signature
 
 K = 256
@@ -253,6 +253,51 @@ def test_fingerprint_contracts_takes_open_source_records_in_address_order():
         fingerprint(contracts[ADDR_A], k=64, seed=3),
         fingerprint(contracts[ADDR_B], k=64, seed=3),
     ]
+
+
+def test_fingerprint_contracts_fingerprints_each_distinct_source_once(monkeypatch):
+    # the fingerprint reads the contents in path order and ignores the paths
+    one = "contract One { function f() public { uint256 x = 1; } }"
+    two = "contract Two { function g() public { uint256 y = 2; } }"
+    layouts = [
+        [("src", "A.sol", one)],
+        [("src", "A.sol", one)],  # the same file
+        [("lib", "Z.sol", one)],  # the same contents under another path
+        [("", "a.sol", one), ("", "b.sol", two)],
+        [("x", "a.sol", one), ("x", "b.sol", two)],  # the same pair under other paths
+        [("", "a.sol", two), ("", "b.sol", one)],  # the same contents in the other order
+        [("", "b.sol", one), ("", "a.sol", two)],  # listed out of order: sorted, as just above
+        [("src", "A.sol", two)],
+    ]
+    contracts = {addr_from_int(0x100 + i): make_record(addr_from_int(0x100 + i), CREATOR_X,
+                                                       [SourceFile(*f) for f in files])
+                 for i, files in enumerate(layouts)}
+    contracts[addr_from_int(0x1)] = make_record(addr_from_int(0x1), CREATOR_X)  # closed source
+    module = sys.modules["proxylineage.fingerprint"]
+    calls = []
+    original = module.fingerprint
+    monkeypatch.setattr(module, "fingerprint",
+                        lambda record, **kwargs: calls.append(record) or original(record, **kwargs))
+    fingerprints = fingerprint_contracts(contracts, k=64, seed=3)
+    assert fingerprints == [fingerprint(contracts[address], k=64, seed=3)
+                            for address in sorted(contracts) if contracts[address].open_source]
+    assert len(calls) == 4
+    assert len({fp.signature for fp in fingerprints}) == 4
+
+
+def test_query_similar_over_a_restricted_mapping_filters_the_global_result():
+    rng = random.Random(21)
+    corpus = eval_corpus(rng, n_lineages=4, noise_contracts=8)
+    everything = {fp.address: fp for fp in fingerprint_contracts(corpus.contracts, K, SEED)}
+    index = LshIndex(everything.values())
+    for query in sorted(everything):
+        for min_category in SimilarityCategory:
+            full = query_similar(everything, query, min_category, index=index)
+            for _ in range(3):
+                kept = {query} | {a for a in everything if rng.random() < 0.5}
+                subset = {a: everything[a] for a in kept}
+                assert query_similar(subset, query, min_category, index=index) == [
+                    (address, verdict) for address, verdict in full if address in kept]
 
 
 @pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])
