@@ -9,14 +9,9 @@ vulnerability-warning lifecycles across version pairs.
 
 The public names below load lazily (PEP 562): importing the package loads
 only ``_version``, and each name imports its submodule on first access.
-``proxylineage.fingerprint`` is the function; the submodule of that name is
-reached with ``from proxylineage.fingerprint import ...`` or
-``importlib.import_module("proxylineage.fingerprint")``.
 """
 
-import sys
 from importlib import import_module
-from types import ModuleType
 
 from ._version import __version__
 
@@ -31,7 +26,7 @@ _EXPORTS = {
     "evaluation": ("ContractScope", "LineageEvaluator", "ScenarioResult"),
     "explorer": ("ExplorerClient", "RateLimiter", "fetch_contract", "fetch_contracts"),
     "fingerprint": ("Fingerprint", "LshIndex", "SimilarityCategory", "SimilarityVerdict",
-                    "compare", "fingerprint", "minhash_signature", "query_similar"),
+                    "compare", "minhash_signature", "query_similar"),
     "keccak": ("keccak_256",),
     "lifecycle": ("Finding", "FindingKey", "LifecycleStatus", "diff_pair", "lifecycle_stats",
                   "load_findings"),
@@ -60,18 +55,3 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted({*globals(), *__all__})
 
-
-class _Package(ModuleType):
-    """Keeps ``fingerprint`` the function whatever the import order.
-
-    Importing a submodule binds it as an attribute of its package, so loading
-    ``proxylineage.fingerprint`` would otherwise shadow the function of the
-    same name; that one binding is dropped.
-    """
-
-    def __setattr__(self, name: str, value) -> None:
-        if name != "fingerprint" or not isinstance(value, ModuleType):
-            super().__setattr__(name, value)
-
-
-sys.modules[__name__].__class__ = _Package

@@ -32,6 +32,9 @@ CONTRACT_FIELDS = frozenset(
 )
 FILE_FIELDS = frozenset({"directory", "filename", "content"})
 
+# 9999-12-31T23:59:59Z, the last second a datetime shows; a gap between two such is a finite float
+MAX_TIMESTAMP = 253402300799
+
 # Common proxy upgrade entry points; override per run when a proxy uses a
 # bespoke admin interface.
 DEFAULT_UPGRADE_SIGNATURES = ("upgradeTo(address)", "upgradeToAndCall(address,bytes)")
@@ -175,6 +178,12 @@ def _require_int(value: object, where: str, minimum: int | None = 0) -> int:
     return value
 
 
+def _require_timestamp(value: object, where: str) -> int:
+    if _require_int(value, where) > MAX_TIMESTAMP:
+        raise ValidationError(f"{where} must be <= {MAX_TIMESTAMP} (9999-12-31T23:59:59Z), got {value}")
+    return value
+
+
 def _require_fields(obj: dict, expected: frozenset, where: str) -> None:
     keys = set(obj)
     missing = expected - keys
@@ -236,8 +245,8 @@ def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEv
         proxy = _memo_normalize(addresses, raw_proxy, normalize_address, "proxy_address")
         callee = _memo_normalize(addresses, raw_callee, normalize_address, "callee_address")
         selector = None
-    if type(timestamp) is not int or timestamp < 0:
-        timestamp = _require_int(timestamp, "timestamp")
+    if type(timestamp) is not int or not 0 <= timestamp <= MAX_TIMESTAMP:
+        timestamp = _require_timestamp(timestamp, "timestamp")
     if type(block_number) is not int or block_number < 0:
         block_number = _require_int(block_number, "block_number")
     if selector is None:
@@ -278,7 +287,7 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         raise ValidationError(f"{where}: closed-source contract must not have files")
     address = normalize_address(obj["address"], "address")
     creator = normalize_address(obj["creator"], "creator")
-    deploy_timestamp = _require_int(obj["deploy_timestamp"], "deploy_timestamp")
+    deploy_timestamp = _require_timestamp(obj["deploy_timestamp"], "deploy_timestamp")
     try:
         return ContractRecord(address, creator, deploy_timestamp, verified, open_source, files)
     except ValidationError as exc:

@@ -12,13 +12,15 @@ import math
 import shutil
 from contextlib import contextmanager
 from datetime import datetime, timezone
+from itertools import zip_longest
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
 from ._version import __version__
-from .corpus import (ContractRecord, Corpus, SourceFile, _require_int, _utf8, contract_from_obj,
-                     corpus_digests, normalize_address, read_json, validate_directory, write_json)
+from .corpus import (ContractRecord, Corpus, SourceFile, _require_int, _require_timestamp, _utf8,
+                     contract_from_obj, corpus_digests, normalize_address, read_json,
+                     validate_directory, write_json)
 from .errors import IntegrityError, ParseError, ValidationError
 from .lineage import (
     ActivityWindow,
@@ -28,13 +30,14 @@ from .lineage import (
     Lineage,
     LineageDiagnostics,
     LineageVersion,
+    broken_rule,
     build_lineages,
     contract_pairs,
-    days_between,
     lineage_diagnostics_obj,
     lineage_rows,
 )
-from .pairing import FilePair, FilePairing, FunctionPair, MatchKind, pair_files, pair_functions
+from .pairing import (FilePair, FilePairing, FunctionPair, MatchKind, match_files, pair_files,
+                      pair_functions)
 from .solidity import FunctionUnit, extract_functions
 
 BUNDLE_VERSION = "1"
@@ -221,7 +224,8 @@ def _add_once(table: dict, key, value, what: str) -> None:
 
 
 def _window(row: dict) -> ActivityWindow:
-    return ActivityWindow._make(map(_require_int, _record(ActivityWindow, row), ActivityWindow._fields))
+    window = _record(ActivityWindow, row)
+    return window._make(map(_require_timestamp, window, window._fields))
 
 
 def _require_numbers(record, within, rule: str, *names: str):
@@ -308,43 +312,30 @@ def bundle_to_jsonable(bundle: DatasetBundle) -> dict:
 
 
 def _check_integrity(bundle: DatasetBundle, error) -> None:
-    """Raise error(table, message) for the first reference across tables that does not resolve,
-    the first activity window that ends before it starts, or the first gap its windows disagree with."""
+    """Raise error(table, message) for the first table that differs from what the bundle derives:
+    the lineage members' contracts, build_lineages' rules on each lineage, contract_pairs of the
+    lineages, and match_files of each pair's contracts (file pairs, unpaired files and flag)."""
     members = {v.address for l in bundle.lineages for v in l.versions}
     if set(bundle.contracts) != members:
         raise error(CONTRACTS_FILE, "bundle contracts do not match lineage members")
     for lineage in bundle.lineages:
-        for version in lineage.versions:
-            if version.window.first_call > version.window.last_call:
-                raise error(LINEAGES_FILE, f"version {version.address} of proxy {lineage.proxy}: "
-                                           f"{_reversed(version.window)}")
-    for artifacts in bundle.pair_artifacts:
-        pair = artifacts.pair
-        name = f"pair {pair.predecessor}->{pair.successor}"
-        if pair.predecessor not in bundle.contracts or pair.successor not in bundle.contracts:
-            raise error(CONTRACT_PAIRS_FILE, f"{name} references unknown contract")
-        for side in ("predecessor_window", "successor_window"):
-            window = getattr(pair, side)
-            if window.first_call > window.last_call:
-                raise error(CONTRACT_PAIRS_FILE, f"{name} {side}: {_reversed(window)}")
-        try:  # exact: emit wrote this expression's float, which JSON reads back unchanged
-            agrees = pair.gap_days == days_between(pair.predecessor_window, pair.successor_window)
-        except OverflowError:  # windows too far apart for a float gap: emit could not pair them
-            agrees = False
-        if not agrees:
+        if broken := broken_rule(lineage, bundle.contracts):
+            raise error(LINEAGES_FILE, broken)
+    for pair, derived in zip_longest(bundle.pairs, contract_pairs(bundle.lineages)):
+        if pair != derived:
             raise error(CONTRACT_PAIRS_FILE,
-                        f"{name} gap_days {pair.gap_days!r} disagrees with its windows")
-        pred_files = {(f.directory, f.filename) for f in bundle.contracts[pair.predecessor].files}
-        succ_files = {(f.directory, f.filename) for f in bundle.contracts[pair.successor].files}
-        for fp in artifacts.file_pairing.pairs:
-            if (fp.directory, fp.predecessor_filename) not in pred_files:
-                raise error(FILE_PAIRS_FILE, f"file pair references unknown predecessor file {fp.predecessor_filename}")
-            if (fp.directory, fp.successor_filename) not in succ_files:
-                raise error(FILE_PAIRS_FILE, f"file pair references unknown successor file {fp.successor_filename}")
-
-
-def _reversed(window: ActivityWindow) -> str:
-    return f"first_call {window.first_call} is after last_call {window.last_call}"
+                        f"{pair or 'no row'} where the lineages give {derived or 'no pair'}")
+    for artifacts in bundle.pair_artifacts:
+        pair, pairing = artifacts.pair, artifacts.file_pairing
+        derived = match_files(bundle.contracts[pair.predecessor], bundle.contracts[pair.successor])
+        name = f"pair {pair.predecessor}->{pair.successor}"
+        matches = [fp[:4] for fp in pairing.pairs]
+        if matches != derived.pairs:
+            raise error(FILE_PAIRS_FILE, f"{name}: file pairs {matches} where match_files gives "
+                                         f"{[tuple(m) for m in derived.pairs]}")
+        if pairing[1:] != derived[1:]:
+            raise error(DIAGNOSTICS_FILE, f"{name}: unpaired files and flag {pairing[1:]} "
+                                          f"where match_files gives {derived[1:]}")
 
 
 def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:
@@ -427,6 +418,7 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             pair_id = _pair_key(row)
             fp = _require_numbers(_record(FilePair, row), lambda x: 0 <= x <= 1, "in [0, 1]",
                                   "line_similarity", "content_similarity")
+            _require_int(fp.name_distance, "name_distance")
             _add_once(file_pair_at, _file_key(row), (pair_id, fp), "file pair")
             file_pairs[pair_id].append(fp)
 

@@ -12,10 +12,11 @@ with a reason code, so members plus exclusions always account for every
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from typing import NamedTuple
 
-from .corpus import Corpus
+from .corpus import ContractRecord, Corpus
 
 SECONDS_PER_DAY = 86400.0
 
@@ -147,13 +148,30 @@ def build_lineages(corpus: Corpus) -> tuple[list[Lineage], LineageDiagnostics]:
     return lineages, LineageDiagnostics(exclusions=exclusions)
 
 
-def days_between(earlier: ActivityWindow, later: ActivityWindow) -> float:
-    """The gap of a contract pair: days from the earlier window's last call to the later's first."""
-    return (later.first_call - earlier.last_call) / SECONDS_PER_DAY
+def broken_rule(lineage: Lineage, contracts: dict[str, ContractRecord]) -> str | None:
+    """The first rule of build_lineages that `lineage` breaks, or None: it has two versions
+    or more, each version's contract (in `contracts`) has the lineage's creator, and the
+    windows run previous.last_call < first_call <= last_call."""
+    if len(lineage.versions) < 2:
+        return f"lineage of proxy {lineage.proxy} has fewer than two versions"
+    previous_last = -math.inf
+    for address, (first, last) in lineage.versions:
+        where = f"version {address} of proxy {lineage.proxy}"
+        if contracts[address].creator != lineage.creator:
+            return f"{where}: creator {contracts[address].creator} is not the lineage's {lineage.creator}"
+        if first > last:
+            return f"{where}: first_call {first} is after last_call {last}"
+        if first <= previous_last:
+            return f"{where}: first_call {first} is not after the previous last_call {previous_last}"
+        previous_last = last
+    return None
 
 
 def contract_pairs(lineages: list[Lineage]) -> list[ContractPair]:
-    """Adjacent version pairs; a lineage of length n yields exactly n-1 pairs."""
+    """Adjacent version pairs; a lineage of length n yields exactly n-1 pairs.
+
+    A pair's gap is the days from the predecessor's last call to the successor's first.
+    """
     pairs: list[ContractPair] = []
     for lineage in lineages:
         for earlier, later in zip(lineage.versions, lineage.versions[1:]):
@@ -162,7 +180,7 @@ def contract_pairs(lineages: list[Lineage]) -> list[ContractPair]:
                     proxy=lineage.proxy,
                     predecessor=earlier.address,
                     successor=later.address,
-                    gap_days=days_between(earlier.window, later.window),
+                    gap_days=(later.window.first_call - earlier.window.last_call) / SECONDS_PER_DAY,
                     predecessor_window=earlier.window,
                     successor_window=later.window,
                 )

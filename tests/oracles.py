@@ -25,7 +25,8 @@ from pathlib import Path
 
 from proxylineage import Corpus, LineageEvaluator, SimilarityCategory, TraceEvent, query_similar
 from proxylineage.corpus import (TRACE_FIELDS, _iter_ndjson, _memo_normalize, _require_fields,
-                                 _require_int, normalize_address, normalize_selector)
+                                 _require_int, _require_timestamp, normalize_address,
+                                 normalize_selector)
 from proxylineage.errors import ConfigurationError, UnknownAddressError, ValidationError
 from proxylineage.lifecycle import (DEFAULT_CATEGORY_MAP, INTERSECTION, UNION, FileIdentity, Finding,
                                     FindingKey, LifecycleStatus)
@@ -417,8 +418,7 @@ def oracle_event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> T
     proxy = _memo_normalize(addresses, obj["proxy_address"], normalize_address, "proxy_address")
     callee = _memo_normalize(addresses, obj["callee_address"], normalize_address, "callee_address")
     timestamp, block_number = obj["timestamp"], obj["block_number"]
-    if type(timestamp) is not int or timestamp < 0:
-        timestamp = _require_int(timestamp, "timestamp")
+    timestamp = _require_timestamp(timestamp, "timestamp")
     if type(block_number) is not int or block_number < 0:
         block_number = _require_int(block_number, "block_number")
     selector = _memo_normalize(selectors, obj["selector"], normalize_selector, "selector")

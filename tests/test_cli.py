@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from proxylineage import Corpus, cli
+from proxylineage import ActivityWindow, ContractPair, Corpus, cli
 from proxylineage.cli import main
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY
@@ -337,6 +337,29 @@ def test_overlong_integer_in_a_row_names_file_and_line(fixture_paths, tmp_path, 
     assert capsys.readouterr().err == f"error: {path}:2: {LONG_INTEGER_ERROR}\n"
 
 
+@pytest.mark.parametrize("command", ["emit", "vuln-lifecycle"])
+@pytest.mark.parametrize("which, line, field, value", [
+    ("traces", 4, "timestamp", 10**315),  # beyond any datetime or float
+    ("traces", 4, "timestamp", 10**12),  # in the year 33658, beyond any datetime
+    ("contracts", 2, "deploy_timestamp", 10**12),
+], ids=["trace-timestamp-1e315", "trace-timestamp-1e12", "deploy-timestamp-1e12"])
+def test_timestamp_after_year_9999_names_file_and_line(fixture_paths, tmp_path, capsys, command,
+                                                       which, line, field, value):
+    path = fixture_paths[which == "contracts"]
+    rows = path.read_text().splitlines()
+    rows[line - 1] = json.dumps({**json.loads(rows[line - 1]), field: value})
+    path.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    if command == "emit":
+        code = main(["emit", "--traces", str(fixture_paths[0]), "--contracts", str(fixture_paths[1]),
+                     "--out", str(tmp_path / "bundle")])
+    else:
+        code = _vuln_lifecycle(fixture_paths, tmp_path)
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: {path}:{line}: {field} must be <= 253402300799 "
+                                       f"(9999-12-31T23:59:59Z), got {value}\n")
+
+
 def test_overlong_integer_in_a_json_document_names_file_and_line(fixture_paths, tmp_path, capsys):
     category_map = tmp_path / "categories.json"
     category_map.write_text('{\n  "slither": {\n    "reentrancy-eth": %s\n  }\n}\n' % ("9" * 5001))
@@ -347,6 +370,13 @@ def test_overlong_integer_in_a_json_document_names_file_and_line(fixture_paths, 
 def _edit_rows(text: str, **values) -> str:
     """A bundle table with `values` set in each of its rows."""
     return json.dumps([{**row, **values} for row in json.loads(text)])
+
+
+def _pair_mismatch(**edited) -> str:
+    """The error for a contract_pairs.json whose one row has the `edited` fields."""
+    derived = ContractPair(PROXY, ADDR_A, ADDR_B, (11 - 10) / 86400,
+                           ActivityWindow(1, 10), ActivityWindow(11, 20))
+    return f"{derived._replace(**edited)} where the lineages give {derived}"
 
 
 def _repeat_first_row(text: str) -> str:
@@ -381,7 +411,8 @@ def _repeat_first_row(text: str) -> str:
      "bundle contracts do not match lineage members"),
     ("file_pairs.json",
      lambda text: json.dumps([*(rows := json.loads(text)), {**rows[0], "predecessor_filename": "X.sol"}]),
-     "file pair references unknown predecessor file X.sol"),
+     "file pairs [('src', 'Core.sol', 'Core.sol', 0), ('src', 'X.sol', 'Core.sol', 0)] "
+     "where match_files gives [('src', 'Core.sol', 'Core.sol', 0)]"),
     # what compute_stats computes with has its type
     ("file_pairs.json", lambda text: _edit_rows(text, line_similarity="high"),
      "line_similarity must be a number, got 'high'"),
@@ -400,20 +431,48 @@ def _repeat_first_row(text: str) -> str:
      "gap_days must be positive and finite, got 0"),
     ("lineages.json", lambda text: _edit_rows(text, creator=["x"]),
      "creator must be a string, got list"),
-    # a window ends no earlier than it starts, and a gap is the one its windows give
+    ("file_pairs.json", lambda text: _edit_rows(text, name_distance=True),
+     "name_distance must be an integer, got True"),
+    # a timestamp is at most 9999-12-31T23:59:59Z
+    ("lineages.json", lambda text: text.replace('"last_call": 20', f'"last_call": {10**400}'),
+     f"last_call must be <= 253402300799 (9999-12-31T23:59:59Z), got {10**400}"),
+    ("contract_pairs.json",
+     lambda text: _edit_rows(text, successor_window={"first_call": 10**400, "last_call": 10**400}),
+     f"first_call must be <= 253402300799 (9999-12-31T23:59:59Z), got {10**400}"),
+    # a lineage keeps the rules of build_lineages
+    ("lineages.json", lambda text: text.replace('"first_call": 11', '"first_call": 30'),
+     f"version {ADDR_B} of proxy {PROXY}: first_call 30 is after last_call 20"),
+    ("lineages.json", lambda text: text.replace('"first_call": 11', '"first_call": 10'),
+     f"version {ADDR_B} of proxy {PROXY}: first_call 10 is not after the previous last_call 10"),
+    ("lineages.json", lambda text: _edit_rows(text, creator=CREATOR_Y),
+     f"version {ADDR_A} of proxy {PROXY}: creator {CREATOR_X} is not the lineage's {CREATOR_Y}"),
+    # the contract pairs are contract_pairs of the lineages: windows and gap included
     ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=1e308),
-     f"pair {ADDR_A}->{ADDR_B} gap_days 1e+308 disagrees with its windows"),
+     _pair_mismatch(gap_days=1e308)),
     ("contract_pairs.json",
      lambda text: _edit_rows(text, predecessor_window={"first_call": 10, "last_call": 1},
                              gap_days=12345.0),
-     f"pair {ADDR_A}->{ADDR_B} predecessor_window: first_call 10 is after last_call 1"),
+     _pair_mismatch(predecessor_window=ActivityWindow(10, 1), gap_days=12345.0)),
     ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=12345.0),
-     "gap_days 12345.0 disagrees with its windows"),
+     _pair_mismatch(gap_days=12345.0)),
     ("contract_pairs.json",
-     lambda text: _edit_rows(text, successor_window={"first_call": 10**400, "last_call": 10**400}),
-     "gap_days 1.1574074074074073e-05 disagrees with its windows"),
-    ("lineages.json", lambda text: text.replace('"first_call": 11', '"first_call": 30'),
-     f"version {ADDR_B} of proxy {PROXY}: first_call 30 is after last_call 20"),
+     lambda text: _edit_rows(text, predecessor_window={"first_call": 0, "last_call": 10}),
+     _pair_mismatch(predecessor_window=ActivityWindow(0, 10))),
+    # a pair's file pairs, unpaired files and flag are match_files of its contracts
+    ("file_pairs.json", lambda text: _edit_rows(text, name_distance=1),
+     "file pairs [('src', 'Core.sol', 'Core.sol', 1)] "
+     "where match_files gives [('src', 'Core.sol', 'Core.sol', 0)]"),
+    ("diagnostics.json",
+     lambda text: json.dumps({**(doc := json.loads(text)), "pairs": [
+         {**row, "unpaired_predecessor_files": [{"directory": "src", "filename": "X.sol"}]}
+         for row in doc["pairs"]]}),
+     f"pair {ADDR_A}->{ADDR_B}: unpaired files and flag ([('src', 'X.sol')], [], None) "
+     "where match_files gives ([], [], None)"),
+    ("diagnostics.json",
+     lambda text: json.dumps({**(doc := json.loads(text)), "pairs": [
+         {**row, "flag": "NOT_OPEN_SOURCE"} for row in doc["pairs"]]}),
+     f"pair {ADDR_A}->{ADDR_B}: unpaired files and flag ([], [], 'NOT_OPEN_SOURCE') "
+     "where match_files gives ([], [], None)"),
     # no row repeats the key of an earlier row of its table
     ("contracts.json", _repeat_first_row, f"contract address '{ADDR_A}' is listed twice"),
     ("lineages.json", _repeat_first_row, f"lineage of proxy '{PROXY}' is listed twice"),
@@ -434,8 +493,11 @@ def _repeat_first_row(text: str) -> str:
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
         "similarity-nan", "similarity-above-one", "similarity-below-zero", "gap-infinite", "gap-zero",
-        "creator-not-an-address", "gap-huge", "pair-window-reversed", "gap-disagrees-with-windows",
-        "gap-overflows-a-float", "lineage-window-reversed", "repeated-contract", "repeated-lineage",
+        "creator-not-an-address", "name-distance-not-an-integer", "lineage-window-after-year-9999",
+        "gap-overflows-a-float", "lineage-window-reversed", "lineage-versions-overlap",
+        "lineage-creator-not-its-members", "gap-huge", "pair-window-reversed",
+        "gap-disagrees-with-windows", "pair-window-not-its-lineages", "file-pair-name-distance-edited",
+        "unpaired-file-invented", "flag-invented", "repeated-contract", "repeated-lineage",
         "repeated-contract-pair", "repeated-file-pair", "repeated-function-pair",
         "repeated-pair-diagnostics", "repeated-file-path"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):

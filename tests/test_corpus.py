@@ -416,7 +416,7 @@ _GOOD_ROWS = st.builds(
 )
 _BAD_VALUES = {
     "tx_id": ["", 5],
-    "timestamp": [True, 1.5, -3, "7"],
+    "timestamp": [True, 1.5, -3, "7", 10**12],
     "block_number": [False, 2.0, -1],
     "proxy_address": [[PROXY], "0x12", None],
     "callee_address": [{"a": CALLEE}, CALLEE + "\n"],
@@ -477,6 +477,8 @@ def test_trace_loading_matches_the_two_pass_oracle(rows):
     ("callee_address", 7, "callee_address must be a string, got int"),
     ("timestamp", -1, "timestamp must be >= 0, got -1"),
     ("timestamp", 1.5, "timestamp must be an integer, got 1.5"),
+    ("timestamp", 10**12, "timestamp must be <= 253402300799 (9999-12-31T23:59:59Z), "
+                          "got 1000000000000"),
     ("block_number", True, "block_number must be an integer, got True"),
     ("block_number", "2", "block_number must be an integer, got '2'"),
     ("tx_id", "", "trace event: tx_id must be a non-empty string"),
@@ -485,7 +487,7 @@ def test_trace_loading_matches_the_two_pass_oracle(rows):
     ("selector", "0x3659cfe6\n", "selector must be 0x + 8 hex chars, got '0x3659cfe6\\n'"),
 ], ids=["short-proxy", "selector-as-callee", "address-as-selector", "list-proxy",
         "object-callee", "list-selector", "int-callee", "negative-timestamp",
-        "float-timestamp", "bool-block", "string-block", "empty-tx",
+        "float-timestamp", "timestamp-after-year-9999", "bool-block", "string-block", "empty-tx",
         "newline-after-callee", "newline-after-selector"])
 def test_bad_trace_value_is_a_parse_error_on_its_own_line(tmp_path, field, value, message):
     # Row 1 holds every value of the bad row validly, the selector and the

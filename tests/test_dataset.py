@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -145,6 +146,20 @@ def test_reemitting_a_loaded_bundle_is_byte_identical(tmp_path, seed):
     emit_dataset(varied_bundle(seed), first)
     emit_dataset(load_bundle(first), second)
     assert tree_bytes(first) == tree_bytes(second)
+
+
+# V0 -> V1 renames, added lib/Helper.sol files and closed-source pairs, over many seeds:
+# every bundle emit writes passes the derivations at load and re-emits byte for byte.
+@pytest.mark.parametrize("make_corpus", [
+    varied_sourced_corpus,
+    lambda rng: random_sourced_corpus(rng, open_source_rate=0.5),
+], ids=["varied", "half-open-source"])
+def test_bundles_of_thirty_seeds_reload_and_reemit_byte_identically(tmp_path, make_corpus):
+    for seed in range(30):
+        first, second = tmp_path / f"{seed}-first", tmp_path / f"{seed}-second"
+        emit_dataset(build_bundle(make_corpus(random.Random(seed))), first)
+        emit_dataset(load_bundle(first), second)
+        assert tree_bytes(first) == tree_bytes(second), f"seed {seed}"
 
 
 def test_load_bundle_sorts_each_contracts_files(tmp_path):
@@ -340,7 +355,23 @@ def test_file_pair_of_a_file_its_contract_lacks_is_rejected_at_emit(tmp_path):
     renamed = bundle.contracts[ADDR_B]._replace(files=(SourceFile("src", "Other.sol", SRC_CHANGED),))
     bundle = bundle._replace(contracts={**bundle.contracts, ADDR_B: renamed})
     out = tmp_path / "bundle"
-    with pytest.raises(IntegrityError, match="unknown successor file Core.sol"):
+    with pytest.raises(IntegrityError, match=re.escape(
+            "file pairs [('src', 'Core.sol', 'Core.sol', 0)] where match_files gives []")):
+        emit_dataset(bundle, out)
+    assert not out.exists()
+
+
+def test_lineage_of_one_version_is_rejected_at_emit(tmp_path):
+    bundle = build_bundle(two_lineage_corpus())
+    lineage, *others = bundle.lineages
+    dropped = lineage.versions[1].address
+    bundle = bundle._replace(
+        lineages=[lineage._replace(versions=lineage.versions[:1]), *others],
+        contracts={address: record for address, record in bundle.contracts.items()
+                   if address != dropped},
+        pair_artifacts=[a for a in bundle.pair_artifacts if a.pair.proxy != lineage.proxy])
+    out = tmp_path / "bundle"
+    with pytest.raises(IntegrityError, match=f"lineage of proxy {lineage.proxy} has fewer than two"):
         emit_dataset(bundle, out)
     assert not out.exists()
 

@@ -24,7 +24,6 @@ from proxylineage import (
     SourceFile,
     UnknownAddressError,
     compare,
-    fingerprint,
     minhash_signature,
     query_similar,
 )
@@ -32,6 +31,7 @@ from proxylineage.fingerprint import (
     _MINHASH_BLOCK,
     _fingerprint_line,
     check_signature_length,
+    fingerprint,
     fingerprint_contracts,
     read_fingerprints,
     write_fingerprints,
@@ -379,7 +379,8 @@ import json, sys
 import proxylineage, proxylineage.cli
 heavy = ("numpy", "urllib.request")
 loaded_on_import = [name for name in heavy if name in sys.modules]
-from proxylineage import ContractRecord, SourceFile, fingerprint
+from proxylineage import ContractRecord, SourceFile
+from proxylineage.fingerprint import fingerprint
 record = ContractRecord(
     address="0x" + "aa" * 20, creator="0x" + "e1" * 20, deploy_timestamp=0,
     verified=True, open_source=True,

@@ -105,15 +105,14 @@ def test_unknown_attribute_raises_attribute_error():
     assert getattr(proxylineage, "_event_from_obj", None) is None
 
 
-FINGERPRINT_IS_FUNCTION = """
-import importlib, inspect, json, sys
+FINGERPRINT_IS_THE_SUBMODULE = """
+import importlib, inspect, json
 {first}
 import proxylineage
 from proxylineage import fingerprint
 module = importlib.import_module("proxylineage.fingerprint")
-print(json.dumps([inspect.isfunction(fingerprint), fingerprint is module.fingerprint,
-                  proxylineage.fingerprint is module.fingerprint,
-                  inspect.ismodule(module)]))
+print(json.dumps([inspect.ismodule(module), fingerprint is module,
+                  proxylineage.fingerprint is module, inspect.isfunction(module.fingerprint)]))
 """
 
 
@@ -123,8 +122,8 @@ print(json.dumps([inspect.isfunction(fingerprint), fingerprint is module.fingerp
     "import proxylineage.evaluation",  # submodule loaded by another module
     "import proxylineage.fingerprint",
 ])
-def test_fingerprint_is_the_function_whatever_the_import_order(first):
-    assert probe(FINGERPRINT_IS_FUNCTION.format(first=first)) == [True, True, True, True]
+def test_fingerprint_is_the_module_whatever_the_import_order(first):
+    assert probe(FINGERPRINT_IS_THE_SUBMODULE.format(first=first)) == [True, True, True, True]
 
 
 def test_cli_literals_equal_library_constants():
