@@ -229,14 +229,16 @@ def _window(row: dict) -> ActivityWindow:
 
 
 def _require_numbers(record, within, rule: str, *names: str):
-    """`record`, once each named field holds a JSON number (an int or a float, not a bool)
-    for which `within` holds; a chained comparison there also rejects NaN."""
+    """`record`, once each named field holds a JSON number for which `within` holds (a
+    chained comparison there also rejects NaN) and which is a float, as emit writes it."""
     for name in names:
         value = getattr(record, name)
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ValidationError(f"{name} must be a number, got {value!r}")
         if not within(value):
             raise ValidationError(f"{name} must be {rule}, got {value!r}")
+        if not isinstance(value, float):
+            raise ValidationError(f"{name} must be a float, got {value!r}")
     return record
 
 

@@ -1,12 +1,12 @@
 """MinHash fingerprints over tokenized source, with LSH-banded retrieval.
 
 A contract's normalized token stream (comments gone, string literals
-blanked) is shingled into 5-token windows; each of the k signature slots
-holds the minimum of a seeded 64-bit hash over all shingles. The fraction of
-agreeing slots between two signatures estimates the Jaccard similarity of
-the underlying shingle sets, which is bucketed into NONE/LOW/MEDIUM/HIGH
-categories. A banding index over signature slices retrieves candidates in
-sublinear time; every candidate is then verified by a full comparison.
+blanked) is shingled into 5-token windows; each shingle is hashed once, into
+one of k signature slots that keeps the least hash, and an empty slot copies a
+filled one. The fraction of agreeing slots between two signatures estimates
+the Jaccard similarity of the underlying shingle sets, which is bucketed into
+NONE/LOW/MEDIUM/HIGH categories. A banding index over signature slices
+retrieves candidates in sublinear time; every candidate is then verified.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import struct
 from enum import IntEnum
 from itertools import islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .corpus import (ContractRecord, _iter_ndjson, _json_str, _require_fields, _require_int,
                      normalize_address)
@@ -30,9 +30,6 @@ from .errors import (
 )
 from .solidity import token_texts
 
-if TYPE_CHECKING:
-    import numpy as np
-
 DEFAULT_SIGNATURE_LENGTH = 256
 DEFAULT_SEED = 0
 SHINGLE_SIZE = 5
@@ -44,15 +41,10 @@ HIGH_THRESHOLD = 0.90
 MEDIUM_THRESHOLD = 0.70
 LOW_THRESHOLD = 0.50
 
-_SENTINEL_SLOT = (1 << 64) - 1
+_MASK64 = (1 << 64) - 1
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 _GAMMA = 0x9E3779B97F4A7C15
-# Shingles hashed per numpy step in minhash_signature. A 64 x 256 uint64
-# block is 128 KiB, which bounds the temporaries whatever the set size; on the
-# lsh-boilerplate inputs 64 rows ran faster than 32 or 128 and kept the
-# fingerprint command's peak RSS below that of the per-slot loop.
-_MINHASH_BLOCK = 64
 
 FINGERPRINT_FIELDS = frozenset({"address", "k", "seed", "shingle_count", "signature"})
 _HEX_RE = re.compile(r"[0-9a-fA-F]*")
@@ -102,23 +94,11 @@ def category_for(estimated_jaccard: float) -> SimilarityCategory:
     return SimilarityCategory.NONE
 
 
-def _mix64(values: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, applied in place to a uint64 array and returned."""
-    # uint64 arithmetic throughout: Python int operands take the array's dtype
-    values ^= values >> 30
-    values *= _MIX_C1
-    values ^= values >> 27
-    values *= _MIX_C2
-    values ^= values >> 31
-    return values
-
-
-def _salts(seed: int, k: int) -> np.ndarray:
-    import numpy as np
-
-    # splitmix64 output stream seeded at `seed`: slot i uses mix(seed + (i+1)*gamma)
-    steps = np.arange(1, k + 1, dtype=np.uint64) * np.uint64(_GAMMA & _SENTINEL_SLOT)
-    return _mix64(np.uint64(seed & _SENTINEL_SLOT) + steps)
+def _mix(value: int) -> int:
+    """splitmix64 finalizer of a 64-bit value."""
+    value = ((value ^ (value >> 30)) * _MIX_C1) & _MASK64
+    value = ((value ^ (value >> 27)) * _MIX_C2) & _MASK64
+    return value ^ (value >> 31)
 
 
 def shingle_hash(shingle: Iterable[str]) -> int:
@@ -136,26 +116,34 @@ def _shingle_hashes(shingles: Iterable[Iterable[str]]) -> set[int]:
 
 
 def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple[int, ...]:
-    """k per-slot minima of seeded hashes over the shingle set.
+    """One-permutation MinHash with optimal densification, one hash per shingle.
 
+    Each distinct shingle hash h is mixed once, v = mix(h ^ seed); bin v % k
+    keeps the least v // k. An empty bin i takes the value of the first filled
+    bin j = mix(seed ^ (i * gamma + attempt)) % k, attempt = 1, 2, ..., so two
+    sets agree in a bin with probability equal to their Jaccard similarity.
     An empty set yields the all-max sentinel signature.
     """
     if k <= 0:
         raise ConfigurationError(f"signature length must be positive, got {k}")
     hashes = set(shingle_hashes)
     if not hashes:
-        return (_SENTINEL_SLOT,) * k
-    import numpy as np  # imported here so that commands which never hash skip its load time
-
-    # A minimum ignores order, so the set is hashed block by block, all k
-    # slots at once, and each block is folded into the running minima.
-    base = np.fromiter(hashes, dtype=np.uint64, count=len(hashes))
-    salts = _salts(seed, k)
-    signature = np.full(k, _SENTINEL_SLOT, dtype=np.uint64)
-    for start in range(0, len(base), _MINHASH_BLOCK):
-        block = _mix64(base[start:start + _MINHASH_BLOCK, None] ^ salts[None, :])
-        np.minimum(signature, block.min(axis=0), out=signature)
-    return tuple(signature.tolist())
+        return (_MASK64,) * k
+    salt = seed & _MASK64
+    bins: list[int | None] = [None] * k
+    for h in hashes:
+        value, i = divmod(_mix(h ^ salt), k)
+        kept = bins[i]
+        if kept is None or value < kept:
+            bins[i] = value
+    signature = []
+    for i, value in enumerate(bins):
+        attempt = 1
+        while value is None:
+            value = bins[_mix(salt ^ ((i * _GAMMA + attempt) & _MASK64)) % k]
+            attempt += 1
+        signature.append(value)
+    return tuple(signature)
 
 
 def record_shingles(record: ContractRecord) -> set[int]:

@@ -6,7 +6,8 @@ from typing import Hashable, Sequence
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance (insert/delete/substitute, unit costs)."""
+    """Classic edit distance (insert/delete/substitute, unit costs); a common affix costs nothing."""
+    a, b, _ = _strip_common_affixes(a, b)
     if len(a) < len(b):
         a, b = b, a
     if not b:
@@ -26,18 +27,13 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     """Length of the longest common subsequence of two sequences.
 
     Bit-parallel row encoding (Allison-Dix); items only need to be hashable,
-    so it serves both character and line sequences. Identical inputs and a
-    common prefix and suffix are settled before the core, which is exact:
+    so it serves both character and line sequences. A common prefix and
+    suffix are settled before the core, which is exact:
     LCS(p+x+s, p+y+s) = |p| + |s| + LCS(x, y).
     """
-    if a == b:
-        return len(a)
-    head = _common_prefix_length(a, b)
-    a, b = a[head:], b[head:]
-    tail = _common_prefix_length(a[::-1], b[::-1])
-    a, b = a[:len(a) - tail], b[:len(b) - tail]
+    a, b, common = _strip_common_affixes(a, b)
     if not a or not b:
-        return head + tail
+        return common
     masks: dict[Hashable, int] = {}
     bit = 1
     for item in a:
@@ -48,7 +44,15 @@ def lcs_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
     for item in b:
         x = row | masks.get(item, 0)
         row = x & ~(x - ((row << 1) | 1)) & full
-    return head + tail + bin(row).count("1")
+    return common + bin(row).count("1")
+
+
+def _strip_common_affixes(a: Sequence[Hashable], b: Sequence[Hashable]) -> tuple[Sequence, Sequence, int]:
+    """`a` and `b` less their longest common prefix, then suffix, and the count stripped from each."""
+    head = len(a) if a == b else _common_prefix_length(a, b)
+    a, b = a[head:], b[head:]
+    tail = _common_prefix_length(a[::-1], b[::-1])
+    return a[:len(a) - tail], b[:len(b) - tail], head + tail
 
 
 def _common_prefix_length(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:

@@ -174,19 +174,32 @@ def _oracle_splitmix64(value: int) -> int:
 
 
 def oracle_minhash_signature(shingle_hashes, k: int, seed: int) -> tuple[int, ...]:
-    """One slot at a time over the whole set, in Python integers.
+    """One-permutation MinHash with optimal densification, in two separate steps.
 
-    Slot i salts every shingle hash with splitmix64(seed + i * gamma),
-    i = 1..k, mixes it again and keeps the minimum; an empty set gives the
+    Every distinct hash h goes, as splitmix64(h xor seed) = q*k + r, into the
+    list of bin r as q; a filled bin keeps the least q of its list. Then each
+    empty bin i probes bins splitmix64(seed xor (i*gamma + t)) mod k for
+    t = 1, 2, ... and copies the first filled one. An empty set gives the
     all-max sentinel.
     """
     hashes = set(shingle_hashes)
     if not hashes:
         return (_MASK64,) * k
+    salt = seed % 2**64
+    lists: list[list[int]] = [[] for _ in range(k)]
+    for h in hashes:
+        mixed = _oracle_splitmix64(h ^ salt)
+        lists[mixed % k].append(mixed // k)
+    filled = {i: min(values) for i, values in enumerate(lists) if values}
     signature = []
-    for i in range(1, k + 1):
-        salt = _oracle_splitmix64((seed + i * 0x9E3779B97F4A7C15) & _MASK64)
-        signature.append(min(_oracle_splitmix64(h ^ salt) for h in hashes))
+    for i in range(k):
+        if i in filled:
+            signature.append(filled[i])
+            continue
+        t = 1
+        while (j := _oracle_splitmix64(salt ^ ((i * 0x9E3779B97F4A7C15 + t) % 2**64)) % k) not in filled:
+            t += 1
+        signature.append(filled[j])
     return tuple(signature)
 
 

@@ -429,6 +429,11 @@ def _repeat_first_row(text: str) -> str:
      "gap_days must be positive and finite, got inf"),
     ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=0),
      "gap_days must be positive and finite, got 0"),
+    # emit writes a float; an int that equals the derived value is not what it wrote
+    ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=1),
+     "gap_days must be a float, got 1"),
+    ("file_pairs.json", lambda text: _edit_rows(text, line_similarity=1),
+     "line_similarity must be a float, got 1"),
     ("lineages.json", lambda text: _edit_rows(text, creator=["x"]),
      "creator must be a string, got list"),
     ("file_pairs.json", lambda text: _edit_rows(text, name_distance=True),
@@ -493,6 +498,7 @@ def _repeat_first_row(text: str) -> str:
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
         "similarity-nan", "similarity-above-one", "similarity-below-zero", "gap-infinite", "gap-zero",
+        "gap-an-integer", "similarity-an-integer",
         "creator-not-an-address", "name-distance-not-an-integer", "lineage-window-after-year-9999",
         "gap-overflows-a-float", "lineage-window-reversed", "lineage-versions-overlap",
         "lineage-creator-not-its-members", "gap-huge", "pair-window-reversed",

@@ -28,7 +28,6 @@ from proxylineage import (
     query_similar,
 )
 from proxylineage.fingerprint import (
-    _MINHASH_BLOCK,
     _fingerprint_line,
     check_signature_length,
     fingerprint,
@@ -77,14 +76,16 @@ def test_category_threshold_boundaries():
     k=st.sampled_from([16, 64, 256]),
     seed=st.one_of(st.integers(2**63, 2**64 - 1), st.integers(-(2**63), 2**63 - 1)),
 )
-@example(size=_MINHASH_BLOCK, draw_seed=0, k=256, seed=2**64 - 1)
-@example(size=_MINHASH_BLOCK + 1, draw_seed=1, k=16, seed=2**63)
-@example(size=2 * _MINHASH_BLOCK + 1, draw_seed=2, k=64, seed=0)
-@example(size=1, draw_seed=3, k=16, seed=-1)
-def test_minhash_equals_per_slot_oracle(size, draw_seed, k, seed):
-    # the signature is computed in blocks of shingles; the oracle takes one
-    # slot at a time over the whole set, so sizes across the block edges and
-    # repeated hashes must give the same minima
+@example(size=0, draw_seed=0, k=64, seed=0)
+@example(size=1, draw_seed=1, k=16, seed=0)
+@example(size=3, draw_seed=2, k=256, seed=0)
+@example(size=40, draw_seed=3, k=16, seed=-1)
+@example(size=40, draw_seed=4, k=64, seed=2**63)
+@example(size=40, draw_seed=5, k=256, seed=2**64 - 1)
+def test_minhash_equals_oracle(size, draw_seed, k, seed):
+    # the oracle fills explicit per-bin lists, then densifies in a separate
+    # loop; 3 hashes at k=256 leave almost every bin to densification, and
+    # repeated hashes must count once
     rng = random.Random(draw_seed)
     hashes = [rng.getrandbits(64) for _ in range(size)]
     hashes += hashes[: size // 10]
@@ -388,14 +389,14 @@ record = ContractRecord(
                       "uint256 v) public returns (bool) { balance[to] += v; return true; } }"),),
 )
 fp = fingerprint(record, k=16, seed=7)
-print(json.dumps({"loaded_on_import": loaded_on_import, "signature": fp.signature,
-                  "shingle_count": fp.shingle_count}))
+print(json.dumps({"loaded_on_import": loaded_on_import, "numpy_loaded": "numpy" in sys.modules,
+                  "signature": fp.signature, "shingle_count": fp.shingle_count}))
 """
 
 
 def test_import_leaves_numpy_and_urllib_request_unloaded():
-    # numpy and urllib.request are imported on first use, so that commands which
-    # never hash or fetch do not pay for loading them
+    # urllib.request is imported on first use, so that commands which never
+    # fetch do not pay for loading it; numpy is never needed, not even to hash
     src = str(Path(proxylineage.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     completed = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
@@ -403,11 +404,12 @@ def test_import_leaves_numpy_and_urllib_request_unloaded():
     assert completed.returncode == 0, completed.stderr
     probe = json.loads(completed.stdout)
     assert probe["loaded_on_import"] == []
-    # the signature computed before numpy became a lazy import
+    assert probe["numpy_loaded"] is False
+    # the one-permutation signature; 27 shingles in 16 bins leave some to densify
     assert probe["signature"] == [
-        199916367280826819, 520077786208130748, 1740407280880152319, 248144159576574881,
-        104759888297773209, 542819608652911881, 82543907712023416, 295864926636456696,
-        705603570580444074, 460835312658029193, 1108922584796052132, 864466152331111133,
-        824170744466845003, 382753545024663118, 759629706914864263, 521663682788277110,
+        141740065303709729, 282304331163020342, 186244986201966331, 97543734523370879,
+        625832309555790811, 257829422608311760, 248842979231539429, 186244986201966331,
+        574199276841784002, 282304331163020342, 282304331163020342, 997663270278346279,
+        29724419898996596, 495272108931647966, 301905143903720342, 362909572044323017,
     ]
     assert probe["shingle_count"] == 27

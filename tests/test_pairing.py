@@ -37,9 +37,15 @@ def sf(directory, filename, content="contract C {}"):
 
 def test_levenshtein_matches_oracle():
     rng = random.Random(5)
+    pairs = [("TokenV2.sol", "TokenV3.sol"), ("Token.sol", "TokenV2.sol"), ("aa", "aaa"),
+             ("", ""), ("Proxy.sol", "Proxy.sol")]
     for _ in range(300):
         a = "".join(rng.choice("abcde.sol") for _ in range(rng.randint(0, 12)))
         b = "".join(rng.choice("abcde.sol") for _ in range(rng.randint(0, 12)))
+        prefix, suffix = a[:rng.randint(0, 4)], b[:rng.randint(0, 4)]
+        # unrelated, equal, and sharing a prefix and a suffix
+        pairs += [(a, b), (a, a), (prefix + a + suffix, prefix + b + suffix)]
+    for a, b in pairs:
         assert levenshtein(a, b) == oracle_levenshtein(a, b)
 
 
