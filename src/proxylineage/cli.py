@@ -21,13 +21,15 @@ from .errors import ConfigurationError, FetchError, UnknownAddressError, Validat
 
 def ingest(args):
     """Validate fixtures and write the canonical corpus plus diagnostics."""
-    from .corpus import (DEFAULT_UPGRADE_SIGNATURES, load_corpus, upgrade_proxies, write_corpus,
-                         write_json)
+    from .corpus import (DEFAULT_UPGRADE_SIGNATURES, load_corpus, monitored_selectors,
+                         upgrade_proxies, write_corpus, write_json)
 
+    signatures = args.upgrade_signatures or list(DEFAULT_UPGRADE_SIGNATURES)
+    monitored_selectors(signatures)  # a malformed signature fails before anything is read
+    if args.explorer_url and not args.cache_dir:
+        raise ConfigurationError("--explorer-url requires --cache-dir")
     corpus = load_corpus(args.traces_path, args.contracts_path)
-    if args.allow_network:
-        if not args.explorer_url or not args.cache_dir:
-            raise ConfigurationError("--allow-network requires --explorer-url and --cache-dir")
+    if args.explorer_url:
         from .explorer import ExplorerClient, fetch_contracts
 
         missing = sorted({e.callee_address for e in corpus.events} - set(corpus.contracts))
@@ -44,7 +46,6 @@ def ingest(args):
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_corpus(corpus, out / "traces.ndjson", out / "contracts.ndjson")
-    signatures = args.upgrade_signatures or list(DEFAULT_UPGRADE_SIGNATURES)
     write_json(out / "diagnostics.json", {
         "diagnostics": corpus.diagnostics,
         "upgrade_signatures": signatures,
@@ -98,29 +99,21 @@ def fingerprint_command(args):
 
 
 def evaluate_lsh(args):
-    """Score similarity-predicted lineages against the rule-based ground truth."""
+    """Score similarity-predicted lineages against the rule-based ground truth in all six
+    (scope, threshold) scenarios."""
     from .corpus import json_text, load_corpus
-    from .evaluation import (DEFAULT_SCOPES, DEFAULT_THRESHOLDS, ContractScope, LineageEvaluator,
-                             results_to_csv, results_to_jsonable)
-    from .fingerprint import SimilarityCategory, check_signature_length, read_fingerprints
+    from .evaluation import LineageEvaluator, results_to_csv, results_to_jsonable
+    from .fingerprint import check_signature_length, read_fingerprints
     from .lineage import build_lineages
 
     k, seed = args.k, args.seed
     check_signature_length(k)
     corpus = load_corpus(args.traces_path, args.contracts_path)
     lineages, _ = build_lineages(corpus)
-    thresholds = (DEFAULT_THRESHOLDS if args.threshold == "all"
-                  else [SimilarityCategory.from_name(args.threshold)])
-    scopes = {
-        "open-source": [ContractScope.OPEN_SOURCE_ONLY],
-        "all": [ContractScope.ALL],
-        "both": DEFAULT_SCOPES,
-    }[args.scope]
     prebuilt = (read_fingerprints(args.fingerprints_path, k, seed) if args.fingerprints_path
                 else None)
     evaluator = LineageEvaluator(corpus, lineages, k=k, seed=seed, fingerprints=prebuilt)
-    results, diagnostics = evaluator.evaluate(thresholds=thresholds, scopes=scopes,
-                                              aggregation=args.aggregation)
+    results, diagnostics = evaluator.evaluate(aggregation=args.aggregation)
     rendered = (results_to_csv(results) if args.output_format == "csv"
                 else json_text(results_to_jsonable(results)))
     if args.out_path:
@@ -191,12 +184,10 @@ def emit(args):
 
 
 def _bundle_from(traces_path, contracts_path):
-    from .corpus import load_corpus, sha256_file
+    from .corpus import load_corpus
     from .dataset import build_bundle
 
-    corpus = load_corpus(traces_path, contracts_path)
-    digests = {"traces": sha256_file(traces_path), "contracts": sha256_file(contracts_path)}
-    return build_bundle(corpus, input_digests=digests)
+    return build_bundle(load_corpus(traces_path, contracts_path))
 
 
 class _UsageError(Exception):
@@ -259,9 +250,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path(sub, "--out", dest="out_dir", kind="directory", required=True,
               help="Directory for the canonical corpus.")
     _add_path(sub, "--cache-dir", kind="directory", help="On-disk cache for explorer fetches.")
-    sub.add_argument("--allow-network", action="store_true",
-                     help="Fetch metadata for unresolved callees from the explorer API.")
-    sub.add_argument("--explorer-url", metavar="URL", help="Base URL of the explorer API.")
+    sub.add_argument("--explorer-url", metavar="URL",
+                     help="Fetch metadata for unresolved callees from this explorer API "
+                          "(requires --cache-dir).")
     sub.add_argument("--upgrade-signature", dest="upgrade_signatures", action="append",
                      metavar="SIGNATURE",
                      help="Monitored upgrade signature (repeatable; defaults to "
@@ -278,10 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_path(sub, "--out", dest="out_path", kind="file",
               help="Write the scenario table here (default: stdout only).")
     sub.add_argument("--format", dest="output_format", choices=["json", "csv"], default="json",
-                     help="default: %(default)s")
-    sub.add_argument("--threshold", choices=["low", "medium", "high", "all"], default="all",
-                     help="default: %(default)s")
-    sub.add_argument("--scope", choices=["open-source", "all", "both"], default="both",
                      help="default: %(default)s")
     sub.add_argument("--aggregation", choices=["micro", "macro"], default="micro",
                      help="default: %(default)s")

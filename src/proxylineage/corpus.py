@@ -534,8 +534,13 @@ def _contract_line(r: ContractRecord) -> str:
             f'"open_source":{_JSON_BOOL[r.open_source]},"verified":{_JSON_BOOL[r.verified]}}}\n')
 
 
+def _contract_lines(contracts: dict[str, ContractRecord]) -> Iterable[str]:
+    """The canonical contract file, one row at a time, in address order."""
+    return (_contract_line(contracts[a]) for a in sorted(contracts))
+
+
 def serialize_contract_records(contracts: dict[str, ContractRecord]) -> bytes:
-    return "".join(_contract_line(contracts[a]) for a in sorted(contracts)).encode("ascii")
+    return "".join(_contract_lines(contracts)).encode("ascii")
 
 
 def write_corpus(corpus: Corpus, trace_path: str | Path, contracts_path: str | Path) -> None:
@@ -549,23 +554,16 @@ def write_corpus(corpus: Corpus, trace_path: str | Path, contracts_path: str | P
 
 
 def corpus_digests(corpus: Corpus) -> dict[str, str]:
-    """SHA-256 digests of the canonical serialization, for bundle manifests."""
+    """SHA-256 digests of the canonical serialization, that is of the files
+    write_corpus writes, for bundle manifests. Rows are hashed one at a time, so
+    neither serialization is held whole in memory."""
     import hashlib  # imported here: it loads OpenSSL, which only hashing commands need
 
-    traces = hashlib.sha256()
-    for line in _trace_lines(corpus.events):
-        traces.update(line.encode("ascii"))
-    return {
-        "traces": traces.hexdigest(),
-        "contracts": hashlib.sha256(serialize_contract_records(corpus.contracts)).hexdigest(),
-    }
-
-
-def sha256_file(path: str | Path) -> str:
-    import hashlib
-
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    digests = {}
+    for name, lines in (("contracts", _contract_lines(corpus.contracts)),
+                        ("traces", _trace_lines(corpus.events))):
+        digest = hashlib.sha256()
+        for line in lines:
+            digest.update(line.encode("ascii"))
+        digests[name] = digest.hexdigest()
+    return digests

@@ -118,8 +118,8 @@ def derived_timestamp(corpus: Corpus) -> str:
     return datetime.fromtimestamp(newest, tz=timezone.utc).isoformat().replace("+00:00", "Z")
 
 
-def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) -> DatasetBundle:
-    """Run the full lineage/pairing pipeline over a corpus."""
+def build_bundle(corpus: Corpus) -> DatasetBundle:
+    """Run the full lineage/pairing pipeline over a corpus; the bundle is a function of it alone."""
     lineages, lineage_diags = build_lineages(corpus)
     pairs = contract_pairs(lineages)
 
@@ -177,7 +177,7 @@ def build_bundle(corpus: Corpus, input_digests: dict[str, str] | None = None) ->
     manifest = Manifest(
         bundle_version=BUNDLE_VERSION,
         generated_at=derived_timestamp(corpus),
-        inputs=dict(sorted((input_digests or corpus_digests(corpus)).items())),
+        inputs=corpus_digests(corpus),
     )
     return DatasetBundle(
         manifest=manifest,

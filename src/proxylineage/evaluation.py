@@ -130,13 +130,8 @@ class LineageEvaluator:
             if category >= threshold and (open_source or not open_source_only)
         }
 
-    def evaluate(
-        self,
-        thresholds=DEFAULT_THRESHOLDS,
-        scopes=DEFAULT_SCOPES,
-        aggregation: str = "micro",
-    ) -> tuple[list[ScenarioResult], list[str]]:
-        """Score every (scope, threshold) scenario over all ground-truth contracts.
+    def evaluate(self, aggregation: str = "micro") -> tuple[list[ScenarioResult], list[str]]:
+        """Score the six (scope, threshold) scenarios over all ground-truth contracts.
 
         Queries without a fingerprint (closed-source members) or without a
         ground-truth lineage are skipped with a diagnostic. micro aggregation
@@ -145,7 +140,6 @@ class LineageEvaluator:
         """
         if aggregation not in ("micro", "macro"):
             raise ValidationError(f"unknown aggregation: {aggregation!r}")
-        thresholds = sorted(thresholds)
         diagnostics: list[str] = []
         queries: list[str] = []
         for address in sorted(self.membership):
@@ -155,8 +149,8 @@ class LineageEvaluator:
             queries.append(address)
 
         results: list[ScenarioResult] = []
-        for scope in scopes:
-            for threshold in thresholds:
+        for scope in DEFAULT_SCOPES:
+            for threshold in DEFAULT_THRESHOLDS:
                 tp = fp = fn = 0
                 precisions: list[float] = []
                 recalls: list[float] = []

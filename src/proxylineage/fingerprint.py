@@ -56,13 +56,6 @@ class SimilarityCategory(IntEnum):
     MEDIUM = 2
     HIGH = 3
 
-    @classmethod
-    def from_name(cls, name: str) -> "SimilarityCategory":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ValidationError(f"unknown similarity category: {name!r}") from None
-
     def __str__(self) -> str:
         return self.name.lower()
 

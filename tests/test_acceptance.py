@@ -229,7 +229,9 @@ def test_algorithm_one_correctness():
         if not lineages:
             continue
         evaluator = LineageEvaluator(corpus, lineages)
-        results, _ = evaluator.evaluate(thresholds=thresholds, scopes=scopes)
+        results, _ = evaluator.evaluate()
+        assert [(r.contract_scope, r.threshold) for r in results] == [
+            (scope, threshold) for scope in scopes for threshold in thresholds]
         recount = brute_force_scenario_counts(evaluator, thresholds, scopes)
         for result in results:
             expected = recount[(result.contract_scope, result.threshold)]
@@ -244,7 +246,7 @@ def test_algorithm_one_correctness():
     planted = planted_eval_corpus(n_lineages=4, versions=3)
     lineages, _ = build_lineages(planted)
     evaluator = LineageEvaluator(planted, lineages)
-    results, diagnostics = evaluator.evaluate(thresholds=thresholds, scopes=scopes)
+    results, diagnostics = evaluator.evaluate()
     assert diagnostics == []
     assert all(r.precision == 1.0 and r.recall == 1.0 for r in results)
     report("algorithm-one-correctness",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 import random
 import sys
@@ -10,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from proxylineage import ActivityWindow, ContractPair, Corpus, cli
+from proxylineage import (ActivityWindow, ContractPair, Corpus, build_bundle, cli, emit_dataset,
+                          load_corpus)
 from proxylineage.cli import main
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY
@@ -143,10 +145,10 @@ def test_evaluate_lsh_csv_output(fixture_paths, tmp_path, capsys):
 
 def test_evaluate_lsh_single_threshold_json(fixture_paths, capsys):
     traces, contracts = fixture_paths
-    code = main(["evaluate-lsh", "--traces", str(traces), "--contracts", str(contracts),
-                 "--threshold", "high", "--scope", "open-source"])
+    code = main(["evaluate-lsh", "--traces", str(traces), "--contracts", str(contracts)])
     assert code == 0
-    rows = json.loads(capsys.readouterr().out)
+    rows = [row for row in json.loads(capsys.readouterr().out)
+            if row["contract_type"] == "open-source" and row["similarity_threshold"] == "high"]
     assert len(rows) == 1
     assert rows[0]["similarity_threshold"] == "high"
     assert rows[0]["precision_pct"] == 100.0
@@ -586,6 +588,37 @@ def test_vuln_lifecycle_summary(fixture_paths, tmp_path):
     }
 
 
+def test_emit_writes_the_tree_of_the_library_pipeline(fixture_paths, tmp_path):
+    # the fixtures are not in canonical form, so hashing their files would differ
+    traces, contracts = fixture_paths
+    assert main(["emit", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(tmp_path / "cli")]) == 0
+    emit_dataset(build_bundle(load_corpus(traces, contracts)), tmp_path / "library")
+    assert tree_bytes(tmp_path / "cli") == tree_bytes(tmp_path / "library")
+
+
+def test_manifest_inputs_are_the_digests_of_the_ingested_corpus(fixture_paths, tmp_path):
+    traces, contracts = fixture_paths
+    for command, out in (("ingest", "corpus"), ("emit", "bundle")):
+        assert main([command, "--traces", str(traces), "--contracts", str(contracts),
+                     "--out", str(tmp_path / out)]) == 0
+    inputs = json.loads((tmp_path / "bundle" / "manifest.json").read_text())["inputs"]
+    assert inputs == {
+        name: hashlib.sha256((tmp_path / "corpus" / f"{name}.ndjson").read_bytes()).hexdigest()
+        for name in ("traces", "contracts")}
+    assert inputs["traces"] != hashlib.sha256(traces.read_bytes()).hexdigest()
+
+
+def test_malformed_upgrade_signature_fails_before_anything_is_written(fixture_paths, tmp_path,
+                                                                      capsys):
+    traces, contracts = fixture_paths
+    out = tmp_path / "corpus"
+    assert main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out), "--upgrade-signature", "upgrade To(address)"]) == 1
+    assert "signature must not contain spaces" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_emit_runs_are_byte_identical(fixture_paths, tmp_path):
     traces, contracts = fixture_paths
     out1, out2 = tmp_path / "b1", tmp_path / "b2"
@@ -622,8 +655,12 @@ CORPUS_ARGS = ["--traces", "{traces}", "--contracts", "{contracts}"]
     ["vuln-lifecycle", *CORPUS_ARGS, "--out", "{out}"],
     ["fingerprint", *CORPUS_ARGS, "--out", "{out}", "--k", "abc"],
     ["evaluate-lsh", *CORPUS_ARGS, "--threshold", "nonsense"],
+    ["evaluate-lsh", *CORPUS_ARGS, "--threshold", "high"],
+    ["evaluate-lsh", *CORPUS_ARGS, "--scope", "all"],
+    ["ingest", *CORPUS_ARGS, "--out", "{out}", "--allow-network"],
 ], ids=["no-command", "unknown-command", "missing-out", "missing-traces", "directory-traces",
-        "file-bundle", "missing-findings", "non-integer-k", "unknown-threshold"])
+        "file-bundle", "missing-findings", "non-integer-k", "unknown-threshold",
+        "removed-threshold", "removed-scope", "removed-allow-network"])
 def test_usage_error_exits_one_with_usage_and_error(fixture_paths, tmp_path, capsys, argv):
     traces, contracts = fixture_paths
     (tmp_path / "directory").mkdir()

@@ -26,6 +26,12 @@ from oracles import OracleEvaluator
 THRESHOLDS = (SimilarityCategory.LOW, SimilarityCategory.MEDIUM, SimilarityCategory.HIGH)
 
 
+def scenario(results, scope: ContractScope, threshold: SimilarityCategory):
+    """The one row of the six-row table for (scope, threshold)."""
+    (row,) = [r for r in results if r.contract_scope is scope and r.threshold is threshold]
+    return row
+
+
 def planted_corpus(n_lineages: int = 3, versions: int = 3) -> Corpus:
     return planted_eval_corpus(n_lineages=n_lineages, versions=versions)
 
@@ -129,9 +135,8 @@ def test_pooled_counting(planted, monkeypatch):
         return {truth[0], addr_from_int(0xFFFF)}
 
     monkeypatch.setattr(LineageEvaluator, "predicted_lineage", fake_predicted)
-    results, _ = evaluator.evaluate(thresholds=[SimilarityCategory.LOW],
-                                    scopes=[ContractScope.ALL])
-    result = results[0]
+    results, _ = evaluator.evaluate()
+    result = scenario(results, ContractScope.ALL, SimilarityCategory.LOW)
     n = len(queries)
     assert result.tp == n  # one hit per query
     assert result.fp == n  # one miss per query
@@ -145,10 +150,10 @@ def test_empty_predictions_leave_precision_undefined(planted, monkeypatch):
     _, _, evaluator = planted
     monkeypatch.setattr(LineageEvaluator, "predicted_lineage",
                         lambda self, query, threshold, scope: set())
-    results, _ = evaluator.evaluate(thresholds=[SimilarityCategory.HIGH],
-                                    scopes=[ContractScope.ALL])
-    assert results[0].precision is None
-    assert results[0].recall == 0.0
+    results, _ = evaluator.evaluate()
+    result = scenario(results, ContractScope.ALL, SimilarityCategory.HIGH)
+    assert result.precision is None
+    assert result.recall == 0.0
 
 
 def test_unknown_query_raises(planted):
@@ -193,7 +198,7 @@ def test_each_query_is_retrieved_once(monkeypatch):
         return original(self, fp)
 
     monkeypatch.setattr(LshIndex, "candidates", counting)
-    results, _ = evaluator.evaluate(thresholds=THRESHOLDS, scopes=list(ContractScope))
+    results, _ = evaluator.evaluate()
     assert len(results) == 6
     queries = [q for q in sorted(evaluator.membership) if q in evaluator.fingerprints]
     assert queries
@@ -245,11 +250,10 @@ def test_closed_source_member_skipped_with_diagnostic():
     old = patched[victim]
     patched[victim] = make_record(victim, old.creator, [])
     evaluator = LineageEvaluator(Corpus(events=corpus.events, contracts=patched), lineages)
-    results, diagnostics = evaluator.evaluate(thresholds=[SimilarityCategory.LOW],
-                                              scopes=[ContractScope.ALL])
+    results, diagnostics = evaluator.evaluate()
     assert any(victim in note for note in diagnostics)
     # the skipped member still counts against recall for the other queries
-    assert results[0].fn > 0
+    assert scenario(results, ContractScope.ALL, SimilarityCategory.LOW).fn > 0
 
 
 def test_macro_aggregation_reports_flag(planted):

@@ -1,4 +1,4 @@
-"""ingest --allow-network against a real local HTTP explorer stub."""
+"""ingest --explorer-url against a real local HTTP explorer stub."""
 
 from __future__ import annotations
 
@@ -67,7 +67,7 @@ def explorer_server():
         thread.join(timeout=5)
 
 
-def test_allow_network_fetches_missing_callees(tmp_path, explorer_server):
+def test_explorer_url_fetches_missing_callees(tmp_path, explorer_server):
     server, url = explorer_server
     ExplorerStub.records[ADDR_B] = contract_row(
         make_record(ADDR_B, CREATOR_X, [SourceFile("src", "Fetched.sol", SRC)]))
@@ -83,8 +83,7 @@ def test_allow_network_fetches_missing_callees(tmp_path, explorer_server):
     out = tmp_path / "corpus"
     cache = tmp_path / "cache"
     code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(out), "--allow-network",
-                 "--explorer-url", url, "--cache-dir", str(cache)])
+                 "--out", str(out), "--explorer-url", url, "--cache-dir", str(cache)])
     assert code == 0
     assert ExplorerStub.hits == [ADDR_B]
     merged = [json.loads(line) for line in (out / "contracts.ndjson").read_text().splitlines()]
@@ -97,14 +96,13 @@ def test_allow_network_fetches_missing_callees(tmp_path, explorer_server):
     server.shutdown()
     out2 = tmp_path / "corpus2"
     code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(out2), "--allow-network",
-                 "--explorer-url", url, "--cache-dir", str(cache)])
+                 "--out", str(out2), "--explorer-url", url, "--cache-dir", str(cache)])
     assert code == 0
     assert ExplorerStub.hits == [ADDR_B]  # no second network call
     assert (out2 / "contracts.ndjson").read_bytes() == (out / "contracts.ndjson").read_bytes()
 
 
-def test_allow_network_reports_unknown_addresses(tmp_path, explorer_server):
+def test_explorer_url_reports_unknown_addresses(tmp_path, explorer_server):
     _, url = explorer_server
     traces = tmp_path / "traces.ndjson"
     contracts = tmp_path / "contracts.ndjson"
@@ -112,22 +110,27 @@ def test_allow_network_reports_unknown_addresses(tmp_path, explorer_server):
     contracts.write_text("")
     out = tmp_path / "corpus"
     code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(out), "--allow-network",
-                 "--explorer-url", url, "--cache-dir", str(tmp_path / "cache")])
+                 "--out", str(out), "--explorer-url", url,
+                 "--cache-dir", str(tmp_path / "cache")])
     assert code == 0
     diagnostics = json.loads((out / "diagnostics.json").read_text())
     assert any("fetch failed" in d for d in diagnostics["diagnostics"])
     assert any("no metadata" in d for d in diagnostics["diagnostics"])
 
 
-def test_allow_network_requires_url_and_cache(tmp_path):
+def test_explorer_url_requires_cache_dir(tmp_path, explorer_server, capsys):
+    _, url = explorer_server
     traces = tmp_path / "traces.ndjson"
     contracts = tmp_path / "contracts.ndjson"
     write_trace_fixture(traces, [event_row(PROXY, ADDR_A, 1, 1, "t1")])
     contracts.write_text("")
     code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(tmp_path / "out"), "--allow-network"])
+                 "--out", str(tmp_path / "out"), "--explorer-url", url])
     assert code == 1
+    err = capsys.readouterr().err
+    assert "--explorer-url" in err and "--cache-dir" in err
+    assert ExplorerStub.hits == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_default_transport_retries_server_errors_and_not_unknown_contracts(explorer_server):
