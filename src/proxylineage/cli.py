@@ -28,6 +28,8 @@ def ingest(args):
     monitored_selectors(signatures)  # a malformed signature fails before anything is read
     if args.explorer_url and not args.cache_dir:
         raise ConfigurationError("--explorer-url requires --cache-dir")
+    if args.cache_dir and not args.explorer_url:
+        raise ConfigurationError("--cache-dir requires --explorer-url")
     corpus = load_corpus(args.traces_path, args.contracts_path)
     if args.explorer_url:
         from .explorer import ExplorerClient, fetch_contracts
@@ -70,22 +72,6 @@ def build_lineages_command(args):
     print(f"built {len(lineages)} lineages ({len(diagnostics.exclusions)} exclusions) -> {out}")
 
 
-def pair(args):
-    """Pair contracts, files and functions; write the three pair tables."""
-    from .corpus import write_json
-    from .dataset import (BUNDLE_TABLES, CONTRACT_PAIRS_FILE, DIAGNOSTICS_FILE, FILE_PAIRS_FILE,
-                          FUNCTION_PAIRS_FILE)
-
-    bundle = _bundle_from(args.traces_path, args.contracts_path)
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name in (CONTRACT_PAIRS_FILE, FILE_PAIRS_FILE, FUNCTION_PAIRS_FILE, DIAGNOSTICS_FILE):
-        write_json(out / name, BUNDLE_TABLES[name](bundle))
-    print(f"paired {len(bundle.pairs)} contract pairs, "
-          f"{len(bundle.file_pairs)} file pairs, "
-          f"{len(bundle.function_pairs)} function pairs -> {out}")
-
-
 def fingerprint_command(args):
     """Fingerprint every open-source contract into an NDJSON file."""
     from .corpus import load_corpus
@@ -94,7 +80,7 @@ def fingerprint_command(args):
     check_signature_length(args.k)
     corpus = load_corpus(args.traces_path, args.contracts_path)
     fingerprints = fingerprint_contracts(corpus.contracts, args.k, args.seed)
-    write_fingerprints(args.out_path, fingerprints)
+    write_fingerprints(args.out_path, fingerprints.values())
     print(f"wrote {len(fingerprints)} fingerprints -> {args.out_path}")
 
 
@@ -103,16 +89,16 @@ def evaluate_lsh(args):
     (scope, threshold) scenarios."""
     from .corpus import json_text, load_corpus
     from .evaluation import LineageEvaluator, results_to_csv, results_to_jsonable
-    from .fingerprint import check_signature_length, read_fingerprints
+    from .fingerprint import check_signature_length, fingerprint_contracts, read_fingerprints
     from .lineage import build_lineages
 
     k, seed = args.k, args.seed
     check_signature_length(k)
     corpus = load_corpus(args.traces_path, args.contracts_path)
     lineages, _ = build_lineages(corpus)
-    prebuilt = (read_fingerprints(args.fingerprints_path, k, seed) if args.fingerprints_path
-                else None)
-    evaluator = LineageEvaluator(corpus, lineages, k=k, seed=seed, fingerprints=prebuilt)
+    fingerprints = (read_fingerprints(args.fingerprints_path, k, seed) if args.fingerprints_path
+                    else fingerprint_contracts(corpus.contracts, k, seed))
+    evaluator = LineageEvaluator(corpus, lineages, fingerprints)
     results, diagnostics = evaluator.evaluate(aggregation=args.aggregation)
     rendered = (results_to_csv(results) if args.output_format == "csv"
                 else json_text(results_to_jsonable(results)))
@@ -176,18 +162,12 @@ def stats(args):
 
 def emit(args):
     """Run the full pipeline and emit the dataset bundle."""
-    from .dataset import emit_dataset
+    from .corpus import load_corpus
+    from .dataset import build_bundle, emit_dataset
 
-    bundle = _bundle_from(args.traces_path, args.contracts_path)
+    bundle = build_bundle(load_corpus(args.traces_path, args.contracts_path))
     emit_dataset(bundle, args.out_dir)
     print(f"emitted bundle with {len(bundle.lineages)} lineages -> {args.out_dir}")
-
-
-def _bundle_from(traces_path, contracts_path):
-    from .corpus import load_corpus
-    from .dataset import build_bundle
-
-    return build_bundle(load_corpus(traces_path, contracts_path))
 
 
 class _UsageError(Exception):
@@ -249,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("ingest", ingest)
     _add_path(sub, "--out", dest="out_dir", kind="directory", required=True,
               help="Directory for the canonical corpus.")
-    _add_path(sub, "--cache-dir", kind="directory", help="On-disk cache for explorer fetches.")
+    _add_path(sub, "--cache-dir", kind="directory",
+              help="On-disk cache for explorer fetches (requires --explorer-url).")
     sub.add_argument("--explorer-url", metavar="URL",
                      help="Fetch metadata for unresolved callees from this explorer API "
                           "(requires --cache-dir).")
@@ -258,8 +239,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Monitored upgrade signature (repeatable; defaults to "
                           "upgradeTo(address) and upgradeToAndCall(address,bytes)).")
 
-    for name, run in (("build-lineages", build_lineages_command), ("pair", pair)):
-        _add_path(command(name, run), "--out", dest="out_dir", kind="directory", required=True)
+    _add_path(command("build-lineages", build_lineages_command), "--out", dest="out_dir",
+              kind="directory", required=True)
 
     sub = command("fingerprint", fingerprint_command)
     _add_path(sub, "--out", dest="out_path", kind="file", required=True)

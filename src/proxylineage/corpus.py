@@ -539,18 +539,15 @@ def _contract_lines(contracts: dict[str, ContractRecord]) -> Iterable[str]:
     return (_contract_line(contracts[a]) for a in sorted(contracts))
 
 
-def serialize_contract_records(contracts: dict[str, ContractRecord]) -> bytes:
-    return "".join(_contract_lines(contracts)).encode("ascii")
-
-
 def write_corpus(corpus: Corpus, trace_path: str | Path, contracts_path: str | Path) -> None:
     """Write the canonical NDJSON serialization (byte-stable for equal corpora).
 
-    The trace file is streamed row by row, never held whole in memory.
+    Both files are streamed row by row, never held whole in memory.
     """
-    with open(trace_path, "w", encoding="ascii", newline="") as handle:
-        handle.writelines(_trace_lines(corpus.events))
-    Path(contracts_path).write_bytes(serialize_contract_records(corpus.contracts))
+    for path, lines in ((trace_path, _trace_lines(corpus.events)),
+                        (contracts_path, _contract_lines(corpus.contracts))):
+        with open(path, "w", encoding="ascii", newline="") as handle:
+            handle.writelines(lines)
 
 
 def corpus_digests(corpus: Corpus) -> dict[str, str]:

@@ -3,9 +3,11 @@
 For every contract in the ground-truth lineages, the similarity engine
 predicts its lineage: retrieve similar contracts at or above a similarity
 threshold, keep those sharing the query's creator, and optionally restrict
-to open-source candidates. Predictions are compared against the rule-based
-lineage members, pooling true/false positives and false negatives across all
-queries into one precision/recall figure per (scope, threshold) scenario.
+to open-source candidates. Since no other creator's contract is kept, each
+query searches an LSH index over its creator's fingerprints alone.
+Predictions are compared against the rule-based lineage members, pooling
+true/false positives and false negatives across all queries into one
+precision/recall figure per (scope, threshold) scenario.
 """
 
 from __future__ import annotations
@@ -13,19 +15,11 @@ from __future__ import annotations
 import csv
 import io
 from enum import Enum
-from typing import NamedTuple
+from typing import Mapping, NamedTuple
 
 from .corpus import Corpus
 from .errors import UnknownAddressError, ValidationError
-from .fingerprint import (
-    DEFAULT_SEED,
-    DEFAULT_SIGNATURE_LENGTH,
-    Fingerprint,
-    LshIndex,
-    SimilarityCategory,
-    fingerprint_contracts,
-    query_similar,
-)
+from .fingerprint import Fingerprint, LshIndex, SimilarityCategory, check_comparable, query_similar
 from .lineage import Lineage
 
 
@@ -56,28 +50,27 @@ class ScenarioResult(NamedTuple):
 
 
 class LineageEvaluator:
-    """Holds the fingerprint index and ground-truth membership for scoring."""
+    """Holds one LSH index per creator and the ground-truth membership for scoring.
 
-    def __init__(
-        self,
-        corpus: Corpus,
-        lineages: list[Lineage],
-        k: int = DEFAULT_SIGNATURE_LENGTH,
-        seed: int = DEFAULT_SEED,
-        fingerprints: dict[str, Fingerprint] | None = None,
-    ):
+    `fingerprints` maps addresses to fingerprints of one k and seed, as
+    `fingerprint_contracts` and `read_fingerprints` return them; a mapping
+    that mixes them raises ConfigurationError.
+    """
+
+    def __init__(self, corpus: Corpus, lineages: list[Lineage],
+                 fingerprints: Mapping[str, Fingerprint]):
+        check_comparable(list(fingerprints.values()))
         self.corpus = corpus
-        if fingerprints is None:
-            fingerprints = {fp.address: fp
-                            for fp in fingerprint_contracts(corpus.contracts, k, seed)}
         self.fingerprints = fingerprints
-        self.index = LshIndex(fingerprints.values())
-        # creator -> that creator's fingerprints: the only candidates a query can keep
-        self._by_creator: dict[str, dict[str, Fingerprint]] = {}
+        # creator -> that creator's fingerprints and their index: a query keeps
+        # no candidate of another creator, so it searches only its creator's
+        by_creator: dict[str, dict[str, Fingerprint]] = {}
         for address, fp in fingerprints.items():
             record = corpus.contracts.get(address)
             if record is not None:
-                self._by_creator.setdefault(record.creator, {})[address] = fp
+                by_creator.setdefault(record.creator, {})[address] = fp
+        self._by_creator = {creator: (fps, LshIndex(fps.values()))
+                            for creator, fps in by_creator.items()}
         # query -> same-creator neighbours as (address, category, open_source)
         self._neighbours: dict[str, list[tuple[str, SimilarityCategory, bool]]] = {}
         # A contract serving several proxies belongs to each of those
@@ -89,11 +82,8 @@ class LineageEvaluator:
                 self.membership.setdefault(address, set()).update(members - {address})
 
     def _same_creator_neighbours(self, query: str) -> list[tuple[str, SimilarityCategory, bool]]:
-        """Every LSH candidate sharing the query's creator, retrieved and verified once.
-
-        The index proposes candidates of every creator; only the query
-        creator's reach the slot-by-slot comparison.
-        """
+        """Every similar contract of the query's creator, retrieved from that
+        creator's index and verified once."""
         neighbours = self._neighbours.get(query)
         if neighbours is not None:
             return neighbours
@@ -103,11 +93,11 @@ class LineageEvaluator:
         if query_record is None:
             raise UnknownAddressError(f"no contract record for query {query}")
         contracts = self.corpus.contracts
+        fingerprints, index = self._by_creator[query_record.creator]
         neighbours = [
             (address, verdict.category, contracts[address].open_source)
             for address, verdict in query_similar(
-                self._by_creator[query_record.creator], query,
-                min_category=SimilarityCategory.NONE, index=self.index)
+                fingerprints, query, min_category=SimilarityCategory.NONE, index=index)
         ]
         self._neighbours[query] = neighbours
         return neighbours

@@ -176,14 +176,15 @@ def fingerprint(
 
 
 def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
-                          seed: int) -> list[Fingerprint]:
-    """Fingerprints of the open-source records, in address order; the others have no source.
+                          seed: int) -> dict[str, Fingerprint]:
+    """Fingerprints of the open-source records, keyed by address in address
+    order, as `read_fingerprints` returns them; the other records have no source.
 
     Records whose files hold the same contents in the same path order read
     the same token stream, so each distinct source is fingerprinted once.
     """
     done: dict[tuple[str, ...], Fingerprint] = {}
-    fingerprints = []
+    fingerprints: dict[str, Fingerprint] = {}
     for _, record in sorted(contracts.items()):
         if not record.open_source:
             continue
@@ -191,7 +192,7 @@ def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
         known = done.get(source)
         if known is None:
             done[source] = known = fingerprint(record, k=k, seed=seed)
-        fingerprints.append(known._replace(address=record.address))
+        fingerprints[record.address] = known._replace(address=record.address)
     return fingerprints
 
 
@@ -219,21 +220,29 @@ def check_signature_length(k: int) -> None:
             f"signature length k must be a positive multiple of {BANDS} (the LSH bands), got {k}")
 
 
+def check_comparable(fingerprints: list[Fingerprint]) -> None:
+    """Raise ConfigurationError unless the fingerprints share one seed and one
+    signature length, which the LSH bands split evenly."""
+    if not fingerprints:
+        return
+    first = fingerprints[0]
+    check_signature_length(first.k)
+    for fp in fingerprints:
+        if (fp.k, fp.seed) != (first.k, first.seed):
+            raise ConfigurationError(
+                f"fingerprint {fp.address} has k {fp.k}, seed {fp.seed}; "
+                f"{first.address} has k {first.k}, seed {first.seed}"
+            )
+
+
 class LshIndex:
     """Banding index: signatures sliced into bands of rows hashed to buckets."""
 
     def __init__(self, fingerprints: Iterable[Fingerprint]):
         fingerprints = list(fingerprints)
-        if fingerprints:
-            first = fingerprints[0]
-            check_signature_length(first.k)
+        check_comparable(fingerprints)
         self._buckets: dict[tuple[int, tuple[int, ...]], list[str]] = {}
         for fp in fingerprints:
-            if (fp.k, fp.seed) != (first.k, first.seed):
-                raise ConfigurationError(
-                    f"fingerprint {fp.address} has k {fp.k}, seed {fp.seed}; "
-                    f"{first.address} has k {first.k}, seed {first.seed}"
-                )
             rows = fp.k // BANDS
             for band in range(BANDS):
                 key = (band, fp.signature[band * rows:(band + 1) * rows])
@@ -261,9 +270,8 @@ def query_similar(
     comparison. The query itself is never returned. Results are ordered by
     descending estimated Jaccard, then address.
 
-    `index` may cover more fingerprints than `fingerprints` holds: a
-    proposed address missing from the mapping is skipped unverified, so a
-    caller restricts the results by passing a smaller mapping.
+    `index`, when given, must be built over exactly the fingerprints that
+    `fingerprints` maps; without it, one is built over them.
     """
     if query not in fingerprints:
         raise UnknownAddressError(f"no fingerprint for address {query}")
@@ -272,10 +280,7 @@ def query_similar(
     query_fp = fingerprints[query]
     results = []
     for address in index.candidates(query_fp):
-        candidate = fingerprints.get(address)
-        if candidate is None:
-            continue
-        verdict = compare(query_fp, candidate)
+        verdict = compare(query_fp, fingerprints[address])
         if verdict.category >= min_category:
             results.append((address, verdict))
     results.sort(key=lambda item: (-item[1].estimated_jaccard, item[0]))

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from proxylineage import ContractRecord, Corpus, TraceEvent
+from proxylineage import ContractRecord, Corpus, LineageEvaluator, TraceEvent
+from proxylineage.fingerprint import fingerprint_contracts
 
 PROXY = "0x" + "11" * 20
 PROXY2 = "0x" + "12" * 20
@@ -38,6 +39,12 @@ def make_record(address: str, creator: str, files=(), deploy_timestamp: int = 0)
         open_source=bool(files),
         files=files,
     )
+
+
+def corpus_evaluator(corpus: Corpus, lineages) -> LineageEvaluator:
+    """The evaluator over the corpus's own fingerprints at the default k and
+    seed, as `evaluate-lsh` builds it without --fingerprints."""
+    return LineageEvaluator(corpus, lineages, fingerprint_contracts(corpus.contracts, 256, 0))
 
 
 def window_events(proxy: str, callee: str, first: int, last: int) -> list[TraceEvent]:

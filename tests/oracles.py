@@ -23,7 +23,8 @@ import json
 
 from pathlib import Path
 
-from proxylineage import Corpus, LineageEvaluator, SimilarityCategory, TraceEvent, query_similar
+from proxylineage import (Corpus, LineageEvaluator, LshIndex, SimilarityCategory, TraceEvent,
+                          query_similar)
 from proxylineage.corpus import (TRACE_FIELDS, _iter_ndjson, _memo_normalize, _require_fields,
                                  _require_int, _require_timestamp, normalize_address,
                                  normalize_selector)
@@ -479,8 +480,13 @@ def oracle_load_trace_events(path) -> tuple[list[TraceEvent], list[str]]:
 # --- evaluator oracle -------------------------------------------------------------
 
 class OracleEvaluator(LineageEvaluator):
-    """A LineageEvaluator that verifies every LSH candidate, of any creator,
-    and only then keeps those sharing the query's creator."""
+    """A LineageEvaluator that searches one LSH index over every fingerprint,
+    verifies every candidate, of any creator, and only then keeps those
+    sharing the query's creator."""
+
+    def __init__(self, corpus, lineages, fingerprints):
+        super().__init__(corpus, lineages, fingerprints)
+        self.everything = LshIndex(fingerprints.values())
 
     def _same_creator_neighbours(self, query: str):
         neighbours = self._neighbours.get(query)
@@ -493,7 +499,7 @@ class OracleEvaluator(LineageEvaluator):
             raise UnknownAddressError(f"no contract record for query {query}")
         neighbours = []
         for address, verdict in query_similar(
-            self.fingerprints, query, min_category=SimilarityCategory.NONE, index=self.index
+            self.fingerprints, query, min_category=SimilarityCategory.NONE, index=self.everything
         ):
             record = self.corpus.contracts.get(address)
             if record is not None and record.creator == query_record.creator:

@@ -18,7 +18,6 @@ import proxylineage
 from proxylineage import (
     ContractScope,
     Corpus,
-    LineageEvaluator,
     SimilarityCategory,
     build_lineages,
     compare,
@@ -37,7 +36,7 @@ from proxylineage import Fingerprint, LifecycleStatus, SourceFile, extract_funct
 from proxylineage.lineage import ActivityWindow, ContractPair
 from proxylineage.pairing import FilePair
 
-from conftest import make_record
+from conftest import corpus_evaluator, make_record
 from corpusgen import (
     addr_from_int,
     eval_corpus,
@@ -228,7 +227,7 @@ def test_algorithm_one_correctness():
         lineages, _ = build_lineages(corpus)
         if not lineages:
             continue
-        evaluator = LineageEvaluator(corpus, lineages)
+        evaluator = corpus_evaluator(corpus, lineages)
         results, _ = evaluator.evaluate()
         assert [(r.contract_scope, r.threshold) for r in results] == [
             (scope, threshold) for scope in scopes for threshold in thresholds]
@@ -245,7 +244,7 @@ def test_algorithm_one_correctness():
 
     planted = planted_eval_corpus(n_lineages=4, versions=3)
     lineages, _ = build_lineages(planted)
-    evaluator = LineageEvaluator(planted, lineages)
+    evaluator = corpus_evaluator(planted, lineages)
     results, diagnostics = evaluator.evaluate()
     assert diagnostics == []
     assert all(r.precision == 1.0 and r.recall == 1.0 for r in results)

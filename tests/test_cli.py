@@ -196,16 +196,20 @@ def test_seed_changes_fingerprints(fixture_paths, tmp_path):
 
 def test_evaluate_lsh_reuses_prebuilt_fingerprints(fixture_paths, tmp_path, capsys):
     traces, contracts = fixture_paths
-    fps = tmp_path / "fps.ndjson"
-    assert main(["fingerprint", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(fps)]) == 0
-    fresh = tmp_path / "fresh.json"
-    reused = tmp_path / "reused.json"
-    assert main(["evaluate-lsh", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(fresh)]) == 0
-    assert main(["evaluate-lsh", "--traces", str(traces), "--contracts", str(contracts),
-                 "--fingerprints", str(fps), "--out", str(reused)]) == 0
-    assert fresh.read_bytes() == reused.read_bytes()
+    corpus_args = ["--traces", str(traces), "--contracts", str(contracts)]
+    for seed, k in ((0, 256), (5, 64)):
+        run = tmp_path / f"seed{seed}-k{k}"
+        run.mkdir()
+        fps = run / "fps.ndjson"
+        assert main(["--seed", str(seed), "fingerprint", *corpus_args, "--out", str(fps),
+                     "--k", str(k)]) == 0
+        fresh = run / "fresh.json"
+        reused = run / "reused.json"
+        assert main(["--seed", str(seed), "evaluate-lsh", *corpus_args, "--k", str(k),
+                     "--out", str(fresh)]) == 0
+        assert main(["--seed", str(seed), "evaluate-lsh", *corpus_args, "--k", str(k),
+                     "--fingerprints", str(fps), "--out", str(reused)]) == 0
+        assert fresh.read_bytes() == reused.read_bytes()
 
 
 def _fingerprints_file(fixture_paths, tmp_path, *global_args):
@@ -553,15 +557,13 @@ def test_build_lineages_and_pair_write_the_bundle_rows(tmp_path):
     traces, contracts = write_corpus_fixtures(varied_sourced_corpus(random.Random(500)),
                                               tmp_path / "in")
     corpus_args = ["--traces", str(traces), "--contracts", str(contracts)]
-    for command in ("emit", "build-lineages", "pair"):
+    for command in ("emit", "build-lineages"):
         assert main([command, *corpus_args, "--out", str(tmp_path / command)]) == 0
 
     def table(command, name):
         return (tmp_path / command / name).read_bytes()
 
-    for command, name in [("build-lineages", "lineages.json"), ("pair", "contract_pairs.json"),
-                          ("pair", "file_pairs.json"), ("pair", "function_pairs.json")]:
-        assert table(command, name) == table("emit", name)
+    assert table("build-lineages", "lineages.json") == table("emit", "lineages.json")
     exclusions = json.loads(table("emit", "diagnostics.json"))["lineage_exclusions"]
     assert exclusions
     assert json.loads(table("build-lineages", "diagnostics.json"))["lineage_exclusions"] == exclusions
@@ -569,8 +571,8 @@ def test_build_lineages_and_pair_write_the_bundle_rows(tmp_path):
 
 def test_pair_command_writes_tables(fixture_paths, tmp_path):
     traces, contracts = fixture_paths
-    out = tmp_path / "pairs"
-    assert main(["pair", "--traces", str(traces), "--contracts", str(contracts),
+    out = tmp_path / "bundle"
+    assert main(["emit", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(out)]) == 0
     contract_pairs = json.loads((out / "contract_pairs.json").read_text())
     assert [(p["predecessor"], p["successor"]) for p in contract_pairs] == [(ADDR_A, ADDR_B)]
@@ -632,7 +634,7 @@ def test_emit_runs_are_byte_identical(fixture_paths, tmp_path):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "proxylineage" in capsys.readouterr().out
-    for command in ("ingest", "build-lineages", "pair", "fingerprint", "evaluate-lsh",
+    for command in ("ingest", "build-lineages", "fingerprint", "evaluate-lsh",
                     "vuln-lifecycle", "stats", "emit"):
         assert main([command, "--help"]) == 0
         assert f"proxylineage {command}" in capsys.readouterr().out
@@ -658,9 +660,10 @@ CORPUS_ARGS = ["--traces", "{traces}", "--contracts", "{contracts}"]
     ["evaluate-lsh", *CORPUS_ARGS, "--threshold", "high"],
     ["evaluate-lsh", *CORPUS_ARGS, "--scope", "all"],
     ["ingest", *CORPUS_ARGS, "--out", "{out}", "--allow-network"],
+    ["pair", *CORPUS_ARGS, "--out", "{out}"],
 ], ids=["no-command", "unknown-command", "missing-out", "missing-traces", "directory-traces",
         "file-bundle", "missing-findings", "non-integer-k", "unknown-threshold",
-        "removed-threshold", "removed-scope", "removed-allow-network"])
+        "removed-threshold", "removed-scope", "removed-allow-network", "removed-pair"])
 def test_usage_error_exits_one_with_usage_and_error(fixture_paths, tmp_path, capsys, argv):
     traces, contracts = fixture_paths
     (tmp_path / "directory").mkdir()

@@ -34,13 +34,13 @@ from proxylineage import (
 )
 from proxylineage.corpus import (
     _contract_line,
+    _contract_lines,
     _iter_ndjson,
     corpus_digests,
     json_text,
     load_contract_records,
     load_trace_events,
     read_json,
-    serialize_contract_records,
     write_json,
 )
 
@@ -376,13 +376,14 @@ def test_contract_record_sorts_its_files_however_built(build):
                             SourceFile("src", "B.sol", "b"))
 
 
-def test_serialize_contract_records_sorted():
+def test_written_contract_records_are_sorted(tmp_path):
     from conftest import make_record
 
     a = make_record("0x" + "aa" * 20, "0x" + "e1" * 20)
     b = make_record("0x" + "bb" * 20, "0x" + "e1" * 20)
-    data = serialize_contract_records({b.address: b, a.address: a})
-    lines = data.decode().strip().split("\n")
+    write_corpus(Corpus(events=[], contracts={b.address: b, a.address: a}),
+                 tmp_path / "t.ndjson", tmp_path / "c.ndjson")
+    lines = (tmp_path / "c.ndjson").read_text().strip().split("\n")
     assert "0x" + "aa" * 20 in lines[0]
     assert "0x" + "bb" * 20 in lines[1]
 
@@ -579,9 +580,11 @@ def test_corpus_digests_of_loaded_corpus_match_json_dumps(tmp_path):
     ])
     write_contract_fixture(contracts, [_contract_row(CALLEE)])
     corpus = load_corpus(traces, contracts)
+    written = tmp_path / "written-contracts.ndjson"
+    write_corpus(corpus, tmp_path / "written-traces.ndjson", written)
     assert corpus_digests(corpus) == {
         "traces": hashlib.sha256(oracle_trace_ndjson(corpus.events)).hexdigest(),
-        "contracts": hashlib.sha256(serialize_contract_records(corpus.contracts)).hexdigest(),
+        "contracts": hashlib.sha256(written.read_bytes()).hexdigest(),
     }
     # The digest these two rows have always had (json.dumps per row).
     assert corpus_digests(corpus)["traces"] == (
@@ -621,7 +624,7 @@ def test_contract_serialization_matches_json_dumps(records):
     contracts = {r.address: r for r in records}
     expected = "".join(json.dumps(contract_to_obj(contracts[a]), sort_keys=True,
                                   separators=(",", ":")) + "\n" for a in sorted(contracts))
-    assert serialize_contract_records(contracts) == expected.encode("utf-8")
+    assert "".join(_contract_lines(contracts)) == expected
 
 
 # --- the NDJSON reader -----------------------------------------------------------

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from proxylineage import (
+    ConfigurationError,
     ContractScope,
     Corpus,
     LineageEvaluator,
@@ -18,8 +19,9 @@ from proxylineage import (
     query_similar,
 )
 from proxylineage.evaluation import results_to_csv, results_to_jsonable
+from proxylineage.fingerprint import fingerprint, fingerprint_contracts
 
-from conftest import make_record, window_events
+from conftest import corpus_evaluator, make_record, window_events
 from corpusgen import addr_from_int, eval_corpus, planted_eval_corpus, soup_source
 from oracles import OracleEvaluator
 
@@ -40,7 +42,7 @@ def planted_corpus(n_lineages: int = 3, versions: int = 3) -> Corpus:
 def planted():
     corpus = planted_corpus()
     lineages, _ = build_lineages(corpus)
-    evaluator = LineageEvaluator(corpus, lineages)
+    evaluator = corpus_evaluator(corpus, lineages)
     return corpus, lineages, evaluator
 
 
@@ -72,8 +74,7 @@ def test_creator_filter_annihilates(planted):
     record = corpus.contracts[query]
     patched = dict(corpus.contracts)
     patched[query] = make_record(query, addr_from_int(0xEEEE), record.files)
-    evaluator = LineageEvaluator(
-        Corpus(events=corpus.events, contracts=patched), lineages)
+    evaluator = corpus_evaluator(Corpus(events=corpus.events, contracts=patched), lineages)
     predicted = evaluator.predicted_lineage(query, SimilarityCategory.LOW, ContractScope.ALL)
     assert predicted == set()
 
@@ -107,12 +108,14 @@ def test_owner_filter_beats_similarity():
     }
     corpus = Corpus(events=events, contracts=contracts)
     lineages, _ = build_lineages(corpus)
-    evaluator = LineageEvaluator(corpus, lineages)
+    evaluator = corpus_evaluator(corpus, lineages)
 
+    # one index over every creator proposes the other creator's copy too
+    everything = LshIndex(evaluator.fingerprints.values())
     verdicts = {
         a: v.category
         for a, v in query_similar(evaluator.fingerprints, query_addr,
-                                  SimilarityCategory.LOW, index=evaluator.index)
+                                  SimilarityCategory.LOW, index=everything)
     }
     assert verdicts[s1] is SimilarityCategory.HIGH
     assert verdicts[x] is SimilarityCategory.HIGH
@@ -167,7 +170,7 @@ def test_recall_monotone_and_scope_refinement_on_random_corpora():
     for _ in range(5):
         corpus = eval_corpus(rng)
         lineages, _ = build_lineages(corpus)
-        evaluator = LineageEvaluator(corpus, lineages)
+        evaluator = corpus_evaluator(corpus, lineages)
         results, _ = evaluator.evaluate()
         by_scope: dict = {}
         for result in results:
@@ -189,7 +192,7 @@ def test_each_query_is_retrieved_once(monkeypatch):
     # the six (scope, threshold) cells goes back to the index
     corpus = eval_corpus(random.Random(5))
     lineages, _ = build_lineages(corpus)
-    evaluator = LineageEvaluator(corpus, lineages)
+    evaluator = corpus_evaluator(corpus, lineages)
     queried: list[str] = []
     original = LshIndex.candidates
 
@@ -219,27 +222,45 @@ def shared_creator_corpus(rng: random.Random) -> Corpus:
 
 @pytest.mark.parametrize("aggregation", ["micro", "macro"])
 def test_verifying_only_same_creator_candidates_changes_no_result(aggregation):
-    # The oracle verifies every LSH candidate and then filters by creator.
-    # A fingerprint without a contract record (one read from a file, say)
-    # is proposed like any other and kept by neither.
+    # The evaluator searches one index per creator; the oracle searches one
+    # index over every fingerprint, verifies every candidate and then filters
+    # by creator. A fingerprint without a contract record (one read from a
+    # file, say) is in none of the evaluator's indexes and kept by neither.
     rng = random.Random(17)
     other_creator_proposals = 0
     for _ in range(6):
         corpus = shared_creator_corpus(rng)
         lineages, _ = build_lineages(corpus)
-        evaluator = LineageEvaluator(corpus, lineages)
-        fingerprints = dict(evaluator.fingerprints)
+        fingerprints = fingerprint_contracts(corpus.contracts, 256, 0)
         stray = addr_from_int(0xFFFF)
         fingerprints[stray] = fingerprints[min(fingerprints)]._replace(address=stray)
-        fast = LineageEvaluator(corpus, lineages, fingerprints=fingerprints)
+        fast = LineageEvaluator(corpus, lineages, fingerprints)
         assert fast.evaluate(aggregation=aggregation) == OracleEvaluator(
-            corpus, lineages, fingerprints=fingerprints).evaluate(aggregation=aggregation)
+            corpus, lineages, fingerprints).evaluate(aggregation=aggregation)
+        # a global index would propose other creators' contracts, so the
+        # corpora exercise the creator rule
+        everything = LshIndex(fingerprints.values())
         creator = {a: r.creator for a, r in corpus.contracts.items()}
         other_creator_proposals += sum(
             creator.get(candidate) != creator[query]
-            for query in evaluator.membership if query in fingerprints
-            for candidate in fast.index.candidates(fingerprints[query]))
+            for query in fast.membership if query in fingerprints
+            for candidate in everything.candidates(fingerprints[query]))
     assert other_creator_proposals
+
+
+@pytest.mark.parametrize("holder", ["member", "stray"])
+@pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])
+def test_fingerprints_of_another_k_or_seed_are_rejected(planted, other, holder):
+    # a stray fingerprint (no contract record) is in no creator's index, and
+    # is rejected all the same
+    corpus, lineages, evaluator = planted
+    fingerprints = dict(evaluator.fingerprints)
+    member = max(fingerprints)
+    odd = fingerprint(corpus.contracts[member], **{"k": 256, "seed": 0, **other})
+    address = member if holder == "member" else addr_from_int(0xFFFF)
+    fingerprints[address] = odd._replace(address=address)
+    with pytest.raises(ConfigurationError, match="has k"):
+        LineageEvaluator(corpus, lineages, fingerprints)
 
 
 def test_closed_source_member_skipped_with_diagnostic():
@@ -249,7 +270,7 @@ def test_closed_source_member_skipped_with_diagnostic():
     patched = dict(corpus.contracts)
     old = patched[victim]
     patched[victim] = make_record(victim, old.creator, [])
-    evaluator = LineageEvaluator(Corpus(events=corpus.events, contracts=patched), lineages)
+    evaluator = corpus_evaluator(Corpus(events=corpus.events, contracts=patched), lineages)
     results, diagnostics = evaluator.evaluate()
     assert any(victim in note for note in diagnostics)
     # the skipped member still counts against recall for the other queries
@@ -282,7 +303,7 @@ def test_results_jsonable_percentages(planted):
 
 @pytest.mark.parametrize("aggregation", ["micro", "macro"])
 def test_query_whose_truth_is_all_closed_source(aggregation):
-    # Pins current behaviour, which ROADMAP direction 2 will change: v1's
+    # Pins current behaviour, which ROADMAP direction 3 will change: v1's
     # only lineage mate v2 is closed-source, so v1 can never predict it, and
     # v1 counts one false negative in every scenario, even under open-source
     # scope and macro aggregation.
@@ -294,7 +315,7 @@ def test_query_whose_truth_is_all_closed_source(aggregation):
     corpus = Corpus(events=corpus.events, contracts=patched)
     lineages, _ = build_lineages(corpus)
     assert [[v.address for v in lineage.versions] for lineage in lineages] == [[v1, v2]]
-    results, diagnostics = LineageEvaluator(corpus, lineages).evaluate(aggregation=aggregation)
+    results, diagnostics = corpus_evaluator(corpus, lineages).evaluate(aggregation=aggregation)
     assert diagnostics == [f"query {v2} skipped: not fingerprintable"]
     assert [(r.contract_scope, r.threshold) for r in results] == [
         (scope, threshold) for scope in ContractScope for threshold in THRESHOLDS]

@@ -133,6 +133,20 @@ def test_explorer_url_requires_cache_dir(tmp_path, explorer_server, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cache_dir_requires_explorer_url(tmp_path, capsys):
+    traces = tmp_path / "traces.ndjson"
+    contracts = tmp_path / "contracts.ndjson"
+    write_trace_fixture(traces, [event_row(PROXY, ADDR_A, 1, 1, "t1")])
+    contracts.write_text("")
+    code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(tmp_path / "out"), "--cache-dir", str(tmp_path / "cache")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--cache-dir" in err and "--explorer-url" in err
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "cache").exists()
+
+
 def test_default_transport_retries_server_errors_and_not_unknown_contracts(explorer_server):
     _, url = explorer_server
     row = contract_row(make_record(ADDR_B, CREATOR_X, [SourceFile("src", "Fetched.sol", SRC)]))
