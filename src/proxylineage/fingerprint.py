@@ -28,7 +28,6 @@ from .errors import (
     UnknownAddressError,
     ValidationError,
 )
-from .solidity import token_texts
 
 DEFAULT_SIGNATURE_LENGTH = 256
 DEFAULT_SEED = 0
@@ -96,16 +95,27 @@ def _mix(value: int) -> int:
 
 def shingle_hash(shingle: Iterable[str]) -> int:
     """Stable 64-bit hash of one token shingle."""
-    return _shingle_hashes([shingle]).pop()
+    return _shingle_hashes({tuple(shingle)}).pop()
 
 
-def _shingle_hashes(shingles: Iterable[Iterable[str]]) -> set[int]:
-    """shingle_hash of each shingle, with one import of hashlib: it loads OpenSSL, which only
-    the commands that hash need."""
-    from hashlib import blake2b
+def _shingle_hashes(windows: set[tuple[str, ...]],
+                    memo: dict[tuple[str, ...], int] | None = None) -> set[int]:
+    """shingle_hash of each window; `memo` maps windows already hashed to their hash.
 
-    digests = (blake2b("\x1f".join(shingle).encode("utf-8"), digest_size=8).digest() for shingle in shingles)
-    return {int.from_bytes(digest, "little") for digest in digests}
+    Only the windows missing from `memo` are hashed, and their hashes are added to it.
+    """
+    # the builtin blake2b, which hashlib.blake2b is: importing hashlib would also load
+    # OpenSSL's _hashlib. Imported here, so that commands which hash nothing skip even this.
+    from _blake2 import blake2b
+
+    if memo is None:
+        memo = {}
+    # set.difference looks each window up in the dict, by the hash the set keeps;
+    # `windows - memo.keys()` would walk the whole memo for every record
+    for window in windows.difference(memo):
+        digest = blake2b("\x1f".join(window).encode("utf-8"), digest_size=8).digest()
+        memo[window] = int.from_bytes(digest, "little")
+    return set(map(memo.__getitem__, windows))
 
 
 def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple[int, ...]:
@@ -139,33 +149,40 @@ def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple
     return tuple(signature)
 
 
-def record_shingles(record: ContractRecord) -> set[int]:
+def record_shingles(record: ContractRecord, *,
+                    memo: dict[tuple[str, ...], int] | None = None) -> set[int]:
     """Hashed 5-token shingles over all files, in the record's file order.
 
-    A shingle that recurs in the record is hashed once.
+    A shingle that recurs in the record is hashed once, and one that `memo` holds is
+    not hashed again (see `_shingle_hashes`).
     """
+    from .solidity import token_texts  # imported here: only the commands that lex load it
+
     tokens: list[str] = []
     for file in record.files:
         tokens.extend(token_texts(file.content))
     windows = set(zip(*(islice(tokens, i, None) for i in range(SHINGLE_SIZE))))
-    return _shingle_hashes(windows)
+    return _shingle_hashes(windows, memo)
 
 
 def fingerprint(
     record: ContractRecord,
     k: int = DEFAULT_SIGNATURE_LENGTH,
     seed: int = DEFAULT_SEED,
+    *,
+    memo: dict[tuple[str, ...], int] | None = None,
 ) -> Fingerprint:
     """Fingerprint a contract's source; closed-source contracts are rejected.
 
     Contracts whose normalized token stream is shorter than one shingle get
-    the sentinel signature with shingle_count 0.
+    the sentinel signature with shingle_count 0. `memo` is passed on to
+    `record_shingles`.
     """
     if not record.open_source:
         raise NotFingerprintableError(
             f"contract {record.address} is not open source (NOT_FINGERPRINTABLE)"
         )
-    shingles = record_shingles(record)
+    shingles = record_shingles(record, memo=memo)
     return Fingerprint(
         address=record.address,
         k=k,
@@ -182,7 +199,11 @@ def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
 
     Records whose files hold the same contents in the same path order read
     the same token stream, so each distinct source is fingerprinted once.
+    Sources built from shared templates share most of their shingles, so one
+    shingle memo serves the whole call and each distinct shingle is hashed
+    once; the memo is dropped when the call returns.
     """
+    memo: dict[tuple[str, ...], int] = {}
     done: dict[tuple[str, ...], Fingerprint] = {}
     fingerprints: dict[str, Fingerprint] = {}
     for _, record in sorted(contracts.items()):
@@ -191,7 +212,7 @@ def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
         source = tuple(file.content for file in record.files)
         known = done.get(source)
         if known is None:
-            done[source] = known = fingerprint(record, k=k, seed=seed)
+            done[source] = known = fingerprint(record, k=k, seed=seed, memo=memo)
         fingerprints[record.address] = known._replace(address=record.address)
     return fingerprints
 

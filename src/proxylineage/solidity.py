@@ -8,7 +8,6 @@ tokens.
 
 from __future__ import annotations
 
-import operator
 import re
 from typing import NamedTuple
 
@@ -39,7 +38,6 @@ _SCAN = re.compile(r"""
           | \S )
       | \Z )
 """, re.VERBOSE)
-_TOKEN = operator.itemgetter("token")
 # A token's kind follows from its first character; anything else is punct.
 _KIND_OF_FIRST = {
     **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$", "ident"),
@@ -98,9 +96,12 @@ def tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
 
 
 def token_texts(text: str) -> list[str]:
-    """The texts of ``tokenize(text)``, without building a Token for each."""
+    """The texts of ``tokenize(text)``, without building a Token for each.
+
+    ``findall`` yields the groups (open_comment, token, dq, sq) of each match.
+    """
     return ['""' if token[0] in "\"'" else token
-            for token in map(_TOKEN, _SCAN.finditer(text)) if token]
+            for _, token, _, _ in _SCAN.findall(text) if token]
 
 
 def _split_top_level_commas(tokens: list[Token]) -> list[list[Token]]:

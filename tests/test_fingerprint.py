@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import _blake2
 import json
 import os
 import random
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import proxylineage
 from proxylineage import (
     ConfigurationError,
+    ContractRecord,
     Fingerprint,
     LshIndex,
     NotFingerprintableError,
@@ -28,6 +30,7 @@ from proxylineage import (
     query_similar,
 )
 from proxylineage.fingerprint import (
+    SHINGLE_SIZE,
     _fingerprint_line,
     check_signature_length,
     fingerprint,
@@ -35,9 +38,10 @@ from proxylineage.fingerprint import (
     read_fingerprints,
     write_fingerprints,
 )
+from proxylineage.solidity import token_texts
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
-from corpusgen import addr_from_int
+from corpusgen import addr_from_int, soup_source, varied_sourced_corpus
 from oracles import oracle_jaccard, oracle_minhash_signature
 
 K = 256
@@ -288,6 +292,56 @@ def test_fingerprint_contracts_fingerprints_each_distinct_source_once(monkeypatc
     assert len({fp.signature for fp in fingerprints.values()}) == 4
 
 
+def no_template_contracts(rng: random.Random) -> dict[str, ContractRecord]:
+    """Contracts of one file each, every one with a vocabulary of its own."""
+    contracts = {}
+    for i in range(12):
+        vocab = [f"c{i}w{j}" for j in range(8)]
+        address = addr_from_int(0x900 + i)
+        contracts[address] = make_record(address, CREATOR_X,
+                                         [SourceFile("", "C.sol", soup_source(rng, vocab, 120))])
+    return contracts
+
+
+def record_windows(record: ContractRecord) -> set[tuple[str, ...]]:
+    tokens = [text for file in record.files for text in token_texts(file.content)]
+    return {tuple(tokens[i:i + SHINGLE_SIZE]) for i in range(len(tokens) - SHINGLE_SIZE + 1)}
+
+
+@pytest.mark.parametrize("templated", [True, False], ids=["shared-code", "no-templates"])
+def test_fingerprint_contracts_hashes_each_distinct_shingle_once(monkeypatch, templated):
+    rng = random.Random(8)
+    contracts = (varied_sourced_corpus(rng, n_lineages=6).contracts if templated
+                 else no_template_contracts(rng))
+    open_source = {address: record for address, record in contracts.items() if record.open_source}
+    # each record fingerprinted on its own, with no shingle memo
+    expected = {address: fingerprint(open_source[address], k=64, seed=3)
+                for address in sorted(open_source)}
+    per_record = [record_windows(record) for record in open_source.values()]
+    distinct = set().union(*per_record)
+    # the corpus shares shingles across records exactly when it is built from templates
+    assert (sum(map(len, per_record)) > len(distinct)) is templated
+
+    hashed = []
+    original = _blake2.blake2b
+    monkeypatch.setattr(_blake2, "blake2b",
+                        lambda data, **kwargs: hashed.append(data) or original(data, **kwargs))
+    fingerprints = fingerprint_contracts(contracts, k=64, seed=3)
+    assert fingerprints == expected
+    assert list(fingerprints) == sorted(open_source)
+    assert len(hashed) == len(set(hashed)) == len(distinct)
+    # the memo lives for one call: a second call hashes every shingle again
+    fingerprint_contracts(contracts, k=64, seed=3)
+    assert len(hashed) == 2 * len(distinct)
+
+
+def test_the_builtin_blake2b_is_the_one_hashlib_hands_out():
+    # shingles are hashed with _blake2.blake2b, which spares loading OpenSSL with hashlib
+    import hashlib
+
+    assert _blake2.blake2b is hashlib.blake2b
+
+
 @pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])
 def test_index_rejects_fingerprints_of_another_k_or_seed(other):
     shingles = set(range(80))
@@ -365,7 +419,7 @@ def test_estimator_mean_error_small():
 IMPORT_PROBE = """
 import json, sys
 import proxylineage, proxylineage.cli
-heavy = ("numpy", "urllib.request")
+heavy = ("numpy", "urllib.request", "_hashlib")
 loaded_on_import = [name for name in heavy if name in sys.modules]
 from proxylineage import ContractRecord, SourceFile
 from proxylineage.fingerprint import fingerprint
@@ -377,13 +431,15 @@ record = ContractRecord(
 )
 fp = fingerprint(record, k=16, seed=7)
 print(json.dumps({"loaded_on_import": loaded_on_import, "numpy_loaded": "numpy" in sys.modules,
+                  "openssl_loaded": "_hashlib" in sys.modules,
                   "signature": fp.signature, "shingle_count": fp.shingle_count}))
 """
 
 
 def test_import_leaves_numpy_and_urllib_request_unloaded():
     # urllib.request is imported on first use, so that commands which never
-    # fetch do not pay for loading it; numpy is never needed, not even to hash
+    # fetch do not pay for loading it; numpy is never needed, not even to hash,
+    # and the shingles are hashed with the builtin _blake2, without OpenSSL
     src = str(Path(proxylineage.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     completed = subprocess.run([sys.executable, "-c", IMPORT_PROBE],
@@ -392,6 +448,7 @@ def test_import_leaves_numpy_and_urllib_request_unloaded():
     probe = json.loads(completed.stdout)
     assert probe["loaded_on_import"] == []
     assert probe["numpy_loaded"] is False
+    assert probe["openssl_loaded"] is False
     # the one-permutation signature; 27 shingles in 16 bins leave some to densify
     assert probe["signature"] == [
         141740065303709729, 282304331163020342, 186244986201966331, 97543734523370879,

@@ -159,6 +159,7 @@ def lineage_run(corpus, corpus_args, tmp_path):
         "stats": ["stats", str(bundle)],
         "emit": ["emit", *corpus_args, "--out", str(tmp_path / "emitted")],
         "ingest": ["ingest", *corpus_args, "--out", str(tmp_path / "corpus")],
+        "fingerprint": ["fingerprint", *corpus_args, "--out", str(tmp_path / "fps.ndjson")],
         "evaluate-lsh --fingerprints": ["evaluate-lsh", *corpus_args,
                                         "--fingerprints", str(fingerprints)],
     }
@@ -181,11 +182,27 @@ def test_commands_load_neither_dataclasses_nor_inspect(lineage_run, command):
     assert "inspect" not in modules
 
 
-# hashlib loads OpenSSL's _hashlib; only the commands that hash need it
+# hashlib loads OpenSSL's _hashlib; only the SHA-256 digests of a bundle manifest need it
 @pytest.mark.parametrize("command", ["build-lineages", "vuln-lifecycle", "stats",
                                      "evaluate-lsh --fingerprints"])
 def test_commands_that_hash_nothing_load_no_openssl(lineage_run, command):
     assert "_hashlib" not in lineage_run(command)
+
+
+def test_fingerprint_hashes_shingles_without_openssl(lineage_run):
+    # shingles are hashed with the builtin _blake2, the same blake2b hashlib hands out
+    modules = lineage_run("fingerprint")
+    assert "proxylineage.solidity" in modules
+    assert "_blake2" in modules
+    assert "_hashlib" not in modules
+
+
+def test_evaluate_lsh_with_fingerprints_loads_no_lexer(lineage_run):
+    # the signatures are read, not computed, so nothing is lexed or hashed
+    modules = lineage_run("evaluate-lsh --fingerprints")
+    assert "proxylineage.fingerprint" in modules
+    assert "proxylineage.solidity" not in modules
+    assert "_blake2" not in modules
 
 
 def test_build_lineages_loads_no_dataset_pairing_or_solidity(lineage_run):
