@@ -41,8 +41,8 @@ def ingest(args):
         corpus.diagnostics[:] = [
             d for d in corpus.diagnostics if not d.startswith("contracts: no metadata")
         ]
-        for callee in sorted({e.callee_address for e in corpus.events} - set(corpus.contracts)):
-            corpus.diagnostics.append(f"contracts: no metadata for callee {callee}")
+        corpus.diagnostics.extend(f"contracts: no metadata for callee {callee}"
+                                  for callee in missing if callee not in corpus.contracts)
         for address, reason in sorted(failures.items()):
             corpus.diagnostics.append(f"explorer: fetch failed for {address}: {reason}")
     out = Path(args.out_dir)
@@ -89,15 +89,15 @@ def evaluate_lsh(args):
     (scope, threshold) scenarios."""
     from .corpus import json_text, load_corpus
     from .evaluation import LineageEvaluator, results_to_csv, results_to_jsonable
-    from .fingerprint import check_signature_length, fingerprint_contracts, read_fingerprints
+    from .fingerprint import fingerprint_contracts, read_fingerprints
     from .lineage import build_lineages
 
-    k, seed = args.k, args.seed
-    check_signature_length(k)
+    # a file, read before the corpus, sets k and seed; without one, the library defaults do
+    fingerprints = read_fingerprints(args.fingerprints_path) if args.fingerprints_path else None
     corpus = load_corpus(args.traces_path, args.contracts_path)
     lineages, _ = build_lineages(corpus)
-    fingerprints = (read_fingerprints(args.fingerprints_path, k, seed) if args.fingerprints_path
-                    else fingerprint_contracts(corpus.contracts, k, seed))
+    if fingerprints is None:
+        fingerprints = fingerprint_contracts(corpus.contracts)
     evaluator = LineageEvaluator(corpus, lineages, fingerprints)
     results, diagnostics = evaluator.evaluate(aggregation=args.aggregation)
     rendered = (results_to_csv(results) if args.output_format == "csv"
@@ -211,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         "Mine proxy-anchored smart-contract lineages from delegatecall traces."))
     parser.add_argument("--version", action="version",
                         version=f"proxylineage, version {__version__}")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="Seed for all randomized components (fingerprint hashing; "
-                             "default: %(default)s).")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
 
     def command(name, run, corpus=True):
@@ -245,6 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = command("fingerprint", fingerprint_command)
     _add_path(sub, "--out", dest="out_path", kind="file", required=True)
     sub.add_argument("--k", type=int, default=256, help="Signature length (default: %(default)s).")
+    sub.add_argument("--seed", type=int, default=0, help="Hash seed (default: %(default)s).")
 
     sub = command("evaluate-lsh", evaluate_lsh)
     _add_path(sub, "--out", dest="out_path", kind="file",
@@ -253,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
                      help="default: %(default)s")
     sub.add_argument("--aggregation", choices=["micro", "macro"], default="micro",
                      help="default: %(default)s")
-    sub.add_argument("--k", type=int, default=256, help="default: %(default)s")
     _add_path(sub, "--fingerprints", dest="fingerprints_path", kind="file", exists=True,
-              help="Reuse fingerprints from a previous `fingerprint` run.")
+              help="Take fingerprints, k and seed from this `fingerprint` output "
+                   "(default: fingerprint here at k 256, seed 0).")
 
     sub = command("vuln-lifecycle", vuln_lifecycle)
     _add_path(sub, "--findings", dest="findings_paths", kind="file", exists=True,

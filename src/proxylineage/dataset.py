@@ -242,6 +242,20 @@ def _require_numbers(record, within, rule: str, *names: str):
     return record
 
 
+def _function(cls, row: dict, **given):
+    """The FunctionUnit or UnpairedFunction a row describes, once its name and signature are
+    strings, its lines a span as extract_functions gives one and an unpaired side a known one."""
+    unit = _record(cls, row, **given)
+    for name in ("name", "signature"):
+        if not isinstance(value := getattr(unit, name), str):
+            raise ValidationError(f"{name} must be a string, got {type(value).__name__}")
+    if _require_int(unit.start_line, "start_line", 1) > _require_int(unit.end_line, "end_line", 1):
+        raise ValidationError(f"start_line {unit.start_line} is after end_line {unit.end_line}")
+    if cls is UnpairedFunction and unit.side not in ("predecessor", "successor"):
+        raise ValidationError(f"side must be 'predecessor' or 'successor', got {unit.side!r}")
+    return unit
+
+
 def _unit_row(unit: FunctionUnit) -> dict:
     """A function's row: every field but the body, which the bundle's sources/ tree holds."""
     return {name: value for name, value in unit._asdict().items() if name != "body"}
@@ -373,9 +387,14 @@ def _reading(path: Path):
 def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     """Reload an emitted bundle into the in-memory form.
 
-    A table that is not UTF-8 JSON, lacks a field, comes from another
-    BUNDLE_VERSION or holds a value emit could not have written raises
-    ValidationError naming its file; a missing file raises OSError.
+    A table that is not UTF-8 JSON, lacks a field or comes from another
+    BUNDLE_VERSION raises ValidationError naming its file, as does a row that
+    repeats an earlier row's key or differs from what _check_integrity derives.
+    Of the values, these are checked: contract rows (as fixture rows are),
+    lineage creators, addresses and windows, contract-pair gaps, file-pair
+    rates and name distances, function rows (see `_function`), match kinds and
+    exclusion reasons. Other values, extra fields among them, are taken as
+    they are. A missing file raises OSError.
     """
     root = Path(bundle_dir)
     docs = {name: read_json(root / name) for name in BUNDLE_TABLES}
@@ -431,8 +450,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             pair_id, fp = file_pair_at[_file_key(row)]
             function_pair = FunctionPair(
                 file_pair=fp,
-                predecessor=_record(FunctionUnit, row["predecessor_function"], body=""),
-                successor=_record(FunctionUnit, row["successor_function"], body=""),
+                predecessor=_function(FunctionUnit, row["predecessor_function"], body=""),
+                successor=_function(FunctionUnit, row["successor_function"], body=""),
                 match_kind=MatchKind(row["match_kind"]),
             )
             _add_once(listed, (pair_id, function_pair), None, "function pair")
@@ -452,7 +471,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
                     flag=row["flag"],
                 ),
                 function_pairs=function_pairs[pair_id],
-                unpaired_functions=[_record(UnpairedFunction, u) for u in row["unpaired_functions"]],
+                unpaired_functions=[_function(UnpairedFunction, u)
+                                    for u in row["unpaired_functions"]],
             ), "diagnostics row of contract pair")
         bundle = DatasetBundle(
             manifest=manifest,

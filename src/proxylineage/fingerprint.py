@@ -192,8 +192,8 @@ def fingerprint(
     )
 
 
-def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int,
-                          seed: int) -> dict[str, Fingerprint]:
+def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int = DEFAULT_SIGNATURE_LENGTH,
+                          seed: int = DEFAULT_SEED) -> dict[str, Fingerprint]:
     """Fingerprints of the open-source records, keyed by address in address
     order, as `read_fingerprints` returns them; the other records have no source.
 
@@ -234,11 +234,11 @@ def compare(a: Fingerprint, b: Fingerprint) -> SimilarityVerdict:
     return SimilarityVerdict(estimate, category_for(estimate))
 
 
-def check_signature_length(k: int) -> None:
-    """Raise ConfigurationError unless the LSH bands split a k-slot signature evenly."""
+def check_signature_length(k: int, where: str = "") -> None:
+    """Raise ConfigurationError, led by `where`, unless the LSH bands split k slots evenly."""
     if k <= 0 or k % BANDS:
-        raise ConfigurationError(
-            f"signature length k must be a positive multiple of {BANDS} (the LSH bands), got {k}")
+        raise ConfigurationError(f"{where}signature length k must be a positive multiple of "
+                                 f"{BANDS} (the LSH bands), got {k}")
 
 
 def check_comparable(fingerprints: list[Fingerprint]) -> None:
@@ -344,23 +344,24 @@ def _fingerprint_from_obj(obj: object) -> Fingerprint:
     )
 
 
-def read_fingerprints(path: str | Path, k: int, seed: int) -> dict[str, Fingerprint]:
+def read_fingerprints(path: str | Path) -> dict[str, Fingerprint]:
     """Read a file written by `write_fingerprints`, keyed by address.
 
     A row that is not valid JSON, lacks or adds a field, holds a bad value or
     repeats an earlier row's address raises ParseError naming the file and
-    line. A row whose k or seed differ from the run's `k` and `seed` raises
-    ConfigurationError naming the file and line: its signature cannot be
-    compared with the run's.
+    line. The first row sets k and seed: if the LSH bands do not split its k
+    evenly, or a later row's k or seed differ from it, ConfigurationError
+    names the file and line.
     """
     path = Path(path)
     fingerprints: dict[str, Fingerprint] = {}
     for line_number, fp in _iter_ndjson(path, _fingerprint_from_obj):
+        if not fingerprints:
+            k, seed = fp.k, fp.seed
+            check_signature_length(k, f"{path}:{line_number}: ")
         if (fp.k, fp.seed) != (k, seed):
-            raise ConfigurationError(
-                f"{path}:{line_number}: fingerprint has k {fp.k}, seed {fp.seed}; "
-                f"this run has k {k}, seed {seed}"
-            )
+            raise ConfigurationError(f"{path}:{line_number}: fingerprint has k {fp.k}, seed "
+                                     f"{fp.seed}; the first row has k {k}, seed {seed}")
         if fp.address in fingerprints:
             raise ParseError(path, line_number, f"duplicate fingerprint address {fp.address}")
         fingerprints[fp.address] = fp

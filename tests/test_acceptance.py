@@ -514,10 +514,9 @@ def test_end_to_end_determinism(tmp_path):
         run_cli(["emit", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(bundle_dir)], hash_seed)
         run_cli(["stats", str(bundle_dir), "--out", str(run_dir / "stats.json")], hash_seed)
-        run_cli(["--seed", "42", "evaluate-lsh", "--traces", str(traces),
-                 "--contracts", str(contracts),
+        run_cli(["evaluate-lsh", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(run_dir / "results.json")], hash_seed)
-        run_cli(["--seed", "42", "fingerprint", "--traces", str(traces),
+        run_cli(["fingerprint", "--seed", "42", "--traces", str(traces),
                  "--contracts", str(contracts),
                  "--out", str(run_dir / "fps.ndjson")], hash_seed)
         tree = {

@@ -14,6 +14,10 @@ import pytest
 from proxylineage import (ActivityWindow, ContractPair, Corpus, build_bundle, cli, emit_dataset,
                           load_corpus)
 from proxylineage.cli import main
+from proxylineage.corpus import json_text
+from proxylineage.evaluation import LineageEvaluator, results_to_jsonable
+from proxylineage.fingerprint import Fingerprint, fingerprint_contracts, write_fingerprints
+from proxylineage.lineage import build_lineages
 
 from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY
 from corpusgen import (
@@ -170,13 +174,23 @@ def test_fingerprint_command_writes_ndjson(fixture_paths, tmp_path):
 @pytest.mark.parametrize("k", [100, 0])
 def test_k_off_the_lsh_bands_is_rejected_before_input_is_read(fixture_paths, tmp_path, capsys,
                                                               traces_text, command, k):
+    """`fingerprint --k` is checked before the fixtures are read, and so is the k of the first
+    row of an `evaluate-lsh --fingerprints` file."""
     traces, contracts = fixture_paths
     if traces_text is not None:
         traces.write_text(traces_text)
     out = tmp_path / "out.ndjson"
-    assert main([command, "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(out), "--k", str(k)]) == 1
+    argv = [command, "--traces", str(traces), "--contracts", str(contracts), "--out", str(out)]
     message = f"signature length k must be a positive multiple of 64 (the LSH bands), got {k}"
+    if command == "fingerprint":
+        argv += ["--k", str(k)]
+    else:
+        fps = tmp_path / "fps.ndjson"
+        write_fingerprints(fps, [Fingerprint(ADDR_A, k, 0, (0,) * k, 1)])
+        argv += ["--fingerprints", str(fps)]
+        # a row of k 0 is a bad value before it is a bad signature length
+        message = f"{fps}:1: " + (message if k else "k must be >= 1, got 0")
+    assert main(argv) == 1
     assert f"error: {message}\n" in capsys.readouterr().err
     assert not out.exists()
 
@@ -187,43 +201,53 @@ def test_seed_changes_fingerprints(fixture_paths, tmp_path):
     two = tmp_path / "two.ndjson"
     assert main(["fingerprint", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(one)]) == 0
-    assert main(["--seed", "7", "fingerprint", "--traces", str(traces),
-                 "--contracts", str(contracts), "--out", str(two)]) == 0
+    assert main(["fingerprint", "--traces", str(traces), "--contracts", str(contracts),
+                 "--seed", "7", "--out", str(two)]) == 0
     assert one.read_text() != two.read_text()
     rows = [json.loads(line) for line in two.read_text().splitlines()]
     assert all(r["seed"] == 7 for r in rows)
 
 
 def test_evaluate_lsh_reuses_prebuilt_fingerprints(fixture_paths, tmp_path, capsys):
+    """A file's k and seed are the run's: at the defaults the table equals the one computed in
+    process, and at k 64, seed 5 it equals the evaluator's over fingerprints at those values."""
     traces, contracts = fixture_paths
     corpus_args = ["--traces", str(traces), "--contracts", str(contracts)]
     for seed, k in ((0, 256), (5, 64)):
         run = tmp_path / f"seed{seed}-k{k}"
         run.mkdir()
         fps = run / "fps.ndjson"
-        assert main(["--seed", str(seed), "fingerprint", *corpus_args, "--out", str(fps),
-                     "--k", str(k)]) == 0
-        fresh = run / "fresh.json"
+        assert main(["fingerprint", *corpus_args, "--out", str(fps),
+                     "--k", str(k), "--seed", str(seed)]) == 0
         reused = run / "reused.json"
-        assert main(["--seed", str(seed), "evaluate-lsh", *corpus_args, "--k", str(k),
-                     "--out", str(fresh)]) == 0
-        assert main(["--seed", str(seed), "evaluate-lsh", *corpus_args, "--k", str(k),
-                     "--fingerprints", str(fps), "--out", str(reused)]) == 0
-        assert fresh.read_bytes() == reused.read_bytes()
+        assert main(["evaluate-lsh", *corpus_args, "--fingerprints", str(fps),
+                     "--out", str(reused)]) == 0
+        if (seed, k) == (0, 256):
+            fresh = run / "fresh.json"
+            assert main(["evaluate-lsh", *corpus_args, "--out", str(fresh)]) == 0
+            assert fresh.read_bytes() == reused.read_bytes()
+        else:
+            corpus = load_corpus(traces, contracts)
+            lineages, _ = build_lineages(corpus)
+            evaluator = LineageEvaluator(corpus, lineages,
+                                         fingerprint_contracts(corpus.contracts, k, seed))
+            results, _ = evaluator.evaluate()
+            assert reused.read_text() == json_text(results_to_jsonable(results))
 
 
-def _fingerprints_file(fixture_paths, tmp_path, *global_args):
+def _fingerprints_file(fixture_paths, tmp_path, *options):
+    """Fingerprints of the fixture, written by `fingerprint` with `options`."""
     traces, contracts = fixture_paths
     fps = tmp_path / "fps.ndjson"
-    assert main([*global_args, "fingerprint", "--traces", str(traces),
-                 "--contracts", str(contracts), "--out", str(fps)]) == 0
+    assert main(["fingerprint", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(fps), *options]) == 0
     return fps
 
 
-def _evaluate_with(fixture_paths, fps, seed: int = 0, k: int = 256):
+def _evaluate_with(fixture_paths, fps):
     traces, contracts = fixture_paths
-    return main(["--seed", str(seed), "evaluate-lsh", "--traces", str(traces),
-                 "--contracts", str(contracts), "--fingerprints", str(fps), "--k", str(k)])
+    return main(["evaluate-lsh", "--traces", str(traces), "--contracts", str(contracts),
+                 "--fingerprints", str(fps)])
 
 
 @pytest.mark.parametrize("edit", [
@@ -253,32 +277,38 @@ def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("seed, k", [(5, 64), (0, 64), (5, 256)])
-def test_fingerprints_with_other_k_or_seed_are_rejected(fixture_paths, tmp_path, capsys, seed, k):
-    fps = _fingerprints_file(fixture_paths, tmp_path)
-    capsys.readouterr()
-    assert _evaluate_with(fixture_paths, fps, seed=seed, k=k) == 1
-    err = capsys.readouterr().err
-    assert str(fps) in err and "k 256, seed 0" in err
-
-
 def test_fingerprints_matching_nondefault_flags_are_accepted(fixture_paths, tmp_path):
-    fps = _fingerprints_file(fixture_paths, tmp_path, "--seed", "5")
-    assert _evaluate_with(fixture_paths, fps, seed=5) == 0
+    fps = _fingerprints_file(fixture_paths, tmp_path, "--k", "64", "--seed", "5")
+    assert _evaluate_with(fixture_paths, fps) == 0
 
 
-def test_fingerprint_rows_disagreeing_on_seed_are_rejected(fixture_paths, tmp_path, capsys):
+def _mix_rows(fixture_paths, tmp_path, *options) -> Path:
+    """A default fingerprints file whose third row is written with `options`."""
     fps = _fingerprints_file(fixture_paths, tmp_path)
-    (tmp_path / "seed5").mkdir()
-    other = _fingerprints_file(fixture_paths, tmp_path / "seed5", "--seed", "5")
+    (tmp_path / "other").mkdir()
+    other = _fingerprints_file(fixture_paths, tmp_path / "other", *options)
     rows = fps.read_text().splitlines()
     rows[2] = other.read_text().splitlines()[2]
     fps.write_text("\n".join(rows) + "\n")
+    return fps
+
+
+def test_fingerprint_rows_disagreeing_on_seed_are_rejected(fixture_paths, tmp_path, capsys):
+    fps = _mix_rows(fixture_paths, tmp_path, "--seed", "5")
     capsys.readouterr()
     assert _evaluate_with(fixture_paths, fps) == 1
     err = capsys.readouterr().err
     assert f"{fps}:3:" in err and "seed 5" in err
     assert "Traceback" not in err
+
+
+def test_fingerprint_rows_disagreeing_on_k_are_rejected(fixture_paths, tmp_path, capsys):
+    fps = _mix_rows(fixture_paths, tmp_path, "--k", "64")
+    capsys.readouterr()
+    assert _evaluate_with(fixture_paths, fps) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error: {fps}:3: fingerprint has k 64, seed 0; "
+                   "the first row has k 256, seed 0\n")
 
 
 FINDING = {
@@ -383,6 +413,23 @@ def _pair_mismatch(**edited) -> str:
     derived = ContractPair(PROXY, ADDR_A, ADDR_B, (11 - 10) / 86400,
                            ActivityWindow(1, 10), ActivityWindow(11, 20))
     return f"{derived._replace(**edited)} where the lineages give {derived}"
+
+
+def _edit_function(side: str, **values):
+    """An edit of function_pairs.json that sets `values` in each row's `side` function."""
+    return lambda text: json.dumps([{**row, side: {**row[side], **values}}
+                                    for row in json.loads(text)])
+
+
+UNPAIRED_FUNCTION = {"directory": "src", "predecessor_filename": "Core.sol",
+                     "successor_filename": "Core.sol", "side": "successor", "name": "g",
+                     "signature": "g()", "start_line": 5, "end_line": 6}
+
+
+def _edit_unpaired(**values):
+    """An edit of diagnostics.json that lists one unpaired function, with `values`, per pair."""
+    return lambda text: json.dumps({**(doc := json.loads(text)), "pairs": [
+        {**row, "unpaired_functions": [UNPAIRED_FUNCTION | values]} for row in doc["pairs"]]})
 
 
 def _repeat_first_row(text: str) -> str:
@@ -500,6 +547,20 @@ def _repeat_first_row(text: str) -> str:
     ("contracts.json", lambda text: json.dumps([{**row, "files": row["files"] * 2}
                                                 for row in json.loads(text)]),
      "contract record: duplicate file path 'src'/'Core.sol'"),
+    # a function row holds what extract_functions gives: named, with a span of lines
+    ("function_pairs.json", _edit_function("successor_function", name=7),
+     "name must be a string, got int"),
+    ("function_pairs.json", _edit_function("predecessor_function", signature=None),
+     "signature must be a string, got NoneType"),
+    ("function_pairs.json", _edit_function("predecessor_function", start_line="x"),
+     "start_line must be an integer, got 'x'"),
+    ("function_pairs.json", _edit_function("successor_function", end_line=0),
+     "end_line must be >= 1, got 0"),
+    ("function_pairs.json", _edit_function("predecessor_function", start_line=9),
+     "start_line 9 is after end_line 4"),
+    ("diagnostics.json", _edit_unpaired(start_line=None), "start_line must be an integer, got None"),
+    ("diagnostics.json", _edit_unpaired(side="both"),
+     "side must be 'predecessor' or 'successor', got 'both'"),
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
@@ -511,7 +572,10 @@ def _repeat_first_row(text: str) -> str:
         "gap-disagrees-with-windows", "pair-window-not-its-lineages", "file-pair-name-distance-edited",
         "unpaired-file-invented", "flag-invented", "repeated-contract", "repeated-lineage",
         "repeated-contract-pair", "repeated-file-pair", "repeated-function-pair",
-        "repeated-pair-diagnostics", "repeated-file-path"])
+        "repeated-pair-diagnostics", "repeated-file-path", "function-name-not-a-string",
+        "function-signature-not-a-string", "function-start-line-not-an-integer",
+        "function-end-line-zero", "function-lines-reversed", "unpaired-start-line-null",
+        "unpaired-side-invented"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"
@@ -661,9 +725,14 @@ CORPUS_ARGS = ["--traces", "{traces}", "--contracts", "{contracts}"]
     ["evaluate-lsh", *CORPUS_ARGS, "--scope", "all"],
     ["ingest", *CORPUS_ARGS, "--out", "{out}", "--allow-network"],
     ["pair", *CORPUS_ARGS, "--out", "{out}"],
+    # only `fingerprint` takes a seed (argparse reads `5` as the command: "invalid choice"),
+    # and `evaluate-lsh` takes k and seed from its --fingerprints file
+    ["--seed", "5", "emit", *CORPUS_ARGS, "--out", "{out}"],
+    ["evaluate-lsh", *CORPUS_ARGS, "--k", "64", "--out", "{out}"],
 ], ids=["no-command", "unknown-command", "missing-out", "missing-traces", "directory-traces",
         "file-bundle", "missing-findings", "non-integer-k", "unknown-threshold",
-        "removed-threshold", "removed-scope", "removed-allow-network", "removed-pair"])
+        "removed-threshold", "removed-scope", "removed-allow-network", "removed-pair",
+        "removed-global-seed", "removed-evaluate-k"])
 def test_usage_error_exits_one_with_usage_and_error(fixture_paths, tmp_path, capsys, argv):
     traces, contracts = fixture_paths
     (tmp_path / "directory").mkdir()

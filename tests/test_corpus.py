@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import io
 import json
@@ -525,10 +524,11 @@ def test_address_with_a_trailing_newline_is_a_parse_error(tmp_path, kind):
         rows = [finding, {**finding, "contract": bad}]
         read = load_findings
     else:
-        fingerprint = {"address": PROXY, "k": 1, "seed": 0, "shingle_count": 0,
-                       "signature": "00" * 8}
+        # k 64: a file's first row must have a k the LSH bands split
+        fingerprint = {"address": PROXY, "k": 64, "seed": 0, "shingle_count": 0,
+                       "signature": "00" * 8 * 64}
         rows = [fingerprint, {**fingerprint, "address": bad}]
-        read = functools.partial(read_fingerprints, k=1, seed=0)
+        read = read_fingerprints
     path = tmp_path / f"{kind}.ndjson"
     path.write_text("".join(json.dumps(row) + "\n" for row in rows))
     with pytest.raises(ParseError) as excinfo:

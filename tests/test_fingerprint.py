@@ -381,18 +381,21 @@ def test_fingerprints_roundtrip_through_ndjson(tmp_path):
         fps[address] = fp_from_set(address, {rng.getrandbits(64) for _ in range(30)})
     path = tmp_path / "fps.ndjson"
     write_fingerprints(path, fps.values())
-    loaded = read_fingerprints(path, K, SEED)
+    loaded = read_fingerprints(path)
     assert loaded == fps
 
 
-@pytest.mark.parametrize("run", [{"k": 128, "seed": SEED}, {"k": K, "seed": 1}], ids=["k", "seed"])
-def test_read_fingerprints_rejects_rows_of_another_k_or_seed(tmp_path, run):
+@pytest.mark.parametrize("other", [{"k": 128, "seed": SEED}, {"k": K, "seed": 1}],
+                         ids=["k", "seed"])
+def test_read_fingerprints_rejects_rows_of_another_k_or_seed(tmp_path, other):
+    """The first row sets the file's k and seed; a later row that differs is rejected."""
     path = tmp_path / "fps.ndjson"
-    write_fingerprints(path, [fp_from_set(ADDR_A, {1, 2, 3})])
+    write_fingerprints(path, [fp_from_set(ADDR_A, {1, 2, 3}),
+                              fp_from_set(ADDR_B, {1, 2, 3}, **other)])
     with pytest.raises(ConfigurationError) as excinfo:
-        read_fingerprints(path, **run)
-    assert str(excinfo.value) == (f"{path}:1: fingerprint has k {K}, seed {SEED}; "
-                                  f"this run has k {run['k']}, seed {run['seed']}")
+        read_fingerprints(path)
+    assert str(excinfo.value) == (f"{path}:2: fingerprint has k {other['k']}, "
+                                  f"seed {other['seed']}; the first row has k {K}, seed {SEED}")
 
 
 def test_read_fingerprints_rejects_a_repeated_address(tmp_path):
@@ -401,7 +404,7 @@ def test_read_fingerprints_rejects_a_repeated_address(tmp_path):
     with open(path, "a", encoding="ascii") as handle:
         handle.write(_fingerprint_line(fp_from_set(ADDR_A, {5})))
     with pytest.raises(ParseError) as excinfo:
-        read_fingerprints(path, K, SEED)
+        read_fingerprints(path)
     assert str(excinfo.value) == f"{path}:3: duplicate fingerprint address {ADDR_A}"
 
 

@@ -127,7 +127,7 @@ def test_fingerprint_is_the_module_whatever_the_import_order(first):
 
 
 def test_cli_literals_equal_library_constants():
-    from proxylineage.fingerprint import DEFAULT_SIGNATURE_LENGTH
+    from proxylineage.fingerprint import DEFAULT_SEED, DEFAULT_SIGNATURE_LENGTH
     from proxylineage.lifecycle import INTERSECTION, UNION
 
     commands = next(a for a in build_parser()._actions if a.dest == "command")
@@ -138,8 +138,8 @@ def test_cli_literals_equal_library_constants():
     mode = option("vuln-lifecycle", "mode")
     assert list(mode.choices) == [UNION, INTERSECTION]
     assert mode.default == UNION
-    for command in ("fingerprint", "evaluate-lsh"):
-        assert option(command, "k").default == DEFAULT_SIGNATURE_LENGTH
+    assert option("fingerprint", "k").default == DEFAULT_SIGNATURE_LENGTH
+    assert option("fingerprint", "seed").default == DEFAULT_SEED
 
 
 @pytest.fixture
