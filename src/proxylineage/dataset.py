@@ -30,8 +30,8 @@ from .lineage import (
     Lineage,
     LineageDiagnostics,
     LineageVersion,
-    broken_rule,
     build_lineages,
+    classify_callees,
     contract_pairs,
     lineage_diagnostics_obj,
     lineage_rows,
@@ -60,8 +60,8 @@ class Manifest(NamedTuple):
 
 class UnpairedFunction(NamedTuple):
     directory: str
-    predecessor_filename: str | None
-    successor_filename: str | None
+    predecessor_filename: str
+    successor_filename: str
     side: str  # "predecessor" | "successor"
     name: str
     signature: str
@@ -164,9 +164,8 @@ def build_bundle(corpus: Corpus) -> DatasetBundle:
                     UnpairedFunction(fp.directory, fp.predecessor_filename, fp.successor_filename,
                                      side, unit.name, unit.signature, unit.start_line, unit.end_line)
                     for unit in units)
-        unpaired_functions.sort(key=lambda u: (u.directory, u.predecessor_filename or "",
-                                               u.successor_filename or "", u.side,
-                                               u.start_line, u.name))
+        unpaired_functions.sort(key=lambda u: (u.directory, u.predecessor_filename,
+                                               u.successor_filename, u.side, u.start_line, u.name))
         artifacts.append(PairArtifacts(
             pair=pair,
             file_pairing=pairing,
@@ -204,13 +203,28 @@ _file_key = itemgetter(*_FILE_KEY)
 
 # A file's place in a contract: a SourceFile row without the content.
 _LOCATION = SourceFile._fields[:2]
-_location = itemgetter(*_LOCATION)  # of a row
 
 
-def _record(cls, row: dict, **given):
-    """The `cls` a row describes; a field in `given` takes that value, not the row's."""
+def _fields(row: dict, names, also=()) -> dict:
+    """`row`, once it is an object with no key outside `names` and `also`.
+
+    The caller reads each of `names`, so a row that lacks one fails there; and a row no
+    longer than `names` that holds each of them holds no other key.
+    """
+    if not isinstance(row, dict):
+        raise ValidationError(f"row must be an object, got {type(row).__name__}")
+    if len(row) > len(names) and (extra := row.keys() - names - set(also)):
+        raise ValidationError(f"row has unknown fields: {', '.join(sorted(extra))}")
+    return row
+
+
+def _record(cls, row: dict, *also: str, **given):
+    """The `cls` a row describes: a field in `given` takes that value and is not in the row,
+    which holds cls's other fields, may hold the keys named in `also`, and holds no others."""
+    names = [name for name in cls._fields if name not in given]
+    _fields(row, names, also)
     try:
-        values = {name: row[name] for name in cls._fields if name not in given}
+        values = {name: row[name] for name in names}
     except KeyError as exc:
         raise ValidationError(f"row lacks field {exc}") from exc
     return cls(**values, **given)
@@ -223,9 +237,31 @@ def _add_once(table: dict, key, value, what: str) -> None:
     table[key] = value
 
 
-def _window(row: dict) -> ActivityWindow:
-    window = _record(ActivityWindow, row)
-    return window._make(map(_require_timestamp, window, window._fields))
+def _location(row: dict) -> tuple[str, str]:
+    """The place a row of unpaired files gives, once it has no other field."""
+    return itemgetter(*_LOCATION)(_fields(row, _LOCATION))
+
+
+def _text(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _notes(values, where: str) -> list[str]:
+    if not isinstance(values, list):
+        raise ValidationError(f"{where} must be a list, got {type(values).__name__}")
+    return [_text(value, f"{where} note") for value in values]
+
+
+def _window(row: dict, proxy, *also: str) -> ActivityWindow:
+    """The window a row of `proxy` describes, once its bounds are timestamps in order."""
+    window = _record(ActivityWindow, row, *also)
+    first, last = map(_require_timestamp, window, window._fields)
+    if first > last:
+        raise ValidationError(f"window of proxy {proxy}: "
+                              f"first_call {first} is after last_call {last}")
+    return ActivityWindow(first, last)
 
 
 def _require_numbers(record, within, rule: str, *names: str):
@@ -243,17 +279,34 @@ def _require_numbers(record, within, rule: str, *names: str):
 
 
 def _function(cls, row: dict, **given):
-    """The FunctionUnit or UnpairedFunction a row describes, once its name and signature are
-    strings, its lines a span as extract_functions gives one and an unpaired side a known one."""
+    """The FunctionUnit or UnpairedFunction a row describes, once its text fields (all but the
+    last two, the lines) are strings, its lines a span as extract_functions gives one and an
+    unpaired side a known one."""
     unit = _record(cls, row, **given)
-    for name in ("name", "signature"):
-        if not isinstance(value := getattr(unit, name), str):
-            raise ValidationError(f"{name} must be a string, got {type(value).__name__}")
+    for name, value in zip(unit._fields[:-2], unit):
+        _text(value, name)
     if _require_int(unit.start_line, "start_line", 1) > _require_int(unit.end_line, "end_line", 1):
         raise ValidationError(f"start_line {unit.start_line} is after end_line {unit.end_line}")
     if cls is UnpairedFunction and unit.side not in ("predecessor", "successor"):
         raise ValidationError(f"side must be 'predecessor' or 'successor', got {unit.side!r}")
     return unit
+
+
+def _lineage(row: dict) -> Lineage:
+    """The lineage a row describes, once its addresses are addresses and its windows windows."""
+    lineage = _record(Lineage, row)
+    proxy = normalize_address(lineage.proxy, "proxy")
+    return Lineage(proxy, normalize_address(lineage.creator, "creator"), tuple(
+        LineageVersion(normalize_address(v["address"]), _window(v, proxy, "address"))
+        for v in lineage.versions))
+
+
+def _exclusion(row: dict) -> ExcludedCallee:
+    """The exclusion a row describes, once its addresses are addresses and its reason known."""
+    excluded = _record(ExcludedCallee, row)
+    return ExcludedCallee(normalize_address(excluded.proxy, "proxy"),
+                          normalize_address(excluded.callee, "callee"),
+                          ExclusionReason(excluded.reason))
 
 
 def _unit_row(unit: FunctionUnit) -> dict:
@@ -305,8 +358,8 @@ def _diagnostics_obj(bundle: DatasetBundle) -> dict:
     }
 
 
-# Each bundle table and the function that makes its JSON: emit_dataset writes them,
-# bundle_to_jsonable keys them by file stem and load_bundle reads them back.
+# Each bundle table and the function that makes its JSON: emit_dataset writes them
+# and load_bundle reads them back.
 BUNDLE_TABLES = {
     MANIFEST_FILE: lambda bundle: bundle.manifest._asdict() | {"tool_version": __version__},
     CONTRACTS_FILE: _contracts_obj,
@@ -322,21 +375,22 @@ BUNDLE_TABLES = {
 }
 
 
-def bundle_to_jsonable(bundle: DatasetBundle) -> dict:
-    """Canonical JSON projection of the whole bundle (sans file contents)."""
-    return {Path(name).stem: build(bundle) for name, build in BUNDLE_TABLES.items()}
-
-
 def _check_integrity(bundle: DatasetBundle, error) -> None:
     """Raise error(table, message) for the first table that differs from what the bundle derives:
-    the lineage members' contracts, build_lineages' rules on each lineage, contract_pairs of the
-    lineages, and match_files of each pair's contracts (file pairs, unpaired files and flag)."""
+    the lineage members' contracts, each lineage as classify_callees gives it from its own
+    versions and their contracts, contract_pairs of the lineages, and match_files of each pair's
+    contracts (file pairs, unpaired files and flag)."""
     members = {v.address for l in bundle.lineages for v in l.versions}
     if set(bundle.contracts) != members:
         raise error(CONTRACTS_FILE, "bundle contracts do not match lineage members")
     for lineage in bundle.lineages:
-        if broken := broken_rule(lineage, bundle.contracts):
-            raise error(LINEAGES_FILE, broken)
+        derived, dropped = classify_callees(lineage.proxy, dict(lineage.versions), bundle.contracts)
+        if dropped:
+            raise error(LINEAGES_FILE, f"version {dropped[0].callee} of proxy {lineage.proxy}: "
+                                       f"the lineage rules exclude it as {dropped[0].reason.value}")
+        if derived != lineage:
+            raise error(LINEAGES_FILE,
+                        f"{lineage} where its versions give {derived or 'no lineage'}")
     for pair, derived in zip_longest(bundle.pairs, contract_pairs(bundle.lineages)):
         if pair != derived:
             raise error(CONTRACT_PAIRS_FILE,
@@ -390,20 +444,24 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     A table that is not UTF-8 JSON, lacks a field or comes from another
     BUNDLE_VERSION raises ValidationError naming its file, as does a row that
     repeats an earlier row's key or differs from what _check_integrity derives.
-    Of the values, these are checked: contract rows (as fixture rows are),
-    lineage creators, addresses and windows, contract-pair gaps, file-pair
-    rates and name distances, function rows (see `_function`), match kinds and
-    exclusion reasons. Other values, extra fields among them, are taken as
-    they are. A missing file raises OSError.
+    So does a row with a field that emit does not write, or a value of the
+    wrong kind: contract rows are checked as fixture rows are, and the other
+    rows by one reader each (`_lineage`, `_window`, `_function`, ...). A
+    missing file raises OSError.
     """
     root = Path(bundle_dir)
     docs = {name: read_json(root / name) for name in BUNDLE_TABLES}
 
     with _reading(root / MANIFEST_FILE):
-        manifest = _record(Manifest, docs[MANIFEST_FILE])
+        manifest = _record(Manifest, docs[MANIFEST_FILE], "tool_version")
         if manifest.bundle_version != BUNDLE_VERSION:
             raise ValidationError(f"bundle_version {manifest.bundle_version!r} is not "
                                   f"the supported {BUNDLE_VERSION!r}")
+        _text(manifest.generated_at, "generated_at")
+        if not isinstance(manifest.inputs, dict):
+            raise ValidationError(f"inputs must be an object, got {type(manifest.inputs).__name__}")
+        for name, digest in manifest.inputs.items():
+            _text(digest, f"inputs[{name!r}]")
 
     contracts: dict[str, ContractRecord] = {}
     with _reading(root / CONTRACTS_FILE):
@@ -411,16 +469,14 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             files = []
             for file in row["files"]:
                 path = _source_path(root, row["address"], file["directory"], file["filename"])
-                files.append(file | {"content": _utf8(path.read_bytes(), path)})
+                files.append(_fields(file, _LOCATION) | {"content": _utf8(path.read_bytes(), path)})
             record = contract_from_obj(row | {"files": files})
             _add_once(contracts, record.address, record, "contract address")
 
     lineages: dict[str, Lineage] = {}
     with _reading(root / LINEAGES_FILE):
         for row in docs[LINEAGES_FILE]:
-            lineage = _record(Lineage, row, creator=normalize_address(row["creator"], "creator"),
-                              versions=tuple(LineageVersion(normalize_address(v["address"]), _window(v))
-                                             for v in row["versions"]))
+            lineage = _lineage(row)
             _add_once(lineages, lineage.proxy, lineage, "lineage of proxy")
 
     with _reading(root / CONTRACT_PAIRS_FILE):
@@ -429,24 +485,26 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             pair = _require_numbers(_record(ContractPair, row), lambda x: 0 < x < math.inf,
                                     "positive and finite", "gap_days")
             _add_once(pairs, _pair_key(row), pair._replace(
-                predecessor_window=_window(pair.predecessor_window),
-                successor_window=_window(pair.successor_window)), "contract pair")
+                predecessor_window=_window(pair.predecessor_window, pair.proxy),
+                successor_window=_window(pair.successor_window, pair.proxy)), "contract pair")
 
     file_pairs: dict[tuple, list[FilePair]] = {pair_id: [] for pair_id in pairs}
     file_pair_at: dict[tuple, tuple[tuple, FilePair]] = {}
     with _reading(root / FILE_PAIRS_FILE):
         for row in docs[FILE_PAIRS_FILE]:
             pair_id = _pair_key(row)
-            fp = _require_numbers(_record(FilePair, row), lambda x: 0 <= x <= 1, "in [0, 1]",
-                                  "line_similarity", "content_similarity")
+            fp = _require_numbers(_record(FilePair, row, *_PAIR_KEY), lambda x: 0 <= x <= 1,
+                                  "in [0, 1]", "line_similarity", "content_similarity")
             _require_int(fp.name_distance, "name_distance")
             _add_once(file_pair_at, _file_key(row), (pair_id, fp), "file pair")
             file_pairs[pair_id].append(fp)
 
     function_pairs: dict[tuple, list[FunctionPair]] = {pair_id: [] for pair_id in pairs}
     listed: dict[tuple, None] = {}  # (contract pair key, function pair) of each row
+    keys = (*_FILE_KEY, "match_kind", "predecessor_function", "successor_function")
     with _reading(root / FUNCTION_PAIRS_FILE):
         for row in docs[FUNCTION_PAIRS_FILE]:
+            _fields(row, keys)
             pair_id, fp = file_pair_at[_file_key(row)]
             function_pair = FunctionPair(
                 file_pair=fp,
@@ -459,8 +517,11 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
 
     artifacts: dict[tuple, PairArtifacts] = {}
     with _reading(root / DIAGNOSTICS_FILE):
-        diagnostics = docs[DIAGNOSTICS_FILE]
+        diagnostics = _fields(docs[DIAGNOSTICS_FILE],
+                              ("corpus", "lineage_exclusions", "pairs", "sources"))
         for row in diagnostics["pairs"]:
+            _fields(row, (*_PAIR_KEY, "flag", "unpaired_predecessor_files",
+                          "unpaired_successor_files", "unpaired_functions"))
             pair_id = _pair_key(row)
             _add_once(artifacts, pair_id, PairArtifacts(
                 pair=pairs[pair_id],
@@ -479,11 +540,10 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             contracts=contracts,
             lineages=list(lineages.values()),
             pair_artifacts=[artifacts[pair_id] for pair_id in pairs],
-            corpus_diagnostics=diagnostics["corpus"],
-            lineage_diagnostics=LineageDiagnostics(exclusions=[
-                _record(ExcludedCallee, e, reason=ExclusionReason(e["reason"]))
-                for e in diagnostics["lineage_exclusions"]]),
-            source_diagnostics=diagnostics["sources"],
+            corpus_diagnostics=_notes(diagnostics["corpus"], "corpus"),
+            lineage_diagnostics=LineageDiagnostics(
+                exclusions=list(map(_exclusion, diagnostics["lineage_exclusions"]))),
+            source_diagnostics=_notes(diagnostics["sources"], "sources"),
         )
     _check_integrity(bundle, lambda table, message: ValidationError(f"{root / table}: {message}"))
     return bundle

@@ -93,14 +93,10 @@ def _mix(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def shingle_hash(shingle: Iterable[str]) -> int:
-    """Stable 64-bit hash of one token shingle."""
-    return _shingle_hashes({tuple(shingle)}).pop()
-
-
 def _shingle_hashes(windows: set[tuple[str, ...]],
                     memo: dict[tuple[str, ...], int] | None = None) -> set[int]:
-    """shingle_hash of each window; `memo` maps windows already hashed to their hash.
+    """The stable 64-bit hash of each token window: the 8-byte blake2b digest of its tokens
+    joined by "\x1f", read little-endian. `memo` maps windows already hashed to their hash.
 
     Only the windows missing from `memo` are hashed, and their hashes are added to it.
     """

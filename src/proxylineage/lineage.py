@@ -1,18 +1,18 @@
 """Proxy-anchored lineage construction from delegatecall activity.
 
 A lineage is the ordered list of implementation versions served through one
-proxy. Classification applies four rules: every member must have been a
+proxy. `classify_callees` owns the four rules: every member must have been a
 delegatecall callee of the lineage's proxy; a lineage needs at least two
 versions; all members share one creator; and activity windows must be
-strictly chronological with no overlap. Callees that fall out of the
-classification are never dropped silently: each one lands in the diagnostics
-with a reason code, so members plus exclusions always account for every
-(proxy, callee) observation.
+strictly chronological with no overlap. `build_lineages` applies it to each
+proxy of a corpus, and the dataset bundle check re-applies it to each lineage
+it reads. Callees that fall out of the classification are never dropped
+silently: each one lands in the diagnostics with a reason code, so members
+plus exclusions always account for every (proxy, callee) observation.
 """
 
 from __future__ import annotations
 
-import math
 from enum import Enum
 from typing import NamedTuple
 
@@ -84,87 +84,70 @@ def activity_windows(corpus: Corpus) -> dict[tuple[str, str], ActivityWindow]:
     return {key: ActivityWindow(first, last) for key, (first, last) in bounds.items()}
 
 
-def build_lineages(corpus: Corpus) -> tuple[list[Lineage], LineageDiagnostics]:
-    """Classify every proxy's callees into a lineage or a diagnosed exclusion.
+def classify_callees(proxy: str, windows: dict[str, ActivityWindow],
+                     contracts: dict[str, ContractRecord],
+                     ) -> tuple[Lineage | None, list[ExcludedCallee]]:
+    """The lineage of `proxy`, if any, and its excluded callees, from each callee's window.
 
-    Per proxy: callees without contract metadata are excluded as
-    UNRESOLVED_METADATA; the rest are partitioned by creator and the largest
-    group wins (ties: earliest first activity, then lexicographic creator),
-    losing groups excluded as NOT_SAME_CREATOR. The winning group is sorted
-    by first activity (ties by address) and greedily chained, keeping a
-    version only when its first call is strictly after the last kept
-    version's last call; dropped versions are OVERLAPPING_WINDOW. A chain
-    shorter than two versions yields no lineage and its survivors are
-    SINGLETON. Output is sorted by proxy address and independent of input
-    event order.
+    Callees without a record in `contracts` are excluded as UNRESOLVED_METADATA;
+    the rest are partitioned by creator and the largest group wins (ties:
+    earliest first activity, then lexicographic creator), losing groups
+    excluded as NOT_SAME_CREATOR. The winning group is sorted by first activity
+    (ties by address) and greedily chained, keeping a version only when its
+    first call is strictly after the last kept version's last call; dropped
+    versions are OVERLAPPING_WINDOW. A chain shorter than two versions yields
+    no lineage and its survivors are SINGLETON. The windows are taken as given.
     """
-    windows = activity_windows(corpus)
-    callees_by_proxy: dict[str, set[str]] = {}
-    for proxy, callee in windows:
-        callees_by_proxy.setdefault(proxy, set()).add(callee)
+    exclusions: list[ExcludedCallee] = []
+    groups: dict[str, list[str]] = {}
+    for callee in sorted(windows):
+        record = contracts.get(callee)
+        if record is None:
+            exclusions.append(ExcludedCallee(proxy, callee, ExclusionReason.UNRESOLVED_METADATA))
+        else:
+            groups.setdefault(record.creator, []).append(callee)
+    if not groups:
+        return None, exclusions
+
+    def group_rank(creator: str) -> tuple[int, int, str]:
+        members = groups[creator]
+        return (-len(members), min(windows[c].first_call for c in members), creator)
+
+    winner = min(groups, key=group_rank)
+    for creator, callees in groups.items():
+        if creator != winner:
+            exclusions.extend(ExcludedCallee(proxy, c, ExclusionReason.NOT_SAME_CREATOR)
+                              for c in callees)
+
+    kept: list[LineageVersion] = []
+    for callee in sorted(groups[winner], key=lambda c: (windows[c].first_call, c)):
+        window = windows[callee]
+        if kept and window.first_call <= kept[-1].window.last_call:
+            exclusions.append(ExcludedCallee(proxy, callee, ExclusionReason.OVERLAPPING_WINDOW))
+        else:
+            kept.append(LineageVersion(address=callee, window=window))
+    if len(kept) >= 2:
+        return Lineage(proxy=proxy, creator=winner, versions=tuple(kept)), exclusions
+    exclusions.extend(ExcludedCallee(proxy, v.address, ExclusionReason.SINGLETON) for v in kept)
+    return None, exclusions
+
+
+def build_lineages(corpus: Corpus) -> tuple[list[Lineage], LineageDiagnostics]:
+    """Classify every proxy's callees (see `classify_callees`) into a lineage or a diagnosed
+    exclusion. Output is sorted by proxy address and independent of input event order."""
+    windows_by_proxy: dict[str, dict[str, ActivityWindow]] = {}
+    for (proxy, callee), window in activity_windows(corpus).items():
+        windows_by_proxy.setdefault(proxy, {})[callee] = window
 
     lineages: list[Lineage] = []
     exclusions: list[ExcludedCallee] = []
-
-    for proxy in sorted(callees_by_proxy):
-        groups: dict[str, list[str]] = {}
-        for callee in sorted(callees_by_proxy[proxy]):
-            record = corpus.contracts.get(callee)
-            if record is None:
-                exclusions.append(ExcludedCallee(proxy, callee, ExclusionReason.UNRESOLVED_METADATA))
-            else:
-                groups.setdefault(record.creator, []).append(callee)
-        if not groups:
-            continue
-
-        def group_rank(creator: str) -> tuple[int, int, str]:
-            members = groups[creator]
-            earliest = min(windows[(proxy, c)].first_call for c in members)
-            return (-len(members), earliest, creator)
-
-        winner = min(groups, key=group_rank)
-        for creator in groups:
-            if creator == winner:
-                continue
-            for callee in groups[creator]:
-                exclusions.append(ExcludedCallee(proxy, callee, ExclusionReason.NOT_SAME_CREATOR))
-
-        ordered = sorted(groups[winner], key=lambda c: (windows[(proxy, c)].first_call, c))
-        kept: list[LineageVersion] = []
-        for callee in ordered:
-            window = windows[(proxy, callee)]
-            if kept and window.first_call <= kept[-1].window.last_call:
-                exclusions.append(ExcludedCallee(proxy, callee, ExclusionReason.OVERLAPPING_WINDOW))
-                continue
-            kept.append(LineageVersion(address=callee, window=window))
-
-        if len(kept) >= 2:
-            lineages.append(Lineage(proxy=proxy, creator=winner, versions=tuple(kept)))
-        else:
-            for version in kept:
-                exclusions.append(ExcludedCallee(proxy, version.address, ExclusionReason.SINGLETON))
-
+    for proxy in sorted(windows_by_proxy):
+        lineage, excluded = classify_callees(proxy, windows_by_proxy[proxy], corpus.contracts)
+        if lineage is not None:
+            lineages.append(lineage)
+        exclusions.extend(excluded)
     exclusions.sort(key=lambda e: (e.proxy, e.callee))
     return lineages, LineageDiagnostics(exclusions=exclusions)
-
-
-def broken_rule(lineage: Lineage, contracts: dict[str, ContractRecord]) -> str | None:
-    """The first rule of build_lineages that `lineage` breaks, or None: it has two versions
-    or more, each version's contract (in `contracts`) has the lineage's creator, and the
-    windows run previous.last_call < first_call <= last_call."""
-    if len(lineage.versions) < 2:
-        return f"lineage of proxy {lineage.proxy} has fewer than two versions"
-    previous_last = -math.inf
-    for address, (first, last) in lineage.versions:
-        where = f"version {address} of proxy {lineage.proxy}"
-        if contracts[address].creator != lineage.creator:
-            return f"{where}: creator {contracts[address].creator} is not the lineage's {lineage.creator}"
-        if first > last:
-            return f"{where}: first_call {first} is after last_call {last}"
-        if first <= previous_last:
-            return f"{where}: first_call {first} is not after the previous last_call {previous_last}"
-        previous_last = last
-    return None
 
 
 def contract_pairs(lineages: list[Lineage]) -> list[ContractPair]:

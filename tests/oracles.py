@@ -19,6 +19,7 @@ the query creator's candidates.
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from pathlib import Path
@@ -163,6 +164,13 @@ def oracle_jaccard(a: set, b: set) -> float:
     if not union:
         return 0.0
     return len(a & b) / len(union)
+
+
+def oracle_shingle_hash(window) -> int:
+    """The 8-byte blake2b digest of the tokens joined by the unit separator, little-endian."""
+    digest = hashlib.blake2b(digest_size=8)
+    digest.update("\x1f".join(window).encode("utf-8"))
+    return int.from_bytes(digest.digest(), byteorder="little")
 
 
 _MASK64 = (1 << 64) - 1

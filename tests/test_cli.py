@@ -17,9 +17,9 @@ from proxylineage.cli import main
 from proxylineage.corpus import json_text
 from proxylineage.evaluation import LineageEvaluator, results_to_jsonable
 from proxylineage.fingerprint import Fingerprint, fingerprint_contracts, write_fingerprints
-from proxylineage.lineage import build_lineages
+from proxylineage.lineage import Lineage, LineageVersion, build_lineages
 
-from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY
+from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY, PROXY2
 from corpusgen import (
     addr_from_int,
     contract_row,
@@ -415,6 +415,25 @@ def _pair_mismatch(**edited) -> str:
     return f"{derived._replace(**edited)} where the lineages give {derived}"
 
 
+def _lineage_mismatch(**edited) -> str:
+    """The error for a lineages.json whose one row has the `edited` fields."""
+    derived = Lineage(PROXY, CREATOR_X, (LineageVersion(ADDR_A, ActivityWindow(1, 10)),
+                                         LineageVersion(ADDR_B, ActivityWindow(11, 20))))
+    return f"{derived._replace(**edited)} where its versions give {derived}"
+
+
+def _split_lineage(text: str) -> str:
+    """lineages.json with its one lineage split into two one-version lineages."""
+    row, = json.loads(text)
+    return json.dumps([{**row, "versions": row["versions"][:1]},
+                       {**row, "proxy": PROXY2, "versions": row["versions"][1:]}])
+
+
+def _edit_diagnostics(**values):
+    """An edit of diagnostics.json that sets its top-level `values`."""
+    return lambda text: json.dumps({**json.loads(text), **values})
+
+
 def _edit_function(side: str, **values):
     """An edit of function_pairs.json that sets `values` in each row's `side` function."""
     return lambda text: json.dumps([{**row, side: {**row[side], **values}}
@@ -497,20 +516,20 @@ def _repeat_first_row(text: str) -> str:
     ("contract_pairs.json",
      lambda text: _edit_rows(text, successor_window={"first_call": 10**400, "last_call": 10**400}),
      f"first_call must be <= 253402300799 (9999-12-31T23:59:59Z), got {10**400}"),
-    # a lineage keeps the rules of build_lineages
+    # a window runs forward; each lineage is what classify_callees gives for its own versions
     ("lineages.json", lambda text: text.replace('"first_call": 11', '"first_call": 30'),
-     f"version {ADDR_B} of proxy {PROXY}: first_call 30 is after last_call 20"),
+     f"window of proxy {PROXY}: first_call 30 is after last_call 20"),
     ("lineages.json", lambda text: text.replace('"first_call": 11', '"first_call": 10'),
-     f"version {ADDR_B} of proxy {PROXY}: first_call 10 is not after the previous last_call 10"),
+     f"version {ADDR_B} of proxy {PROXY}: the lineage rules exclude it as OVERLAPPING_WINDOW"),
     ("lineages.json", lambda text: _edit_rows(text, creator=CREATOR_Y),
-     f"version {ADDR_A} of proxy {PROXY}: creator {CREATOR_X} is not the lineage's {CREATOR_Y}"),
+     _lineage_mismatch(creator=CREATOR_Y)),
     # the contract pairs are contract_pairs of the lineages: windows and gap included
     ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=1e308),
      _pair_mismatch(gap_days=1e308)),
     ("contract_pairs.json",
      lambda text: _edit_rows(text, predecessor_window={"first_call": 10, "last_call": 1},
                              gap_days=12345.0),
-     _pair_mismatch(predecessor_window=ActivityWindow(10, 1), gap_days=12345.0)),
+     f"window of proxy {PROXY}: first_call 10 is after last_call 1"),
     ("contract_pairs.json", lambda text: _edit_rows(text, gap_days=12345.0),
      _pair_mismatch(gap_days=12345.0)),
     ("contract_pairs.json",
@@ -561,6 +580,60 @@ def _repeat_first_row(text: str) -> str:
     ("diagnostics.json", _edit_unpaired(start_line=None), "start_line must be an integer, got None"),
     ("diagnostics.json", _edit_unpaired(side="both"),
      "side must be 'predecessor' or 'successor', got 'both'"),
+    ("lineages.json", lambda text: json.dumps([{**row, "versions": row["versions"][::-1]}
+                                               for row in json.loads(text)]),
+     _lineage_mismatch(versions=(LineageVersion(ADDR_B, ActivityWindow(11, 20)),
+                                 LineageVersion(ADDR_A, ActivityWindow(1, 10))))),
+    ("lineages.json", _split_lineage,
+     f"version {ADDR_A} of proxy {PROXY}: the lineage rules exclude it as SINGLETON"),
+    ("lineages.json", lambda text: _edit_rows(text, proxy="0x12"), "proxy must be 0x + 40 hex chars"),
+    # every row holds the fields emit writes and no others, each of the kind emit writes
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "note": "x"}),
+     "row has unknown fields: note"),
+    ("lineages.json", lambda text: _edit_rows(text, note="x"), "row has unknown fields: note"),
+    ("lineages.json",
+     lambda text: json.dumps([{**row, "versions": [{**v, "note": "x"} for v in row["versions"]]}
+                              for row in json.loads(text)]),
+     "row has unknown fields: note"),
+    ("contract_pairs.json", lambda text: _edit_rows(text, note="x"), "row has unknown fields: note"),
+    ("file_pairs.json", lambda text: _edit_rows(text, note="x"), "row has unknown fields: note"),
+    ("function_pairs.json", lambda text: _edit_rows(text, note="x"), "row has unknown fields: note"),
+    ("function_pairs.json", _edit_function("successor_function", body="x"),
+     "row has unknown fields: body"),
+    ("diagnostics.json", _edit_diagnostics(note="x"), "row has unknown fields: note"),
+    ("diagnostics.json",
+     lambda text: json.dumps({**(doc := json.loads(text)), "pairs": [
+         {**row, "note": "x"} for row in doc["pairs"]]}),
+     "row has unknown fields: note"),
+    ("contracts.json",
+     lambda text: json.dumps([{**row, "files": [{**f, "content": "x"} for f in row["files"]]}
+                              for row in json.loads(text)]),
+     "row has unknown fields: content"),
+    ("diagnostics.json",
+     lambda text: json.dumps({**(doc := json.loads(text)), "pairs": [
+         {**row, "unpaired_successor_files": [{"directory": "src", "filename": "X.sol", "note": 1}]}
+         for row in doc["pairs"]]}),
+     "row has unknown fields: note"),
+    ("lineages.json", lambda text: json.dumps([{}]), "row lacks field 'proxy'"),
+    ("lineages.json", lambda text: json.dumps([[PROXY]]), "row must be an object, got list"),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "generated_at": 20}),
+     "generated_at must be a string, got int"),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "inputs": ["x"]}),
+     "inputs must be an object, got list"),
+    ("manifest.json", lambda text: json.dumps({**json.loads(text), "inputs": {"traces": 7}}),
+     "inputs['traces'] must be a string, got int"),
+    ("diagnostics.json",
+     _edit_diagnostics(lineage_exclusions=[{"proxy": 7, "callee": ADDR_C, "reason": "SINGLETON"}]),
+     "proxy must be a string, got int"),
+    ("diagnostics.json",
+     _edit_diagnostics(lineage_exclusions=[{"proxy": PROXY, "callee": "0x12", "reason": "SINGLETON"}]),
+     "callee must be 0x + 40 hex chars, got '0x12'"),
+    ("diagnostics.json", _edit_diagnostics(corpus=["ok", 7]), "corpus note must be a string, got int"),
+    ("diagnostics.json", _edit_diagnostics(sources="x"), "sources must be a list, got str"),
+    ("diagnostics.json", _edit_diagnostics(sources=[None]), "sources note must be a string, got NoneType"),
+    ("diagnostics.json", _edit_unpaired(directory=7), "directory must be a string, got int"),
+    ("diagnostics.json", _edit_unpaired(successor_filename=None),
+     "successor_filename must be a string, got NoneType"),
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
@@ -575,7 +648,17 @@ def _repeat_first_row(text: str) -> str:
         "repeated-pair-diagnostics", "repeated-file-path", "function-name-not-a-string",
         "function-signature-not-a-string", "function-start-line-not-an-integer",
         "function-end-line-zero", "function-lines-reversed", "unpaired-start-line-null",
-        "unpaired-side-invented"])
+        "unpaired-side-invented", "lineage-versions-swapped", "lineage-of-one-version",
+        "lineage-proxy-not-an-address", "manifest-extra-field", "lineage-extra-field",
+        "lineage-version-extra-field", "contract-pair-extra-field", "file-pair-extra-field",
+        "function-pair-extra-field", "function-with-a-body", "diagnostics-extra-field",
+        "pair-diagnostics-extra-field", "contract-file-with-content", "unpaired-file-extra-field",
+        "lineage-row-empty",
+        "lineage-row-not-an-object", "generated-at-not-a-string", "inputs-not-an-object",
+        "input-digest-not-a-string", "excluded-proxy-not-an-address",
+        "excluded-callee-not-an-address", "corpus-note-not-a-string", "sources-not-a-list",
+        "source-note-not-a-string", "unpaired-directory-not-a-string",
+        "unpaired-filename-not-a-string"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"

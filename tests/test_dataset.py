@@ -22,7 +22,7 @@ from proxylineage import (
     pair_functions,
 )
 from proxylineage import dataset
-from proxylineage.dataset import bundle_to_jsonable, stats_to_csv, stats_to_jsonable
+from proxylineage.dataset import stats_to_csv, stats_to_jsonable
 from proxylineage.pairing import NOT_OPEN_SOURCE
 
 from conftest import (
@@ -128,15 +128,6 @@ def varied_bundle(seed: int):
     assert any(a.unpaired_functions for a in artifacts)
     assert bundle.function_pairs and bundle.lineage_diagnostics.exclusions
     return bundle
-
-
-@pytest.mark.parametrize("seed", VARIED_SEEDS)
-def test_roundtrip_structural_equality(tmp_path, seed):
-    bundle = varied_bundle(seed)
-    out = tmp_path / "bundle"
-    emit_dataset(bundle, out)
-    loaded = load_bundle(out)
-    assert bundle_to_jsonable(loaded) == bundle_to_jsonable(bundle)
 
 
 @pytest.mark.parametrize("seed", VARIED_SEEDS)
@@ -248,7 +239,7 @@ def test_bundle_independent_of_event_order():
     shuffled = list(corpus.events)
     rng.shuffle(shuffled)
     reordered = Corpus(events=shuffled, contracts=corpus.contracts)
-    assert bundle_to_jsonable(build_bundle(corpus)) == bundle_to_jsonable(build_bundle(reordered))
+    assert build_bundle(corpus) == build_bundle(reordered)
 
 
 def test_manifest_timestamp_derives_from_inputs():
@@ -371,7 +362,35 @@ def test_lineage_of_one_version_is_rejected_at_emit(tmp_path):
                    if address != dropped},
         pair_artifacts=[a for a in bundle.pair_artifacts if a.pair.proxy != lineage.proxy])
     out = tmp_path / "bundle"
-    with pytest.raises(IntegrityError, match=f"lineage of proxy {lineage.proxy} has fewer than two"):
+    with pytest.raises(IntegrityError, match=f"version {lineage.versions[0].address} of proxy "
+                                             f"{lineage.proxy}: the lineage rules exclude it as SINGLETON"):
+        emit_dataset(bundle, out)
+    assert not out.exists()
+
+
+def _overlap_the_second_version(lineage):
+    first, second = lineage.versions
+    return lineage._replace(versions=(first, second._replace(
+        window=second.window._replace(first_call=first.window.last_call))))
+
+
+# a lineage in memory is what classify_callees gives for its own versions, or emit refuses it
+@pytest.mark.parametrize("tamper, reason", [
+    (lambda lineage: lineage._replace(versions=lineage.versions[::-1]), None),
+    (_overlap_the_second_version, "OVERLAPPING_WINDOW"),
+    (lambda lineage: lineage._replace(creator=CREATOR_Y), None),
+], ids=["versions-swapped", "versions-overlap", "creator-not-its-members"])
+def test_lineage_its_versions_do_not_give_is_rejected_at_emit(tmp_path, tamper, reason):
+    bundle = build_bundle(two_lineage_corpus())
+    lineage, *others = bundle.lineages
+    assert lineage.creator != CREATOR_Y
+    tampered = tamper(lineage)
+    bundle = bundle._replace(lineages=[tampered, *others])
+    out = tmp_path / "bundle"
+    expected = (f"version {lineage.versions[1].address} of proxy {lineage.proxy}: "
+                f"the lineage rules exclude it as {reason}" if reason
+                else f"{tampered} where its versions give {lineage}")
+    with pytest.raises(IntegrityError, match=re.escape(expected)):
         emit_dataset(bundle, out)
     assert not out.exists()
 

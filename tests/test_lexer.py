@@ -9,11 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proxylineage import SourceFile, extract_functions, tokenize
-from proxylineage.fingerprint import SHINGLE_SIZE, record_shingles, shingle_hash
+from proxylineage.fingerprint import SHINGLE_SIZE, record_shingles
 from proxylineage.solidity import token_texts
 
 from conftest import ADDR_A, CREATOR_X, make_record
-from oracles import oracle_extract_functions, oracle_tokenize
+from oracles import oracle_extract_functions, oracle_shingle_hash, oracle_tokenize
 
 # Comment and string delimiters, escapes, line ends, Unicode whitespace,
 # non-ASCII letters and digits, and the characters that start or continue
@@ -60,7 +60,7 @@ def test_escaped_newline_in_a_string_counts_as_a_line():
 def test_record_shingles_hash_every_window_of_the_oracle_texts(contents):
     files = [SourceFile("", name, content) for name, content in contents.items()]
     texts = [t.text for name in sorted(contents) for t in oracle_tokenize(contents[name])]
-    expected = {shingle_hash(texts[i:i + SHINGLE_SIZE])
+    expected = {oracle_shingle_hash(texts[i:i + SHINGLE_SIZE])
                 for i in range(len(texts) - SHINGLE_SIZE + 1)}
     assert record_shingles(make_record(ADDR_A, CREATOR_X, files)) == expected
 

@@ -11,6 +11,7 @@ from proxylineage import (
     build_lineages,
     contract_pairs,
 )
+from proxylineage.lineage import classify_callees
 
 from conftest import (
     ADDR_A,
@@ -223,6 +224,10 @@ def test_matches_rule_oracle_on_random_corpora():
         assert lineage_tuples(lineages) == expected_lineages
         assert exclusion_set(diagnostics) == expected_exclusions
         assert_rules_hold(corpus, lineages)
+        # the bundle check re-derives each lineage from its own versions
+        for lineage in lineages:
+            assert classify_callees(lineage.proxy, dict(lineage.versions),
+                                    corpus.contracts) == (lineage, [])
 
 
 def test_accounting_and_pair_identity_on_random_corpora():
