@@ -13,7 +13,7 @@ import json
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -23,14 +23,6 @@ from .errors import ParseError, ValidationError
 _ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
 _SELECTOR_RE = re.compile(r"0x[0-9a-f]{8}")
 _SIGNATURE_RE = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*\(.*\)")
-
-TRACE_FIELDS = frozenset(
-    {"proxy_address", "callee_address", "timestamp", "block_number", "selector", "tx_id"}
-)
-CONTRACT_FIELDS = frozenset(
-    {"address", "creator", "deploy_timestamp", "verified", "open_source", "files"}
-)
-FILE_FIELDS = frozenset({"directory", "filename", "content"})
 
 # 9999-12-31T23:59:59Z, the last second a datetime shows; a gap between two such is a finite float
 MAX_TIMESTAMP = 253402300799
@@ -111,18 +103,14 @@ class Corpus(NamedTuple):
 
 def normalize_address(value: object, where: str = "address") -> str:
     """Lowercase a 0x-prefixed 20-byte hex address, rejecting anything else."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
-    normalized = value.lower()
+    normalized = _text(value, where).lower()
     if not _ADDRESS_RE.fullmatch(normalized):
         raise ValidationError(f"{where} must be 0x + 40 hex chars, got {value!r}")
     return normalized
 
 
 def normalize_selector(value: object, where: str = "selector") -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
-    normalized = value.lower()
+    normalized = _text(value, where).lower()
     if not _SELECTOR_RE.fullmatch(normalized):
         raise ValidationError(f"{where} must be 0x + 8 hex chars, got {value!r}")
     return normalized
@@ -134,9 +122,7 @@ def compute_selector(signature: str) -> str:
     The signature must be canonical, e.g. ``transfer(address,uint256)``:
     no spaces, no parameter names.
     """
-    if not isinstance(signature, str):
-        raise ValidationError("signature must be a string")
-    if any(ch.isspace() for ch in signature):
+    if any(ch.isspace() for ch in _text(signature, "signature")):
         raise ValidationError(f"signature must not contain spaces: {signature!r}")
     if not _SIGNATURE_RE.fullmatch(signature):
         raise ValidationError(f"malformed signature: {signature!r}")
@@ -184,21 +170,48 @@ def _require_timestamp(value: object, where: str) -> int:
     return value
 
 
-def _require_fields(obj: dict, expected: frozenset, where: str) -> None:
-    keys = set(obj)
-    missing = expected - keys
-    if missing:
-        raise ValidationError(f"{where} missing fields: {', '.join(sorted(missing))}")
-    extra = keys - expected
-    if extra:
+def _text(value: object, where: str) -> str:
+    if not isinstance(value, str):
+        raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
+    return value
+
+
+def _line_span(start_line: object, end_line: object) -> None:
+    """Check a span of source lines: integers from 1, the start not after the end."""
+    if type(start_line) is not int or type(end_line) is not int or not 1 <= start_line <= end_line:
+        if _require_int(start_line, "start_line", 1) > _require_int(end_line, "end_line", 1):
+            raise ValidationError(f"start_line {start_line} is after end_line {end_line}")
+
+
+def _fields(row: object, names, where: str = "row", also=()) -> tuple:
+    """The values of `names` (two or more) in `row`, once it is a JSON object that holds each
+    of them, may hold the keys in `also` and holds no other key.
+
+    This is the one check of a row's shape. A reader with a faster path for valid rows
+    calls it only to name a fault; a row no longer than `names` that holds each of them
+    holds no other key, so only a longer row pays for a set difference.
+    """
+    if not isinstance(row, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(row).__name__}")
+    try:
+        values = itemgetter(*names)(row)
+    except KeyError:
+        missing = sorted(name for name in names if name not in row)
+        raise ValidationError(f"{where} missing fields: {', '.join(missing)}") from None
+    if len(row) > len(names) and (extra := row.keys() - {*names, *also}):
         raise ValidationError(f"{where} has unknown fields: {', '.join(sorted(extra))}")
+    return values
+
+
+def _record(cls, row: object, *also: str, where: str = "row"):
+    """The `cls` a row describes: the row holds cls's fields, may hold the keys named in
+    `also`, and holds no others."""
+    return cls._make(_fields(row, cls._fields, where, also))
 
 
 def validate_directory(value: object, where: str = "directory") -> str:
     """Normalized relative path: forward slashes, no '.'/'..' segments, may be empty."""
-    if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
-    if value == "":
+    if _text(value, where) == "":
         return value
     if "\\" in value or "\x00" in value:
         raise ValidationError(f"{where} must use forward slashes: {value!r}")
@@ -227,15 +240,13 @@ def _memo_normalize(memo: dict[str, str], value: object, normalize, where: str) 
 
 def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEvent:
     """Validate one trace row; `memo` holds (addresses, selectors) already normalized."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be a JSON object")
     try:
-        if len(obj) != len(TRACE_FIELDS):
+        if len(obj) != len(TraceEvent._fields):
             raise KeyError
         tx_id, raw_proxy, raw_callee = obj["tx_id"], obj["proxy_address"], obj["callee_address"]
         timestamp, block_number, raw_selector = obj["timestamp"], obj["block_number"], obj["selector"]
-    except KeyError:  # a field is missing or another key is present: _require_fields says which
-        _require_fields(obj, TRACE_FIELDS, where)
+    except (KeyError, TypeError):  # not an object, a field missing or another present
+        _fields(obj, TraceEvent._fields, where)
     if not isinstance(tx_id, str) or not tx_id:
         raise ValidationError(f"{where}: tx_id must be a non-empty string")
     addresses, selectors = memo
@@ -257,37 +268,32 @@ def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEv
 
 def contract_from_obj(obj: object, where: str = "contract record") -> ContractRecord:
     """Validate one contract-record JSON object (fixture row or explorer payload)."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    _require_fields(obj, CONTRACT_FIELDS, where)
-    verified = obj["verified"]
-    open_source = obj["open_source"]
+    try:
+        if len(obj) != len(ContractRecord._fields):
+            raise KeyError
+        address, creator, deploy_timestamp = obj["address"], obj["creator"], obj["deploy_timestamp"]
+        verified, open_source, raw_files = obj["verified"], obj["open_source"], obj["files"]
+    except (KeyError, TypeError):  # not an object, a field missing or another present
+        _fields(obj, ContractRecord._fields, where)
     if not isinstance(verified, bool) or not isinstance(open_source, bool):
         raise ValidationError(f"{where}: verified and open_source must be booleans")
-    raw_files = obj["files"]
     if not isinstance(raw_files, list):
         raise ValidationError(f"{where}: files must be a list")
     files = []
     for idx, raw in enumerate(raw_files):
         fwhere = f"{where} files[{idx}]"
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{fwhere} must be a JSON object")
-        _require_fields(raw, FILE_FIELDS, fwhere)
-        directory = validate_directory(raw["directory"], f"{fwhere} directory")
-        filename = raw["filename"]
-        if not isinstance(filename, str) or not filename.endswith(".sol") or "/" in filename:
+        directory, filename, content = _fields(raw, SourceFile._fields, fwhere)
+        directory = validate_directory(directory, f"{fwhere} directory")
+        if not _text(filename, f"{fwhere} filename").endswith(".sol") or "/" in filename:
             raise ValidationError(f"{fwhere}: filename must be a bare name ending in .sol")
-        content = raw["content"]
-        if not isinstance(content, str):
-            raise ValidationError(f"{fwhere}: content must be a string")
-        files.append(SourceFile(directory=directory, filename=filename, content=content))
+        files.append(SourceFile(directory, filename, _text(content, f"{fwhere} content")))
     if open_source and not files:
         raise ValidationError(f"{where}: open_source contract must have files")
     if not open_source and files:
         raise ValidationError(f"{where}: closed-source contract must not have files")
-    address = normalize_address(obj["address"], "address")
-    creator = normalize_address(obj["creator"], "creator")
-    deploy_timestamp = _require_timestamp(obj["deploy_timestamp"], "deploy_timestamp")
+    address = normalize_address(address, "address")
+    creator = normalize_address(creator, "creator")
+    deploy_timestamp = _require_timestamp(deploy_timestamp, "deploy_timestamp")
     try:
         return ContractRecord(address, creator, deploy_timestamp, verified, open_source, files)
     except ValidationError as exc:
@@ -321,7 +327,7 @@ def _iter_ndjson(path: Path, parse):
             line = _utf8(raw, path, line_number)
             try:
                 obj, end = _scan_json(line, 0)
-            except (StopIteration, ValueError):
+            except (StopIteration, ValueError, RecursionError):
                 end = -1
             if end < 0 or line[end:].strip(_JSON_SPACE):
                 if not line.strip():
@@ -330,8 +336,8 @@ def _iter_ndjson(path: Path, parse):
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
-                except ValueError as exc:
-                    raise _integer_too_long(path, line, line_number) from exc
+                except (ValueError, RecursionError) as exc:
+                    raise _undecodable(path, line, exc, line_number) from exc
             try:
                 parsed = parse(obj)
             except ValidationError as exc:
@@ -346,29 +352,41 @@ def read_json(path: str | Path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    except ValueError as exc:
-        raise _integer_too_long(path, text) from exc
+    except (ValueError, RecursionError) as exc:
+        raise _undecodable(path, text, exc) from exc
 
 
-# A JSON string, or the digits of a JSON integer (not of a fraction or an exponent)
-_STRING_OR_INTEGER = re.compile(r'"(?:[^"\\]|\\.)*"|(?<![0-9.eE+-])-?([0-9]+)(?![0-9.eE])')
+# A JSON string, an opening bracket, a closing bracket, or the digits of a JSON integer
+# (not of a fraction or an exponent)
+_JSON_TOKEN = re.compile(r'"(?:[^"\\]|\\.)*"|([\[{])|([\]}])|(?<![0-9.eE+-])-?([0-9]+)(?![0-9.eE])')
 
 
-def _integer_too_long(path, text: str, first_line: int = 1) -> ParseError:
-    """The ParseError for the one ValueError json.loads raises besides JSONDecodeError:
-    an integer with more digits than int() converts.
+def _undecodable(path, text: str, exc: Exception, first_line: int = 1) -> ParseError:
+    """The ParseError for the two errors json.loads raises besides JSONDecodeError, neither
+    with a position: a RecursionError for nesting deeper than the decoder's stack allows,
+    and a ValueError for an integer with more digits than int() converts.
 
-    That error carries no position. json.loads converts integers in text
-    order and everything before the failing one was valid JSON, so the line
-    is that of the first integer over the limit.
+    The line comes from a scan that skips strings. Too deep a nesting is reported on the
+    line of the first bracket at the greatest depth. json.loads converts integers in text
+    order and everything before the failing one was valid JSON, so an overlong integer's
+    line is that of the first integer over the limit.
     """
-    limit = sys.get_int_max_str_digits()
-    line_number = first_line
-    for match in _STRING_OR_INTEGER.finditer(text):
-        if match[1] is not None and len(match[1]) > limit:
-            line_number += text.count("\n", 0, match.start())
-            break
-    return ParseError(path, line_number, f"invalid JSON: integer longer than {limit} digits")
+    at = 0
+    if isinstance(exc, RecursionError):
+        message = "nested deeper than the decoder allows"
+        depth = deepest = 0
+        for match in _JSON_TOKEN.finditer(text):
+            depth += (match[1] is not None) - (match[2] is not None)
+            if depth > deepest:
+                at, deepest = match.start(), depth
+    else:
+        limit = sys.get_int_max_str_digits()
+        message = f"integer longer than {limit} digits"
+        for match in _JSON_TOKEN.finditer(text):
+            if match[3] is not None and len(match[3]) > limit:
+                at = match.start()
+                break
+    return ParseError(path, first_line + text.count("\n", 0, at), f"invalid JSON: {message}")
 
 
 def json_text(obj) -> str:

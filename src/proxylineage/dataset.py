@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._version import __version__
-from .corpus import (ContractRecord, Corpus, SourceFile, _require_int, _require_timestamp, _utf8,
-                     contract_from_obj, corpus_digests, normalize_address, read_json,
-                     validate_directory, write_json)
+from .corpus import (ContractRecord, Corpus, SourceFile, _fields, _line_span, _record, _require_int,
+                     _require_timestamp, _text, _utf8, contract_from_obj, corpus_digests,
+                     normalize_address, read_json, validate_directory, write_json)
 from .errors import IntegrityError, ParseError, ValidationError
 from .lineage import (
     ActivityWindow,
@@ -192,7 +192,7 @@ def build_bundle(corpus: Corpus) -> DatasetBundle:
 # --- serialization -----------------------------------------------------------
 #
 # A bundle row is a record's _asdict(), with a nested record as a row of its own
-# and an enum as its value; load_bundle picks the fields back out with _record.
+# and an enum as its value; load_bundle picks the fields back out with corpus._record.
 # The key of a file-pair, function-pair or pair-diagnostics row leads with the
 # contract pair's first three fields, then a function-pair row's with its file pair's.
 _PAIR_KEY = ContractPair._fields[:3]
@@ -203,31 +203,8 @@ _file_key = itemgetter(*_FILE_KEY)
 
 # A file's place in a contract: a SourceFile row without the content.
 _LOCATION = SourceFile._fields[:2]
-
-
-def _fields(row: dict, names, also=()) -> dict:
-    """`row`, once it is an object with no key outside `names` and `also`.
-
-    The caller reads each of `names`, so a row that lacks one fails there; and a row no
-    longer than `names` that holds each of them holds no other key.
-    """
-    if not isinstance(row, dict):
-        raise ValidationError(f"row must be an object, got {type(row).__name__}")
-    if len(row) > len(names) and (extra := row.keys() - names - set(also)):
-        raise ValidationError(f"row has unknown fields: {', '.join(sorted(extra))}")
-    return row
-
-
-def _record(cls, row: dict, *also: str, **given):
-    """The `cls` a row describes: a field in `given` takes that value and is not in the row,
-    which holds cls's other fields, may hold the keys named in `also`, and holds no others."""
-    names = [name for name in cls._fields if name not in given]
-    _fields(row, names, also)
-    try:
-        values = {name: row[name] for name in names}
-    except KeyError as exc:
-        raise ValidationError(f"row lacks field {exc}") from exc
-    return cls(**values, **given)
+# A function's row: a FunctionUnit's fields but the body, which the sources/ tree holds.
+_UNIT_ROW = tuple(name for name in FunctionUnit._fields if name != "body")
 
 
 def _add_once(table: dict, key, value, what: str) -> None:
@@ -239,13 +216,7 @@ def _add_once(table: dict, key, value, what: str) -> None:
 
 def _location(row: dict) -> tuple[str, str]:
     """The place a row of unpaired files gives, once it has no other field."""
-    return itemgetter(*_LOCATION)(_fields(row, _LOCATION))
-
-
-def _text(value, where: str) -> str:
-    if not isinstance(value, str):
-        raise ValidationError(f"{where} must be a string, got {type(value).__name__}")
-    return value
+    return _fields(row, _LOCATION)
 
 
 def _notes(values, where: str) -> list[str]:
@@ -278,15 +249,18 @@ def _require_numbers(record, within, rule: str, *names: str):
     return record
 
 
-def _function(cls, row: dict, **given):
-    """The FunctionUnit or UnpairedFunction a row describes, once its text fields (all but the
-    last two, the lines) are strings, its lines a span as extract_functions gives one and an
-    unpaired side a known one."""
-    unit = _record(cls, row, **given)
+def _function(cls, row: dict):
+    """The FunctionUnit, with an empty body, or the UnpairedFunction a row describes, once its
+    text fields (all but the last two, the lines) are strings, its lines a span as
+    extract_functions gives one and an unpaired side a known one."""
+    if cls is FunctionUnit:
+        name, signature, start_line, end_line = _fields(row, _UNIT_ROW)
+        unit = FunctionUnit(name, signature, "", start_line, end_line)
+    else:
+        unit = _record(cls, row)
     for name, value in zip(unit._fields[:-2], unit):
         _text(value, name)
-    if _require_int(unit.start_line, "start_line", 1) > _require_int(unit.end_line, "end_line", 1):
-        raise ValidationError(f"start_line {unit.start_line} is after end_line {unit.end_line}")
+    _line_span(unit.start_line, unit.end_line)
     if cls is UnpairedFunction and unit.side not in ("predecessor", "successor"):
         raise ValidationError(f"side must be 'predecessor' or 'successor', got {unit.side!r}")
     return unit
@@ -310,8 +284,7 @@ def _exclusion(row: dict) -> ExcludedCallee:
 
 
 def _unit_row(unit: FunctionUnit) -> dict:
-    """A function's row: every field but the body, which the bundle's sources/ tree holds."""
-    return {name: value for name, value in unit._asdict().items() if name != "body"}
+    return {name: getattr(unit, name) for name in _UNIT_ROW}
 
 
 def _source_path(root: Path, address: str, directory: str, filename: str) -> Path:
@@ -379,7 +352,9 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
     """Raise error(table, message) for the first table that differs from what the bundle derives:
     the lineage members' contracts, each lineage as classify_callees gives it from its own
     versions and their contracts, contract_pairs of the lineages, and match_files of each pair's
-    contracts (file pairs, unpaired files and flag)."""
+    contracts (file pairs, unpaired files and flag). The exclusions must name each (proxy,
+    callee) once and no member of the proxy's lineage, so that members and exclusions
+    account for each observation once."""
     members = {v.address for l in bundle.lineages for v in l.versions}
     if set(bundle.contracts) != members:
         raise error(CONTRACTS_FILE, "bundle contracts do not match lineage members")
@@ -406,6 +381,16 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
         if pairing[1:] != derived[1:]:
             raise error(DIAGNOSTICS_FILE, f"{name}: unpaired files and flag {pairing[1:]} "
                                           f"where match_files gives {derived[1:]}")
+    member_of = {(l.proxy, v.address) for l in bundle.lineages for v in l.versions}
+    excluded = set()
+    for proxy, callee, _ in bundle.lineage_diagnostics.exclusions:
+        if (proxy, callee) in member_of:
+            raise error(DIAGNOSTICS_FILE, f"callee {callee} of proxy {proxy} is both excluded "
+                                          f"and a member of its lineage")
+        if (proxy, callee) in excluded:
+            raise error(DIAGNOSTICS_FILE, f"exclusion of callee {callee} of proxy {proxy} "
+                                          f"is listed twice")
+        excluded.add((proxy, callee))
 
 
 def emit_dataset(bundle: DatasetBundle, out_dir: str | Path) -> None:
@@ -466,10 +451,12 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     contracts: dict[str, ContractRecord] = {}
     with _reading(root / CONTRACTS_FILE):
         for row in docs[CONTRACTS_FILE]:
+            address, *_, locations = _fields(row, ContractRecord._fields)
             files = []
-            for file in row["files"]:
-                path = _source_path(root, row["address"], file["directory"], file["filename"])
-                files.append(_fields(file, _LOCATION) | {"content": _utf8(path.read_bytes(), path)})
+            for file in locations:
+                directory, filename = _fields(file, _LOCATION)
+                path = _source_path(root, address, directory, filename)
+                files.append(file | {"content": _utf8(path.read_bytes(), path)})
             record = contract_from_obj(row | {"files": files})
             _add_once(contracts, record.address, record, "contract address")
 
@@ -508,8 +495,8 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             pair_id, fp = file_pair_at[_file_key(row)]
             function_pair = FunctionPair(
                 file_pair=fp,
-                predecessor=_function(FunctionUnit, row["predecessor_function"], body=""),
-                successor=_function(FunctionUnit, row["successor_function"], body=""),
+                predecessor=_function(FunctionUnit, row["predecessor_function"]),
+                successor=_function(FunctionUnit, row["successor_function"]),
                 match_kind=MatchKind(row["match_kind"]),
             )
             _add_once(listed, (pair_id, function_pair), None, "function pair")
@@ -517,9 +504,9 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
 
     artifacts: dict[tuple, PairArtifacts] = {}
     with _reading(root / DIAGNOSTICS_FILE):
-        diagnostics = _fields(docs[DIAGNOSTICS_FILE],
-                              ("corpus", "lineage_exclusions", "pairs", "sources"))
-        for row in diagnostics["pairs"]:
+        corpus_notes, exclusions, pair_rows, source_notes = _fields(
+            docs[DIAGNOSTICS_FILE], ("corpus", "lineage_exclusions", "pairs", "sources"))
+        for row in pair_rows:
             _fields(row, (*_PAIR_KEY, "flag", "unpaired_predecessor_files",
                           "unpaired_successor_files", "unpaired_functions"))
             pair_id = _pair_key(row)
@@ -540,10 +527,9 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
             contracts=contracts,
             lineages=list(lineages.values()),
             pair_artifacts=[artifacts[pair_id] for pair_id in pairs],
-            corpus_diagnostics=_notes(diagnostics["corpus"], "corpus"),
-            lineage_diagnostics=LineageDiagnostics(
-                exclusions=list(map(_exclusion, diagnostics["lineage_exclusions"]))),
-            source_diagnostics=_notes(diagnostics["sources"], "sources"),
+            corpus_diagnostics=_notes(corpus_notes, "corpus"),
+            lineage_diagnostics=LineageDiagnostics(exclusions=list(map(_exclusion, exclusions))),
+            source_diagnostics=_notes(source_notes, "sources"),
         )
     _check_integrity(bundle, lambda table, message: ValidationError(f"{root / table}: {message}"))
     return bundle

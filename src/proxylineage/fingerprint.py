@@ -19,7 +19,7 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
-from .corpus import (ContractRecord, _iter_ndjson, _json_str, _require_fields, _require_int,
+from .corpus import (ContractRecord, _fields, _iter_ndjson, _json_str, _require_int,
                      normalize_address)
 from .errors import (
     ConfigurationError,
@@ -45,7 +45,6 @@ _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 _GAMMA = 0x9E3779B97F4A7C15
 
-FINGERPRINT_FIELDS = frozenset({"address", "k", "seed", "shingle_count", "signature"})
 _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
 
@@ -322,22 +321,15 @@ def write_fingerprints(path: str | Path, fingerprints: Iterable[Fingerprint]) ->
 
 
 def _fingerprint_from_obj(obj: object) -> Fingerprint:
-    if not isinstance(obj, dict):
-        raise ValidationError("fingerprint must be a JSON object")
-    _require_fields(obj, FINGERPRINT_FIELDS, "fingerprint")
-    k = _require_int(obj["k"], "k", minimum=1)
-    signature = obj["signature"]
+    address, k, seed, signature, shingle_count = _fields(obj, Fingerprint._fields, "fingerprint")
+    k = _require_int(k, "k", minimum=1)
     if not isinstance(signature, str) or not _HEX_RE.fullmatch(signature):
         raise ValidationError(f"signature must be a string of hex digits, got {signature!r:.40}")
     if len(signature) != 16 * k:
         raise ValidationError(f"signature has {len(signature)} hex digits, k {k} needs {16 * k}")
-    return Fingerprint(
-        address=normalize_address(obj["address"]),
-        k=k,
-        seed=_require_int(obj["seed"], "seed", minimum=None),
-        signature=struct.unpack(f">{k}Q", bytes.fromhex(signature)),
-        shingle_count=_require_int(obj["shingle_count"], "shingle_count"),
-    )
+    return Fingerprint(normalize_address(address), k, _require_int(seed, "seed", minimum=None),
+                       struct.unpack(f">{k}Q", bytes.fromhex(signature)),
+                       _require_int(shingle_count, "shingle_count"))
 
 
 def read_fingerprints(path: str | Path) -> dict[str, Fingerprint]:

@@ -17,14 +17,11 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import Corpus, _iter_ndjson, _require_fields, normalize_address, read_json
+from .corpus import (Corpus, _fields, _iter_ndjson, _line_span, _text, normalize_address,
+                     read_json)
 from .errors import ConfigurationError, ValidationError
 from .lineage import ContractPair, SECONDS_PER_DAY
 from .pairing import FileMatch
-
-FINDING_FIELDS = frozenset(
-    {"tool", "vuln_type", "contract", "directory", "filename", "start_line", "end_line", "message"}
-)
 
 UNION = "union"
 INTERSECTION = "intersection"
@@ -107,28 +104,23 @@ def load_findings(
 
 
 def _finding_from_obj(obj: object) -> Finding:
-    if not isinstance(obj, dict):
-        raise ValidationError("finding must be a JSON object")
-    if obj.keys() != FINDING_FIELDS:
-        _require_fields(obj, FINDING_FIELDS, "finding")
-    tool, vuln_type, filename, message = (obj["tool"], obj["vuln_type"], obj["filename"],
-                                          obj["message"])
-    for field_name, value in (("tool", tool), ("vuln_type", vuln_type), ("filename", filename),
-                              ("message", message)):
-        if not isinstance(value, str):
-            raise ValidationError(f"{field_name} must be a string")
+    try:
+        if len(obj) != len(Finding._fields):
+            raise KeyError
+        tool, vuln_type, contract, directory = (obj["tool"], obj["vuln_type"], obj["contract"],
+                                                obj["directory"])
+        filename, start_line, end_line, message = (obj["filename"], obj["start_line"],
+                                                   obj["end_line"], obj["message"])
+    except (KeyError, TypeError):  # not an object, a field missing or another present
+        _fields(obj, Finding._fields, "finding")
+    if not (type(tool) is type(vuln_type) is type(directory) is type(filename)
+            is type(message) is str):
+        for name in ("tool", "vuln_type", "directory", "filename", "message"):
+            _text(obj[name], name)
     if not tool or not vuln_type:
         raise ValidationError("tool and vuln_type must be non-empty")
-    start_line, end_line = obj["start_line"], obj["end_line"]
-    for name, value in (("start_line", start_line), ("end_line", end_line)):
-        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    if start_line > end_line:
-        raise ValidationError(f"start_line {start_line} > end_line {end_line}")
-    directory = obj["directory"]
-    if not isinstance(directory, str):
-        raise ValidationError("directory must be a string")
-    contract = normalize_address(obj["contract"], "contract")
+    _line_span(start_line, end_line)
+    contract = normalize_address(contract, "contract")
     return Finding(tool, vuln_type, contract, directory, filename, start_line, end_line, message)
 
 

@@ -26,9 +26,8 @@ from pathlib import Path
 
 from proxylineage import (Corpus, LineageEvaluator, LshIndex, SimilarityCategory, TraceEvent,
                           query_similar)
-from proxylineage.corpus import (TRACE_FIELDS, _iter_ndjson, _memo_normalize, _require_fields,
-                                 _require_int, _require_timestamp, normalize_address,
-                                 normalize_selector)
+from proxylineage.corpus import (_iter_ndjson, _memo_normalize, _require_int, _require_timestamp,
+                                 normalize_address, normalize_selector)
 from proxylineage.errors import ConfigurationError, UnknownAddressError, ValidationError
 from proxylineage.lifecycle import (DEFAULT_CATEGORY_MAP, INTERSECTION, UNION, FileIdentity, Finding,
                                     FindingKey, LifecycleStatus)
@@ -427,12 +426,20 @@ def oracle_trace_ndjson(events) -> bytes:
 
 # --- trace loader oracle ----------------------------------------------------------
 
+ORACLE_TRACE_KEYS = {"block_number", "callee_address", "proxy_address", "selector", "timestamp",
+                     "tx_id"}
+
+
 def oracle_event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEvent:
     """One validated trace row: its key set first, then each field by name in a fixed order."""
-    if not isinstance(obj, dict):
-        raise ValidationError(f"{where} must be a JSON object")
-    if obj.keys() != TRACE_FIELDS:
-        _require_fields(obj, TRACE_FIELDS, where)
+    if type(obj) is not dict:
+        raise ValidationError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    keys = set(obj)
+    if keys != ORACLE_TRACE_KEYS:
+        missing = ", ".join(sorted(ORACLE_TRACE_KEYS - keys))
+        unknown = ", ".join(sorted(keys - ORACLE_TRACE_KEYS))
+        raise ValidationError(f"{where} missing fields: {missing}" if missing
+                              else f"{where} has unknown fields: {unknown}")
     tx_id = obj["tx_id"]
     if not isinstance(tx_id, str) or not tx_id:
         raise ValidationError(f"{where}: tx_id must be a non-empty string")

@@ -34,6 +34,8 @@ from conftest import make_record
 from proxylineage import SourceFile, __version__
 
 SRC = "pragma solidity ^0.8.0;\ncontract Core {\n    function f() public {\n    }\n}\n"
+# one line nested far deeper than the JSON decoder's stack allows
+DEEP_NESTING = "[" * 100_000 + "]" * 100_000
 
 
 @pytest.fixture
@@ -250,22 +252,28 @@ def _evaluate_with(fixture_paths, fps):
                  "--fingerprints", str(fps)])
 
 
-@pytest.mark.parametrize("edit", [
-    lambda row: "{not json",
-    lambda row: json.dumps({k: v for k, v in json.loads(row).items() if k != "k"}),
-    lambda row: json.dumps({**json.loads(row), "extra": 1}),
-    lambda row: json.dumps({**json.loads(row), "signature": "zz" * 8 * 256}),
-    lambda row: json.dumps({**json.loads(row), "signature": "00" * 8 * 255}),
-    lambda row: json.dumps({**json.loads(row), "k": "256"}),
-    lambda row: json.dumps({**json.loads(row), "seed": 0.5}),
-    lambda row: json.dumps({**json.loads(row), "address": 7}),
-    lambda row: "[1, 2]",
-    lambda row: "\udcff" + row,  # written as a lone 0xff byte
-    lambda row: json.dumps({**json.loads(row), "k": "K"}).replace('"K"', "2" * 5001),
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: "{not json", "invalid JSON: Expecting property name enclosed in double quotes"),
+    (lambda row: json.dumps({k: v for k, v in json.loads(row).items() if k != "k"}),
+     "fingerprint missing fields: k"),
+    (lambda row: json.dumps({**json.loads(row), "extra": 1}), "fingerprint has unknown fields: extra"),
+    (lambda row: json.dumps({**json.loads(row), "signature": "zz" * 8 * 256}),
+     "signature must be a string of hex digits, got 'zzzz"),
+    (lambda row: json.dumps({**json.loads(row), "signature": "00" * 8 * 255}),
+     "signature has 4080 hex digits, k 256 needs 4096"),
+    (lambda row: json.dumps({**json.loads(row), "k": "256"}), "k must be an integer, got '256'"),
+    (lambda row: json.dumps({**json.loads(row), "seed": 0.5}), "seed must be an integer, got 0.5"),
+    (lambda row: json.dumps({**json.loads(row), "address": 7}), "address must be a string, got int"),
+    (lambda row: "[1, 2]", "fingerprint must be a JSON object, got list"),
+    (lambda row: "\udcff" + row, "invalid UTF-8"),  # written as a lone 0xff byte
+    (lambda row: json.dumps({**json.loads(row), "k": "K"}).replace('"K"', "2" * 5001),
+     "invalid JSON: integer longer than"),
+    (lambda row: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
 ], ids=["bad-json", "missing-field", "unknown-field", "non-hex-signature",
         "short-signature", "string-k", "float-seed", "bad-address", "not-an-object", "bad-utf8",
-        "overlong-k"])
-def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path, capsys, edit):
+        "overlong-k", "deep-nesting"])
+def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path, capsys, edit,
+                                                         message):
     fps = _fingerprints_file(fixture_paths, tmp_path)
     rows = fps.read_text().splitlines()
     rows[1] = edit(rows[1])
@@ -273,7 +281,7 @@ def test_malformed_fingerprints_file_names_file_and_line(fixture_paths, tmp_path
     capsys.readouterr()
     assert _evaluate_with(fixture_paths, fps) == 1
     err = capsys.readouterr().err
-    assert f"{fps}:2:" in err
+    assert err.startswith(f"error: {fps}:2: {message}")
     assert "Traceback" not in err
 
 
@@ -344,8 +352,70 @@ def test_non_utf8_input_names_file_and_line(fixture_paths, tmp_path, capsys, whi
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("content", [b"{not json", b'{"slither": {"\xff": "x"}}'],
-                         ids=["not-json", "not-utf8"])
+def _without(row: dict, field: str) -> dict:
+    return {key: value for key, value in row.items() if key != field}
+
+
+def _edit_file(edit):
+    """An edit of a contract row that applies `edit` to its first file entry."""
+    return lambda row: {**row, "files": [edit(row["files"][0]), *row["files"][1:]]}
+
+
+# Every NDJSON reader checks a row's shape with one checker, so its faults read alike.
+@pytest.mark.parametrize("which, edit, message", [
+    ("traces", lambda row: [row], "trace event must be a JSON object, got list"),
+    ("traces", lambda row: _without(row, "selector"), "trace event missing fields: selector"),
+    ("traces", lambda row: {**row, "note": 1}, "trace event has unknown fields: note"),
+    ("traces", lambda row: {**row, "proxy_address": 7}, "proxy_address must be a string, got int"),
+    ("traces", lambda row: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
+    ("contracts", lambda row: "row", "contract record must be a JSON object, got str"),
+    ("contracts", lambda row: _without(_without(row, "verified"), "creator"),
+     "contract record missing fields: creator, verified"),
+    ("contracts", lambda row: {**row, "note": 1}, "contract record has unknown fields: note"),
+    ("contracts", lambda row: {**row, "creator": None}, "creator must be a string, got NoneType"),
+    ("contracts", lambda row: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
+    ("contracts", _edit_file(lambda file: 7), "contract record files[0] must be a JSON object, got int"),
+    ("contracts", _edit_file(lambda file: _without(file, "content")),
+     "contract record files[0] missing fields: content"),
+    ("contracts", _edit_file(lambda file: {**file, "size": 1}),
+     "contract record files[0] has unknown fields: size"),
+    ("contracts", _edit_file(lambda file: {**file, "content": [SRC]}),
+     "contract record files[0] content must be a string, got list"),
+    ("contracts", _edit_file(lambda file: {**file, "filename": 7}),
+     "contract record files[0] filename must be a string, got int"),
+    ("findings", lambda row: None, "finding must be a JSON object, got NoneType"),
+    ("findings", lambda row: _without(row, "message"), "finding missing fields: message"),
+    ("findings", lambda row: {**row, "severity": "high", "note": 1},
+     "finding has unknown fields: note, severity"),
+    ("findings", lambda row: {**row, "directory": 7}, "directory must be a string, got int"),
+    ("findings", lambda row: {**row, "start_line": 3, "end_line": 2},
+     "start_line 3 is after end_line 2"),
+    ("findings", lambda row: {**row, "start_line": 0}, "start_line must be >= 1, got 0"),
+    ("findings", lambda row: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
+], ids=["trace-not-an-object", "trace-missing-field", "trace-extra-field", "trace-text-not-a-string",
+        "trace-deep-nesting", "contract-not-an-object", "contract-missing-fields",
+        "contract-extra-field", "contract-text-not-a-string", "contract-deep-nesting",
+        "file-not-an-object", "file-missing-field", "file-extra-field", "file-text-not-a-string",
+        "file-name-not-a-string", "finding-not-an-object", "finding-missing-field",
+        "finding-extra-fields", "finding-text-not-a-string", "finding-lines-reversed",
+        "finding-line-zero", "finding-deep-nesting"])
+def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, which, edit, message):
+    findings = tmp_path / "findings.ndjson"
+    findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
+    path = {"traces": fixture_paths[0], "contracts": fixture_paths[1], "findings": findings}[which]
+    first, second, *rest = path.read_text().split("\n")
+    edited = edit(json.loads(second))
+    path.write_text("\n".join([first, edited if edited is DEEP_NESTING else json.dumps(edited),
+                               *rest]))
+    capsys.readouterr()
+    assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize("content", [b"{not json", b'{"slither": {"\xff": "x"}}',
+                                     DEEP_NESTING.encode()],
+                         ids=["not-json", "not-utf8", "nested-too-deep"])
 def test_malformed_category_map_is_a_parse_error(fixture_paths, tmp_path, capsys, content):
     category_map = tmp_path / "categories.json"
     category_map.write_bytes(content)
@@ -463,11 +533,11 @@ def _repeat_first_row(text: str) -> str:
     ("contract_pairs.json",
      lambda text: json.dumps([{k: v for k, v in row.items() if k != "gap_days"}
                               for row in json.loads(text)]),
-     "row lacks field 'gap_days'"),
+     "row missing fields: gap_days"),
     ("contract_pairs.json",
      lambda text: json.dumps([{**row, "successor_window": {"first_call": 1}}
                               for row in json.loads(text)]),
-     "row lacks field 'last_call'"),
+     "row missing fields: last_call"),
     ("diagnostics.json",
      lambda text: json.dumps({**json.loads(text), "lineage_exclusions": [
          {"proxy": PROXY, "callee": ADDR_C, "reason": "BOGUS"}]}),
@@ -614,8 +684,12 @@ def _repeat_first_row(text: str) -> str:
          {**row, "unpaired_successor_files": [{"directory": "src", "filename": "X.sol", "note": 1}]}
          for row in doc["pairs"]]}),
      "row has unknown fields: note"),
-    ("lineages.json", lambda text: json.dumps([{}]), "row lacks field 'proxy'"),
-    ("lineages.json", lambda text: json.dumps([[PROXY]]), "row must be an object, got list"),
+    ("lineages.json", lambda text: json.dumps([{}]), "row missing fields: creator, proxy, versions"),
+    ("contracts.json", lambda text: json.dumps([[ADDR_A]]), "row must be a JSON object, got list"),
+    ("contracts.json", lambda text: json.dumps([{k: v for k, v in row.items() if k != "files"}
+                                                for row in json.loads(text)]),
+     "row missing fields: files"),
+    ("lineages.json", lambda text: json.dumps([[PROXY]]), "row must be a JSON object, got list"),
     ("manifest.json", lambda text: json.dumps({**json.loads(text), "generated_at": 20}),
      "generated_at must be a string, got int"),
     ("manifest.json", lambda text: json.dumps({**json.loads(text), "inputs": ["x"]}),
@@ -634,6 +708,15 @@ def _repeat_first_row(text: str) -> str:
     ("diagnostics.json", _edit_unpaired(directory=7), "directory must be a string, got int"),
     ("diagnostics.json", _edit_unpaired(successor_filename=None),
      "successor_filename must be a string, got NoneType"),
+    # members plus exclusions account for each (proxy, callee) observation once
+    ("diagnostics.json",
+     _edit_diagnostics(lineage_exclusions=[{"proxy": PROXY, "callee": ADDR_A, "reason": "SINGLETON"}]),
+     f"callee {ADDR_A} of proxy {PROXY} is both excluded and a member of its lineage"),
+    ("diagnostics.json",
+     _edit_diagnostics(lineage_exclusions=2 * [{"proxy": PROXY, "callee": ADDR_C,
+                                                "reason": "NOT_SAME_CREATOR"}]),
+     f"exclusion of callee {ADDR_C} of proxy {PROXY} is listed twice"),
+    ("lineages.json", lambda text: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
         "overlong-integer", "open-source-not-boolean", "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
@@ -653,12 +736,13 @@ def _repeat_first_row(text: str) -> str:
         "lineage-version-extra-field", "contract-pair-extra-field", "file-pair-extra-field",
         "function-pair-extra-field", "function-with-a-body", "diagnostics-extra-field",
         "pair-diagnostics-extra-field", "contract-file-with-content", "unpaired-file-extra-field",
-        "lineage-row-empty",
+        "lineage-row-empty", "contract-row-not-an-object", "contract-row-without-files",
         "lineage-row-not-an-object", "generated-at-not-a-string", "inputs-not-an-object",
         "input-digest-not-a-string", "excluded-proxy-not-an-address",
         "excluded-callee-not-an-address", "corpus-note-not-a-string", "sources-not-a-list",
         "source-note-not-a-string", "unpaired-directory-not-a-string",
-        "unpaired-filename-not-a-string"])
+        "unpaired-filename-not-a-string", "exclusion-of-a-member", "exclusion-repeated",
+        "deep-nesting"])
 def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, edit, message):
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"

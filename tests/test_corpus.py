@@ -709,6 +709,17 @@ def test_overlong_integer_in_a_json_document_names_its_line(tmp_path):
     assert str(excinfo.value) == f"{path}:5: invalid JSON: integer longer than {limit} digits"
 
 
+def test_deep_nesting_in_a_json_document_names_its_line(tmp_path):
+    # Brackets in a string do not nest; the line is that of the first bracket at the
+    # greatest depth, on line 4 of a nesting that spreads over lines 3 to 5.
+    path = tmp_path / "doc.json"
+    path.write_text('{\n "text": "%s",\n "deep": %s\n%s\n%s\n}\n'
+                    % ("[" * 9000, "[" * 400, "[" * 5000 + "]" * 5000, "]" * 400))
+    with pytest.raises(ParseError) as excinfo:
+        read_json(path)
+    assert str(excinfo.value) == f"{path}:4: invalid JSON: nested deeper than the decoder allows"
+
+
 # --- json_text ------------------------------------------------------------------
 
 JSON_SCALARS = (st.none() | st.booleans() | st.text()

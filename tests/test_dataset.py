@@ -23,6 +23,7 @@ from proxylineage import (
 )
 from proxylineage import dataset
 from proxylineage.dataset import stats_to_csv, stats_to_jsonable
+from proxylineage.lineage import ExcludedCallee, ExclusionReason
 from proxylineage.pairing import NOT_OPEN_SOURCE
 
 from conftest import (
@@ -391,6 +392,22 @@ def test_lineage_its_versions_do_not_give_is_rejected_at_emit(tmp_path, tamper, 
                 f"the lineage rules exclude it as {reason}" if reason
                 else f"{tampered} where its versions give {lineage}")
     with pytest.raises(IntegrityError, match=re.escape(expected)):
+        emit_dataset(bundle, out)
+    assert not out.exists()
+
+
+# members plus exclusions account for each (proxy, callee) once, or emit refuses the bundle
+@pytest.mark.parametrize("excluded, message", [
+    (ADDR_A, f"callee {ADDR_A} of proxy {PROXY} is both excluded and a member of its lineage"),
+    (ADDR_C, f"exclusion of callee {ADDR_C} of proxy {PROXY} is listed twice"),
+], ids=["a-member", "repeated"])
+def test_exclusions_not_accounting_once_are_rejected_at_emit(tmp_path, excluded, message):
+    bundle = build_bundle(two_lineage_corpus())
+    exclusion = ExcludedCallee(PROXY, excluded, ExclusionReason.SINGLETON)
+    bundle = bundle._replace(lineage_diagnostics=bundle.lineage_diagnostics._replace(
+        exclusions=[*bundle.lineage_diagnostics.exclusions, exclusion, exclusion]))
+    out = tmp_path / "bundle"
+    with pytest.raises(IntegrityError, match=re.escape(message)):
         emit_dataset(bundle, out)
     assert not out.exists()
 

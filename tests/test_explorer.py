@@ -149,6 +149,15 @@ def test_corrupt_cache_entry_is_a_failure_and_others_are_fetched(tmp_path):
     assert transport.calls == 1  # the cached address is not fetched again
 
 
+def test_cache_entry_nested_too_deep_is_a_failure_and_others_are_fetched(tmp_path):
+    cache_file = tmp_path / f"{ADDRESS}.json"
+    cache_file.write_text("{\n" + '"files": ' + "[" * 100_000 + "]" * 100_000 + "\n}\n")
+    transport = CountingTransport([(200, response_body(address=OTHER))])
+    records, failures = fetch_contracts([ADDRESS, OTHER], tmp_path, make_client(transport))
+    assert set(records) == {OTHER}
+    assert failures == {ADDRESS: f"{cache_file}:2: invalid JSON: nested deeper than the decoder allows"}
+
+
 def test_cached_record_of_another_address_is_a_failure(tmp_path):
     (tmp_path / f"{ADDRESS}.json").write_text(json.dumps(response_body(address=OTHER)) + "\n")
     transport = CountingTransport([])

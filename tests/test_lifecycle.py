@@ -122,7 +122,7 @@ def test_inverted_line_range_rejected(tmp_path):
 
     path = tmp_path / "f.ndjson"
     path.write_text(json.dumps(finding_row(start_line=9, end_line=3)) + "\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="start_line 9 is after end_line 3$"):
         load_findings(path)
 
 
