@@ -248,7 +248,8 @@ def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEv
     except (KeyError, TypeError):  # not an object, a field missing or another present
         _fields(obj, TraceEvent._fields, where)
     if not isinstance(tx_id, str) or not tx_id:
-        raise ValidationError(f"{where}: tx_id must be a non-empty string")
+        got = repr(tx_id) if isinstance(tx_id, str) else type(tx_id).__name__
+        raise ValidationError(f"tx_id must be a non-empty string, got {got}")
     addresses, selectors = memo
     try:
         proxy, callee, selector = addresses[raw_proxy], addresses[raw_callee], selectors[raw_selector]
@@ -276,9 +277,11 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
     except (KeyError, TypeError):  # not an object, a field missing or another present
         _fields(obj, ContractRecord._fields, where)
     if not isinstance(verified, bool) or not isinstance(open_source, bool):
-        raise ValidationError(f"{where}: verified and open_source must be booleans")
+        name, value = (("open_source", open_source) if isinstance(verified, bool)
+                       else ("verified", verified))
+        raise ValidationError(f"{name} must be a boolean, got {type(value).__name__}")
     if not isinstance(raw_files, list):
-        raise ValidationError(f"{where}: files must be a list")
+        raise ValidationError(f"files must be a list, got {type(raw_files).__name__}")
     files = []
     for idx, raw in enumerate(raw_files):
         fwhere = f"{where} files[{idx}]"
@@ -319,8 +322,8 @@ def _iter_ndjson(path: Path, parse):
     its start and only JSON whitespace after it is read by a single call of
     the decoder's scanner; every other line goes through json.loads, which
     gives the same value, skips it as blank or raises the same error.
-    Bad UTF-8, bad JSON or a row that `parse` rejects with a ValidationError
-    raises ParseError naming the file and line.
+    Bad UTF-8, bad JSON, a string that UTF-8 cannot encode or a row that `parse`
+    rejects with a ValidationError raises ParseError naming the file and line.
     """
     with open(path, "rb") as handle:
         for line_number, raw in enumerate(handle, start=1):
@@ -338,6 +341,9 @@ def _iter_ndjson(path: Path, parse):
                     raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
                 except (ValueError, RecursionError) as exc:
                     raise _undecodable(path, line, exc, line_number) from exc
+            # a row without a backslash skips the slower search for the two characters
+            if "\\" in line and "\\u" in line:
+                _check_encodable(obj, line, path, line_number)
             try:
                 parsed = parse(obj)
             except ValidationError as exc:
@@ -346,14 +352,53 @@ def _iter_ndjson(path: Path, parse):
 
 
 def read_json(path: str | Path):
-    """Parse one JSON document; bad UTF-8 or bad JSON raises ParseError with its line."""
+    """Parse one JSON document; bad UTF-8, bad JSON or a string that UTF-8 cannot encode
+    raises ParseError with its line."""
     text = _utf8(Path(path).read_bytes(), path)
     try:
-        return json.loads(text)
+        obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
     except (ValueError, RecursionError) as exc:
         raise _undecodable(path, text, exc) from exc
+    if "\\u" in text:
+        _check_encodable(obj, text, path)
+    return obj
+
+
+def _unencodable(value) -> str | None:
+    """Why the first string of a parsed JSON value, key or value, cannot encode as UTF-8,
+    naming where it sits; None if every string can. Only a \\u escape writes such a string:
+    a lone surrogate. The walk keeps its own stack, so a deep value costs no recursion."""
+    stack = [("", value)]
+    while stack:
+        where, value = stack.pop()
+        if isinstance(value, str):
+            if not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    return (f"{where or 'the value'} holds the lone surrogate "
+                            f"U+{ord(value[exc.start]):04X}, which UTF-8 cannot encode")
+        elif isinstance(value, dict):
+            for key, item in reversed(value.items()):
+                stack.append((f"{where}.{key}" if where else key, item))
+                stack.append((f"a key of {where}" if where else "a key", key))
+        elif isinstance(value, list):
+            stack.extend((f"{where}[{i}]", item) for i, item in reversed(list(enumerate(value))))
+    return None
+
+
+def _check_encodable(obj, text: str, path, first_line: int = 1) -> None:
+    """Raise ParseError if a string of `obj`, parsed from `text`, cannot encode as UTF-8.
+
+    The line is that of the first string literal in `text` that decodes to such a string.
+    """
+    fault = _unencodable(obj)
+    if fault is not None:
+        at = next((match.start() for match in _JSON_TOKEN.finditer(text)
+                   if match[0][0] == '"' and _unencodable(json.loads(match[0]))), 0)
+        raise ParseError(path, first_line + text.count("\n", 0, at), fault)
 
 
 # A JSON string, an opening bracket, a closing bracket, or the digits of a JSON integer

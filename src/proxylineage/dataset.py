@@ -452,10 +452,15 @@ def load_bundle(bundle_dir: str | Path) -> DatasetBundle:
     with _reading(root / CONTRACTS_FILE):
         for row in docs[CONTRACTS_FILE]:
             address, *_, locations = _fields(row, ContractRecord._fields)
+            # the address and each location name a source path, so they are checked first
+            _text(address, "address")
+            if not isinstance(locations, list):
+                raise ValidationError(f"files must be a list, got {type(locations).__name__}")
             files = []
             for file in locations:
                 directory, filename = _fields(file, _LOCATION)
-                path = _source_path(root, address, directory, filename)
+                path = _source_path(root, address, _text(directory, "directory"),
+                                    _text(filename, "filename"))
                 files.append(file | {"content": _utf8(path.read_bytes(), path)})
             record = contract_from_obj(row | {"files": files})
             _add_once(contracts, record.address, record, "contract address")

@@ -44,6 +44,8 @@ _MASK64 = (1 << 64) - 1
 _MIX_C1 = 0xBF58476D1CE4E5B9
 _MIX_C2 = 0x94D049BB133111EB
 _GAMMA = 0x9E3779B97F4A7C15
+# above every value a bin can keep: v // k of a 64-bit v
+_EMPTY = 1 << 64
 
 _HEX_RE = re.compile(r"[0-9a-fA-F]*")
 
@@ -92,28 +94,45 @@ def _mix(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def _shingle_hashes(windows: set[tuple[str, ...]],
-                    memo: dict[tuple[str, ...], int] | None = None) -> set[int]:
-    """The stable 64-bit hash of each token window: the 8-byte blake2b digest of its tokens
-    joined by "\x1f", read little-endian. `memo` maps windows already hashed to their hash.
+class _WindowHashes(dict):
+    """window -> the stable 64-bit hash of its tokens: the 8-byte blake2b digest of the
+    tokens joined by "\x1f", read little-endian. A window is hashed on its first lookup."""
 
-    Only the windows missing from `memo` are hashed, and their hashes are added to it.
+    __slots__ = ("_blake2b",)
+
+    def __init__(self):
+        # the builtin blake2b, which hashlib.blake2b is: importing hashlib would also load
+        # OpenSSL's _hashlib. Imported here, so that commands which hash nothing skip even this.
+        from _blake2 import blake2b
+
+        self._blake2b = blake2b
+
+    def __missing__(self, window: tuple[str, ...]) -> int:
+        digest = self._blake2b("\x1f".join(window).encode("utf-8"), digest_size=8).digest()
+        self[window] = h = int.from_bytes(digest, "little")
+        return h
+
+
+class _Slots(dict):
+    """shingle hash h -> its slot under one (k, seed): (value, bin) = divmod(v, k) for
+    v = mix(h ^ seed). A hash is placed on its first lookup.
+
+    The slots hold only for the k and seed the memo was made with; `minhash_signature`
+    refuses a memo made for another.
     """
-    # the builtin blake2b, which hashlib.blake2b is: importing hashlib would also load
-    # OpenSSL's _hashlib. Imported here, so that commands which hash nothing skip even this.
-    from _blake2 import blake2b
 
-    if memo is None:
-        memo = {}
-    # set.difference looks each window up in the dict, by the hash the set keeps;
-    # `windows - memo.keys()` would walk the whole memo for every record
-    for window in windows.difference(memo):
-        digest = blake2b("\x1f".join(window).encode("utf-8"), digest_size=8).digest()
-        memo[window] = int.from_bytes(digest, "little")
-    return set(map(memo.__getitem__, windows))
+    __slots__ = ("k", "seed", "_salt")
+
+    def __init__(self, k: int, seed: int):
+        self.k, self.seed, self._salt = k, seed, seed & _MASK64
+
+    def __missing__(self, h: int) -> tuple[int, int]:
+        self[h] = slot = divmod(_mix(h ^ self._salt), self.k)
+        return slot
 
 
-def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple[int, ...]:
+def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int, *,
+                      slots: _Slots | None = None) -> tuple[int, ...]:
     """One-permutation MinHash with optimal densification, one hash per shingle.
 
     Each distinct shingle hash h is mixed once, v = mix(h ^ seed); bin v % k
@@ -121,43 +140,49 @@ def minhash_signature(shingle_hashes: Iterable[int], k: int, seed: int) -> tuple
     bin j = mix(seed ^ (i * gamma + attempt)) % k, attempt = 1, 2, ..., so two
     sets agree in a bin with probability equal to their Jaccard similarity.
     An empty set yields the all-max sentinel signature.
+
+    `slots`, the memo of hashes already placed, must have been made for this k
+    and seed, or ConfigurationError is raised.
     """
     if k <= 0:
         raise ConfigurationError(f"signature length must be positive, got {k}")
+    if slots is None:
+        slots = _Slots(k, seed)
+    elif (slots.k, slots.seed) != (k, seed):
+        raise ConfigurationError(f"slot memo is for k {slots.k}, seed {slots.seed}; "
+                                 f"the signature has k {k}, seed {seed}")
     hashes = set(shingle_hashes)
     if not hashes:
         return (_MASK64,) * k
-    salt = seed & _MASK64
-    bins: list[int | None] = [None] * k
-    for h in hashes:
-        value, i = divmod(_mix(h ^ salt), k)
-        kept = bins[i]
-        if kept is None or value < kept:
+    bins = [_EMPTY] * k
+    for value, i in map(slots.__getitem__, hashes):
+        if value < bins[i]:
             bins[i] = value
-    signature = []
+    signature = bins[:]
+    salt = seed & _MASK64
     for i, value in enumerate(bins):
         attempt = 1
-        while value is None:
+        while value == _EMPTY:
             value = bins[_mix(salt ^ ((i * _GAMMA + attempt) & _MASK64)) % k]
             attempt += 1
-        signature.append(value)
+        signature[i] = value
     return tuple(signature)
 
 
-def record_shingles(record: ContractRecord, *,
-                    memo: dict[tuple[str, ...], int] | None = None) -> set[int]:
+def record_shingles(record: ContractRecord, *, memo: _WindowHashes | None = None) -> set[int]:
     """Hashed 5-token shingles over all files, in the record's file order.
 
     A shingle that recurs in the record is hashed once, and one that `memo` holds is
-    not hashed again (see `_shingle_hashes`).
+    not hashed again.
     """
     from .solidity import token_texts  # imported here: only the commands that lex load it
 
     tokens: list[str] = []
     for file in record.files:
         tokens.extend(token_texts(file.content))
-    windows = set(zip(*(islice(tokens, i, None) for i in range(SHINGLE_SIZE))))
-    return _shingle_hashes(windows, memo)
+    if memo is None:
+        memo = _WindowHashes()
+    return set(map(memo.__getitem__, zip(*(islice(tokens, i, None) for i in range(SHINGLE_SIZE)))))
 
 
 def fingerprint(
@@ -165,13 +190,14 @@ def fingerprint(
     k: int = DEFAULT_SIGNATURE_LENGTH,
     seed: int = DEFAULT_SEED,
     *,
-    memo: dict[tuple[str, ...], int] | None = None,
+    memo: _WindowHashes | None = None,
+    slots: _Slots | None = None,
 ) -> Fingerprint:
     """Fingerprint a contract's source; closed-source contracts are rejected.
 
     Contracts whose normalized token stream is shorter than one shingle get
     the sentinel signature with shingle_count 0. `memo` is passed on to
-    `record_shingles`.
+    `record_shingles`, and `slots` to `minhash_signature`.
     """
     if not record.open_source:
         raise NotFingerprintableError(
@@ -182,7 +208,7 @@ def fingerprint(
         address=record.address,
         k=k,
         seed=seed,
-        signature=minhash_signature(shingles, k, seed),
+        signature=minhash_signature(shingles, k, seed, slots=slots),
         shingle_count=len(shingles),
     )
 
@@ -194,11 +220,12 @@ def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int = DEFA
 
     Records whose files hold the same contents in the same path order read
     the same token stream, so each distinct source is fingerprinted once.
-    Sources built from shared templates share most of their shingles, so one
-    shingle memo serves the whole call and each distinct shingle is hashed
-    once; the memo is dropped when the call returns.
+    Sources built from shared templates share most of their shingles, so two
+    memos serve the whole call: each distinct shingle is hashed once and placed
+    in its bin once. Both are dropped when the call returns.
     """
-    memo: dict[tuple[str, ...], int] = {}
+    memo = _WindowHashes()
+    slots = _Slots(k, seed)
     done: dict[tuple[str, ...], Fingerprint] = {}
     fingerprints: dict[str, Fingerprint] = {}
     for _, record in sorted(contracts.items()):
@@ -207,7 +234,7 @@ def fingerprint_contracts(contracts: Mapping[str, ContractRecord], k: int = DEFA
         source = tuple(file.content for file in record.files)
         known = done.get(source)
         if known is None:
-            done[source] = known = fingerprint(record, k=k, seed=seed, memo=memo)
+            done[source] = known = fingerprint(record, k=k, seed=seed, memo=memo, slots=slots)
         fingerprints[record.address] = known._replace(address=record.address)
     return fingerprints
 

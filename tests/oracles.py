@@ -441,8 +441,10 @@ def oracle_event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> T
         raise ValidationError(f"{where} missing fields: {missing}" if missing
                               else f"{where} has unknown fields: {unknown}")
     tx_id = obj["tx_id"]
-    if not isinstance(tx_id, str) or not tx_id:
-        raise ValidationError(f"{where}: tx_id must be a non-empty string")
+    if type(tx_id) is not str:
+        raise ValidationError(f"tx_id must be a non-empty string, got {type(tx_id).__name__}")
+    if tx_id == "":
+        raise ValidationError("tx_id must be a non-empty string, got ''")
     addresses, selectors = memo
     proxy = _memo_normalize(addresses, obj["proxy_address"], normalize_address, "proxy_address")
     callee = _memo_normalize(addresses, obj["callee_address"], normalize_address, "callee_address")

@@ -361,6 +361,9 @@ def _edit_file(edit):
     return lambda row: {**row, "files": [edit(row["files"][0]), *row["files"][1:]]}
 
 
+LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
+
+
 # Every NDJSON reader checks a row's shape with one checker, so its faults read alike.
 @pytest.mark.parametrize("which, edit, message", [
     ("traces", lambda row: [row], "trace event must be a JSON object, got list"),
@@ -392,13 +395,22 @@ def _edit_file(edit):
      "start_line 3 is after end_line 2"),
     ("findings", lambda row: {**row, "start_line": 0}, "start_line must be >= 1, got 0"),
     ("findings", lambda row: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
+    # json.dumps writes a lone surrogate as a \\u escape, which the decoder reads back
+    ("traces", lambda row: {**row, "tx_id": "tx\ud800"},
+     f"tx_id {LONE_SURROGATE.format('D800')}"),
+    ("contracts", lambda row: {"\udfff": 1, **row}, f"a key {LONE_SURROGATE.format('DFFF')}"),
+    ("contracts", _edit_file(lambda file: {**file, "content": file["content"] + "\ud800"}),
+     f"files[0].content {LONE_SURROGATE.format('D800')}"),
+    ("findings", lambda row: {**row, "message": "\udc00 reentrancy"},
+     f"message {LONE_SURROGATE.format('DC00')}"),
 ], ids=["trace-not-an-object", "trace-missing-field", "trace-extra-field", "trace-text-not-a-string",
         "trace-deep-nesting", "contract-not-an-object", "contract-missing-fields",
         "contract-extra-field", "contract-text-not-a-string", "contract-deep-nesting",
         "file-not-an-object", "file-missing-field", "file-extra-field", "file-text-not-a-string",
         "file-name-not-a-string", "finding-not-an-object", "finding-missing-field",
         "finding-extra-fields", "finding-text-not-a-string", "finding-lines-reversed",
-        "finding-line-zero", "finding-deep-nesting"])
+        "finding-line-zero", "finding-deep-nesting", "trace-lone-surrogate",
+        "contract-key-lone-surrogate", "file-lone-surrogate", "finding-lone-surrogate"])
 def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, which, edit, message):
     findings = tmp_path / "findings.ndjson"
     findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
@@ -547,7 +559,11 @@ def _repeat_first_row(text: str) -> str:
      "invalid JSON: integer longer than"),
     # contract rows are checked as contract fixture rows are
     ("contracts.json", lambda text: _edit_rows(text, open_source="yes"),
-     "verified and open_source must be booleans"),
+     "open_source must be a boolean, got str"),
+    ("contracts.json", lambda text: _edit_rows(text, address=7), "address must be a string, got int"),
+    ("contracts.json", lambda text: _edit_rows(text, files=7), "files must be a list, got int"),
+    ("contracts.json", lambda text: _edit_rows(text, files=[{"directory": 7, "filename": "A.sol"}]),
+     "directory must be a string, got int"),
     # references across tables resolve
     ("contracts.json", lambda text: json.dumps(json.loads(text)[1:]),
      "bundle contracts do not match lineage members"),
@@ -718,7 +734,9 @@ def _repeat_first_row(text: str) -> str:
      f"exclusion of callee {ADDR_C} of proxy {PROXY} is listed twice"),
     ("lineages.json", lambda text: DEEP_NESTING, "invalid JSON: nested deeper than the decoder allows"),
 ], ids=["other-version", "missing-field", "missing-window-field", "unknown-reason", "truncated",
-        "overlong-integer", "open-source-not-boolean", "member-without-contract",
+        "overlong-integer", "open-source-not-boolean", "contract-address-not-a-string",
+        "contract-files-not-a-list", "contract-directory-not-a-string",
+        "member-without-contract",
         "file-pair-of-unknown-file", "similarity-not-a-number", "gap-not-a-number",
         "similarity-nan", "similarity-above-one", "similarity-below-zero", "gap-infinite", "gap-zero",
         "gap-an-integer", "similarity-an-integer",
@@ -849,6 +867,26 @@ def test_malformed_upgrade_signature_fails_before_anything_is_written(fixture_pa
     assert main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(out), "--upgrade-signature", "upgrade To(address)"]) == 1
     assert "signature must not contain spaces" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "emit", "fingerprint"])
+def test_lone_surrogate_in_a_source_fails_before_anything_is_written(fixture_paths, tmp_path,
+                                                                     capsys, command):
+    # the source would pass every field check, then fail to encode when it is hashed,
+    # or written into a bundle
+    traces, contracts = fixture_paths
+    rows = contracts.read_text().splitlines()
+    row = json.loads(rows[1])
+    rows[1] = json.dumps({**row, "files": [{**row["files"][0], "content": "contract \ud800 {}"},
+                                           *row["files"][1:]]})
+    contracts.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (f"error: {contracts}:2: files[0].content "
+                                       f"{LONE_SURROGATE.format('D800')}\n")
     assert not out.exists()
 
 

@@ -481,13 +481,14 @@ def test_trace_loading_matches_the_two_pass_oracle(rows):
                           "got 1000000000000"),
     ("block_number", True, "block_number must be an integer, got True"),
     ("block_number", "2", "block_number must be an integer, got '2'"),
-    ("tx_id", "", "trace event: tx_id must be a non-empty string"),
+    ("tx_id", "", "tx_id must be a non-empty string, got ''"),
+    ("tx_id", 7, "tx_id must be a non-empty string, got int"),
     ("callee_address", CALLEE + "\n",
      f"callee_address must be 0x + 40 hex chars, got '{CALLEE}\\n'"),
     ("selector", "0x3659cfe6\n", "selector must be 0x + 8 hex chars, got '0x3659cfe6\\n'"),
 ], ids=["short-proxy", "selector-as-callee", "address-as-selector", "list-proxy",
         "object-callee", "list-selector", "int-callee", "negative-timestamp",
-        "float-timestamp", "timestamp-after-year-9999", "bool-block", "string-block", "empty-tx",
+        "float-timestamp", "timestamp-after-year-9999", "bool-block", "string-block", "empty-tx", "int-tx",
         "newline-after-callee", "newline-after-selector"])
 def test_bad_trace_value_is_a_parse_error_on_its_own_line(tmp_path, field, value, message):
     # Row 1 holds every value of the bad row validly, the selector and the
@@ -629,9 +630,29 @@ def test_contract_serialization_matches_json_dumps(records):
 
 # --- the NDJSON reader -----------------------------------------------------------
 
+def lone_surrogate(value, where: str = "") -> str | None:
+    """Where the first surrogate code point of a parsed JSON value sits, and which, as the
+    reader words it; None if there is none."""
+    if isinstance(value, str):
+        found = [char for char in value if 0xD800 <= ord(char) <= 0xDFFF]
+        return (f"{where or 'the value'} holds the lone surrogate U+{ord(found[0]):04X}, "
+                "which UTF-8 cannot encode") if found else None
+    if isinstance(value, dict):
+        for key, item in value.items():
+            fault = (lone_surrogate(key, f"a key of {where}" if where else "a key")
+                     or lone_surrogate(item, f"{where}.{key}" if where else key))
+            if fault:
+                return fault
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            if fault := lone_surrogate(item, f"{where}[{index}]"):
+                return fault
+    return None
+
+
 def ndjson_by_json_loads(data: bytes):
     """json.loads per non-blank line: [(line number, row)], or the ParseError
-    text and line of the first bad line."""
+    text and line of the first bad line, a row that holds a lone surrogate among them."""
     rows = []
     for number, raw in enumerate(io.BytesIO(data), start=1):
         try:
@@ -641,11 +662,14 @@ def ndjson_by_json_loads(data: bytes):
         if not line.strip():
             continue
         try:
-            rows.append((number, json.loads(line)))
+            row = json.loads(line)
         except json.JSONDecodeError as exc:
             return f"invalid JSON: {exc.msg}", number
         except ValueError:
             return f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits", number
+        if fault := lone_surrogate(row):
+            return fault, number
+        rows.append((number, row))
     return rows
 
 
@@ -656,7 +680,8 @@ _JSON_VALUE = (st.recursive(st.none() | st.booleans() | st.integers() | st.float
                             max_leaves=6).map(json.dumps)
                | st.sampled_from(["NaN", "-Infinity", "1" * 5000, "-" + "2" * 4301,
                                   '{"timestamp": %s}' % ("9" * 5001), "1." + "3" * 5000,
-                                  "{", '{"a" 1}', "[1,]", "tru", '"open', '"\\ud800"', "0123"]))
+                                  "{", '{"a" 1}', "[1,]", "tru", '"open', '"\\ud800"', "0123",
+                                  '{"k": ["\\u00e9", "\\udfff"], "\\udc00": 1}']))
 # JSON whitespace, a BOM and spaces that str.strip() removes but JSON does not allow
 _SPACE = st.sampled_from(["", " ", "\t", "\r", "\ufeff", "\u3000", "\x85", "\xa0", "\x1c",
                           "\u2028", "\x0b\x0c"])
@@ -779,3 +804,25 @@ def test_json_text_edge_values():
                           {MatchKind.EXACT_SIGNATURE: SimilarityCategory.LOW}]}
     assert json_text(obj) == json.dumps(obj, sort_keys=True, indent=2) + "\n"
     assert json_text([]) == "[]\n" and json_text("x") == '"x"\n'
+
+
+@pytest.mark.parametrize("text, line, where", [
+    ('{\n  "a": ["ok", "\\u00e9"],\n  "b": {"c": "x\\ud800"}\n}\n', 3, "b.c"),
+    ('[{"a": 1},\n {"a": 2, "\\udfff": 3}]', 2, "a key of [1]"),
+    ('"\\ud800"', 1, "the value"),
+], ids=["nested-value", "key-in-a-table-row", "top-level-string"])
+def test_read_json_names_the_line_and_field_of_a_lone_surrogate(tmp_path, text, line, where):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(ParseError) as excinfo:
+        read_json(path)
+    surrogate = "D800" if "\\ud800" in text else "DFFF"
+    assert str(excinfo.value) == (f"{path}:{line}: {where} holds the lone surrogate "
+                                  f"U+{surrogate}, which UTF-8 cannot encode")
+
+
+def test_surrogate_pairs_and_escaped_text_read_as_text(tmp_path):
+    # a \u escape of a whole character, a pair among them, is valid text
+    path = tmp_path / "doc.json"
+    path.write_text('{"a": "\\ud83d\\ude00 \\u00e9", "b": "\\\\ud800"}')
+    assert read_json(path) == {"a": "\U0001F600 \u00e9", "b": "\\ud800"}

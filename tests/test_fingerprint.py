@@ -30,12 +30,17 @@ from proxylineage import (
     query_similar,
 )
 from proxylineage.fingerprint import (
+    _GAMMA,
+    _MASK64,
     SHINGLE_SIZE,
     _fingerprint_line,
+    _mix,
+    _Slots,
     check_signature_length,
     fingerprint,
     fingerprint_contracts,
     read_fingerprints,
+    record_shingles,
     write_fingerprints,
 )
 from proxylineage.solidity import token_texts
@@ -340,6 +345,72 @@ def test_the_builtin_blake2b_is_the_one_hashlib_hands_out():
     import hashlib
 
     assert _blake2.blake2b is hashlib.blake2b
+
+
+@settings(max_examples=25, deadline=None)
+@given(draw_seed=st.integers(0, 2**32), rows=st.integers(1, 4),
+       seed=st.integers(-(2**64), 2**65))
+def test_fingerprint_contracts_equals_signing_each_record_alone(draw_seed, rows, seed):
+    # one call shares its memos across records built from shared templates; signing each
+    # record on its own, with no memo, gives the same fingerprints at any k and seed
+    k = rows * 64
+    contracts = varied_sourced_corpus(random.Random(draw_seed), n_lineages=3).contracts
+    expected = {}
+    for address in sorted(contracts):
+        if contracts[address].open_source:
+            shingles = record_shingles(contracts[address])
+            expected[address] = Fingerprint(address, k, seed, minhash_signature(shingles, k, seed),
+                                            len(shingles))
+    assert fingerprint_contracts(contracts, k=k, seed=seed) == expected
+
+
+def densification_probes(shingles: set[int], k: int, seed: int) -> int:
+    """The mixes that densifying the signature of `shingles` takes: for each empty bin, the
+    attempts until one lands in a filled bin."""
+    salt = seed & _MASK64
+    filled = {_mix(h ^ salt) % k for h in shingles}
+    probes = 0
+    for i in set(range(k)) - filled:
+        attempt = 1
+        while _mix(salt ^ ((i * _GAMMA + attempt) & _MASK64)) % k not in filled:
+            attempt += 1
+        probes += attempt
+    return probes
+
+
+def test_fingerprint_contracts_places_each_distinct_shingle_once(monkeypatch):
+    # sources of one template that differ by one token each share nearly all their shingles
+    tokens = soup_source(random.Random(4), [f"w{j}" for j in range(40)], 300).split(" ")
+    contracts = {}
+    for i in range(8):
+        edited = [*tokens[:30 * i], f"own{i}", *tokens[30 * i + 1:]]
+        address = addr_from_int(0xA00 + i)
+        contracts[address] = make_record(address, CREATOR_X,
+                                         [SourceFile("", "C.sol", " ".join(edited))])
+    per_record = [record_shingles(record) for record in contracts.values()]
+    distinct = set().union(*per_record)
+    assert sum(map(len, per_record)) > 4 * len(distinct)
+    probes = sum(densification_probes(shingles, 64, 3) for shingles in per_record)
+
+    module = sys.modules["proxylineage.fingerprint"]
+    mixed = []
+    monkeypatch.setattr(module, "_mix", lambda value: mixed.append(value) or _mix(value))
+    fingerprints = fingerprint_contracts(contracts, k=64, seed=3)
+    assert len(mixed) == len(distinct) + probes
+    assert [fp.signature for fp in fingerprints.values()] == [
+        minhash_signature(shingles, 64, 3) for shingles in per_record]
+
+
+@pytest.mark.parametrize("k, seed", [(128, 3), (64, 4), (64, 3 + 2**64)],
+                         ids=["k", "seed", "seed-of-the-same-salt"])
+def test_a_slot_memo_serves_only_its_own_k_and_seed(k, seed):
+    record = make_record(ADDR_A, CREATOR_X, [SourceFile("", "A.sol", "contract A { uint256 x; }")])
+    slots = _Slots(64, 3)
+    assert minhash_signature({1, 2, 3}, 64, 3, slots=slots) == minhash_signature({1, 2, 3}, 64, 3)
+    with pytest.raises(ConfigurationError, match="slot memo is for k 64, seed 3; "):
+        minhash_signature({1, 2, 3}, k, seed, slots=slots)
+    with pytest.raises(ConfigurationError, match="slot memo is for k 64, seed 3; "):
+        fingerprint(record, k=k, seed=seed, slots=slots)
 
 
 @pytest.mark.parametrize("other", [{"k": 64}, {"seed": 9}], ids=["k", "seed"])
