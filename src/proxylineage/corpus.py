@@ -210,10 +210,12 @@ def _record(cls, row: object, *also: str, where: str = "row"):
 
 
 def validate_directory(value: object, where: str = "directory") -> str:
-    """Normalized relative path: forward slashes, no '.'/'..' segments, may be empty."""
+    """Normalized relative path: forward slashes, no '.'/'..' segments, no NUL, may be empty."""
     if _text(value, where) == "":
         return value
-    if "\\" in value or "\x00" in value:
+    if "\x00" in value:
+        raise ValidationError(f"{where} must not hold a NUL character: {value!r}")
+    if "\\" in value:
         raise ValidationError(f"{where} must use forward slashes: {value!r}")
     if value.startswith("/") or value.endswith("/"):
         raise ValidationError(f"{where} must be a relative path without trailing slash: {value!r}")
@@ -289,6 +291,7 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         directory = validate_directory(directory, f"{fwhere} directory")
         if not _text(filename, f"{fwhere} filename").endswith(".sol") or "/" in filename:
             raise ValidationError(f"{fwhere}: filename must be a bare name ending in .sol")
+        validate_directory(filename, f"{fwhere} filename")  # a one-segment path
         files.append(SourceFile(directory, filename, _text(content, f"{fwhere} content")))
     if open_source and not files:
         raise ValidationError(f"{where}: open_source contract must have files")
@@ -303,12 +306,12 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         raise ValidationError(f"{where}: {exc}") from exc
 
 
-def _utf8(data: bytes, path: Path, first_line: int = 1) -> str:
+def _utf8(data: bytes, where, first_line: int = 1) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_number = first_line + data.count(b"\n", 0, exc.start)
-        raise ParseError(path, line_number, f"invalid UTF-8: {exc.reason}") from exc
+        raise ParseError(where, line_number, f"invalid UTF-8: {exc.reason}") from exc
 
 
 _scan_json = json.JSONDecoder().scan_once
@@ -320,8 +323,8 @@ def _iter_ndjson(path: Path, parse):
 
     A row is what json.loads(line) returns. A line holding one JSON value at
     its start and only JSON whitespace after it is read by a single call of
-    the decoder's scanner; every other line goes through json.loads, which
-    gives the same value, skips it as blank or raises the same error.
+    the decoder's scanner; every other line is skipped as blank or goes through
+    `_decode`, whose json.loads gives the same value or raises the same error.
     Bad UTF-8, bad JSON, a string that UTF-8 cannot encode or a row that `parse`
     rejects with a ValidationError raises ParseError naming the file and line.
     """
@@ -335,14 +338,9 @@ def _iter_ndjson(path: Path, parse):
             if end < 0 or line[end:].strip(_JSON_SPACE):
                 if not line.strip():
                     continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(path, line_number, f"invalid JSON: {exc.msg}") from exc
-                except (ValueError, RecursionError) as exc:
-                    raise _undecodable(path, line, exc, line_number) from exc
+                obj = _decode(line, path, line_number)
             # a row without a backslash skips the slower search for the two characters
-            if "\\" in line and "\\u" in line:
+            elif "\\" in line and "\\u" in line:
                 _check_encodable(obj, line, path, line_number)
             try:
                 parsed = parse(obj)
@@ -351,19 +349,25 @@ def _iter_ndjson(path: Path, parse):
             yield line_number, parsed
 
 
+def _decode(text: str, where, first_line: int = 1):
+    """The JSON value of `text`, which starts on line `first_line` of `where` (a path or a URL).
+    Bad JSON or a string that UTF-8 cannot encode raises ParseError naming `where` and the line."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:  # an error at the end of the text is on its last line
+        line = first_line + text.count("\n", 0, min(exc.pos, len(text) - 1))
+        raise ParseError(where, line, f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        raise _undecodable(where, text, exc, first_line) from exc
+    if "\\u" in text:
+        _check_encodable(obj, text, where, first_line)
+    return obj
+
+
 def read_json(path: str | Path):
     """Parse one JSON document; bad UTF-8, bad JSON or a string that UTF-8 cannot encode
     raises ParseError with its line."""
-    text = _utf8(Path(path).read_bytes(), path)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise _undecodable(path, text, exc) from exc
-    if "\\u" in text:
-        _check_encodable(obj, text, path)
-    return obj
+    return _decode(_utf8(Path(path).read_bytes(), path), path)
 
 
 def _unencodable(value) -> str | None:

@@ -352,7 +352,8 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
     """Raise error(table, message) for the first table that differs from what the bundle derives:
     the lineage members' contracts, each lineage as classify_callees gives it from its own
     versions and their contracts, contract_pairs of the lineages, and match_files of each pair's
-    contracts (file pairs, unpaired files and flag). The exclusions must name each (proxy,
+    contracts (file pairs, unpaired files and flag). Each function row must end within its file,
+    which has one line more than it has newlines. The exclusions must name each (proxy,
     callee) once and no member of the proxy's lineage, so that members and exclusions
     account for each observation once."""
     members = {v.address for l in bundle.lineages for v in l.versions}
@@ -370,6 +371,8 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
         if pair != derived:
             raise error(CONTRACT_PAIRS_FILE,
                         f"{pair or 'no row'} where the lineages give {derived or 'no pair'}")
+    line_count = {(address, f.directory, f.filename): f.content.count("\n") + 1
+                  for address, record in bundle.contracts.items() for f in record.files}
     for artifacts in bundle.pair_artifacts:
         pair, pairing = artifacts.pair, artifacts.file_pairing
         derived = match_files(bundle.contracts[pair.predecessor], bundle.contracts[pair.successor])
@@ -381,6 +384,17 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
         if pairing[1:] != derived[1:]:
             raise error(DIAGNOSTICS_FILE, f"{name}: unpaired files and flag {pairing[1:]} "
                                           f"where match_files gives {derived[1:]}")
+        # each function, paired or not, ends within its side's file
+        ends = [(FUNCTION_PAIRS_FILE, fp.file_pair, side, unit) for fp in artifacts.function_pairs
+                for side, unit in (("predecessor", fp.predecessor), ("successor", fp.successor))]
+        ends += [(DIAGNOSTICS_FILE, u, u.side, u) for u in artifacts.unpaired_functions]
+        for table, place, side, unit in ends:
+            directory, filename = place.directory, getattr(place, f"{side}_filename")
+            lines = line_count.get((getattr(pair, side), directory, filename), 0)
+            if unit.end_line > lines:
+                raise error(table, f"{name}: {side} function {unit.signature} ends on line "
+                                   f"{unit.end_line} of {directory!r}/{filename!r}, which has "
+                                   f"{lines} lines")
     member_of = {(l.proxy, v.address) for l in bundle.lineages for v in l.versions}
     excluded = set()
     for proxy, callee, _ in bundle.lineage_diagnostics.exclusions:

@@ -10,7 +10,6 @@ make no network calls.
 
 from __future__ import annotations
 
-import json
 import os
 import tempfile
 import threading
@@ -19,8 +18,9 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable
 
-from .corpus import ContractRecord, _contract_line, contract_from_obj, normalize_address, read_json
-from .errors import FetchError, ValidationError
+from .corpus import (ContractRecord, _contract_line, _decode, _utf8, contract_from_obj,
+                     normalize_address, read_json)
+from .errors import FetchError, ParseError, ValidationError
 
 API_KEY_ENV = "EXPLORER_API_KEY"
 RATE_LIMIT_RPS = 4.0
@@ -28,8 +28,8 @@ MAX_RETRIES = 5
 BACKOFF_BASE = 1.0
 MAX_IN_FLIGHT = 4
 
-# transport(url, params) -> (http status, decoded JSON body)
-Transport = Callable[[str, dict], tuple[int, object]]
+# transport(url, params) -> (http status, body bytes)
+Transport = Callable[[str, dict], tuple[int, bytes]]
 
 
 class RateLimiter:
@@ -54,7 +54,7 @@ class RateLimiter:
         self._sleep(wait)
 
 
-def _urllib_transport(url: str, params: dict) -> tuple[int, object]:
+def _urllib_transport(url: str, params: dict) -> tuple[int, bytes]:
     # imported here so that offline runs skip their load time
     from urllib.error import HTTPError
     from urllib.parse import urlencode
@@ -64,15 +64,10 @@ def _urllib_transport(url: str, params: dict) -> tuple[int, object]:
         url = f"{url}?{urlencode(params)}"
     try:
         with urlopen(url, timeout=30) as response:
-            status, raw = response.status, response.read()
+            return response.status, response.read()
     except HTTPError as exc:  # a 4xx or 5xx reply, which fetch_record judges by its status
         with exc:
-            status, raw = exc.code, exc.read()
-    try:
-        body = json.loads(raw)
-    except ValueError:
-        body = None
-    return status, body
+            return exc.code, exc.read()
 
 
 class ExplorerClient:
@@ -105,8 +100,8 @@ class ExplorerClient:
             except Exception as exc:  # transport-level failure is retryable
                 last_failure = f"transport error: {exc}"
                 continue
-            if status == 200:
-                return self._record_from_body(address, body)
+            if status == 200:  # a refused body fails at once: a retry would fetch the same bytes
+                return self._record_from_body(address, url, body)
             if status == 404:
                 raise FetchError(address, "explorer does not know this contract")
             if status == 429 or status >= 500:
@@ -115,11 +110,13 @@ class ExplorerClient:
             raise FetchError(address, f"unexpected HTTP {status}")
         raise FetchError(address, f"{last_failure} after {MAX_RETRIES} retries")
 
-    def _record_from_body(self, address: str, body: object) -> ContractRecord:
+    def _record_from_body(self, address: str, url: str, body: bytes) -> ContractRecord:
         try:
-            record = contract_from_obj(body, where="explorer response")
-        except ValidationError as exc:
+            record = contract_from_obj(_decode(_utf8(body, url), url))
+        except ParseError as exc:
             raise FetchError(address, f"malformed explorer response: {exc}") from exc
+        except ValidationError as exc:  # the record's own fault, on the body's first line
+            raise FetchError(address, f"malformed explorer response: {url}:1: {exc}") from exc
         if not record.verified:
             # Unverified source cannot be trusted; keep only the metadata.
             record = record._replace(open_source=False, files=())

@@ -403,6 +403,13 @@ LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
      f"files[0].content {LONE_SURROGATE.format('D800')}"),
     ("findings", lambda row: {**row, "message": "\udc00 reentrancy"},
      f"message {LONE_SURROGATE.format('DC00')}"),
+    # a filename is a path segment as each directory segment is
+    ("contracts", _edit_file(lambda file: {**file, "filename": "A\\B.sol"}),
+     "contract record files[0] filename must use forward slashes: " + repr("A\\B.sol")),
+    ("contracts", _edit_file(lambda file: {**file, "filename": "A\x00.sol"}),
+     "contract record files[0] filename must not hold a NUL character: " + repr("A\x00.sol")),
+    ("contracts", _edit_file(lambda file: {**file, "directory": "src\x00"}),
+     "contract record files[0] directory must not hold a NUL character: " + repr("src\x00")),
 ], ids=["trace-not-an-object", "trace-missing-field", "trace-extra-field", "trace-text-not-a-string",
         "trace-deep-nesting", "contract-not-an-object", "contract-missing-fields",
         "contract-extra-field", "contract-text-not-a-string", "contract-deep-nesting",
@@ -410,7 +417,8 @@ LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
         "file-name-not-a-string", "finding-not-an-object", "finding-missing-field",
         "finding-extra-fields", "finding-text-not-a-string", "finding-lines-reversed",
         "finding-line-zero", "finding-deep-nesting", "trace-lone-surrogate",
-        "contract-key-lone-surrogate", "file-lone-surrogate", "finding-lone-surrogate"])
+        "contract-key-lone-surrogate", "file-lone-surrogate", "finding-lone-surrogate",
+        "file-name-backslash", "file-name-nul", "directory-nul"])
 def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, which, edit, message):
     findings = tmp_path / "findings.ndjson"
     findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
@@ -663,6 +671,15 @@ def _repeat_first_row(text: str) -> str:
      "end_line must be >= 1, got 0"),
     ("function_pairs.json", _edit_function("predecessor_function", start_line=9),
      "start_line 9 is after end_line 4"),
+    ("function_pairs.json", _edit_function("predecessor_function", end_line=99999),
+     f"pair {ADDR_A}->{ADDR_B}: predecessor function f() ends on line 99999 of 'src'/'Core.sol', "
+     "which has 6 lines"),
+    ("diagnostics.json", _edit_unpaired(end_line=99999),
+     f"pair {ADDR_A}->{ADDR_B}: successor function g() ends on line 99999 of 'src'/'Core.sol', "
+     "which has 6 lines"),
+    ("diagnostics.json", _edit_unpaired(successor_filename="X.sol"),
+     f"pair {ADDR_A}->{ADDR_B}: successor function g() ends on line 6 of 'src'/'X.sol', "
+     "which has 0 lines"),
     ("diagnostics.json", _edit_unpaired(start_line=None), "start_line must be an integer, got None"),
     ("diagnostics.json", _edit_unpaired(side="both"),
      "side must be 'predecessor' or 'successor', got 'both'"),
@@ -748,7 +765,9 @@ def _repeat_first_row(text: str) -> str:
         "repeated-contract-pair", "repeated-file-pair", "repeated-function-pair",
         "repeated-pair-diagnostics", "repeated-file-path", "function-name-not-a-string",
         "function-signature-not-a-string", "function-start-line-not-an-integer",
-        "function-end-line-zero", "function-lines-reversed", "unpaired-start-line-null",
+        "function-end-line-zero", "function-lines-reversed", "function-ends-after-its-file",
+        "unpaired-function-ends-after-its-file", "unpaired-function-of-unknown-file",
+        "unpaired-start-line-null",
         "unpaired-side-invented", "lineage-versions-swapped", "lineage-of-one-version",
         "lineage-proxy-not-an-address", "manifest-extra-field", "lineage-extra-field",
         "lineage-version-extra-field", "contract-pair-extra-field", "file-pair-extra-field",
@@ -772,6 +791,20 @@ def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, 
     err = capsys.readouterr().err
     assert str(bundle / name) in err and message in err
     assert "Traceback" not in err
+
+
+def test_function_rows_within_their_files_load(fixture_paths, tmp_path, capsys):
+    # SRC has five newlines, so six lines; load_bundle does not re-derive function pairs,
+    # so a renamed function and an invented unpaired one that end within the file still load
+    traces, contracts = fixture_paths
+    bundle = tmp_path / "bundle"
+    assert main(["emit", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(bundle)]) == 0
+    for name, edit in (("function_pairs.json", _edit_function("predecessor_function", name="h",
+                                                              end_line=6)),
+                       ("diagnostics.json", _edit_unpaired(end_line=6))):
+        (bundle / name).write_text(edit((bundle / name).read_text()))
+    assert main(["stats", str(bundle)]) == 0
 
 
 @pytest.mark.parametrize("directory, filename", [

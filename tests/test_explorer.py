@@ -30,6 +30,9 @@ def response_body(address=ADDRESS, verified=True, files=None):
 
 
 class CountingTransport:
+    """Serves (status, JSON value) replies, or raises exceptions, in order; a transport
+    returns the body as bytes."""
+
     def __init__(self, responses):
         self.responses = responses
         self.calls = 0
@@ -39,7 +42,8 @@ class CountingTransport:
         result = self.responses.pop(0)
         if isinstance(result, Exception):
             raise result
-        return result
+        status, body = result
+        return status, json.dumps(body).encode()
 
 
 def make_client(transport, **kwargs):
@@ -129,8 +133,8 @@ def test_malformed_response_raises_fetch_error():
 def test_fetch_contracts_aggregates_records_and_failures(tmp_path):
     def transport(url, params):
         if ADDRESS in url:
-            return 200, response_body()
-        return 404, None
+            return 200, json.dumps(response_body()).encode()
+        return 404, b""
 
     client = make_client(transport)
     records, failures = fetch_contracts([ADDRESS, OTHER, ADDRESS], tmp_path, client)

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import http.server
 import json
+import sys
 import threading
 
 import pytest
 
 from proxylineage.cli import main
 from proxylineage.errors import FetchError
-from proxylineage.explorer import ExplorerClient
+from proxylineage.explorer import ExplorerClient, fetch_contract
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, PROXY
 from corpusgen import contract_row, event_row, write_contract_fixture, write_trace_fixture
@@ -168,3 +169,65 @@ def test_default_transport_retries_server_errors_and_not_unknown_contracts(explo
     ExplorerStub.queries = []
     ExplorerClient(url, api_key="", sleep=lambda s: None).fetch_record(ADDR_B)
     assert ExplorerStub.queries == [""]
+
+
+def _bad_bodies():
+    """(id, 200 reply body, fault the fetch names): bodies the readers refuse."""
+    row = contract_row(make_record(ADDR_B, CREATOR_X, [SourceFile("src", "Fetched.sol", SRC)]))
+    long_integer = "9" * (sys.get_int_max_str_digits() + 1)
+    return [
+        ("deep-nesting", b"[" * 100_000 + b"]" * 100_000,
+         ":1: invalid JSON: nested deeper than the decoder allows"),
+        ("not-json", b"{not json",
+         ":1: invalid JSON: Expecting property name enclosed in double quotes"),
+        ("not-utf8", b"\xff", ":1: invalid UTF-8: invalid start byte"),
+        ("overlong-integer", json.dumps(row).replace('"deploy_timestamp": 0',
+                                                     f'"deploy_timestamp": {long_integer}').encode(),
+         f":1: invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits"),
+        # json.dumps writes the lone surrogate as a \ud800 escape
+        ("lone-surrogate", json.dumps(row | {"files": [row["files"][0] | {
+            "content": SRC + "\ud800"}]}).encode(),
+         ":1: files[0].content holds the lone surrogate U+D800, which UTF-8 cannot encode"),
+    ]
+
+
+@pytest.mark.parametrize("body, fault", [case[1:] for case in _bad_bodies()],
+                         ids=[case[0] for case in _bad_bodies()])
+def test_default_transport_fails_a_refused_body_at_once(tmp_path, explorer_server, body, fault):
+    # a retry would fetch the same bytes: one request, no backoff, nothing cached
+    _, url = explorer_server
+    ExplorerStub.scripted[ADDR_B] = [(200, body)]
+    sleeps = []
+    client = ExplorerClient(url, api_key="secret", sleep=sleeps.append)
+    cache = tmp_path / "cache"
+    with pytest.raises(FetchError) as excinfo:
+        fetch_contract(ADDR_B, cache, client)
+    assert str(excinfo.value) == (f"fetch failed for {ADDR_B}: malformed explorer response: "
+                                  f"{url}/contract/{ADDR_B}{fault}")
+    assert ExplorerStub.hits == [ADDR_B]
+    assert sleeps == []
+    assert not cache.exists()
+
+
+def test_explorer_url_notes_a_refused_body_and_goes_on(tmp_path, explorer_server):
+    _, url = explorer_server
+    (_, body, fault), = [case for case in _bad_bodies() if case[0] == "lone-surrogate"]
+    ExplorerStub.scripted[ADDR_B] = [(200, body)]
+    traces = tmp_path / "traces.ndjson"
+    contracts = tmp_path / "contracts.ndjson"
+    write_trace_fixture(traces, [event_row(PROXY, ADDR_A, 1, 1, "t1"),
+                                 event_row(PROXY, ADDR_B, 10, 10, "t2")])
+    write_contract_fixture(contracts, [contract_row(make_record(ADDR_A, CREATOR_X))])
+    out = tmp_path / "corpus"
+    cache = tmp_path / "cache"
+    code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out), "--explorer-url", url, "--cache-dir", str(cache)])
+    assert code == 0
+    assert ExplorerStub.hits == [ADDR_B]
+    diagnostics = json.loads((out / "diagnostics.json").read_text())["diagnostics"]
+    assert f"explorer: fetch failed for {ADDR_B}: fetch failed for {ADDR_B}: malformed explorer " \
+           f"response: {url}/contract/{ADDR_B}{fault}" in diagnostics
+    assert f"contracts: no metadata for callee {ADDR_B}" in diagnostics
+    rows = [json.loads(line) for line in (out / "contracts.ndjson").read_text().splitlines()]
+    assert [row["address"] for row in rows] == [ADDR_A]
+    assert not cache.exists()
