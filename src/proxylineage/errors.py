@@ -6,11 +6,12 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValidationError):
-    """A fixture file failed to parse; carries the file and line number."""
+    """A fixture file failed to parse; carries the file, the line number and the message."""
 
     def __init__(self, path, line_number: int, message: str):
         self.path = str(path)
         self.line_number = line_number
+        self.message = message
         super().__init__(f"{self.path}:{line_number}: {message}")
 
 
@@ -19,10 +20,11 @@ class ConfigurationError(ValueError):
 
 
 class FetchError(RuntimeError):
-    """Explorer fetch failed after bounded retries; carries the address."""
+    """Explorer fetch failed after bounded retries; carries the address and the reason."""
 
     def __init__(self, address: str, message: str):
         self.address = address
+        self.message = message
         super().__init__(f"fetch failed for {address}: {message}")
 
 

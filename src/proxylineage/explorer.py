@@ -161,7 +161,8 @@ def fetch_contracts(
 ) -> tuple[dict[str, ContractRecord], dict[str, str]]:
     """Fetch many addresses with bounded parallelism.
 
-    Returns (records, failures); failures map address -> error message.
+    Returns (records, failures); failures map address -> why it failed, a
+    message that does not repeat the address.
     Addresses are deduplicated so each cache file has a single writer.
     """
     unique = sorted({normalize_address(a) for a in addresses})
@@ -172,6 +173,8 @@ def fetch_contracts(
         for future, address in futures.items():
             try:
                 records[address] = future.result()
-            except (FetchError, ValidationError) as exc:
+            except FetchError as exc:
+                failures[address] = exc.message
+            except ValidationError as exc:
                 failures[address] = str(exc)
     return records, failures

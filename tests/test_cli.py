@@ -5,21 +5,24 @@ from __future__ import annotations
 import gc
 import hashlib
 import json
+import os
 import random
+import signal
 import sys
 from pathlib import Path
 
 import pytest
 
-from proxylineage import (ActivityWindow, ContractPair, Corpus, build_bundle, cli, emit_dataset,
-                          load_corpus)
+from proxylineage import (ActivityWindow, ContractPair, Corpus, build_bundle, cli, corpus,
+                          emit_dataset, load_corpus)
 from proxylineage.cli import main
-from proxylineage.corpus import json_text
+from proxylineage.corpus import _trace_pieces, json_text
 from proxylineage.evaluation import LineageEvaluator, results_to_jsonable
 from proxylineage.fingerprint import Fingerprint, fingerprint_contracts, write_fingerprints
 from proxylineage.lineage import Lineage, LineageVersion, build_lineages
 
-from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY, PROXY2
+from conftest import (ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY, PROXY2,
+                      assert_no_child_left, trace_pieces_of)
 from corpusgen import (
     addr_from_int,
     contract_row,
@@ -365,7 +368,7 @@ LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
 
 
 # Every NDJSON reader checks a row's shape with one checker, so its faults read alike.
-@pytest.mark.parametrize("which, edit, message", [
+MALFORMED_ROWS = [
     ("traces", lambda row: [row], "trace event must be a JSON object, got list"),
     ("traces", lambda row: _without(row, "selector"), "trace event missing fields: selector"),
     ("traces", lambda row: {**row, "note": 1}, "trace event has unknown fields: note"),
@@ -410,15 +413,21 @@ LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
      "contract record files[0] filename must not hold a NUL character: " + repr("A\x00.sol")),
     ("contracts", _edit_file(lambda file: {**file, "directory": "src\x00"}),
      "contract record files[0] directory must not hold a NUL character: " + repr("src\x00")),
-], ids=["trace-not-an-object", "trace-missing-field", "trace-extra-field", "trace-text-not-a-string",
-        "trace-deep-nesting", "contract-not-an-object", "contract-missing-fields",
-        "contract-extra-field", "contract-text-not-a-string", "contract-deep-nesting",
-        "file-not-an-object", "file-missing-field", "file-extra-field", "file-text-not-a-string",
-        "file-name-not-a-string", "finding-not-an-object", "finding-missing-field",
-        "finding-extra-fields", "finding-text-not-a-string", "finding-lines-reversed",
-        "finding-line-zero", "finding-deep-nesting", "trace-lone-surrogate",
-        "contract-key-lone-surrogate", "file-lone-surrogate", "finding-lone-surrogate",
-        "file-name-backslash", "file-name-nul", "directory-nul"])
+]
+MALFORMED_ROW_IDS = [
+    "trace-not-an-object", "trace-missing-field", "trace-extra-field", "trace-text-not-a-string",
+    "trace-deep-nesting", "contract-not-an-object", "contract-missing-fields",
+    "contract-extra-field", "contract-text-not-a-string", "contract-deep-nesting",
+    "file-not-an-object", "file-missing-field", "file-extra-field", "file-text-not-a-string",
+    "file-name-not-a-string", "finding-not-an-object", "finding-missing-field",
+    "finding-extra-fields", "finding-text-not-a-string", "finding-lines-reversed",
+    "finding-line-zero", "finding-deep-nesting", "trace-lone-surrogate",
+    "contract-key-lone-surrogate", "file-lone-surrogate", "finding-lone-surrogate",
+    "file-name-backslash", "file-name-nul", "directory-nul"
+]
+
+
+@pytest.mark.parametrize("which, edit, message", MALFORMED_ROWS, ids=MALFORMED_ROW_IDS)
 def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, which, edit, message):
     findings = tmp_path / "findings.ndjson"
     findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
@@ -431,6 +440,54 @@ def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, whic
     assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [row[1:] for row in MALFORMED_ROWS if row[0] == "traces"],
+    ids=[name for row, name in zip(MALFORMED_ROWS, MALFORMED_ROW_IDS) if row[0] == "traces"])
+def test_malformed_trace_row_in_the_last_piece_names_file_and_line(fixture_paths, tmp_path,
+                                                                   capsys, edit, message):
+    # the bad row ends the file, after more valid bytes than it has, so the one cut falls
+    # among the valid rows and a worker process finds the fault
+    traces = fixture_paths[0]
+    first, *_ = traces.read_text().splitlines()
+    edited = edit(json.loads(first))
+    bad = edited if edited is DEEP_NESTING else json.dumps(edited)
+    valid = [json.dumps({**json.loads(first), "tx_id": f"pad{i}"})
+             for i in range(len(bad) // len(first) + 2)]
+    head = "".join(row + "\n" for row in valid)
+    traces.write_text(head + bad + "\n")
+    with trace_pieces_of(len(first), cpus=2):
+        (_, cut), (last_start, _) = _trace_pieces(traces)
+        assert cut == last_start <= len(head)
+        capsys.readouterr()
+        assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {traces}:{len(valid) + 1}: {message}\n"
+    assert_no_child_left()
+
+
+def test_a_parse_worker_killed_by_a_signal_is_an_io_error(fixture_paths, tmp_path, capsys,
+                                                         monkeypatch):
+    traces, contracts = fixture_paths
+    parse = corpus._parse_trace_piece
+
+    def parse_or_die(path, start=0, stop=None):
+        if start:  # a worker's piece
+            os.kill(os.getpid(), signal.SIGKILL)
+        return parse(path, start, stop)
+
+    monkeypatch.setattr(corpus, "_parse_trace_piece", parse_or_die)
+    with trace_pieces_of(100):
+        assert len(_trace_pieces(traces)) == 4
+        code = main(["build-lineages", "--traces", str(traces), "--contracts", str(contracts),
+                     "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == (f"i/o error: {traces}: the process parsing a piece of it was killed by "
+                   f"signal {int(signal.SIGKILL)}\n")
+    assert "Traceback" not in err
+    assert_no_child_left()
 
 
 @pytest.mark.parametrize("content", [b"{not json", b'{"slither": {"\xff": "x"}}',

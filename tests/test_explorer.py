@@ -167,8 +167,8 @@ def test_cached_record_of_another_address_is_a_failure(tmp_path):
     transport = CountingTransport([])
     records, failures = fetch_contracts([ADDRESS], tmp_path, make_client(transport))
     assert records == {}
-    assert failures[ADDRESS] == (f"fetch failed for {ADDRESS}: cache file "
-                                 f"{tmp_path / (ADDRESS + '.json')} returned record for {OTHER}")
+    cache_file = tmp_path / f"{ADDRESS}.json"
+    assert failures[ADDRESS] == f"cache file {cache_file} returned record for {OTHER}"
     assert transport.calls == 0
 
 
@@ -186,7 +186,7 @@ def test_fetched_record_of_another_address_is_a_failure_and_not_cached(tmp_path)
     transport = CountingTransport([(200, response_body(address=OTHER))])
     records, failures = fetch_contracts([ADDRESS], tmp_path, make_client(transport))
     assert records == {}
-    assert failures[ADDRESS] == f"fetch failed for {ADDRESS}: explorer returned record for {OTHER}"
+    assert failures[ADDRESS] == f"explorer returned record for {OTHER}"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -225,9 +225,30 @@ def test_explorer_url_notes_a_refused_body_and_goes_on(tmp_path, explorer_server
     assert code == 0
     assert ExplorerStub.hits == [ADDR_B]
     diagnostics = json.loads((out / "diagnostics.json").read_text())["diagnostics"]
-    assert f"explorer: fetch failed for {ADDR_B}: fetch failed for {ADDR_B}: malformed explorer " \
+    assert f"explorer: fetch failed for {ADDR_B}: malformed explorer " \
            f"response: {url}/contract/{ADDR_B}{fault}" in diagnostics
     assert f"contracts: no metadata for callee {ADDR_B}" in diagnostics
     rows = [json.loads(line) for line in (out / "contracts.ndjson").read_text().splitlines()]
     assert [row["address"] for row in rows] == [ADDR_A]
     assert not cache.exists()
+
+
+def test_explorer_url_names_a_corrupt_cache_file_once(tmp_path, explorer_server):
+    # a cache file's ParseError reads like a FetchError: the prefix once, then the reason
+    _, url = explorer_server
+    traces = tmp_path / "traces.ndjson"
+    contracts = tmp_path / "contracts.ndjson"
+    write_trace_fixture(traces, [event_row(PROXY, ADDR_B, 10, 10, "t1")])
+    contracts.write_text("")
+    cache = tmp_path / "cache"
+    cache.mkdir()
+    (cache / f"{ADDR_B}.json").write_text("{not json\n")
+    out = tmp_path / "corpus"
+    code = main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out), "--explorer-url", url, "--cache-dir", str(cache)])
+    assert code == 0
+    assert ExplorerStub.hits == []
+    diagnostics = json.loads((out / "diagnostics.json").read_text())["diagnostics"]
+    failures = [d for d in diagnostics if d.startswith("explorer: ")]
+    assert failures == [f"explorer: fetch failed for {ADDR_B}: {cache / ADDR_B}.json:1: "
+                        "invalid JSON: Expecting property name enclosed in double quotes"]
