@@ -9,7 +9,7 @@ tokens.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 CONTAINER_KEYWORDS = frozenset({"contract", "library", "interface"})
 LOCATION_KEYWORDS = frozenset({"memory", "calldata", "storage"})
@@ -22,11 +22,12 @@ _NON_NAME_KEYWORDS = frozenset(
     }
 )
 
-# One scanner serves both token views. Each match skips whitespace and closed
-# comments, then takes one token, an unterminated block comment (which runs to
-# the end of the text) or the empty end of the text. Some branch always
-# matches, so a match never fails and never backtracks into the skipped part.
-# `\s` matches exactly the characters for which str.isspace() is true.
+# One scanner serves both token views: `tokenize` (texts and start offsets, for the
+# extractor) and `token_texts` (texts only, for fingerprints). Each match skips whitespace
+# and closed comments, then takes one token, an unterminated block comment (which runs to
+# the end of the text) or the empty end of the text. Some branch always matches, so a
+# match never fails and never backtracks into the skipped part. `\s` matches exactly the
+# characters for which str.isspace() is true.
 _SCAN = re.compile(r"""
     (?: \s+ | //[^\n]* | /\*[\s\S]*?\*/ )*
     (?: (?P<open_comment>/\*)[\s\S]*
@@ -38,20 +39,10 @@ _SCAN = re.compile(r"""
           | \S )
       | \Z )
 """, re.VERBOSE)
-# A token's kind follows from its first character; anything else is punct.
-_KIND_OF_FIRST = {
-    **dict.fromkeys("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$", "ident"),
-    **dict.fromkeys("0123456789", "number"),
-    '"': "string",
-    "'": "string",
-}
-
-
-class Token(NamedTuple):
-    kind: str  # ident | number | string | punct
-    text: str
-    line: int
-    pos: int
+# A token's text tells its kind. A string token is always '""', a bracket, `;` or `,` is
+# a one-character token and a keyword is an ident, so the extractor compares texts; a
+# token is an ident exactly when its first character is one of these.
+_IDENT_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
 
 
 class FunctionUnit(NamedTuple):
@@ -64,39 +55,55 @@ class FunctionUnit(NamedTuple):
     end_line: int
 
 
-def tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
-    """Token stream with comments skipped and string literals blanked.
+def _line_counter(text: str) -> Callable[[int], int]:
+    """`line_at(offset)`, the 1-based line of an offset of `text`.
+
+    Offsets must come in nondecreasing order: each call counts only the
+    newlines since the previous one, so a text is scanned for newlines once.
+    """
+    counted = 0
+    line = 1
+
+    def line_at(offset: int) -> int:
+        nonlocal counted, line
+        line += text.count("\n", counted, offset)
+        counted = offset
+        return line
+
+    return line_at
+
+
+def tokenize(text: str, diagnostics: list[str] | None = None) -> tuple[list[str], list[int]]:
+    """Token texts and their start offsets, with comments skipped and string literals blanked.
 
     String tokens always carry the text '""' so that literal contents never
-    influence signatures or fingerprints. A token's line counts every newline
-    before it, including those inside comments and string escapes.
+    influence signatures or fingerprints. A diagnostic's line counts every
+    newline before its token or comment, including those inside comments and
+    string escapes.
     """
     if diagnostics is None:
         diagnostics = []
-    tokens: list[Token] = []
-    line = 1
-    counted = 0  # newlines before this position are in `line`
+    line_at = _line_counter(text)
+    texts: list[str] = []
+    starts: list[int] = []
     for match in _SCAN.finditer(text):
         token = match["token"]
         if token is None:
             if match["open_comment"]:
-                line += text.count("\n", counted, match.start("open_comment"))
+                line = line_at(match.start("open_comment"))
                 diagnostics.append(f"line {line}: unterminated block comment")
             continue
-        pos = match.start("token")
-        line += text.count("\n", counted, pos)
-        counted = pos
-        kind = _KIND_OF_FIRST.get(token[0], "punct")
-        if kind == "string":
+        if token[0] in "\"'":
             if match["dq"] is None and match["sq"] is None:
-                diagnostics.append(f"line {line}: unterminated string literal")
+                diagnostics.append(f"line {line_at(match.start('token'))}: unterminated string literal")
             token = '""'
-        tokens.append(Token(kind, token, line, pos))
-    return tokens
+        texts.append(token)
+        starts.append(match.start("token"))
+    return texts, starts
 
 
 def token_texts(text: str) -> list[str]:
-    """The texts of ``tokenize(text)``, without building a Token for each.
+    """The texts of ``tokenize(text)`` without their starts, from one faster ``findall``.
 
     ``findall`` yields the groups (open_comment, token, dq, sq) of each match.
     """
@@ -104,33 +111,30 @@ def token_texts(text: str) -> list[str]:
             for _, token, _, _ in _SCAN.findall(text) if token]
 
 
-def _split_top_level_commas(tokens: list[Token]) -> list[list[Token]]:
-    groups: list[list[Token]] = [[]]
+def _split_top_level_commas(tokens: list[str]) -> list[list[str]]:
+    groups: list[list[str]] = [[]]
     depth = 0
     for token in tokens:
-        if token.kind == "punct":
-            if token.text in "([{":
-                depth += 1
-            elif token.text in ")]}":
-                depth -= 1
-            elif token.text == "," and depth == 0:
-                groups.append([])
-                continue
+        if token in ("(", "[", "{"):
+            depth += 1
+        elif token in (")", "]", "}"):
+            depth -= 1
+        elif token == "," and depth == 0:
+            groups.append([])
+            continue
         groups[-1].append(token)
     return groups
 
 
-def canonical_parameter(tokens: list[Token]) -> str:
+def canonical_parameter(tokens: list[str]) -> str:
     """Parameter type with the name and data location stripped, whitespace-free."""
-    kept = [t for t in tokens if not (t.kind == "ident" and t.text in LOCATION_KEYWORDS)]
-    if len(kept) >= 2:
-        last = kept[-1]
-        if last.kind == "ident" and last.text not in _NON_NAME_KEYWORDS:
-            kept = kept[:-1]
-    return "".join(t.text for t in kept)
+    kept = [t for t in tokens if t not in LOCATION_KEYWORDS]
+    if len(kept) >= 2 and kept[-1][0] in _IDENT_START and kept[-1] not in _NON_NAME_KEYWORDS:
+        kept.pop()
+    return "".join(kept)
 
 
-def canonical_signature(name: str, param_tokens: list[Token]) -> str:
+def canonical_signature(name: str, param_tokens: list[str]) -> str:
     groups = _split_top_level_commas(param_tokens)
     if len(groups) == 1 and not groups[0]:
         return f"{name}()"
@@ -146,7 +150,8 @@ def extract_functions(text: str, diagnostics: list[str] | None = None) -> list[F
     """
     if diagnostics is None:
         diagnostics = []
-    tokens = tokenize(text, diagnostics)
+    tokens, starts = tokenize(text, diagnostics)
+    line_at = _line_counter(text)
     units: list[FunctionUnit] = []
     depth = 0
     container_depth: int | None = None
@@ -155,29 +160,19 @@ def extract_functions(text: str, diagnostics: list[str] | None = None) -> list[F
     n = len(tokens)
     while i < n:
         token = tokens[i]
-        if token.kind == "punct":
-            if token.text == "{":
-                depth += 1
-                if pending_container and container_depth is None:
-                    container_depth = depth
-                    pending_container = False
-            elif token.text == "}":
-                depth -= 1
-                if container_depth is not None and depth < container_depth:
-                    container_depth = None
-            i += 1
-            continue
-        if token.kind == "ident" and token.text in CONTAINER_KEYWORDS and depth == 0:
+        if token == "{":
+            depth += 1
+            if pending_container and container_depth is None:
+                container_depth = depth
+                pending_container = False
+        elif token == "}":
+            depth -= 1
+            if container_depth is not None and depth < container_depth:
+                container_depth = None
+        elif token in CONTAINER_KEYWORDS and depth == 0:
             pending_container = True
-            i += 1
-            continue
-        if (
-            token.kind == "ident"
-            and token.text == "function"
-            and container_depth is not None
-            and depth == container_depth
-        ):
-            unit, next_i = _parse_function(tokens, i, text, diagnostics)
+        elif token == "function" and container_depth is not None and depth == container_depth:
+            unit, next_i = _parse_function(tokens, starts, i, text, line_at, diagnostics)
             if unit is not None:
                 units.append(unit)
                 i = next_i
@@ -188,17 +183,14 @@ def extract_functions(text: str, diagnostics: list[str] | None = None) -> list[F
     return units
 
 
-def _closing(tokens: list[Token], start: int, opener: str, closer: str) -> int | None:
-    """Index of the `closer` that balances the `opener` at tokens[start]; None if none does.
-
-    Only a punct token's text can be a bracket, so the kind is not checked.
-    """
+def _closing(tokens: list[str], start: int, opener: str, closer: str) -> int | None:
+    """Index of the `closer` that balances the `opener` at tokens[start]; None if none does."""
     depth = 0
     for k in range(start, len(tokens)):
-        text = tokens[k].text
-        if text == opener:
+        token = tokens[k]
+        if token == opener:
             depth += 1
-        elif text == closer:
+        elif token == closer:
             depth -= 1
             if not depth:
                 return k
@@ -206,9 +198,11 @@ def _closing(tokens: list[Token], start: int, opener: str, closer: str) -> int |
 
 
 def _parse_function(
-    tokens: list[Token],
+    tokens: list[str],
+    starts: list[int],
     start: int,
     text: str,
+    line_at: Callable[[int], int],
     diagnostics: list[str],
 ) -> tuple[FunctionUnit | None, int]:
     n = len(tokens)
@@ -216,45 +210,41 @@ def _parse_function(
     # a function-typed variable or the old unnamed fallback, which we skip.
     if start + 2 >= n:
         return None, start + 1
-    name_token = tokens[start + 1]
-    open_paren = tokens[start + 2]
-    if name_token.kind != "ident" or name_token.text in _NON_NAME_KEYWORDS:
-        return None, start + 1
-    if open_paren.kind != "punct" or open_paren.text != "(":
+    name = tokens[start + 1]
+    if name[0] not in _IDENT_START or name in _NON_NAME_KEYWORDS or tokens[start + 2] != "(":
         return None, start + 1
 
     close = _closing(tokens, start + 2, "(", ")")
     if close is None:
         diagnostics.append(
-            f"line {name_token.line}: unterminated parameter list for function {name_token.text}"
+            f"line {line_at(starts[start + 1])}: unterminated parameter list for function {name}"
         )
         return None, n
 
-    signature = canonical_signature(name_token.text, tokens[start + 3:close])
-    start_line = tokens[start].line
+    signature = canonical_signature(name, tokens[start + 3:close])
+    start_line = line_at(starts[start])
 
-    def unit(body: str, end_line: int) -> FunctionUnit:
-        return FunctionUnit(name_token.text, signature, body, start_line, end_line)
+    def unit(last: int, body: str = "") -> FunctionUnit:
+        """The unit whose declaration ends at tokens[last]."""
+        return FunctionUnit(name, signature, body, start_line, line_at(starts[last]))
 
     # Skip modifiers/returns clauses up to the body `{` or declaration-only `;`.
     paren_depth = 0
     for j in range(close + 1, n):
         token = tokens[j]
-        if token.kind == "punct":
-            if token.text == "(":
-                paren_depth += 1
-            elif token.text == ")":
-                paren_depth -= 1
-            elif paren_depth == 0 and token.text == ";":
-                return unit("", token.line), j + 1
-            elif paren_depth == 0 and token.text == "{":
-                end = _closing(tokens, j, "{", "}")
-                if end is None:
-                    diagnostics.append(
-                        f"line {start_line}: unbalanced braces at EOF in body of "
-                        f"function {name_token.text}"
-                    )
-                    return unit("", tokens[-1].line), n
-                return unit(text[token.pos:tokens[end].pos + 1], tokens[end].line), end + 1
-    diagnostics.append(f"line {start_line}: function {name_token.text} has no body or terminator")
-    return unit("", tokens[-1].line), n
+        if token == "(":
+            paren_depth += 1
+        elif token == ")":
+            paren_depth -= 1
+        elif paren_depth == 0 and token == ";":
+            return unit(j), j + 1
+        elif paren_depth == 0 and token == "{":
+            end = _closing(tokens, j, "{", "}")
+            if end is None:
+                diagnostics.append(
+                    f"line {start_line}: unbalanced braces at EOF in body of function {name}"
+                )
+                return unit(n - 1), n
+            return unit(end, text[starts[j]:starts[end] + 1]), end + 1
+    diagnostics.append(f"line {start_line}: function {name} has no body or terminator")
+    return unit(n - 1), n

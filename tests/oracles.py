@@ -6,8 +6,9 @@ constants and rotation offsets from the LFSR/permutation definitions instead
 of hardcoding tables; the LCS and edit-distance oracles are plain
 full-matrix DPs; the lineage oracle applies the classification rules by
 direct recursive construction. The function extractor oracle follows the
-package's control flow but balances each bracket kind with a depth loop of
-its own, where the package shares one scan; malformed input is its use.
+package's control flow but reads the lexer oracle's tokens with their kinds
+and lines, and balances each bracket kind with a depth loop of its own, where
+the package shares one scan; malformed input is its use.
 The lifecycle oracles count into running accumulators pair by pair, where
 the package reads every summary figure from one table of cells. The trace
 loader oracle validates each row through its key set and named fields and
@@ -23,6 +24,7 @@ import hashlib
 import json
 
 from pathlib import Path
+from typing import NamedTuple
 
 from proxylineage import (Corpus, LineageEvaluator, LshIndex, SimilarityCategory, TraceEvent,
                           query_similar)
@@ -33,8 +35,8 @@ from proxylineage.lifecycle import (DEFAULT_CATEGORY_MAP, INTERSECTION, UNION, F
                                     FindingKey, LifecycleStatus)
 from proxylineage.lineage import SECONDS_PER_DAY, ContractPair
 from proxylineage.pairing import FileMatch
-from proxylineage.solidity import (CONTAINER_KEYWORDS, _NON_NAME_KEYWORDS, FunctionUnit, Token,
-                                   canonical_signature, tokenize)
+from proxylineage.solidity import (CONTAINER_KEYWORDS, _NON_NAME_KEYWORDS, FunctionUnit,
+                                   canonical_signature)
 
 
 # --- keccak-256 oracle --------------------------------------------------------
@@ -213,7 +215,17 @@ def oracle_minhash_signature(shingle_hashes, k: int, seed: int) -> tuple[int, ..
 
 # --- Solidity lexer oracle ------------------------------------------------------
 
-def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[Token]:
+class OracleToken(NamedTuple):
+    """One token of the oracle lexer, with its kind and line; the package keeps only texts
+    and start offsets."""
+
+    kind: str  # ident | number | string | punct
+    text: str
+    line: int
+    pos: int
+
+
+def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[OracleToken]:
     """The lexer as a loop over characters.
 
     Whitespace (str.isspace) and `//` and `/* */` comments are skipped; an
@@ -226,7 +238,7 @@ def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[Tok
     ident_start = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_$")
     ident_cont = ident_start | set("0123456789")
     number_cont = set("0123456789abcdefABCDEFxX._")
-    tokens: list[Token] = []
+    tokens: list[OracleToken] = []
     line = 1
     i = 0
     n = len(text)
@@ -266,7 +278,7 @@ def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[Tok
                     j += 1
             if not closed and diagnostics is not None:
                 diagnostics.append(f"line {line}: unterminated string literal")
-            tokens.append(Token("string", '""', line, i))
+            tokens.append(OracleToken("string", '""', line, i))
             line += text.count("\n", i, j)
             i = j
         elif ch in ident_start or ch.isascii() and ch.isdigit():
@@ -274,10 +286,10 @@ def oracle_tokenize(text: str, diagnostics: list[str] | None = None) -> list[Tok
             j = i + 1
             while j < n and text[j] in cont:
                 j += 1
-            tokens.append(Token("ident" if ch in ident_start else "number", text[i:j], line, i))
+            tokens.append(OracleToken("ident" if ch in ident_start else "number", text[i:j], line, i))
             i = j
         else:
-            tokens.append(Token("punct", ch, line, i))
+            tokens.append(OracleToken("punct", ch, line, i))
             i += 1
     return tokens
 
@@ -295,7 +307,7 @@ def oracle_extract_functions(text: str, diagnostics: list[str] | None = None) ->
     """
     if diagnostics is None:
         diagnostics = []
-    tokens = tokenize(text, diagnostics)
+    tokens = oracle_tokenize(text, diagnostics)
     units: list[FunctionUnit] = []
     depth = 0
     container_depth: int | None = None
@@ -337,7 +349,7 @@ def oracle_extract_functions(text: str, diagnostics: list[str] | None = None) ->
     return units
 
 
-def _oracle_parse_function(tokens: list[Token], start: int, text: str,
+def _oracle_parse_function(tokens: list[OracleToken], start: int, text: str,
                            diagnostics: list[str]) -> tuple[FunctionUnit | None, int]:
     n = len(tokens)
     if start + 2 >= n:
@@ -349,7 +361,7 @@ def _oracle_parse_function(tokens: list[Token], start: int, text: str,
     if open_paren.kind != "punct" or open_paren.text != "(":
         return None, start + 1
 
-    param_tokens: list[Token] = []
+    param_tokens: list[OracleToken] = []
     paren_depth = 1
     j = start + 3
     while j < n and paren_depth:
@@ -370,7 +382,7 @@ def _oracle_parse_function(tokens: list[Token], start: int, text: str,
         )
         return None, n
 
-    signature = canonical_signature(name_token.text, param_tokens)
+    signature = canonical_signature(name_token.text, [t.text for t in param_tokens])
     start_line = tokens[start].line
 
     def unit(body: str, end_line: int) -> FunctionUnit:

@@ -37,8 +37,14 @@ from conftest import make_record
 from proxylineage import SourceFile, __version__
 
 SRC = "pragma solidity ^0.8.0;\ncontract Core {\n    function f() public {\n    }\n}\n"
+
+
+class RawRow(str):
+    """A row edit's result written as it is; every other result goes through json.dumps."""
+
+
 # one line nested far deeper than the JSON decoder's stack allows
-DEEP_NESTING = "[" * 100_000 + "]" * 100_000
+DEEP_NESTING = RawRow("[" * 100_000 + "]" * 100_000)
 
 
 @pytest.fixture
@@ -364,6 +370,15 @@ def _edit_file(edit):
     return lambda row: {**row, "files": [edit(row["files"][0]), *row["files"][1:]]}
 
 
+def _with(field: str, value):
+    return lambda row: {**row, field: value}
+
+
+def _raw_field(field: str, raw: str):
+    """An edit that gives `field` the JSON text `raw`, which json.dumps would not write."""
+    return lambda row: RawRow(json.dumps(_without(row, field))[:-1] + f', "{field}": {raw}}}')
+
+
 LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
 
 
@@ -425,6 +440,23 @@ MALFORMED_ROW_IDS = [
     "contract-key-lone-surrogate", "file-lone-surrogate", "finding-lone-surrogate",
     "file-name-backslash", "file-name-nul", "directory-nul"
 ]
+INT_LIMIT = sys.get_int_max_str_digits()
+LONG_INTEGER_ERROR = f"invalid JSON: integer longer than {INT_LIMIT} digits"
+# JSON that json.loads reads as a float (NaN and Infinity, which json.dumps writes) or
+# rejects: a leading BOM, an integer longer than int() converts and a raw NUL in a string
+for _which, _row, _number, _text in [("traces", "trace", "timestamp", "tx_id"),
+                                     ("contracts", "contract", "deploy_timestamp", "creator"),
+                                     ("findings", "finding", "start_line", "message")]:
+    MALFORMED_ROWS += [
+        (_which, _with(_number, float("nan")), f"{_number} must be an integer, got nan"),
+        (_which, _with(_number, float("inf")), f"{_number} must be an integer, got inf"),
+        (_which, lambda row: RawRow("\ufeff" + json.dumps(row)),
+         "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (_which, _raw_field(_number, "9" * (INT_LIMIT + 1)), LONG_INTEGER_ERROR),
+        (_which, _raw_field(_text, '"a\x00b"'), "invalid JSON: Invalid control character at"),
+    ]
+    MALFORMED_ROW_IDS += [f"{_row}-{shape}" for shape in
+                          ("nan", "infinity", "bom", "overlong-integer", "raw-nul")]
 
 
 @pytest.mark.parametrize("which, edit, message", MALFORMED_ROWS, ids=MALFORMED_ROW_IDS)
@@ -434,7 +466,7 @@ def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, whic
     path = {"traces": fixture_paths[0], "contracts": fixture_paths[1], "findings": findings}[which]
     first, second, *rest = path.read_text().split("\n")
     edited = edit(json.loads(second))
-    path.write_text("\n".join([first, edited if edited is DEEP_NESTING else json.dumps(edited),
+    path.write_text("\n".join([first, edited if isinstance(edited, RawRow) else json.dumps(edited),
                                *rest]))
     capsys.readouterr()
     assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
@@ -453,7 +485,7 @@ def test_malformed_trace_row_in_the_last_piece_names_file_and_line(fixture_paths
     traces = fixture_paths[0]
     first, *_ = traces.read_text().splitlines()
     edited = edit(json.loads(first))
-    bad = edited if edited is DEEP_NESTING else json.dumps(edited)
+    bad = edited if isinstance(edited, RawRow) else json.dumps(edited)
     valid = [json.dumps({**json.loads(first), "tx_id": f"pad{i}"})
              for i in range(len(bad) // len(first) + 2)]
     head = "".join(row + "\n" for row in valid)
@@ -500,24 +532,6 @@ def test_malformed_category_map_is_a_parse_error(fixture_paths, tmp_path, capsys
     err = capsys.readouterr().err
     assert f"{category_map}:1: invalid" in err
     assert "Traceback" not in err
-
-
-LONG_INTEGER_ERROR = f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits"
-
-
-@pytest.mark.parametrize("which, field", [("traces", "timestamp"), ("contracts", "deploy_timestamp"),
-                                          ("findings", "start_line")])
-def test_overlong_integer_in_a_row_names_file_and_line(fixture_paths, tmp_path, capsys, which,
-                                                       field):
-    findings = tmp_path / "findings.ndjson"
-    findings.write_text(json.dumps(FINDING) + "\n" + json.dumps(FINDING) + "\n")
-    path = {"traces": fixture_paths[0], "contracts": fixture_paths[1], "findings": findings}[which]
-    first, second, *rest = path.read_text().split("\n")
-    second = json.dumps({**json.loads(second), field: "N"}).replace('"N"', "9" * 5001)
-    path.write_text("\n".join([first, second, *rest]))
-    capsys.readouterr()
-    assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
-    assert capsys.readouterr().err == f"error: {path}:2: {LONG_INTEGER_ERROR}\n"
 
 
 @pytest.mark.parametrize("command", ["emit", "vuln-lifecycle"])

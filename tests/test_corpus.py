@@ -391,11 +391,22 @@ def test_written_contract_records_are_sorted(tmp_path):
     assert "0x" + "bb" * 20 in lines[1]
 
 
-EVENT_LINE = json.dumps(event_row(PROXY, CALLEE, 10, 1, "tx1")).encode()
+EVENT_ROW = event_row(PROXY, CALLEE, 10, 1, "tx1")
+EVENT_LINE = json.dumps(EVENT_ROW).encode()
+# the event with NaN or Infinity for its timestamp, a leading BOM, an integer longer than
+# int() converts, and a raw NUL in a string
+SHAPED_LINES = [
+    json.dumps({**EVENT_ROW, "timestamp": float("nan")}).encode(),
+    json.dumps({**EVENT_ROW, "timestamp": float("inf")}).encode(),
+    "\ufeff".encode() + EVENT_LINE,
+    EVENT_LINE.replace(b": 10,", b": " + b"9" * (sys.get_int_max_str_digits() + 1) + b","),
+    EVENT_LINE.replace(b'"tx1"', b'"tx\x001"'),
+]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(st.just(EVENT_LINE), st.just(b""), st.binary(max_size=12)), max_size=6))
+@given(st.lists(st.one_of(st.just(EVENT_LINE), st.just(b""), st.binary(max_size=12),
+                          st.sampled_from(SHAPED_LINES)), max_size=6))
 def test_any_bytes_load_or_raise_parse_error_with_its_line(lines):
     data = b"\n".join(lines)
     with tempfile.TemporaryDirectory() as tmp:

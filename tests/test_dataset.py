@@ -342,6 +342,18 @@ def test_malicious_directory_rejected_at_emit(tmp_path):
         emit_dataset(bundle, tmp_path / "bundle")
 
 
+def test_a_bundle_row_error_names_its_table_and_no_line(tmp_path):
+    out = tmp_path / "bt"
+    emit_dataset(build_bundle(two_lineage_corpus()), out)
+    table = out / "file_pairs.json"
+    first, *rest = json.loads(table.read_text())
+    table.write_text(json.dumps([{**first, "content_similarity": float("nan")}, *rest]))
+    with pytest.raises(ValidationError) as raised:
+        load_bundle(out)
+    assert type(raised.value) is ValidationError  # a ParseError would name a line
+    assert str(raised.value) == f"{table}: content_similarity must be in [0, 1], got nan"
+
+
 def test_file_pair_of_a_file_its_contract_lacks_is_rejected_at_emit(tmp_path):
     bundle = build_bundle(two_lineage_corpus())
     renamed = bundle.contracts[ADDR_B]._replace(files=(SourceFile("src", "Other.sol", SRC_CHANGED),))

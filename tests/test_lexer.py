@@ -38,9 +38,10 @@ def test_both_views_equal_the_oracle(text):
     diagnostics: list[str] = []
     oracle_diagnostics: list[str] = []
     oracle_tokens = oracle_tokenize(text, oracle_diagnostics)
-    assert tokenize(text, diagnostics) == oracle_tokens
+    texts, starts = tokenize(text, diagnostics)
+    assert (texts, starts) == ([t.text for t in oracle_tokens], [t.pos for t in oracle_tokens])
     assert diagnostics == oracle_diagnostics
-    assert token_texts(text) == [t.text for t in oracle_tokens]
+    assert token_texts(text) == texts
 
 
 def test_regex_whitespace_is_str_isspace():
@@ -49,7 +50,9 @@ def test_regex_whitespace_is_str_isspace():
 
 
 def test_escaped_newline_in_a_string_counts_as_a_line():
-    assert [(t.text, t.line) for t in tokenize('"a\\\nb" x')] == [('""', 1), ("x", 2)]
+    diagnostics: list[str] = []
+    assert extract_functions('"a\\\nb" x "c', diagnostics) == []
+    assert diagnostics == ["line 2: unterminated string literal"]
     source = 'contract A {\n  string s = "one\\\ntwo";\n  function f() public {\n  }\n}\n'
     units = extract_functions(source)
     assert [(u.name, u.start_line, u.end_line) for u in units] == [("f", 4, 5)]

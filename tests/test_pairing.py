@@ -171,19 +171,22 @@ def test_similarities_stay_symmetric_with_shared_ends(pair):
 # --- lexer and extraction -----------------------------------------------------
 
 def test_tokenize_skips_comments_and_blanks_strings():
-    text = 'a = 1; // trailing\n/* block\ncomment */ b = "str"; c = \'x\';\n'
-    tokens = tokenize(text)
-    texts = [t.text for t in tokens]
+    text = 'a = 1; // trailing\n/* block\ncomment */ b = "str"; c = \'x\';\nd = "open'
+    diagnostics: list[str] = []
+    texts, starts = tokenize(text, diagnostics)
     assert "trailing" not in texts
     assert "comment" not in texts
-    assert texts.count('""') == 2
-    assert tokens[0].line == 1
+    assert texts.count('""') == 3
+    assert "".join(text[start] for start in starts) == "a=1;b=\";c=';d=\""
+    assert diagnostics == ["line 4: unterminated string literal"]
 
 
 def test_tokenize_tracks_lines_through_block_comments():
-    tokens = tokenize("/* a\nb\nc */ x")
-    assert tokens[0].text == "x"
-    assert tokens[0].line == 3
+    diagnostics: list[str] = []
+    assert tokenize("/* a\nb\nc */ x 'y", diagnostics) == (["x", '""'], [12, 14])
+    assert diagnostics == ["line 3: unterminated string literal"]
+    units = extract_functions("/* a\nb\nc */ contract C { function f() public {\n} }")
+    assert [(u.name, u.start_line, u.end_line) for u in units] == [("f", 3, 4)]
 
 
 def test_extract_single_function():
