@@ -21,8 +21,8 @@ from .errors import ConfigurationError, FetchError, UnknownAddressError, Validat
 
 def ingest(args):
     """Validate fixtures and write the canonical corpus plus diagnostics."""
-    from .corpus import (DEFAULT_UPGRADE_SIGNATURES, load_corpus, monitored_selectors,
-                         upgrade_proxies, write_corpus, write_json)
+    from .corpus import (DEFAULT_UPGRADE_SIGNATURES, load_corpus, missing_metadata_note,
+                         monitored_selectors, upgrade_proxies, write_corpus, write_json)
 
     signatures = args.upgrade_signatures or list(DEFAULT_UPGRADE_SIGNATURES)
     monitored_selectors(signatures)  # a malformed signature fails before anything is read
@@ -38,11 +38,8 @@ def ingest(args):
         client = ExplorerClient(args.explorer_url)
         records, failures = fetch_contracts(missing, args.cache_dir, client)
         corpus.contracts.update(records)
-        corpus.diagnostics[:] = [
-            d for d in corpus.diagnostics if not d.startswith("contracts: no metadata")
-        ]
-        corpus.diagnostics.extend(f"contracts: no metadata for callee {callee}"
-                                  for callee in missing if callee not in corpus.contracts)
+        resolved = set(map(missing_metadata_note, records))
+        corpus.diagnostics[:] = [d for d in corpus.diagnostics if d not in resolved]
         for address, reason in sorted(failures.items()):
             corpus.diagnostics.append(f"explorer: fetch failed for {address}: {reason}")
     out = Path(args.out_dir)

@@ -326,7 +326,9 @@ def _iter_ndjson(path: Path, parse, start: int = 0, stop: int | None = None):
     A row is what json.loads(line) returns. A line holding one JSON value at
     its start and only JSON whitespace after it is read by a single call of
     the decoder's scanner; every other line is skipped as blank or goes through
-    `_decode`, whose json.loads gives the same value or raises the same error.
+    `_decode` without its line end, whose json.loads gives the same value or raises
+    the same error, except that a string cut off by the line end reads as
+    unterminated rather than as holding a control character.
     Bad UTF-8, bad JSON, a string that UTF-8 cannot encode or a row that `parse`
     rejects with a ValidationError raises ParseError naming the file and line.
 
@@ -346,7 +348,7 @@ def _iter_ndjson(path: Path, parse, start: int = 0, stop: int | None = None):
             if end < 0 or line[end:].strip(_JSON_SPACE):
                 if not line.strip():
                     continue
-                obj = _decode(line, path, line_number)
+                obj = _decode(line.rstrip("\r\n"), path, line_number)
             # a row without a backslash skips the slower search for the two characters
             elif "\\" in line and "\\u" in line:
                 _check_encodable(obj, line, path, line_number)
@@ -373,7 +375,9 @@ def _decode(text: str, where, first_line: int = 1):
         obj = json.loads(text)
     except json.JSONDecodeError as exc:  # an error at the end of the text is on its last line
         line = first_line + text.count("\n", 0, min(exc.pos, len(text) - 1))
-        raise ParseError(where, line, f"invalid JSON: {exc.msg}") from exc
+        # json puts a position after "at" only in str(exc), so two messages end cut off
+        at = f" column {exc.colno}" if exc.msg.endswith(" at") else ""
+        raise ParseError(where, line, f"invalid JSON: {exc.msg}{at}") from exc
     except (ValueError, RecursionError) as exc:
         raise _undecodable(where, text, exc, first_line) from exc
     if "\\u" in text:
@@ -698,6 +702,11 @@ def load_contract_records(path: str | Path) -> dict[str, ContractRecord]:
     return contracts
 
 
+def missing_metadata_note(callee: str) -> str:
+    """The diagnostic of a callee that no contract record describes."""
+    return f"contracts: no metadata for callee {callee}"
+
+
 def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
     """Load both fixtures into a canonical corpus.
 
@@ -708,8 +717,8 @@ def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
     """
     events, diagnostics = load_trace_events(trace_path)
     contracts = load_contract_records(contracts_path)
-    for callee in sorted({e.callee_address for e in events} - set(contracts)):
-        diagnostics.append(f"contracts: no metadata for callee {callee}")
+    unknown = sorted({e.callee_address for e in events} - set(contracts))
+    diagnostics += map(missing_metadata_note, unknown)
     return Corpus(events=events, contracts=contracts, diagnostics=diagnostics)
 
 

@@ -1,10 +1,16 @@
 """Pair source files and functions across predecessor/successor versions.
 
 Filenames drift slightly between versions (LandRegistryV2.sol becomes
-LandRegistryV3.sol), so files are matched within a shared directory by edit
-distance up to two characters. Functions are matched first on identical
-canonical signatures, then fuzzily on names within the same distance bound.
-Both matchings are greedy, deterministic and one-to-one.
+LandRegistryV3.sol), so files are matched within a shared directory by
+filename. Functions are matched first on identical canonical signatures, then
+by name. Both name matchings follow one rule, which _pair_names writes once:
+every two names within MAX_NAME_DISTANCE (2) edits are a candidate, and
+candidates are taken greedily in ascending order, each file or function at
+most once, so the result is deterministic and one-to-one. The order is by
+edit distance, then
+- for files: predecessor filename, then successor filename;
+- for functions: predecessor name, successor name, predecessor start line,
+  then successor start line; remaining ties keep source order.
 """
 
 from __future__ import annotations
@@ -93,14 +99,31 @@ def content_similarity(pred_content: str, succ_content: str) -> float:
     return lcs_length(pred_content, succ_content) / max(len(pred_content), len(succ_content))
 
 
-def match_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
-    """Match files of two versions within shared directories, by name alone.
+def _pair_names(left: list, right: list, name, key) -> list[tuple[int, int, int]]:
+    """The name rule of the module docstring, for items whose names are name(item): every
+    (i, j) whose names are within MAX_NAME_DISTANCE edits is a candidate, and candidates are
+    taken in ascending key(distance, left[i], right[j]) order, ties in (i, j) order, each
+    index at most once. Returns the (distance, i, j) triples taken, in the order taken."""
+    candidates = [(distance, i, j) for i, a in enumerate(left) for j, b in enumerate(right)
+                  if (distance := levenshtein(name(a), name(b))) <= MAX_NAME_DISTANCE]
+    taken = []
+    used_left: set[int] = set()
+    used_right: set[int] = set()
+    for distance, i, j in sorted(candidates, key=lambda c: key(c[0], left[c[1]], right[c[2]])):
+        if i not in used_left and j not in used_right:
+            used_left.add(i)
+            used_right.add(j)
+            taken.append((distance, i, j))
+    return taken
 
-    Candidates are ranked by ascending filename edit distance (0, then 1,
-    then 2; never beyond), ties broken lexicographically by predecessor then
-    successor filename; each file is used at most once. Non-open-source input
-    yields an empty result flagged NOT_OPEN_SOURCE.
-    """
+
+def _without(items: list, indices: set[int]) -> list:
+    return [item for i, item in enumerate(items) if i not in indices]
+
+
+def match_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
+    """Match files of two versions within shared directories, by the name rule of the module
+    docstring. Non-open-source input yields an empty result flagged NOT_OPEN_SOURCE."""
     if not pred.open_source or not succ.open_source:
         return FilePairing(pairs=[], unpaired_predecessor=[], unpaired_successor=[],
                            flag=NOT_OPEN_SOURCE)
@@ -112,35 +135,18 @@ def match_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
     for f in succ.files:
         succ_by_dir.setdefault(f.directory, []).append(f.filename)
 
-    matches: list[FileMatch] = []
-    used_pred: set[tuple[str, str]] = set()
-    used_succ: set[tuple[str, str]] = set()
-    for directory in sorted(set(pred_by_dir) & set(succ_by_dir)):
-        candidates = []
-        for pname in pred_by_dir[directory]:
-            for sname in succ_by_dir[directory]:
-                distance = levenshtein(pname, sname)
-                if distance <= MAX_NAME_DISTANCE:
-                    candidates.append((distance, pname, sname))
-        candidates.sort()
-        for distance, pname, sname in candidates:
-            pkey = (directory, pname)
-            skey = (directory, sname)
-            if pkey in used_pred or skey in used_succ:
-                continue
-            used_pred.add(pkey)
-            used_succ.add(skey)
-            matches.append(FileMatch(directory, pname, sname, distance))
-
-    matches.sort(key=lambda m: (m.directory, m.predecessor_filename, m.successor_filename))
-    # a record's files are in (directory, filename) order, so the unpaired ones are too
-    return FilePairing(
-        pairs=matches,
-        unpaired_predecessor=[(f.directory, f.filename) for f in pred.files
-                              if (f.directory, f.filename) not in used_pred],
-        unpaired_successor=[(f.directory, f.filename) for f in succ.files
-                            if (f.directory, f.filename) not in used_succ],
-    )
+    pairing = FilePairing(pairs=[], unpaired_predecessor=[], unpaired_successor=[])
+    # a record's files are in (directory, filename) order, so each list comes out in it too
+    for directory in sorted(pred_by_dir.keys() | succ_by_dir.keys()):
+        pnames, snames = pred_by_dir.get(directory, []), succ_by_dir.get(directory, [])
+        taken = _pair_names(pnames, snames, str, lambda d, p, s: (d, p, s))
+        pairing.pairs.extend(sorted(FileMatch(directory, pnames[i], snames[j], distance)
+                                    for distance, i, j in taken))
+        pairing.unpaired_predecessor.extend(
+            (directory, name) for name in _without(pnames, {i for _, i, _ in taken}))
+        pairing.unpaired_successor.extend(
+            (directory, name) for name in _without(snames, {j for _, _, j in taken}))
+    return pairing
 
 
 def _contents(record: ContractRecord) -> dict[tuple[str, str], str]:
@@ -160,6 +166,14 @@ def pair_files(pred: ContractRecord, succ: ContractRecord) -> FilePairing:
     return pairing._replace(pairs=pairs)
 
 
+def _by_signature(units: list[FunctionUnit]) -> dict[str, list[int]]:
+    """The indices of `units` under each signature, in source order (start line, then name)."""
+    groups: dict[str, list[int]] = {}
+    for i in sorted(range(len(units)), key=lambda i: (units[i].start_line, units[i].name)):
+        groups.setdefault(units[i].signature, []).append(i)
+    return groups
+
+
 def pair_functions(
     fp: FilePair,
     pred_units: list[FunctionUnit],
@@ -168,49 +182,26 @@ def pair_functions(
     """One-to-one function matching across a file pair.
 
     Phase 1 pairs identical canonical signatures (duplicates matched in
-    source order); phase 2 pairs leftovers whose names are within edit
-    distance 2, greedily by ascending distance with lexicographic
-    tie-breaking.
+    source order); phase 2 pairs the leftovers by the name rule of the
+    module docstring.
     """
-    pairs: list[FunctionPair] = []
-    pred_left = list(pred_units)
-    succ_left = list(succ_units)
+    pred_by_sig = _by_signature(pred_units)
+    succ_by_sig = _by_signature(succ_units)
+    exact = [(i, j) for signature in sorted(pred_by_sig.keys() & succ_by_sig.keys())
+             for i, j in zip(pred_by_sig[signature], succ_by_sig[signature])]
+    pairs = [FunctionPair(fp, pred_units[i], succ_units[j], MatchKind.EXACT_SIGNATURE)
+             for i, j in exact]
+    pred_left = _without(pred_units, {i for i, _ in exact})
+    succ_left = _without(succ_units, {j for _, j in exact})
 
-    pred_by_sig: dict[str, list[FunctionUnit]] = {}
-    for unit in sorted(pred_left, key=lambda u: (u.start_line, u.name)):
-        pred_by_sig.setdefault(unit.signature, []).append(unit)
-    succ_by_sig: dict[str, list[FunctionUnit]] = {}
-    for unit in sorted(succ_left, key=lambda u: (u.start_line, u.name)):
-        succ_by_sig.setdefault(unit.signature, []).append(unit)
-
-    matched_pred: set[int] = set()
-    matched_succ: set[int] = set()
-    for signature in sorted(set(pred_by_sig) & set(succ_by_sig)):
-        for pu, su in zip(pred_by_sig[signature], succ_by_sig[signature]):
-            pairs.append(FunctionPair(fp, pu, su, MatchKind.EXACT_SIGNATURE))
-            matched_pred.add(id(pu))
-            matched_succ.add(id(su))
-
-    pred_left = [u for u in pred_left if id(u) not in matched_pred]
-    succ_left = [u for u in succ_left if id(u) not in matched_succ]
-
-    candidates = []
-    for pu in pred_left:
-        for su in succ_left:
-            distance = levenshtein(pu.name, su.name)
-            if distance <= MAX_NAME_DISTANCE:
-                candidates.append((distance, pu.name, su.name, pu.start_line, su.start_line, pu, su))
-    candidates.sort(key=lambda c: c[:5])
-    for distance, _, _, _, _, pu, su in candidates:
-        if id(pu) in matched_pred or id(su) in matched_succ:
-            continue
-        matched_pred.add(id(pu))
-        matched_succ.add(id(su))
-        pairs.append(FunctionPair(fp, pu, su, MatchKind.FUZZY_NAME))
+    fuzzy = _pair_names(pred_left, succ_left, lambda u: u.name,
+                        lambda d, p, s: (d, p.name, s.name, p.start_line, s.start_line))
+    pairs += [FunctionPair(fp, pred_left[i], succ_left[j], MatchKind.FUZZY_NAME)
+              for _, i, j in fuzzy]
 
     pairs.sort(key=lambda p: (p.predecessor.start_line, p.successor.start_line, p.predecessor.name))
     return FunctionPairing(
         pairs=pairs,
-        unpaired_predecessor=[u for u in pred_left if id(u) not in matched_pred],
-        unpaired_successor=[u for u in succ_left if id(u) not in matched_succ],
+        unpaired_predecessor=_without(pred_left, {i for _, i, _ in fuzzy}),
+        unpaired_successor=_without(succ_left, {j for _, _, j in fuzzy}),
     )

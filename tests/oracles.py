@@ -4,8 +4,10 @@ Everything here is deliberately written from first principles with different
 structure than the package code: the keccak oracle derives its round
 constants and rotation offsets from the LFSR/permutation definitions instead
 of hardcoding tables; the LCS and edit-distance oracles are plain
-full-matrix DPs; the lineage oracle applies the classification rules by
-direct recursive construction. The function extractor oracle follows the
+full-matrix DPs; the greedy name-matching oracle takes the least remaining
+candidate pair one at a time, where the package sorts the candidates once;
+the lineage oracle applies the classification rules by direct recursive
+construction. The function extractor oracle follows the
 package's control flow but reads the lexer oracle's tokens with their kinds
 and lines, and balances each bracket kind with a depth loop of its own, where
 the package shares one scan; malformed input is its use.
@@ -158,6 +160,22 @@ def oracle_levenshtein(a: str, b: str) -> int:
             table[i][j] = min(table[i - 1][j] + 1, table[i][j - 1] + 1,
                               table[i - 1][j - 1] + cost)
     return table[m][n]
+
+
+def oracle_greedy_pairs(left: list[str], right: list[str], rank) -> list[tuple[int, int, int]]:
+    """Greedy one-to-one matching of two name lists, taken one pair at a time: of the
+    (i, j) whose names are within two edits and whose i and j are both still free, take
+    the one of least (rank(distance, i, j), i, j), until none is left. Returns the
+    (distance, i, j) triples in the order taken."""
+    free = {(i, j): oracle_levenshtein(a, b) for i, a in enumerate(left)
+            for j, b in enumerate(right)}
+    free = {ij: distance for ij, distance in free.items() if distance <= 2}
+    taken = []
+    while free:
+        i, j = min(free, key=lambda ij: (rank(free[ij], *ij), ij))
+        taken.append((free[i, j], i, j))
+        free = {(a, b): distance for (a, b), distance in free.items() if a != i and b != j}
+    return taken
 
 
 def oracle_jaccard(a: set, b: set) -> float:

@@ -375,8 +375,14 @@ def _with(field: str, value):
 
 
 def _raw_field(field: str, raw: str):
-    """An edit that gives `field` the JSON text `raw`, which json.dumps would not write."""
-    return lambda row: RawRow(json.dumps(_without(row, field))[:-1] + f', "{field}": {raw}}}')
+    """An edit that writes `field` first, as the JSON text `raw`, which json.dumps would not
+    write. Its value starts in the same column whatever the rest of the row."""
+    return lambda row: RawRow(f'{{"{field}": {raw}, ' + json.dumps(_without(row, field))[1:])
+
+
+def _cut_inside(field: str):
+    """An edit that writes `field` first and cuts the row off after its value's first character."""
+    return lambda row: RawRow(json.dumps({field: row[field], **row})[:len(f'{{"{field}": "x')])
 
 
 LONE_SURROGATE = "holds the lone surrogate U+{}, which UTF-8 cannot encode"
@@ -443,20 +449,25 @@ MALFORMED_ROW_IDS = [
 INT_LIMIT = sys.get_int_max_str_digits()
 LONG_INTEGER_ERROR = f"invalid JSON: integer longer than {INT_LIMIT} digits"
 # JSON that json.loads reads as a float (NaN and Infinity, which json.dumps writes) or
-# rejects: a leading BOM, an integer longer than int() converts and a raw NUL in a string
+# rejects: a leading BOM, an integer longer than int() converts, a raw NUL in a string and
+# a string cut off by the end of its row. The last two messages name the column json reports.
 for _which, _row, _number, _text in [("traces", "trace", "timestamp", "tx_id"),
                                      ("contracts", "contract", "deploy_timestamp", "creator"),
                                      ("findings", "finding", "start_line", "message")]:
+    _value_column = len(f'{{"{_text}": ') + 1  # of the value of the field written first
     MALFORMED_ROWS += [
         (_which, _with(_number, float("nan")), f"{_number} must be an integer, got nan"),
         (_which, _with(_number, float("inf")), f"{_number} must be an integer, got inf"),
         (_which, lambda row: RawRow("\ufeff" + json.dumps(row)),
          "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
         (_which, _raw_field(_number, "9" * (INT_LIMIT + 1)), LONG_INTEGER_ERROR),
-        (_which, _raw_field(_text, '"a\x00b"'), "invalid JSON: Invalid control character at"),
+        (_which, _raw_field(_text, '"a\x00b"'),
+         f"invalid JSON: Invalid control character at column {_value_column + 2}"),
+        (_which, _cut_inside(_text),
+         f"invalid JSON: Unterminated string starting at column {_value_column}"),
     ]
-    MALFORMED_ROW_IDS += [f"{_row}-{shape}" for shape in
-                          ("nan", "infinity", "bom", "overlong-integer", "raw-nul")]
+    MALFORMED_ROW_IDS += [f"{_row}-{shape}" for shape in ("nan", "infinity", "bom",
+                          "overlong-integer", "raw-nul", "unterminated-string")]
 
 
 @pytest.mark.parametrize("which, edit, message", MALFORMED_ROWS, ids=MALFORMED_ROW_IDS)

@@ -666,8 +666,9 @@ def lone_surrogate(value, where: str = "") -> str | None:
 
 
 def ndjson_by_json_loads(data: bytes):
-    """json.loads per non-blank line: [(line number, row)], or the ParseError
-    text and line of the first bad line, a row that holds a lone surrogate among them."""
+    """json.loads per non-blank line without its line end: [(line number, row)], or the
+    ParseError text and line of the first bad line, a row that holds a lone surrogate
+    among them. A message that json ends in "at" gains the column."""
     rows = []
     for number, raw in enumerate(io.BytesIO(data), start=1):
         try:
@@ -677,9 +678,10 @@ def ndjson_by_json_loads(data: bytes):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = json.loads(line.rstrip("\r\n"))
         except json.JSONDecodeError as exc:
-            return f"invalid JSON: {exc.msg}", number
+            at = f" column {exc.colno}" if exc.msg.endswith(" at") else ""
+            return f"invalid JSON: {exc.msg}{at}", number
         except ValueError:
             return f"invalid JSON: integer longer than {sys.get_int_max_str_digits()} digits", number
         if fault := lone_surrogate(row):

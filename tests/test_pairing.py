@@ -19,11 +19,13 @@ from proxylineage import (
     pair_functions,
     tokenize,
 )
-from proxylineage.pairing import FileMatch, FilePair, content_similarity
+from proxylineage.pairing import FileMatch, FilePair, FunctionPair, content_similarity
+from proxylineage.solidity import FunctionUnit
 
 from conftest import ADDR_A, ADDR_B, CREATOR_X, make_record
 from corpusgen import varied_sourced_corpus
-from oracles import oracle_lcs_length, oracle_levenshtein, oracle_line_similarity
+from oracles import (oracle_greedy_pairs, oracle_lcs_length, oracle_levenshtein,
+                     oracle_line_similarity)
 
 REGISTRY_V2 = "pragma solidity ^0.8.0;\ncontract LandRegistry { function a() public {} }\n"
 REGISTRY_V3 = REGISTRY_V2 + "// patched\n"
@@ -526,3 +528,98 @@ def test_function_matching_is_partial_injection():
     succ_ids = [id(p.successor) for p in pairing.pairs]
     assert len(pred_ids) == len(set(pred_ids))
     assert len(succ_ids) == len(set(succ_ids))
+
+
+# --- both name matchings against the greedy oracle ------------------------------
+
+NEAR_FILENAMES = ["A.sol", "Ax.sol", "Ay.sol", "AB.sol", "Token.sol", "TokenV2.sol", "TokenV3.sol"]
+NEAR_FUNCTION_NAMES = ["f", "g", "fg", "mint", "mints", "mintV2"]
+
+
+def random_record(rng: random.Random, address: str):
+    """One to six files in three directories, a filename often in several of them."""
+    paths = {(rng.choice(["", "src", "lib"]), rng.choice(NEAR_FILENAMES))
+             for _ in range(rng.randint(1, 6))}
+    return make_record(address, CREATOR_X, [sf(directory, name) for directory, name in paths])
+
+
+def oracle_match_files(pred, succ):
+    """(pairs, unpaired predecessor, unpaired successor) of oracle_greedy_pairs run on each
+    shared directory, ranked by distance, then predecessor and successor filename."""
+    pairs = []
+    for directory in {f.directory for f in pred.files} & {f.directory for f in succ.files}:
+        pnames = [f.filename for f in pred.files if f.directory == directory]
+        snames = [f.filename for f in succ.files if f.directory == directory]
+        pairs += [FileMatch(directory, pnames[i], snames[j], distance) for distance, i, j in
+                  oracle_greedy_pairs(pnames, snames, lambda d, i, j: (d, pnames[i], snames[j]))]
+    pairs.sort()
+    paired_pred = {(m.directory, m.predecessor_filename) for m in pairs}
+    paired_succ = {(m.directory, m.successor_filename) for m in pairs}
+    return (pairs,
+            sorted((f.directory, f.filename) for f in pred.files
+                   if (f.directory, f.filename) not in paired_pred),
+            sorted((f.directory, f.filename) for f in succ.files
+                   if (f.directory, f.filename) not in paired_succ))
+
+
+def test_match_files_equals_the_greedy_oracle():
+    rng = random.Random(32)
+    for _ in range(3000):
+        pred, succ = random_record(rng, ADDR_A), random_record(rng, ADDR_B)
+        pairing = match_files(pred, succ)
+        assert (pairing.pairs, pairing.unpaired_predecessor,
+                pairing.unpaired_successor) == oracle_match_files(pred, succ)
+
+
+def random_units(rng: random.Random, side: str) -> list[FunctionUnit]:
+    """Up to eight functions over few names, signatures and start lines, so names repeat,
+    start lines are equal and two functions of one name often share a line. Bodies differ,
+    so every unit is told apart by value."""
+    units = []
+    for k in range(rng.randint(0, 7)):
+        name, line = rng.choice(NEAR_FUNCTION_NAMES), rng.randint(1, 4)
+        units.append(FunctionUnit(name, f"{name}({rng.choice(['', 'uint256'])})",
+                                  f"{side}{k}", line, line + 1))
+    if units and rng.random() < 0.5:
+        twin = rng.choice(units)
+        units.append(twin._replace(signature=f"{twin.name}(address)", body=f"{side}-twin"))
+    rng.shuffle(units)
+    return units
+
+
+def oracle_pair_functions(fp, pred_units, succ_units):
+    """(pairs, unpaired predecessor, unpaired successor): equal signatures paired in source
+    order, then oracle_greedy_pairs on the rest's names, ranked by distance, names and start
+    lines; the pairs ordered by start lines and predecessor name, ties in the order made."""
+    def source_order(units, signature):
+        return [i for _, _, i in sorted((u.start_line, u.name, i) for i, u in enumerate(units)
+                                        if u.signature == signature)]
+
+    made = []
+    for signature in sorted({u.signature for u in pred_units} & {u.signature for u in succ_units}):
+        made += [(i, j, MatchKind.EXACT_SIGNATURE) for i, j in
+                 zip(source_order(pred_units, signature), source_order(succ_units, signature))]
+    pred_free = [i for i in range(len(pred_units)) if i not in {m[0] for m in made}]
+    succ_free = [j for j in range(len(succ_units)) if j not in {m[1] for m in made}]
+
+    def rank(distance, a, b):
+        p, s = pred_units[pred_free[a]], succ_units[succ_free[b]]
+        return distance, p.name, s.name, p.start_line, s.start_line
+
+    made += [(pred_free[a], succ_free[b], MatchKind.FUZZY_NAME) for _, a, b in oracle_greedy_pairs(
+        [pred_units[i].name for i in pred_free], [succ_units[j].name for j in succ_free], rank)]
+    made.sort(key=lambda m: (pred_units[m[0]].start_line, succ_units[m[1]].start_line,
+                             pred_units[m[0]].name))
+    paired_pred, paired_succ = {m[0] for m in made}, {m[1] for m in made}
+    return ([FunctionPair(fp, pred_units[i], succ_units[j], kind) for i, j, kind in made],
+            [u for i, u in enumerate(pred_units) if i not in paired_pred],
+            [u for j, u in enumerate(succ_units) if j not in paired_succ])
+
+
+def test_pair_functions_equals_the_greedy_oracle():
+    rng = random.Random(32)
+    fp = make_file_pair()
+    for _ in range(3000):
+        pred, succ = random_units(rng, "p"), random_units(rng, "s")
+        pairing = pair_functions(fp, pred, succ)
+        assert tuple(pairing) == oracle_pair_functions(fp, pred, succ)
