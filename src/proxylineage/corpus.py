@@ -185,6 +185,12 @@ def _line_span(start_line: object, end_line: object) -> None:
             raise ValidationError(f"start_line {start_line} is after end_line {end_line}")
 
 
+def _line_count(text: str) -> int:
+    """The number of lines of a source text, as functions and findings number them: each
+    line ends at "\\n", and a final "\\n" opens no line (so "" has none)."""
+    return text.count("\n") + (text[-1:] not in ("", "\n"))
+
+
 def _fields(row: object, names, where: str = "row", also=()) -> tuple:
     """The values of `names` (two or more) in `row`, once it is a JSON object that holds each
     of them, may hold the keys in `also` and holds no other key.
@@ -613,10 +619,11 @@ def _read_trace_events(path: Path) -> list[TraceEvent]:
 
     This process parses the first piece of the file while one forked worker
     per later piece parses that one (`_trace_worker`); one list.sort merges
-    the sorted pieces (a single piece it finds sorted). The first fault in
-    file order raises its ParseError, as a one-process load would. A worker
-    that fails in any other way is an OSError naming the file. Every worker is
-    reaped on every exit, and a worker still running at a fault is killed.
+    the sorted pieces (a single piece it finds sorted). The workers only save
+    time: a fault in this process's piece, the first in the file, raises here;
+    if a fork fails or a worker ends with a nonzero status, the file is parsed
+    again in this process, which returns its events or raises its first fault.
+    Every worker is reaped on every exit, and a worker still running is killed.
     """
     (start, stop), *later = _trace_pieces(path)
     workers = []  # (pid, read end of its pipe) per worker not yet reaped, in file order
@@ -625,10 +632,10 @@ def _read_trace_events(path: Path) -> list[TraceEvent]:
             read_end, write_end = os.pipe()
             try:
                 pid = os.fork()
-            except OSError as exc:
+            except OSError:
                 os.close(read_end)
                 os.close(write_end)
-                raise OSError(f"{path}: cannot start a process to parse it: {exc}") from exc
+                break
             if pid == 0:  # the worker, which never returns
                 os.close(read_end)
                 for _, pipe in workers:
@@ -636,60 +643,44 @@ def _read_trace_events(path: Path) -> list[TraceEvent]:
                 _trace_worker(path, *piece, write_end)
             os.close(write_end)
             workers.append((pid, open(read_end, "rb")))
-        events = _parse_trace_piece(path, start, stop)
-        while workers:
-            pid, pipe = workers[0]
-            with pipe:
-                sent = pipe.read()
-            del workers[0]
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if status:
-                how = f"killed by signal {-status}" if status < 0 else f"ended with status {status}"
-                raise OSError(f"{path}: the process parsing a piece of it was {how}")
-            rows = marshal.loads(sent)
-            if type(rows) is tuple:  # the piece's first fault: (line number, message)
-                raise ParseError(path, *rows)
-            events += [tuple.__new__(TraceEvent, row) for row in rows]
+        else:  # every worker started
+            events = _parse_trace_piece(path, start, stop)
+            while workers:
+                pid, pipe = workers[0]
+                with pipe:
+                    sent = pipe.read()
+                del workers[0]
+                if os.waitpid(pid, 0)[1]:  # it failed, and sent nothing to use
+                    break
+                events += [tuple.__new__(TraceEvent, row) for row in marshal.loads(sent)]
+            else:
+                events.sort()
+                return events
     finally:
-        if workers:  # left by a fault: stop and reap them
-            import signal  # imported here: only a fault needs it, and no command loads it
+        if workers:  # left by a fault or a failed worker: stop and reap them
+            import signal  # imported here: only a failure needs it, and no command loads it
 
             for pid, pipe in workers:
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    events.sort()
-    return events
+    return _parse_trace_piece(path)  # a fork failed or a worker did not end with status 0
 
 
 def _trace_worker(path: Path, start: int, stop: int | None, write_end: int):
     """The life of a forked worker: parse one piece of a trace file and end in os._exit.
 
-    It writes with marshal either its events, sorted and as plain tuples, or
-    (line number in the file, message) for the piece's first fault; on any
-    other failure it ends with status 1.
+    It writes its events with marshal, sorted and as plain tuples, and ends
+    with status 0; on any exception, a bad row included, it writes nothing and
+    ends with status 1.
     """
     status = 1
     try:
-        try:
-            sent = list(map(tuple, _parse_trace_piece(path, start, stop)))
-        except ParseError as exc:
-            sent = (_lines_before(path, start) + exc.line_number, exc.message)
         with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(sent))
+            pipe.write(marshal.dumps(list(map(tuple, _parse_trace_piece(path, start, stop)))))
         status = 0
     finally:
         os._exit(status)
-
-
-def _lines_before(path: Path, offset: int) -> int:
-    """The number of line ends in the first `offset` bytes of a file."""
-    count = 0
-    with open(path, "rb") as handle:
-        while offset > 0 and (chunk := handle.read(min(offset, 1 << 20))):
-            count += chunk.count(b"\n")
-            offset -= len(chunk)
-    return count
 
 
 def load_contract_records(path: str | Path) -> dict[str, ContractRecord]:

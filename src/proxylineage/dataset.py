@@ -18,9 +18,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ._version import __version__
-from .corpus import (ContractRecord, Corpus, SourceFile, _fields, _line_span, _record, _require_int,
-                     _require_timestamp, _text, _utf8, contract_from_obj, corpus_digests,
-                     normalize_address, read_json, validate_directory, write_json)
+from .corpus import (ContractRecord, Corpus, SourceFile, _fields, _line_count, _line_span,
+                     _record, _require_int, _require_timestamp, _text, _utf8, contract_from_obj,
+                     corpus_digests, normalize_address, read_json, validate_directory, write_json)
 from .errors import IntegrityError, ParseError, ValidationError
 from .lineage import (
     ActivityWindow,
@@ -371,7 +371,7 @@ def _check_integrity(bundle: DatasetBundle, error) -> None:
         if pair != derived:
             raise error(CONTRACT_PAIRS_FILE,
                         f"{pair or 'no row'} where the lineages give {derived or 'no pair'}")
-    line_count = {(address, f.directory, f.filename): f.content.count("\n") + 1
+    line_count = {(address, f.directory, f.filename): _line_count(f.content)
                   for address, record in bundle.contracts.items() for f in record.files}
     for artifacts in bundle.pair_artifacts:
         pair, pairing = artifacts.pair, artifacts.file_pairing

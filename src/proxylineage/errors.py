@@ -6,12 +6,11 @@ class ValidationError(ValueError):
 
 
 class ParseError(ValidationError):
-    """A fixture file failed to parse; carries the file, the line number and the message."""
+    """A fixture file failed to parse; carries the file and the line number."""
 
     def __init__(self, path, line_number: int, message: str):
         self.path = str(path)
         self.line_number = line_number
-        self.message = message
         super().__init__(f"{self.path}:{line_number}: {message}")
 
 

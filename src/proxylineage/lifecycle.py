@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import (Corpus, _fields, _iter_ndjson, _line_span, _text, normalize_address,
-                     read_json)
+from .corpus import (Corpus, _fields, _iter_ndjson, _line_count, _line_span, _text,
+                     normalize_address, read_json)
 from .errors import ConfigurationError, ValidationError
 from .lineage import ContractPair, SECONDS_PER_DAY
 from .pairing import FileMatch
@@ -131,7 +131,7 @@ def _cross_check(finding: Finding, corpus: Corpus, line_number: int,
         if record is None:
             return [f"line {line_number}: finding references unknown contract {finding.contract}"]
         line_counts[finding.contract] = {
-            (file.directory, file.filename): len(file.content.splitlines()) for file in record.files
+            (file.directory, file.filename): _line_count(file.content) for file in record.files
         }
     file_lines = line_counts[finding.contract].get((finding.directory, finding.filename))
     if file_lines is None:

@@ -19,6 +19,15 @@ ADDR_D = "0x" + "dd" * 20
 CREATOR_X = "0x" + "e1" * 20
 CREATOR_Y = "0x" + "e2" * 20
 
+# A source whose one function ends on its last line, and its line count as the extractor
+# numbers lines: "\n" ends a line, a final "\n" opens no line, and a CR or a U+2028 is no
+# line end (str.splitlines would give 3, 3 and 5 lines)
+LAST_LINE_FUNCTION_SOURCES = {
+    "trailing-newline": ("contract C {\n    function f() {\n    }}\n", 3),
+    "cr-only": ("contract C {\r    function f() {\r    }}", 1),
+    "u2028-in-a-comment": ("contract C {\n    // a\u2028b\n    function f() {\n    }}\n", 4),
+}
+
 
 def make_event(proxy: str, callee: str, timestamp: int, block: int | None = None,
                tx_id: str | None = None, selector: str = "0x3659cfe6") -> TraceEvent:

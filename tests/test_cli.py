@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import hashlib
 import json
@@ -510,9 +511,21 @@ def test_malformed_trace_row_in_the_last_piece_names_file_and_line(fixture_paths
     assert_no_child_left()
 
 
-def test_a_parse_worker_killed_by_a_signal_is_an_io_error(fixture_paths, tmp_path, capsys,
-                                                         monkeypatch):
+def _build_lineages_run(fixture_paths, out, capsys):
+    """Exit code, stdout (with `out` as OUT), stderr and every output file of
+    build-lineages on the fixture."""
     traces, contracts = fixture_paths
+    capsys.readouterr()
+    code = main(["build-lineages", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out)])
+    stdout, stderr = capsys.readouterr()
+    return (code, stdout.replace(str(out), "OUT"), stderr,
+            {p.name: p.read_bytes() for p in sorted(out.iterdir())})
+
+
+def test_a_parse_worker_killed_by_a_signal_leaves_the_result_of_a_one_process_load(
+        fixture_paths, tmp_path, capsys, monkeypatch):
+    whole = _build_lineages_run(fixture_paths, tmp_path / "whole", capsys)
     parse = corpus._parse_trace_piece
 
     def parse_or_die(path, start=0, stop=None):
@@ -522,14 +535,32 @@ def test_a_parse_worker_killed_by_a_signal_is_an_io_error(fixture_paths, tmp_pat
 
     monkeypatch.setattr(corpus, "_parse_trace_piece", parse_or_die)
     with trace_pieces_of(100):
-        assert len(_trace_pieces(traces)) == 4
-        code = main(["build-lineages", "--traces", str(traces), "--contracts", str(contracts),
-                     "--out", str(tmp_path / "out")])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err == (f"i/o error: {traces}: the process parsing a piece of it was killed by "
-                   f"signal {int(signal.SIGKILL)}\n")
-    assert "Traceback" not in err
+        assert len(_trace_pieces(fixture_paths[0])) == 4
+        pieces = _build_lineages_run(fixture_paths, tmp_path / "pieces", capsys)
+    assert whole[0] == 0
+    assert pieces == whole
+    assert_no_child_left()
+
+
+def test_a_fork_that_fails_leaves_the_result_of_a_one_process_load(fixture_paths, tmp_path,
+                                                                   capsys, monkeypatch):
+    whole = _build_lineages_run(fixture_paths, tmp_path / "whole", capsys)
+    fork = os.fork
+    forks = []
+
+    def fork_once():  # the first worker starts and is running when the second fork fails
+        forks.append(len(forks))
+        if len(forks) > 1:
+            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_once)
+    with trace_pieces_of(100):
+        assert len(_trace_pieces(fixture_paths[0])) == 4
+        pieces = _build_lineages_run(fixture_paths, tmp_path / "pieces", capsys)
+    assert forks == [0, 1]
+    assert whole[0] == 0
+    assert pieces == whole
     assert_no_child_left()
 
 
@@ -755,10 +786,10 @@ def _repeat_first_row(text: str) -> str:
      "start_line 9 is after end_line 4"),
     ("function_pairs.json", _edit_function("predecessor_function", end_line=99999),
      f"pair {ADDR_A}->{ADDR_B}: predecessor function f() ends on line 99999 of 'src'/'Core.sol', "
-     "which has 6 lines"),
+     "which has 5 lines"),
     ("diagnostics.json", _edit_unpaired(end_line=99999),
      f"pair {ADDR_A}->{ADDR_B}: successor function g() ends on line 99999 of 'src'/'Core.sol', "
-     "which has 6 lines"),
+     "which has 5 lines"),
     ("diagnostics.json", _edit_unpaired(successor_filename="X.sol"),
      f"pair {ADDR_A}->{ADDR_B}: successor function g() ends on line 6 of 'src'/'X.sol', "
      "which has 0 lines"),
@@ -876,15 +907,16 @@ def test_malformed_bundle_names_the_file(fixture_paths, tmp_path, capsys, name, 
 
 
 def test_function_rows_within_their_files_load(fixture_paths, tmp_path, capsys):
-    # SRC has five newlines, so six lines; load_bundle does not re-derive function pairs,
-    # so a renamed function and an invented unpaired one that end within the file still load
+    # SRC has five newlines, the last of which ends it, so five lines; load_bundle does not
+    # re-derive function pairs, so a renamed function and an invented unpaired one that end
+    # within the file still load
     traces, contracts = fixture_paths
     bundle = tmp_path / "bundle"
     assert main(["emit", "--traces", str(traces), "--contracts", str(contracts),
                  "--out", str(bundle)]) == 0
     for name, edit in (("function_pairs.json", _edit_function("predecessor_function", name="h",
-                                                              end_line=6)),
-                       ("diagnostics.json", _edit_unpaired(end_line=6))):
+                                                              end_line=5)),
+                       ("diagnostics.json", _edit_unpaired(end_line=5))):
         (bundle / name).write_text(edit((bundle / name).read_text()))
     assert main(["stats", str(bundle)]) == 0
 

@@ -33,6 +33,7 @@ from conftest import (
     ADDR_D,
     CREATOR_X,
     CREATOR_Y,
+    LAST_LINE_FUNCTION_SOURCES,
     PROXY,
     PROXY2,
     make_record,
@@ -377,6 +378,29 @@ def test_lineage_of_one_version_is_rejected_at_emit(tmp_path):
     out = tmp_path / "bundle"
     with pytest.raises(IntegrityError, match=f"version {lineage.versions[0].address} of proxy "
                                              f"{lineage.proxy}: the lineage rules exclude it as SINGLETON"):
+        emit_dataset(bundle, out)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text, lines", LAST_LINE_FUNCTION_SOURCES.values(),
+                         ids=LAST_LINE_FUNCTION_SOURCES)
+def test_a_function_row_may_end_on_the_last_line_of_its_file_and_no_later(tmp_path, text,
+                                                                          lines):
+    bundle = build_bundle(Corpus(
+        events=window_events(PROXY, ADDR_A, 1, 10) + window_events(PROXY, ADDR_B, 11, 20),
+        contracts={address: make_record(address, CREATOR_X, [SourceFile("src", "C.sol", text)])
+                   for address in (ADDR_A, ADDR_B)}))
+    (artifacts,) = bundle.pair_artifacts
+    (function_pair,) = artifacts.function_pairs
+    assert function_pair.predecessor.end_line == lines
+    emit_dataset(bundle, tmp_path / "bundle")
+    late = function_pair._replace(
+        predecessor=function_pair.predecessor._replace(end_line=lines + 1))
+    bundle = bundle._replace(pair_artifacts=[artifacts._replace(function_pairs=[late])])
+    out = tmp_path / "late"
+    with pytest.raises(IntegrityError, match=re.escape(
+            f"predecessor function f() ends on line {lines + 1} of 'src'/'C.sol', "
+            f"which has {lines} lines")):
         emit_dataset(bundle, out)
     assert not out.exists()
 

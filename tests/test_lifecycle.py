@@ -17,6 +17,7 @@ from proxylineage import (
     ParseError,
     SourceFile,
     diff_pair,
+    extract_functions,
     lifecycle_stats,
     build_lineages,
     contract_pairs,
@@ -29,7 +30,8 @@ from proxylineage.lifecycle import FileIdentity
 from proxylineage.lineage import ActivityWindow, ContractPair
 from proxylineage.pairing import FileMatch, FilePair
 
-from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, PROXY, make_record
+from conftest import (ADDR_A, ADDR_B, ADDR_C, CREATOR_X, LAST_LINE_FUNCTION_SOURCES, PROXY,
+                      make_record)
 from corpusgen import varied_sourced_corpus
 from oracles import oracle_diff_pair, oracle_lifecycle_stats
 
@@ -169,6 +171,23 @@ def test_cross_check_diagnostics_text_and_order(tmp_path):
         f"line 7: finding references unknown contract {ADDR_C}",
         "line 8: finding lines 1-2 exceed Lib.sol length 1",
     ]
+
+
+@pytest.mark.parametrize("text, lines", LAST_LINE_FUNCTION_SOURCES.values(),
+                         ids=LAST_LINE_FUNCTION_SOURCES)
+def test_a_finding_may_end_on_the_last_line_its_functions_can_and_no_later(tmp_path, text,
+                                                                           lines):
+    import json
+
+    (unit,) = extract_functions(text)
+    assert unit.end_line == lines
+    path = tmp_path / "f.ndjson"
+    rows = [finding_row(end_line=lines), finding_row(end_line=lines + 1)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    corpus = Corpus(events=[], contracts={
+        ADDR_A: make_record(ADDR_A, CREATOR_X, [SourceFile("src", "Core.sol", text)])})
+    assert load_findings(path, corpus)[1] == [
+        f"line 2: finding lines 1-{lines + 1} exceed Core.sol length {lines}"]
 
 
 # --- diffing -------------------------------------------------------------------
