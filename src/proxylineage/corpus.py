@@ -10,8 +10,6 @@ input bytes always produce the same corpus.
 from __future__ import annotations
 
 import json
-import marshal
-import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_str
@@ -326,7 +324,7 @@ _scan_json = json.JSONDecoder().scan_once
 _JSON_SPACE = " \t\n\r"
 
 
-def _iter_ndjson(path: Path, parse, start: int = 0, stop: int | None = None):
+def _iter_ndjson(path: Path, parse):
     """(line number, parse(row)) per non-blank line of an NDJSON file.
 
     A row is what json.loads(line) returns. A line holding one JSON value at
@@ -337,15 +335,9 @@ def _iter_ndjson(path: Path, parse, start: int = 0, stop: int | None = None):
     unterminated rather than as holding a control character.
     Bad UTF-8, bad JSON, a string that UTF-8 cannot encode or a row that `parse`
     rejects with a ValidationError raises ParseError naming the file and line.
-
-    Only the lines in bytes [start, stop) are read, to the end of the file if
-    `stop` is None; both must be line starts, and line 1 is the one at `start`.
     """
     with open(path, "rb") as handle:
-        if start:
-            handle.seek(start)
-        lines = handle if stop is None else _lines_in(handle, stop - start)
-        for line_number, raw in enumerate(lines, start=1):
+        for line_number, raw in enumerate(handle, start=1):
             line = _utf8(raw, path, line_number)
             try:
                 obj, end = _scan_json(line, 0)
@@ -363,15 +355,6 @@ def _iter_ndjson(path: Path, parse, start: int = 0, stop: int | None = None):
             except ValidationError as exc:
                 raise ParseError(path, line_number, str(exc)) from exc
             yield line_number, parsed
-
-
-def _lines_in(handle, size: int):
-    """The lines of `handle` in its next `size` bytes, which end at a line end."""
-    for raw in handle:
-        yield raw
-        size -= len(raw)
-        if size <= 0:
-            return
 
 
 def _decode(text: str, where, first_line: int = 1):
@@ -541,7 +524,11 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     proxies delegating to one implementation in the same transaction are two
     observations and both are kept.
     """
-    raw_events = _read_trace_events(Path(path))
+    path = Path(path)
+    memo: tuple[dict, dict] = ({}, {})
+    rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo))
+    raw_events = [event for _, event in rows]
+    raw_events.sort()
     events = []
     seen = set()
     duplicates = 0
@@ -573,114 +560,6 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
         )
     diagnostics.extend(non_monotonic)
     return events, diagnostics
-
-
-# The smallest piece a trace file is cut into: a smaller one saves less parse time than
-# its worker costs to start and to send back
-_MIN_PIECE_BYTES = 1 << 20
-
-
-def _trace_pieces(path: Path) -> list[tuple[int, int | None]]:
-    """The (start, stop) byte ranges a trace file is parsed in, in file order.
-
-    There is one per free CPU, none is under _MIN_PIECE_BYTES, each starts at a
-    line start and the last runs to the end of the file (stop None). Without
-    os.fork, or with another thread running, a fork is not possible or not
-    safe, so the whole file is one piece.
-    """
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
-        return [(0, None)]
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    starts = [0]
-    with open(path, "rb") as handle:
-        size = os.fstat(handle.fileno()).st_size
-        count = min(cpus, size // _MIN_PIECE_BYTES)
-        for k in range(1, count):
-            handle.seek(size * k // count - 1)
-            handle.readline()  # to the start of the next line
-            if starts[-1] < handle.tell() < size:
-                starts.append(handle.tell())
-    return list(zip(starts, [*starts[1:], None]))
-
-
-def _parse_trace_piece(path: Path, start: int = 0, stop: int | None = None) -> list[TraceEvent]:
-    """The events of the lines in bytes [start, stop) of a trace file, sorted."""
-    memo: tuple[dict, dict] = ({}, {})
-    rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo), start, stop)
-    events = [event for _, event in rows]
-    events.sort()
-    return events
-
-
-def _read_trace_events(path: Path) -> list[TraceEvent]:
-    """Every event of a trace file, sorted.
-
-    This process parses the first piece of the file while one forked worker
-    per later piece parses that one (`_trace_worker`); one list.sort merges
-    the sorted pieces (a single piece it finds sorted). The workers only save
-    time: a fault in this process's piece, the first in the file, raises here;
-    if a fork fails or a worker ends with a nonzero status, the file is parsed
-    again in this process, which returns its events or raises its first fault.
-    Every worker is reaped on every exit, and a worker still running is killed.
-    """
-    (start, stop), *later = _trace_pieces(path)
-    workers = []  # (pid, read end of its pipe) per worker not yet reaped, in file order
-    try:
-        for piece in later:
-            read_end, write_end = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(read_end)
-                os.close(write_end)
-                break
-            if pid == 0:  # the worker, which never returns
-                os.close(read_end)
-                for _, pipe in workers:
-                    pipe.close()
-                _trace_worker(path, *piece, write_end)
-            os.close(write_end)
-            workers.append((pid, open(read_end, "rb")))
-        else:  # every worker started
-            events = _parse_trace_piece(path, start, stop)
-            while workers:
-                pid, pipe = workers[0]
-                with pipe:
-                    sent = pipe.read()
-                del workers[0]
-                if os.waitpid(pid, 0)[1]:  # it failed, and sent nothing to use
-                    break
-                events += [tuple.__new__(TraceEvent, row) for row in marshal.loads(sent)]
-            else:
-                events.sort()
-                return events
-    finally:
-        if workers:  # left by a fault or a failed worker: stop and reap them
-            import signal  # imported here: only a failure needs it, and no command loads it
-
-            for pid, pipe in workers:
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-    return _parse_trace_piece(path)  # a fork failed or a worker did not end with status 0
-
-
-def _trace_worker(path: Path, start: int, stop: int | None, write_end: int):
-    """The life of a forked worker: parse one piece of a trace file and end in os._exit.
-
-    It writes its events with marshal, sorted and as plain tuples, and ends
-    with status 0; on any exception, a bad row included, it writes nothing and
-    ends with status 1.
-    """
-    status = 1
-    try:
-        with open(write_end, "wb") as pipe:
-            pipe.write(marshal.dumps(list(map(tuple, _parse_trace_piece(path, start, stop)))))
-        status = 0
-    finally:
-        os._exit(status)
 
 
 def load_contract_records(path: str | Path) -> dict[str, ContractRecord]:

@@ -17,8 +17,8 @@ from enum import Enum
 from pathlib import Path
 from typing import NamedTuple
 
-from .corpus import (Corpus, _fields, _iter_ndjson, _line_count, _line_span, _text,
-                     normalize_address, read_json)
+from .corpus import (Corpus, _fields, _iter_ndjson, _line_count, _line_span, _memo_normalize,
+                     _text, normalize_address, read_json)
 from .errors import ConfigurationError, ValidationError
 from .lineage import ContractPair, SECONDS_PER_DAY
 from .pairing import FileMatch
@@ -96,14 +96,16 @@ def load_findings(
     findings: list[Finding] = []
     diagnostics: list[str] = []
     line_counts: dict[str, dict[tuple[str, str], int]] = {}  # per contract, built on first use
-    for line_number, finding in _iter_ndjson(path, _finding_from_obj):
+    contracts: dict[str, str] = {}  # contract spellings already normalized
+    for line_number, finding in _iter_ndjson(path, lambda obj: _finding_from_obj(obj, contracts)):
         findings.append(finding)
         if corpus is not None:
             diagnostics.extend(_cross_check(finding, corpus, line_number, line_counts))
     return findings, diagnostics
 
 
-def _finding_from_obj(obj: object) -> Finding:
+def _finding_from_obj(obj: object, contracts: dict[str, str]) -> Finding:
+    """Validate one findings row; `contracts` holds the contract spellings already normalized."""
     try:
         if len(obj) != len(Finding._fields):
             raise KeyError
@@ -120,8 +122,10 @@ def _finding_from_obj(obj: object) -> Finding:
     if not tool or not vuln_type:
         raise ValidationError("tool and vuln_type must be non-empty")
     _line_span(start_line, end_line)
-    contract = normalize_address(contract, "contract")
-    return Finding(tool, vuln_type, contract, directory, filename, start_line, end_line, message)
+    contract = _memo_normalize(contracts, contract, normalize_address, "contract")
+    # tuple.__new__ skips the Python-level __new__ of a NamedTuple, as the trace reader does
+    return tuple.__new__(Finding, (tool, vuln_type, contract, directory, filename, start_line,
+                                   end_line, message))
 
 
 def _cross_check(finding: Finding, corpus: Corpus, line_number: int,

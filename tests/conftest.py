@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-import contextlib
-import os
-
 import pytest
 
-from proxylineage import ContractRecord, Corpus, LineageEvaluator, TraceEvent, corpus
+from proxylineage import ContractRecord, Corpus, LineageEvaluator, TraceEvent
 from proxylineage.fingerprint import fingerprint_contracts
 
 PROXY = "0x" + "11" * 20
@@ -79,19 +76,3 @@ def three_callee_corpus() -> Corpus:
         ADDR_C: make_record(ADDR_C, CREATOR_Y),
     }
     return Corpus(events=events, contracts=contracts)
-
-
-@contextlib.contextmanager
-def trace_pieces_of(piece_bytes: int, cpus: int = 4):
-    """Within the block, cut a trace file into pieces of `piece_bytes` or more, as a host
-    with `cpus` free CPUs would: one forked worker parses each piece after the first."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(corpus, "_MIN_PIECE_BYTES", piece_bytes)
-        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-        yield
-
-
-def assert_no_child_left():
-    """Every worker was reaped: this process has no child, running or ended."""
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)

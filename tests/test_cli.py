@@ -2,28 +2,24 @@
 
 from __future__ import annotations
 
-import errno
 import gc
 import hashlib
 import json
-import os
 import random
-import signal
 import sys
 from pathlib import Path
 
 import pytest
 
-from proxylineage import (ActivityWindow, ContractPair, Corpus, build_bundle, cli, corpus,
-                          emit_dataset, load_corpus)
+from proxylineage import (ActivityWindow, ContractPair, Corpus, build_bundle, cli, emit_dataset,
+                          load_corpus)
 from proxylineage.cli import main
-from proxylineage.corpus import _trace_pieces, json_text
+from proxylineage.corpus import json_text
 from proxylineage.evaluation import LineageEvaluator, results_to_jsonable
 from proxylineage.fingerprint import Fingerprint, fingerprint_contracts, write_fingerprints
 from proxylineage.lineage import Lineage, LineageVersion, build_lineages
 
-from conftest import (ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY, PROXY2,
-                      assert_no_child_left, trace_pieces_of)
+from conftest import ADDR_A, ADDR_B, ADDR_C, CREATOR_X, CREATOR_Y, PROXY, PROXY2
 from corpusgen import (
     addr_from_int,
     contract_row,
@@ -492,76 +488,17 @@ def test_malformed_row_names_file_and_line(fixture_paths, tmp_path, capsys, whic
     ids=[name for row, name in zip(MALFORMED_ROWS, MALFORMED_ROW_IDS) if row[0] == "traces"])
 def test_malformed_trace_row_in_the_last_piece_names_file_and_line(fixture_paths, tmp_path,
                                                                    capsys, edit, message):
-    # the bad row ends the file, after more valid bytes than it has, so the one cut falls
-    # among the valid rows and a worker process finds the fault
+    # the bad row is the last line of the file, after more valid bytes than it has
     traces = fixture_paths[0]
     first, *_ = traces.read_text().splitlines()
     edited = edit(json.loads(first))
     bad = edited if isinstance(edited, RawRow) else json.dumps(edited)
     valid = [json.dumps({**json.loads(first), "tx_id": f"pad{i}"})
              for i in range(len(bad) // len(first) + 2)]
-    head = "".join(row + "\n" for row in valid)
-    traces.write_text(head + bad + "\n")
-    with trace_pieces_of(len(first), cpus=2):
-        (_, cut), (last_start, _) = _trace_pieces(traces)
-        assert cut == last_start <= len(head)
-        capsys.readouterr()
-        assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
-    assert capsys.readouterr().err == f"error: {traces}:{len(valid) + 1}: {message}\n"
-    assert_no_child_left()
-
-
-def _build_lineages_run(fixture_paths, out, capsys):
-    """Exit code, stdout (with `out` as OUT), stderr and every output file of
-    build-lineages on the fixture."""
-    traces, contracts = fixture_paths
+    traces.write_text("".join(row + "\n" for row in valid) + bad + "\n")
     capsys.readouterr()
-    code = main(["build-lineages", "--traces", str(traces), "--contracts", str(contracts),
-                 "--out", str(out)])
-    stdout, stderr = capsys.readouterr()
-    return (code, stdout.replace(str(out), "OUT"), stderr,
-            {p.name: p.read_bytes() for p in sorted(out.iterdir())})
-
-
-def test_a_parse_worker_killed_by_a_signal_leaves_the_result_of_a_one_process_load(
-        fixture_paths, tmp_path, capsys, monkeypatch):
-    whole = _build_lineages_run(fixture_paths, tmp_path / "whole", capsys)
-    parse = corpus._parse_trace_piece
-
-    def parse_or_die(path, start=0, stop=None):
-        if start:  # a worker's piece
-            os.kill(os.getpid(), signal.SIGKILL)
-        return parse(path, start, stop)
-
-    monkeypatch.setattr(corpus, "_parse_trace_piece", parse_or_die)
-    with trace_pieces_of(100):
-        assert len(_trace_pieces(fixture_paths[0])) == 4
-        pieces = _build_lineages_run(fixture_paths, tmp_path / "pieces", capsys)
-    assert whole[0] == 0
-    assert pieces == whole
-    assert_no_child_left()
-
-
-def test_a_fork_that_fails_leaves_the_result_of_a_one_process_load(fixture_paths, tmp_path,
-                                                                   capsys, monkeypatch):
-    whole = _build_lineages_run(fixture_paths, tmp_path / "whole", capsys)
-    fork = os.fork
-    forks = []
-
-    def fork_once():  # the first worker starts and is running when the second fork fails
-        forks.append(len(forks))
-        if len(forks) > 1:
-            raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_once)
-    with trace_pieces_of(100):
-        assert len(_trace_pieces(fixture_paths[0])) == 4
-        pieces = _build_lineages_run(fixture_paths, tmp_path / "pieces", capsys)
-    assert forks == [0, 1]
-    assert whole[0] == 0
-    assert pieces == whole
-    assert_no_child_left()
+    assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {traces}:{len(valid) + 1}: {message}\n"
 
 
 @pytest.mark.parametrize("content", [b"{not json", b'{"slither": {"\xff": "x"}}',

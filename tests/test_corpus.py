@@ -5,11 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import os
 import random
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -37,7 +35,6 @@ from proxylineage.corpus import (
     _contract_line,
     _contract_lines,
     _iter_ndjson,
-    _trace_pieces,
     corpus_digests,
     json_text,
     load_contract_records,
@@ -46,7 +43,6 @@ from proxylineage.corpus import (
     write_json,
 )
 
-from conftest import assert_no_child_left, trace_pieces_of
 from corpusgen import event_row, write_contract_fixture, write_trace_fixture
 from oracles import (contract_to_obj, oracle_load_trace_events, oracle_selector,
                      oracle_trace_ndjson)
@@ -737,122 +733,40 @@ def test_ndjson_reader_edge_lines_match_json_loads(line):
     assert_read_like_json_loads(b'{"a": 0}\r\n' + line.encode() + b"\n" + b'{"b": 2}')
 
 
-# --- a trace file parsed in pieces, one per worker process -------------------------
+# --- trace diagnostics and faults on fixed rows ----------------------------------
 
 def _equal_rows(count: int) -> list[dict]:
     """Valid trace rows whose JSON lines are all one length, in canonical order."""
     return [event_row(PROXY, CALLEE, 100 + i, 10 + i, f"tx{i:02d}") for i in range(count)]
 
 
-@st.composite
-def _repeating_trace_text(draw):
-    """_trace_rows with repeats of earlier rows and blank lines among them, as text; cut
-    into 200-byte pieces, a repeat or a timestamp going back often sits across a cut."""
-    rows = draw(_trace_rows())
-    for source in draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), max_size=4)):
-        if rows:
-            rows.insert(draw(st.integers(0, len(rows))), rows[source])
-    lines = [json.dumps(row) for row in rows]
-    for blank in draw(st.lists(st.sampled_from(["", "  ", "\t"]), max_size=2)):
-        lines.insert(draw(st.integers(0, len(lines))), blank)
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
-
-
-@settings(max_examples=150, deadline=None)
-@given(_repeating_trace_text())
-def test_a_trace_file_in_pieces_loads_as_in_one(text):
-    # equal events (TraceEvents all) and diagnostics in order, or an equal ParseError
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.ndjson"
-        path.write_text(text)
-        whole = _outcome(load_trace_events, path)
-        with trace_pieces_of(200):
-            pieces = _outcome(load_trace_events, path)
-    assert pieces == whole
-    if not isinstance(pieces[1], int):
-        assert {type(event) for event in pieces[0]} <= {TraceEvent}
-    assert_no_child_left()
-
-
-def test_a_repeat_and_a_timestamp_going_back_across_a_cut_are_diagnosed(tmp_path):
+def test_a_repeat_and_a_timestamp_going_back_are_diagnosed(tmp_path):
     traces = tmp_path / "t.ndjson"
     rows = _equal_rows(10)
-    # the second piece repeats row 3 and goes back in time at its first block
+    # line 6 repeats line 3, and line 7 goes back in time at its block
     rows[5] = rows[2]
     rows[6] = {**rows[6], "timestamp": 101}
     write_trace_fixture(traces, rows)
-    whole = load_trace_events(traces)
-    half = traces.stat().st_size // 2
-    with trace_pieces_of(half, cpus=2):
-        assert _trace_pieces(traces) == [(0, half), (half, None)]
-        assert load_trace_events(traces) == whole
-    assert whole[1] == ["traces: dropped 1 duplicate event(s) (same tx_id, proxy and callee)",
-                        "traces: non-monotonic timestamp 101 at block 16 (tx tx06); "
-                        "earlier block had 104"]
-    assert_no_child_left()
+    events, diagnostics = load_trace_events(traces)
+    assert len(events) == 9
+    assert diagnostics == ["traces: dropped 1 duplicate event(s) (same tx_id, proxy and callee)",
+                           "traces: non-monotonic timestamp 101 at block 16 (tx tx06); "
+                           "earlier block had 104"]
 
 
 @pytest.mark.parametrize("bad_lines", [(8, 11), (2, 11), (5, 6)])
-def test_with_faults_in_two_pieces_the_first_in_the_file_is_reported(tmp_path, bad_lines):
+def test_with_two_bad_trace_rows_the_first_in_the_file_is_reported(tmp_path, bad_lines):
     traces = tmp_path / "t.ndjson"
     rows = _equal_rows(12)
     for line in bad_lines:
         rows[line - 1] = {**rows[line - 1], "selector": "0x3659cfzz"}
     write_trace_fixture(traces, rows)
-    quarter = traces.stat().st_size // 4  # three lines a piece
-    with trace_pieces_of(quarter):
-        assert [start for start, _ in _trace_pieces(traces)] == [0, quarter, 2 * quarter,
-                                                                  3 * quarter]
-        with pytest.raises(ParseError) as excinfo:
-            load_trace_events(traces)
+    with pytest.raises(ParseError) as excinfo:
+        load_trace_events(traces)
     first = bad_lines[0]
     assert str(excinfo.value) == (f"{traces}:{first}: selector must be 0x + 8 hex chars, "
                                   "got '0x3659cfzz'")
     assert excinfo.value.line_number == first
-    assert_no_child_left()
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.lists(st.tuples(_LINE, st.sampled_from([b"\n", b"\r\n"])), max_size=5), _LINE)
-def test_trace_lines_in_the_last_piece_read_as_in_one(lines, last):
-    # the lines of test_ndjson_reader_matches_json_loads_per_line, after enough valid
-    # rows that the cut falls among those and every odd line is in the last piece
-    tail = b"".join(line + end for line, end in lines) + last
-    rows = _equal_rows((len(tail) + 200) // 150 + 2)  # a row's line is longer than 150 bytes
-    head = "".join(json.dumps(row) + "\n" for row in rows).encode()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "t.ndjson"
-        path.write_bytes(head + tail)
-        whole = _outcome(load_trace_events, path)
-        with trace_pieces_of(100, cpus=2):
-            (_, cut), (last_start, _) = _trace_pieces(path)
-            assert cut == last_start <= len(head)
-            assert _outcome(load_trace_events, path) == whole
-    assert_no_child_left()
-
-
-def test_a_trace_file_is_one_piece_without_fork_with_one_cpu_or_another_thread(tmp_path,
-                                                                                 monkeypatch):
-    traces = tmp_path / "t.ndjson"
-    write_trace_fixture(traces, _equal_rows(12))
-    whole = load_trace_events(traces)
-    piece = traces.stat().st_size // 4
-    with trace_pieces_of(piece, cpus=1):
-        assert _trace_pieces(traces) == [(0, None)]
-    with trace_pieces_of(piece):
-        assert len(_trace_pieces(traces)) == 4
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        thread.start()
-        try:
-            assert _trace_pieces(traces) == [(0, None)]
-        finally:
-            stop.set()
-            thread.join(timeout=10)
-        assert not thread.is_alive()
-        monkeypatch.delattr(os, "fork")
-        assert _trace_pieces(traces) == [(0, None)]
-        assert load_trace_events(traces) == whole
 
 
 def test_overlong_integer_in_a_json_document_names_its_line(tmp_path):

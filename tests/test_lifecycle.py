@@ -119,6 +119,39 @@ def test_schema_violation_names_line(tmp_path):
     assert excinfo.value.line_number == 2
 
 
+def test_contract_spellings_share_one_normalized_string(tmp_path):
+    import json
+
+    path = tmp_path / "f.ndjson"
+    rows = [finding_row(), finding_row(contract=ADDR_A.upper().replace("0X", "0x")),
+            finding_row(contract=ADDR_B)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    findings, _ = load_findings(path)
+    assert findings == [finding(), finding(), finding(contract=ADDR_B)]
+    assert {type(f) for f in findings} == {Finding}
+    assert findings[0].contract is findings[1].contract
+
+
+@pytest.mark.parametrize("value, message", [
+    (ADDR_A[:-1], f"contract must be 0x + 40 hex chars, got '{ADDR_A[:-1]}'"),
+    (7, "contract must be a string, got int"),
+    ([ADDR_A], "contract must be a string, got list"),
+    ({"a": ADDR_A}, "contract must be a string, got dict"),
+])
+def test_a_bad_contract_after_a_valid_one_is_named_on_its_line(tmp_path, value, message):
+    # the first row fills the per-file memo of normalized contracts; the bad row
+    # must still raise the one-row error text, on every load
+    import json
+
+    path = tmp_path / "f.ndjson"
+    rows = [finding_row(), finding_row(contract=value)]
+    path.write_text("".join(json.dumps(r) + "\n" for r in rows))
+    for _ in range(2):
+        with pytest.raises(ParseError) as excinfo:
+            load_findings(path)
+        assert str(excinfo.value) == f"{path}:2: {message}"
+
+
 def test_inverted_line_range_rejected(tmp_path):
     import json
 
