@@ -25,7 +25,8 @@ def ingest(args):
                          monitored_selectors, upgrade_proxies, write_corpus, write_json)
 
     signatures = args.upgrade_signatures or list(DEFAULT_UPGRADE_SIGNATURES)
-    monitored_selectors(signatures)  # a malformed signature fails before anything is read
+    # a malformed signature fails before anything is read
+    selectors = monitored_selectors(signatures)
     if args.explorer_url and not args.cache_dir:
         raise ConfigurationError("--explorer-url requires --cache-dir")
     if args.cache_dir and not args.explorer_url:
@@ -48,7 +49,7 @@ def ingest(args):
     write_json(out / "diagnostics.json", {
         "diagnostics": corpus.diagnostics,
         "upgrade_signatures": signatures,
-        "upgrade_proxies": upgrade_proxies(corpus, signatures),
+        "upgrade_proxies": upgrade_proxies(corpus, signatures, selectors),
     })
     print(f"ingested {len(corpus.events)} events, {len(corpus.contracts)} contracts -> {out}")
 

@@ -76,11 +76,14 @@ class ContractRecord(_ContractFields):
     __slots__ = ()
 
     def __new__(cls, address, creator, deploy_timestamp, verified, open_source, files=()):
-        files = tuple(sorted(files, key=_file_path))
-        paths = list(map(_file_path, files))
-        for path, following in zip(paths, paths[1:]):  # sorted, a repeat is its neighbour
-            if path == following:
-                raise ValidationError("duplicate file path %r/%r" % path)
+        if not files:
+            files = ()
+        else:
+            files = tuple(sorted(files, key=_file_path))
+            paths = list(map(_file_path, files))
+            for path, following in zip(paths, paths[1:]):  # sorted, a repeat is its neighbour
+                if path == following:
+                    raise ValidationError("duplicate file path %r/%r" % path)
         return super().__new__(cls, address, creator, deploy_timestamp, verified, open_source, files)
 
     @classmethod
@@ -150,9 +153,14 @@ def monitored_selectors(signatures: Iterable[str] = DEFAULT_UPGRADE_SIGNATURES) 
     return {compute_selector(sig): sig for sig in signatures}
 
 
-def upgrade_proxies(corpus: Corpus, signatures: Iterable[str] = DEFAULT_UPGRADE_SIGNATURES) -> list[str]:
-    """Proxies with at least one monitored upgrade-call selector in their stream."""
-    watched = set(monitored_selectors(signatures))
+def upgrade_proxies(corpus: Corpus, signatures: Iterable[str] = DEFAULT_UPGRADE_SIGNATURES,
+                    selectors: dict[str, str] | None = None) -> list[str]:
+    """Proxies with at least one monitored upgrade-call selector in their stream.
+
+    `selectors`, if given, is monitored_selectors(signatures), which a caller that
+    checked the signatures already holds.
+    """
+    watched = set(monitored_selectors(signatures) if selectors is None else selectors)
     return sorted({e.proxy_address for e in corpus.events if e.selector in watched})
 
 
@@ -234,16 +242,16 @@ def validate_directory(value: object, where: str = "directory") -> str:
 def _memo_normalize(memo: dict[str, str], value: object, normalize, where: str) -> str:
     """normalize(value, where), validated once per distinct value in one load.
 
-    Raw spellings of one value (mixed case) map to one shared normalized string.
+    `memo` maps each raw spelling validated so far to its normalized string, so raw
+    spellings of one value (mixed case) share one string. Only a str is looked up:
+    any other value, a list or an object among them, goes to `normalize`, which
+    rejects it, and no value enters the memo before `normalize` has passed it.
     """
-    try:
-        return memo[value]
-    except KeyError:
+    normalized = memo.get(value) if type(value) is str else None
+    if normalized is None:
         normalized = normalize(value, where)
         memo[value] = normalized = memo.setdefault(normalized, normalized)
-        return normalized
-    except TypeError:  # unhashable: a list or an object, never valid
-        return normalize(value, where)
+    return normalized
 
 
 def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEvent:
@@ -259,24 +267,29 @@ def _event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> TraceEv
         got = repr(tx_id) if isinstance(tx_id, str) else type(tx_id).__name__
         raise ValidationError(f"tx_id must be a non-empty string, got {got}")
     addresses, selectors = memo
-    try:
-        proxy, callee, selector = addresses[raw_proxy], addresses[raw_callee], selectors[raw_selector]
-    except (KeyError, TypeError):  # a value not seen yet in this load, or an unhashable one
+    # a row that repeats spellings seen before costs three dict lookups and raises nothing
+    proxy = addresses.get(raw_proxy) if type(raw_proxy) is str else None
+    callee = addresses.get(raw_callee) if type(raw_callee) is str else None
+    if proxy is None or callee is None:
         proxy = _memo_normalize(addresses, raw_proxy, normalize_address, "proxy_address")
         callee = _memo_normalize(addresses, raw_callee, normalize_address, "callee_address")
-        selector = None
     if type(timestamp) is not int or not 0 <= timestamp <= MAX_TIMESTAMP:
         timestamp = _require_timestamp(timestamp, "timestamp")
     if type(block_number) is not int or block_number < 0:
         block_number = _require_int(block_number, "block_number")
+    selector = selectors.get(raw_selector) if type(raw_selector) is str else None
     if selector is None:
         selector = _memo_normalize(selectors, raw_selector, normalize_selector, "selector")
     # tuple.__new__ skips the Python-level __new__ of a NamedTuple: same event, half the cost
     return tuple.__new__(TraceEvent, (block_number, tx_id, proxy, callee, selector, timestamp))
 
 
-def contract_from_obj(obj: object, where: str = "contract record") -> ContractRecord:
-    """Validate one contract-record JSON object (fixture row or explorer payload)."""
+def contract_from_obj(obj: object, where: str = "contract record",
+                      addresses: dict[str, str] | None = None) -> ContractRecord:
+    """Validate one contract-record JSON object (fixture row or explorer payload).
+
+    `addresses`, if given, is the address memo of the load (see _memo_normalize).
+    """
     try:
         if len(obj) != len(ContractRecord._fields):
             raise KeyError
@@ -303,8 +316,10 @@ def contract_from_obj(obj: object, where: str = "contract record") -> ContractRe
         raise ValidationError(f"{where}: open_source contract must have files")
     if not open_source and files:
         raise ValidationError(f"{where}: closed-source contract must not have files")
-    address = normalize_address(address, "address")
-    creator = normalize_address(creator, "creator")
+    if addresses is None:
+        addresses = {}
+    address = _memo_normalize(addresses, address, normalize_address, "address")
+    creator = _memo_normalize(addresses, creator, normalize_address, "creator")
     deploy_timestamp = _require_timestamp(deploy_timestamp, "deploy_timestamp")
     try:
         return ContractRecord(address, creator, deploy_timestamp, verified, open_source, files)
@@ -517,33 +532,61 @@ def write_json(path: str | Path, obj) -> None:
         handle.write("\n")
 
 
-def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
+def _trace_rows(path: Path, addresses: dict[str, str]):
+    """(line number, event) per row of a trace file; `addresses` is the address memo."""
+    memo = (addresses, {})
+    return _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo))
+
+
+def _tx_conflict(path: Path, line_number: int, event: TraceEvent, first: TraceEvent) -> ParseError:
+    """The ParseError of the row on `line_number`, whose transaction's first row, `first`,
+    is at another block or timestamp. Every row before it is valid, so a second read
+    finds the line of `first` without keeping a line per row on the way."""
+    first_line = next(n for n, row in _trace_rows(path, {}) if row.tx_id == event.tx_id)
+    return ParseError(path, line_number,
+                      f"tx_id {event.tx_id!r} at block {event.block_number}, timestamp "
+                      f"{event.timestamp} contradicts its first row, line {first_line}: block "
+                      f"{first.block_number}, timestamp {first.timestamp}")
+
+
+def load_trace_events(path: str | Path, addresses: dict[str, str] | None = None
+                      ) -> tuple[list[TraceEvent], list[str]]:
     """Load, sort and deduplicate the trace fixture. Returns (events, diagnostics).
 
-    Events repeating a (tx_id, proxy, callee) observation are dropped; two
-    proxies delegating to one implementation in the same transaction are two
-    observations and both are kept.
+    All rows of one tx_id must agree on block_number and timestamp: a row that
+    does not raises ParseError naming its line and the line of its transaction's
+    first row. Events repeating a (tx_id, proxy, callee) observation are dropped;
+    two proxies delegating to one implementation in the same transaction are two
+    observations and both are kept. `addresses`, if given, is the address memo of
+    the load (see _memo_normalize).
     """
     path = Path(path)
-    memo: tuple[dict, dict] = ({}, {})
-    rows = _iter_ndjson(path, lambda obj: _event_from_obj(obj, "trace event", memo))
-    raw_events = [event for _, event in rows]
+    first_of_tx: dict[str, TraceEvent] = {}
+    raw_events = []
+    for line_number, event in _trace_rows(path, {} if addresses is None else addresses):
+        head = first_of_tx.setdefault(event[1], event)
+        if head[0] != event[0] or head[5] != event[5]:
+            raise _tx_conflict(path, line_number, event, head)
+        raw_events.append(event)
+    del first_of_tx  # freed before the sort
     raw_events.sort()
     events = []
-    seen = set()
     duplicates = 0
     non_monotonic = []
     # Timestamps must move forward with block numbers within one stream;
     # validated blocks and timestamps are >= 0, so -1 precedes them all.
     prev_block = prev_max_ts = -1
+    # One transaction is in one block, so once sorted a repeat of (tx_id, proxy, callee)
+    # is the neighbour of its first copy, which is kept: the first in canonical order.
+    kept = None
     for event in raw_events:
-        block_number, tx_id, proxy, callee, _, timestamp = event
-        dedup_key = (tx_id, proxy, callee)
-        if dedup_key in seen:
+        key = event[:4]
+        if key == kept:
             duplicates += 1
             continue
-        seen.add(dedup_key)
+        kept = key
         events.append(event)
+        block_number, tx_id, _, _, _, timestamp = event
         if block_number > prev_block:
             if timestamp <= prev_max_ts:
                 non_monotonic.append(
@@ -562,10 +605,14 @@ def load_trace_events(path: str | Path) -> tuple[list[TraceEvent], list[str]]:
     return events, diagnostics
 
 
-def load_contract_records(path: str | Path) -> dict[str, ContractRecord]:
+def load_contract_records(path: str | Path, addresses: dict[str, str] | None = None
+                          ) -> dict[str, ContractRecord]:
+    """The contract fixture by address. `addresses`, if given, is the address memo of the
+    load (see _memo_normalize)."""
     path = Path(path)
     contracts: dict[str, ContractRecord] = {}
-    for line_number, record in _iter_ndjson(path, contract_from_obj):
+    rows = _iter_ndjson(path, lambda obj: contract_from_obj(obj, "contract record", addresses))
+    for line_number, record in rows:
         if record.address in contracts:
             raise ParseError(path, line_number, f"duplicate contract address {record.address}")
         contracts[record.address] = record
@@ -585,9 +632,10 @@ def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
     ParseError naming the offending line; cross-row oddities (timestamp
     inversions, callees without metadata) are recorded in diagnostics.
     """
-    events, diagnostics = load_trace_events(trace_path)
-    contracts = load_contract_records(contracts_path)
-    unknown = sorted({e.callee_address for e in events} - set(contracts))
+    addresses: dict[str, str] = {}  # each distinct address spelling is validated once
+    events, diagnostics = load_trace_events(trace_path, addresses)
+    contracts = load_contract_records(contracts_path, addresses)
+    unknown = sorted(set(map(itemgetter(3), events)).difference(contracts))
     diagnostics += map(missing_metadata_note, unknown)
     return Corpus(events=events, contracts=contracts, diagnostics=diagnostics)
 
@@ -595,9 +643,10 @@ def load_corpus(trace_path: str | Path, contracts_path: str | Path) -> Corpus:
 def _trace_line(e: TraceEvent) -> str:
     """One canonical trace row: the bytes of json.dumps(row, sort_keys=True,
     separators=(",", ":")) on the event's fields, plus the newline."""
-    return (f'{{"block_number":{e.block_number},"callee_address":{_json_str(e.callee_address)},'
-            f'"proxy_address":{_json_str(e.proxy_address)},"selector":{_json_str(e.selector)},'
-            f'"timestamp":{e.timestamp},"tx_id":{_json_str(e.tx_id)}}}\n')
+    block_number, tx_id, proxy, callee, selector, timestamp = e
+    return (f'{{"block_number":{block_number},"callee_address":{_json_str(callee)},'
+            f'"proxy_address":{_json_str(proxy)},"selector":{_json_str(selector)},'
+            f'"timestamp":{timestamp},"tx_id":{_json_str(tx_id)}}}\n')
 
 
 def _trace_lines(events: Iterable[TraceEvent]) -> Iterable[str]:

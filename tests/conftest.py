@@ -26,6 +26,13 @@ LAST_LINE_FUNCTION_SOURCES = {
 }
 
 
+def tx_conflict_message(tx_id, block, timestamp, first_line, first_block, first_timestamp) -> str:
+    """The text of the ParseError for a row that puts `tx_id` at another block or timestamp
+    than its first row, on `first_line`, did."""
+    return (f"tx_id {tx_id!r} at block {block}, timestamp {timestamp} contradicts its first row, "
+            f"line {first_line}: block {first_block}, timestamp {first_timestamp}")
+
+
 def make_event(proxy: str, callee: str, timestamp: int, block: int | None = None,
                tx_id: str | None = None, selector: str = "0x3659cfe6") -> TraceEvent:
     return TraceEvent(

@@ -13,9 +13,11 @@ and lines, and balances each bracket kind with a depth loop of its own, where
 the package shares one scan; malformed input is its use.
 The lifecycle oracles count into running accumulators pair by pair, where
 the package reads every summary figure from one table of cells. The trace
-loader oracle validates each row through its key set and named fields and
-deduplicates before it checks timestamps, in two passes, where the package
-indexes each row once and makes one pass. The evaluator oracle verifies
+loader oracle validates each row through its key set and named fields, keeps
+each transaction's first (block, timestamp, line) as it reads, deduplicates
+through a set of keys before it checks timestamps, in two passes, where the
+package indexes each row once, re-reads the file only to name a conflict's
+first line, and drops repeats as neighbours in one pass. The evaluator oracle verifies
 every LSH candidate before it filters by creator; the package verifies only
 the query creator's candidates.
 """
@@ -32,7 +34,7 @@ from proxylineage import (Corpus, LineageEvaluator, LshIndex, SimilarityCategory
                           query_similar)
 from proxylineage.corpus import (_iter_ndjson, _memo_normalize, _require_int, _require_timestamp,
                                  normalize_address, normalize_selector)
-from proxylineage.errors import ConfigurationError, UnknownAddressError, ValidationError
+from proxylineage.errors import ConfigurationError, ParseError, UnknownAddressError, ValidationError
 from proxylineage.lifecycle import (DEFAULT_CATEGORY_MAP, INTERSECTION, UNION, FileIdentity, Finding,
                                     FindingKey, LifecycleStatus)
 from proxylineage.lineage import SECONDS_PER_DAY, ContractPair
@@ -487,12 +489,24 @@ def oracle_event_from_obj(obj: object, where: str, memo: tuple[dict, dict]) -> T
 
 
 def oracle_load_trace_events(path) -> tuple[list[TraceEvent], list[str]]:
-    """Sorted events without repeated (tx_id, proxy, callee) observations, then a
-    second pass over the kept events for timestamps that do not move forward."""
+    """Events whose transactions each sit in one block at one timestamp, sorted, without
+    repeated (tx_id, proxy, callee) observations, then a second pass over the kept events
+    for timestamps that do not move forward."""
     path = Path(path)
     memo: tuple[dict, dict] = ({}, {})
     rows = _iter_ndjson(path, lambda obj: oracle_event_from_obj(obj, "trace event", memo))
-    raw_events = sorted(event for _, event in rows)
+    placed: dict[str, tuple[int, int, int]] = {}  # tx_id -> its first row's block, timestamp, line
+    raw_events = []
+    for line_number, event in rows:
+        place = (event.block_number, event.timestamp)
+        block, timestamp, first_line = placed.setdefault(event.tx_id, (*place, line_number))
+        if place != (block, timestamp):
+            raise ParseError(path, line_number,
+                             f"tx_id {event.tx_id!r} at block {event.block_number}, timestamp "
+                             f"{event.timestamp} contradicts its first row, line {first_line}: "
+                             f"block {block}, timestamp {timestamp}")
+        raw_events.append(event)
+    raw_events.sort()
     diagnostics = []
     events = []
     seen = set()

@@ -30,7 +30,7 @@ from corpusgen import (
     write_corpus_fixtures,
     write_trace_fixture,
 )
-from conftest import make_record
+from conftest import make_record, tx_conflict_message
 from proxylineage import SourceFile, __version__
 
 SRC = "pragma solidity ^0.8.0;\ncontract Core {\n    function f() public {\n    }\n}\n"
@@ -499,6 +499,68 @@ def test_malformed_trace_row_in_the_last_piece_names_file_and_line(fixture_paths
     capsys.readouterr()
     assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
     assert capsys.readouterr().err == f"error: {traces}:{len(valid) + 1}: {message}\n"
+
+
+@pytest.mark.parametrize("last", [False, True], ids=["second-line", "last-line"])
+def test_a_transaction_in_two_blocks_names_file_and_both_lines(fixture_paths, tmp_path, capsys,
+                                                               last):
+    # line 1 puts t1 at block 1, timestamp 1; the bad row moves it to line 2's block
+    # and timestamp, or, as the last line, to another timestamp only
+    traces = fixture_paths[0]
+    rows = traces.read_text().splitlines()
+    first = json.loads(rows[0])
+    if last:
+        rows.append(json.dumps({**first, "timestamp": 2}))
+        line, message = len(rows), tx_conflict_message("t1", 1, 2, 1, 1, 1)
+    else:
+        rows[1] = json.dumps({**json.loads(rows[1]), "tx_id": "t1"})
+        line, message = 2, tx_conflict_message("t1", 10, 10, 1, 1, 1)
+    traces.write_text("".join(row + "\n" for row in rows))
+    capsys.readouterr()
+    assert _vuln_lifecycle(fixture_paths, tmp_path) == 1
+    assert capsys.readouterr().err == f"error: {traces}:{line}: {message}\n"
+
+
+@pytest.mark.parametrize("copy_block", [55, 5], ids=["copy-after", "copy-before"])
+@pytest.mark.parametrize("copy_first", [False, True], ids=["copy-last", "copy-first"])
+def test_a_repeated_observation_in_another_block_fails_build_lineages(tmp_path, capsys, copy_block,
+                                                                      copy_first):
+    # P calls A at blocks 10 and 20 and B at 50 and 60; a fifth row repeats A's first
+    # tx_id, proxy and callee at another block and timestamp. This used to exit 0 with
+    # only a "dropped 1 duplicate" note, keeping whichever copy sorted first.
+    traces, contracts = tmp_path / "traces.ndjson", tmp_path / "contracts.ndjson"
+    rows = [event_row(PROXY, ADDR_A, 1000 + block, block, tx_id)
+            for block, tx_id in [(10, "a1"), (20, "a2")]]
+    rows += [event_row(PROXY, ADDR_B, 1000 + block, block, tx_id)
+             for block, tx_id in [(50, "b1"), (60, "b2")]]
+    copy = event_row(PROXY, ADDR_A, 1000 + copy_block, copy_block, "a1")
+    rows = [copy, *rows] if copy_first else [*rows, copy]
+    write_trace_fixture(traces, rows)
+    write_contract_fixture(contracts, [contract_row(make_record(a, CREATOR_X))
+                                       for a in (ADDR_A, ADDR_B)])
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(["build-lineages", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(out)]) == 1
+    if copy_first:
+        message = tx_conflict_message("a1", 10, 1010, 1, copy_block, 1000 + copy_block)
+    else:
+        message = tx_conflict_message("a1", copy_block, 1000 + copy_block, 1, 10, 1010)
+    assert capsys.readouterr().err == f"error: {traces}:{2 if copy_first else 5}: {message}\n"
+    assert not out.exists()
+
+
+def test_ingest_computes_the_monitored_selectors_once(fixture_paths, tmp_path, monkeypatch):
+    from proxylineage import corpus
+
+    signatures = []
+    compute = corpus.compute_selector
+    monkeypatch.setattr(corpus, "compute_selector",
+                        lambda signature: signatures.append(signature) or compute(signature))
+    traces, contracts = fixture_paths
+    assert main(["ingest", "--traces", str(traces), "--contracts", str(contracts),
+                 "--out", str(tmp_path / "corpus")]) == 0
+    assert signatures == list(corpus.DEFAULT_UPGRADE_SIGNATURES)
 
 
 @pytest.mark.parametrize("content", [b"{not json", b'{"slither": {"\xff": "x"}}',

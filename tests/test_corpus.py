@@ -43,7 +43,9 @@ from proxylineage.corpus import (
     write_json,
 )
 
-from corpusgen import event_row, write_contract_fixture, write_trace_fixture
+from conftest import tx_conflict_message
+from corpusgen import (eval_corpus, event_row, planted_eval_corpus, random_rule_corpus,
+                       varied_sourced_corpus, write_contract_fixture, write_trace_fixture)
 from oracles import (contract_to_obj, oracle_load_trace_events, oracle_selector,
                      oracle_trace_ndjson)
 
@@ -459,9 +461,22 @@ def _outcome(load, path):
 
 
 @st.composite
-def _trace_rows(draw):
-    """Valid rows with, half the time, one or two malformed rows among them."""
+def _consistent_rows(draw):
+    """Valid rows, each with the block and timestamp of its tx_id's first row."""
+    placed = {}
     rows = draw(st.lists(_GOOD_ROWS, max_size=14))
+    for row in rows:
+        place = (row["block_number"], row["timestamp"])
+        row["block_number"], row["timestamp"] = placed.setdefault(row["tx_id"], place)
+    return rows
+
+
+@st.composite
+def _trace_rows(draw):
+    """Valid rows with, half the time, one or two malformed rows among them. In half the
+    files the rows of a tx_id agree on block and timestamp; in the others a reused tx_id
+    mostly moves to another block or timestamp."""
+    rows = draw(st.one_of(_consistent_rows(), st.lists(_GOOD_ROWS, max_size=14)))
     for bad in draw(st.lists(_bad_rows(), max_size=2)):
         rows.insert(draw(st.integers(0, len(rows))), bad)
     return rows
@@ -560,6 +575,117 @@ def test_mixed_case_addresses_share_one_normalized_string(tmp_path):
     assert [(e.proxy_address, e.callee_address) for e in events] == [
         (PROXY, CALLEE), (PROXY, CALLEE), (CALLEE, PROXY)]
     assert events[0].callee_address is events[1].callee_address is events[2].proxy_address
+
+
+def test_a_contract_spelling_a_trace_callee_in_mixed_case_loads(tmp_path):
+    # one address memo serves both readers, so the contract reader finds the
+    # callee's lowercase spelling already validated and shares its string
+    traces, contracts = tmp_path / "t.ndjson", tmp_path / "c.ndjson"
+    write_trace_fixture(traces, [event_row(PROXY, CALLEE, 10, 1, "tx1")])
+    mixed, creator = "0x" + "aA" * 20, PROXY.upper().replace("0X", "0x")
+    write_contract_fixture(contracts, [_contract_row(mixed, creator=creator)])
+    corpus = load_corpus(traces, contracts)
+    (record,) = corpus.contracts.values()
+    assert (record.address, record.creator) == (CALLEE, PROXY)
+    assert record.address is corpus.events[0].callee_address
+    assert record.creator is corpus.events[0].proxy_address
+    assert corpus.diagnostics == []
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("address", "0x" + "ab" * 19, "address must be 0x + 40 hex chars, got '0x" + "ab" * 19 + "'"),
+    ("creator", CALLEE + "\n", f"creator must be 0x + 40 hex chars, got '{CALLEE}\\n'"),
+    ("address", 7, "address must be a string, got int"),
+    ("creator", None, "creator must be a string, got NoneType"),
+], ids=["short-address", "creator-with-newline", "int-address", "null-creator"])
+def test_a_bad_contract_address_never_seen_in_the_traces_names_its_field(tmp_path, field, value,
+                                                                         message):
+    traces, contracts = tmp_path / "t.ndjson", tmp_path / "c.ndjson"
+    write_trace_fixture(traces, [event_row(PROXY, CALLEE, 10, 1, "tx1")])
+    write_contract_fixture(contracts, [_contract_row(CALLEE),
+                                       {**_contract_row(PROXY), field: value}])
+    for _ in range(2):
+        with pytest.raises(ParseError) as excinfo:
+            load_corpus(traces, contracts)
+        assert str(excinfo.value) == f"{contracts}:2: {message}"
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("address", [CALLEE], "address must be a string, got list"),
+    ("creator", {"a": PROXY}, "creator must be a string, got dict"),
+], ids=["list-address", "object-creator"])
+def test_an_unhashable_contract_address_is_named_like_any_other_non_string(tmp_path, field, value,
+                                                                            message):
+    # the traces fill the memo with every valid address, so only its type check can turn
+    # the value away: a lookup of a list or an object would raise TypeError (the trace
+    # fields' own case is in test_bad_trace_value_is_a_parse_error_on_its_own_line)
+    traces, contracts = tmp_path / "t.ndjson", tmp_path / "c.ndjson"
+    write_trace_fixture(traces, [event_row(PROXY, CALLEE, 10, 1, "tx1")])
+    contract = _contract_row(CALLEE, creator=PROXY)
+    write_contract_fixture(contracts, [contract, {**contract, "address": PROXY, field: value}])
+    with pytest.raises(ParseError) as excinfo:
+        load_corpus(traces, contracts)
+    assert str(excinfo.value) == f"{contracts}:2: {message}"
+
+
+@pytest.mark.parametrize("edit, message", [
+    ({"block_number": 12}, tx_conflict_message("tx00", 12, 100, 1, 10, 100)),
+    ({"timestamp": 99}, tx_conflict_message("tx00", 10, 99, 1, 10, 100)),
+    ({"callee_address": PROXY, "block_number": 11, "timestamp": 101},
+     tx_conflict_message("tx00", 11, 101, 1, 10, 100)),
+], ids=["block", "timestamp", "other-callee"])
+def test_rows_of_one_transaction_must_agree_on_block_and_timestamp(tmp_path, edit, message):
+    # line 4 reuses line 1's tx_id, once with line 1's block and timestamp (a repeat,
+    # dropped) and then, on line 6, with the edit
+    traces = tmp_path / "t.ndjson"
+    rows = _equal_rows(5)
+    rows[3] = rows[0]
+    rows.insert(5, {**rows[0], **edit})
+    write_trace_fixture(traces, rows)
+    with pytest.raises(ParseError) as excinfo:
+        load_trace_events(traces)
+    assert (excinfo.value.line_number, str(excinfo.value)) == (6, f"{traces}:6: {message}")
+
+
+@pytest.mark.parametrize("conflict_line, bad_line", [(3, 5), (4, 2)])
+def test_a_conflict_and_a_bad_row_the_first_in_the_file_is_reported(tmp_path, conflict_line,
+                                                                       bad_line):
+    traces = tmp_path / "t.ndjson"
+    rows = _equal_rows(6)
+    rows[conflict_line - 1] = {**rows[0], "block_number": 99}
+    rows[bad_line - 1] = {**rows[bad_line - 1], "selector": "0x3659cfzz"}
+    write_trace_fixture(traces, rows)
+    with pytest.raises(ParseError) as excinfo:
+        load_trace_events(traces)
+    assert excinfo.value.line_number == min(conflict_line, bad_line)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_consistent_rows(), st.randoms(use_true_random=False))
+def test_shuffling_a_consistent_trace_file_never_changes_the_load(rows, rng):
+    # equal events, diagnostics and duplicate count whichever copy of a repeat comes first
+    shuffled = rows[:]
+    rng.shuffle(shuffled)
+    with tempfile.TemporaryDirectory() as tmp:
+        loads = []
+        for name, order in (("a", rows), ("b", shuffled)):
+            path = Path(tmp) / f"{name}.ndjson"
+            write_trace_fixture(path, order)
+            loads.append(load_trace_events(path))
+    assert loads[0] == loads[1]
+
+
+def test_generated_corpora_place_each_transaction_in_one_block():
+    # the generators name a transaction by its proxy, callee (or version) and position
+    # in the window, so no tx_id is reused at another block or timestamp
+    for seed in range(40):
+        rng = random.Random(seed)
+        for corpus in (random_rule_corpus(rng), varied_sourced_corpus(rng), eval_corpus(rng),
+                       planted_eval_corpus(seed=seed)):
+            places = {}
+            for event in corpus.events:
+                place = (event.block_number, event.timestamp)
+                assert places.setdefault(event.tx_id, place) == place
 
 
 # Quotes, backslashes, control characters, a lone surrogate and non-BMP text
